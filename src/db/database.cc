@@ -556,8 +556,7 @@ StatusOr<Relation> Database::IndexLookupAll(const std::string& table_name,
   return out;
 }
 
-StatusOr<QueryResult> Database::ExecuteWith(const Query& query,
-                                            ExecContext* ctx) {
+OptimizerOptions Database::PlannerOptions() const {
   OptimizerOptions opts;
   opts.memory_pages = options_.memory_pages;
   opts.cost_params = options_.cost_params;
@@ -566,7 +565,13 @@ StatusOr<QueryResult> Database::ExecuteWith(const Query& query,
   opts.vectorize = options_.vectorize;
   opts.reuse_cache = reuse_cache_.get();
   opts.reuse_cost_discounts = options_.reuse_plan_discounts;
-  return RunQuery(query, catalog(), opts, ctx, this);
+  return opts;
+}
+
+StatusOr<QueryResult> Database::ExecuteWith(const Query& query,
+                                            ExecContext* ctx,
+                                            PlanRunTrace* trace) {
+  return RunQuery(query, catalog(), PlannerOptions(), ctx, this, trace);
 }
 
 StatusOr<QueryResult> Database::Execute(const Query& query) {
@@ -580,15 +585,7 @@ StatusOr<Relation> Database::ExecuteAggregate(const Query& query,
 }
 
 StatusOr<std::string> Database::Explain(const Query& query) {
-  OptimizerOptions opts;
-  opts.memory_pages = options_.memory_pages;
-  opts.cost_params = options_.cost_params;
-  opts.w_cpu = options_.w_cpu;
-  opts.hash_only = options_.planner_hash_only;
-  opts.vectorize = options_.vectorize;
-  opts.reuse_cache = reuse_cache_.get();
-  opts.reuse_cost_discounts = options_.reuse_plan_discounts;
-  Optimizer optimizer(&catalog(), opts);
+  Optimizer optimizer(&catalog(), PlannerOptions());
   MMDB_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> plan,
                         optimizer.Optimize(query));
   return plan->ToString();
@@ -704,38 +701,36 @@ StatusOr<Database::SqlResult> Database::ExecuteSqlReadLocked(
       MMDB_ASSIGN_OR_RETURN(result.plan_text, Explain(stmt.query));
       return result;
     }
-    case ParsedStatement::Kind::kExplainAnalyze: {
-      OptimizerOptions opts;
-      opts.memory_pages = options_.memory_pages;
-      opts.cost_params = options_.cost_params;
-      opts.w_cpu = options_.w_cpu;
-      opts.hash_only = options_.planner_hash_only;
-      opts.vectorize = options_.vectorize;
-      opts.reuse_cache = reuse_cache_.get();
-      opts.reuse_cost_discounts = options_.reuse_plan_discounts;
-      Optimizer optimizer(&catalog(), opts);
-      MMDB_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> plan,
-                            optimizer.Optimize(stmt.query));
+    case ParsedStatement::Kind::kExplainAnalyze:
+    case ParsedStatement::Kind::kSelect: {
+      const bool analyze = stmt.kind == ParsedStatement::Kind::kExplainAnalyze;
       PlanRunTrace trace;
       MMDB_ASSIGN_OR_RETURN(
-          Relation rel, ExecutePlan(*plan, catalog(), &ctx, this, &trace));
-      std::string text = RenderAnalyzedPlan(*plan, trace);
-      if (stmt.aggregate.has_value() || stmt.distinct) {
-        // Aggregation runs on top of the plan tree (§4: it composes freely
-        // over any join order); summarize it as one extra line so EXPLAIN
-        // ANALYZE covers the whole statement.
-        AggStats agg_stats;
-        const double seconds_before = local_clock.Seconds();
-        if (stmt.aggregate.has_value()) {
-          MMDB_ASSIGN_OR_RETURN(
-              result.relation,
-              HashAggregate(rel, *stmt.aggregate, &ctx, &agg_stats));
-        } else {
-          std::vector<int> all(size_t(rel.schema().num_columns()));
-          for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
-          MMDB_ASSIGN_OR_RETURN(
-              result.relation, ProjectDistinct(rel, all, &ctx, &agg_stats));
-        }
+          QueryResult qr,
+          ExecuteWith(stmt.query, &ctx, analyze ? &trace : nullptr));
+      result.plan_text = std::move(qr.plan_text);
+      result.analyzed = analyze;
+      // Aggregation runs on top of the plan tree (§4: it composes freely
+      // over any join order).
+      AggStats agg_stats;
+      const double seconds_before = local_clock.Seconds();
+      if (stmt.aggregate.has_value()) {
+        MMDB_ASSIGN_OR_RETURN(
+            result.relation,
+            HashAggregate(qr.relation, *stmt.aggregate, &ctx, &agg_stats));
+      } else if (stmt.distinct) {
+        std::vector<int> all(size_t(qr.relation.schema().num_columns()));
+        for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
+        MMDB_ASSIGN_OR_RETURN(
+            result.relation,
+            ProjectDistinct(qr.relation, all, &ctx, &agg_stats));
+      } else {
+        result.relation = std::move(qr.relation);
+        return result;
+      }
+      if (analyze) {
+        // Summarize the aggregation as one extra line so EXPLAIN ANALYZE
+        // covers the whole statement.
         char buf[160];
         std::snprintf(
             buf, sizeof(buf),
@@ -745,28 +740,7 @@ StatusOr<Database::SqlResult> Database::ExecuteSqlReadLocked(
             agg_stats.one_pass ? "one-pass" : "partitioned",
             static_cast<long long>(agg_stats.partitions),
             local_clock.Seconds() - seconds_before);
-        text += buf;
-      } else {
-        result.relation = std::move(rel);
-      }
-      result.plan_text = std::move(text);
-      result.analyzed = true;
-      return result;
-    }
-    case ParsedStatement::Kind::kSelect: {
-      MMDB_ASSIGN_OR_RETURN(QueryResult qr, ExecuteWith(stmt.query, &ctx));
-      result.plan_text = std::move(qr.plan_text);
-      if (stmt.aggregate.has_value()) {
-        MMDB_ASSIGN_OR_RETURN(
-            result.relation,
-            HashAggregate(qr.relation, *stmt.aggregate, &ctx));
-      } else if (stmt.distinct) {
-        std::vector<int> all(size_t(qr.relation.schema().num_columns()));
-        for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
-        MMDB_ASSIGN_OR_RETURN(result.relation,
-                              ProjectDistinct(qr.relation, all, &ctx));
-      } else {
-        result.relation = std::move(qr.relation);
+        result.plan_text += buf;
       }
       return result;
     }

@@ -311,7 +311,12 @@ class Database : public IndexProvider {
   StatusOr<SqlResult> ExecuteSqlWriteLocked(const struct ParsedStatement& stmt);
   Status ExecuteUpdateLocked(const struct ParsedStatement& stmt,
                              int64_t* rows_affected);
-  StatusOr<QueryResult> ExecuteWith(const Query& query, ExecContext* ctx);
+  /// The planner settings every SQL, Execute and Explain path shares.
+  OptimizerOptions PlannerOptions() const;
+  /// Optimize + execute under `ctx`; with `trace` the plan text is the
+  /// EXPLAIN ANALYZE rendering.
+  StatusOr<QueryResult> ExecuteWith(const Query& query, ExecContext* ctx,
+                                    PlanRunTrace* trace = nullptr);
   /// Shared body of IndexRangeScan / IndexLookupAll; caller holds the
   /// index latch.
   Status IndexRangeScanLocked(const TableHolder& table, IndexHolder& index,

@@ -41,6 +41,38 @@ class ScopedDop {
   int saved_;
 };
 
+/// One plan node's output inside ExecutePlan (DESIGN.md §14): rows the
+/// node owns, or a read-only borrow of a resident catalog table or of a
+/// reuse-cache result (`pin_` keeps an evicted cache entry alive). Borrows
+/// are safe because SQL reads hold the shared database latch for the whole
+/// statement and writers take it exclusively; none outlives the statement,
+/// because ExecutePlan materializes its root.
+class NodeResult {
+ public:
+  explicit NodeResult(Relation owned) : owned_(std::move(owned)) {}
+  static NodeResult Borrow(const Relation* rel,
+                           std::shared_ptr<const Relation> pin = nullptr) {
+    NodeResult r{Relation()};
+    r.borrowed_ = rel;
+    r.pin_ = std::move(pin);
+    return r;
+  }
+
+  const Relation& rel() const {
+    return borrowed_ != nullptr ? *borrowed_ : owned_;
+  }
+  /// The rows as an owned relation: moved out when owned, copied from a
+  /// borrow (the only place a borrowed table is copied wholesale).
+  Relation Take() && {
+    return borrowed_ != nullptr ? *borrowed_ : std::move(owned_);
+  }
+
+ private:
+  Relation owned_;
+  const Relation* borrowed_ = nullptr;
+  std::shared_ptr<const Relation> pin_;
+};
+
 StatusOr<int> FindColumn(const std::vector<ColumnRef>& columns,
                          const ColumnRef& ref) {
   for (size_t i = 0; i < columns.size(); ++i) {
@@ -49,9 +81,72 @@ StatusOr<int> FindColumn(const std::vector<ColumnRef>& columns,
   return Status::NotFound("column " + ref.ToString() + " not in plan output");
 }
 
-StatusOr<Relation> ExecuteRec(const PlanNode& plan, const Catalog& catalog,
-                              ExecContext* ctx, IndexProvider* indexes,
-                              PlanRunTrace* trace, CacheRun* reuse);
+/// The one filter driver: `in` is only read, in kMorselRows morsels through
+/// ParallelFor (inline at DOP 1), and only survivors are copied. Per-morsel
+/// survivor buffers concatenate in morsel order, so the output order is the
+/// serial loop's at every DOP. The tuple body charges one Comp per
+/// predicate evaluated with early exit (most selective first, §4); the
+/// vector body (§14) runs the compiled-predicate kernel over column-major
+/// batches, where predicate j sees only rows that survived predicates
+/// 0..j-1, so its Comp totals and survivors are the tuple body's.
+StatusOr<Relation> FilterRows(const Relation& in,
+                              const std::vector<Predicate>& preds,
+                              const std::vector<int>& col_indexes, bool vector,
+                              ExecContext* ctx) {
+  const std::vector<Row>& rows = in.rows();
+  const std::vector<CompiledPredicate> compiled =
+      vector ? CompilePredicates(in.schema(), preds, col_indexes)
+             : std::vector<CompiledPredicate>();
+  const std::vector<IndexRange> morsels = MorselRanges(in.num_tuples());
+  std::vector<std::vector<Row>> kept(morsels.size());
+  MMDB_RETURN_IF_ERROR(ParallelFor(
+      ctx, static_cast<int64_t>(morsels.size()),
+      [&](ExecContext* wctx, int, int64_t m) {
+        const IndexRange range = morsels[static_cast<size_t>(m)];
+        std::vector<Row>& keep = kept[static_cast<size_t>(m)];
+        if (vector) {
+          RowBatch batch;
+          for (int64_t base = range.begin; base < range.end;
+               base += kBatchRows) {
+            RowsToBatch(in, base, std::min(range.end, base + kBatchRows),
+                        &batch);
+            BatchFilter::FilterBatch(compiled, wctx->clock, &batch);
+            for (int64_t k = 0; k < batch.ActiveRows(); ++k) {
+              keep.push_back(
+                  rows[static_cast<size_t>(base + batch.ActiveIndex(k))]);
+            }
+          }
+          return Status::OK();
+        }
+        for (int64_t r = range.begin; r < range.end; ++r) {
+          const Row& row = rows[static_cast<size_t>(r)];
+          bool pass = true;
+          for (size_t i = 0; i < preds.size(); ++i) {
+            wctx->clock->Comp();
+            if (!EvalPredicate(preds[i], row, col_indexes[i])) {
+              pass = false;
+              break;
+            }
+          }
+          if (pass) keep.push_back(row);
+        }
+        return Status::OK();
+      }));
+  Relation out(in.schema());
+  for (std::vector<Row>& morsel : kept) {
+    for (Row& row : morsel) out.Add(std::move(row));
+  }
+  return out;
+}
+
+StatusOr<NodeResult> Owned(StatusOr<Relation> rel) {
+  if (!rel.ok()) return rel.status();
+  return NodeResult(std::move(rel).value());
+}
+
+StatusOr<NodeResult> ExecuteRec(const PlanNode& plan, const Catalog& catalog,
+                                ExecContext* ctx, IndexProvider* indexes,
+                                PlanRunTrace* trace, CacheRun* reuse);
 
 /// Probes a materialized build table with `probe`, replicating the
 /// in-memory hybrid hash join's emission (probe input order, bucket scan
@@ -106,19 +201,20 @@ Relation ProbeCachedBuild(const CachedBuild& build, const Relation& probe,
   return out;
 }
 
-StatusOr<Relation> ExecuteNode(const PlanNode& plan, const Catalog& catalog,
-                               ExecContext* ctx, IndexProvider* indexes,
-                               PlanRunTrace* trace, CacheRun* reuse) {
+StatusOr<NodeResult> ExecuteNode(const PlanNode& plan, const Catalog& catalog,
+                                 ExecContext* ctx, IndexProvider* indexes,
+                                 PlanRunTrace* trace, CacheRun* reuse) {
   switch (plan.kind) {
     case PlanNode::Kind::kScan: {
       MMDB_ASSIGN_OR_RETURN(const TableEntry* entry,
                             catalog.Lookup(plan.table));
-      return *entry->relation;  // copy; tables stay resident
+      return NodeResult::Borrow(entry->relation);  // tables stay resident
     }
     case PlanNode::Kind::kIndexScan: {
       MMDB_CHECK(!plan.predicates.empty());
       if (indexes != nullptr) {
-        return indexes->IndexLookupAll(plan.table, plan.predicates[0], ctx);
+        return Owned(
+            indexes->IndexLookupAll(plan.table, plan.predicates[0], ctx));
       }
       // No provider (plan executed standalone): degrade to scan + filter.
       MMDB_ASSIGN_OR_RETURN(const TableEntry* entry,
@@ -126,17 +222,14 @@ StatusOr<Relation> ExecuteNode(const PlanNode& plan, const Catalog& catalog,
       MMDB_ASSIGN_OR_RETURN(
           int idx, entry->relation->schema().ColumnIndex(
                        plan.predicates[0].column));
-      Relation out(entry->relation->schema());
-      for (const Row& row : entry->relation->rows()) {
-        ctx->clock->Comp();
-        if (EvalPredicate(plan.predicates[0], row, idx)) out.Add(row);
-      }
-      return out;
+      return Owned(FilterRows(*entry->relation, {plan.predicates[0]}, {idx},
+                              /*vector=*/false, ctx));
     }
     case PlanNode::Kind::kFilter: {
       MMDB_ASSIGN_OR_RETURN(
-          Relation in,
+          NodeResult child,
           ExecuteRec(*plan.child_left, catalog, ctx, indexes, trace, reuse));
+      const Relation& in = child.rel();
       // Resolve each predicate once.
       std::vector<int> col_indexes;
       col_indexes.reserve(plan.predicates.size());
@@ -146,142 +239,25 @@ StatusOr<Relation> ExecuteNode(const PlanNode& plan, const Catalog& catalog,
                                 ColumnRef{p.table, p.column}));
         col_indexes.push_back(idx);
       }
-      Relation out(in.schema());
-      const int64_t rows_in = in.num_tuples();
       ScopedDop sd(ctx, plan.dop);
       const bool timing = ctx->metrics != nullptr && ctx->collect_wall_ns;
       const auto t0 = timing ? std::chrono::steady_clock::now()
                              : std::chrono::steady_clock::time_point();
-      const auto publish_wall = [&] {
-        if (!timing) return;
-        ctx->metrics->Add(
-            "exec.filter.wall_ns",
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
-      };
-      if (plan.vector) {
-        // Vectorized filter (DESIGN.md §14): transpose kBatchRows-sized
-        // chunks into column-major batches and run the compiled-predicate
-        // kernel. Predicate j runs only over the rows that survived
-        // predicates 0..j-1 (the selection vector shrinks between stages),
-        // so the Comp totals equal the tuple loop's early-exit pattern, and
-        // survivors emit in input order — identical bytes, identical
-        // charges, at every DOP.
-        const std::vector<CompiledPredicate> compiled =
-            CompilePredicates(in.schema(), plan.predicates, col_indexes);
-        const auto filter_range = [&](ExecContext* wctx, int64_t begin,
-                                      int64_t end, std::vector<Row>* keep) {
-          RowBatch batch;
-          for (int64_t base = begin; base < end; base += kBatchRows) {
-            const int64_t stop = std::min(end, base + kBatchRows);
-            RowsToBatch(in, base, stop, &batch);
-            BatchFilter::FilterBatch(compiled, wctx->clock, &batch);
-            const int64_t live = batch.ActiveRows();
-            for (int64_t k = 0; k < live; ++k) {
-              keep->push_back(std::move(in.mutable_rows()[static_cast<size_t>(
-                  base + batch.ActiveIndex(k))]));
-            }
-          }
-        };
-        if (ctx->dop > 1) {
-          const std::vector<IndexRange> morsels =
-              MorselRanges(in.num_tuples());
-          std::vector<std::vector<Row>> kept(morsels.size());
-          MMDB_RETURN_IF_ERROR(ParallelFor(
-              ctx, static_cast<int64_t>(morsels.size()),
-              [&](ExecContext* wctx, int, int64_t m) {
-                const IndexRange range = morsels[static_cast<size_t>(m)];
-                std::vector<Row>& local = kept[static_cast<size_t>(m)];
-                filter_range(wctx, range.begin, range.end, &local);
-                if (wctx->metrics != nullptr) {
-                  wctx->metrics->Add("exec.filter.rows_in",
-                                     range.end - range.begin);
-                  wctx->metrics->Add("exec.filter.rows_out",
-                                     static_cast<int64_t>(local.size()));
-                }
-                return Status::OK();
-              }));
-          for (std::vector<Row>& batch : kept) {
-            for (Row& row : batch) {
-              out.Add(std::move(row));
-            }
-          }
-        } else {
-          std::vector<Row> keep;
-          filter_range(ctx, 0, in.num_tuples(), &keep);
-          for (Row& row : keep) {
-            out.Add(std::move(row));
-          }
-          if (ctx->metrics != nullptr) {
-            ctx->metrics->Add("exec.filter.rows_in", rows_in);
-            ctx->metrics->Add("exec.filter.rows_out", out.num_tuples());
-          }
-        }
-        publish_wall();
-        return out;
-      }
-      if (ctx->dop > 1) {
-        // Morsel-parallel filter: per-morsel survivor buffers concatenated
-        // in morsel order give the serial output order; the early-exit
-        // comparison pattern per row is unchanged, so so are the charges.
-        const std::vector<IndexRange> morsels =
-            MorselRanges(in.num_tuples());
-        std::vector<std::vector<Row>> kept(morsels.size());
-        MMDB_RETURN_IF_ERROR(ParallelFor(
-            ctx, static_cast<int64_t>(morsels.size()),
-            [&](ExecContext* wctx, int, int64_t m) {
-              std::vector<Row>& local = kept[static_cast<size_t>(m)];
-              const IndexRange range = morsels[static_cast<size_t>(m)];
-              for (int64_t r = range.begin; r < range.end; ++r) {
-                Row& row = in.mutable_rows()[static_cast<size_t>(r)];
-                bool keep = true;
-                for (size_t i = 0; i < plan.predicates.size(); ++i) {
-                  wctx->clock->Comp();
-                  if (!EvalPredicate(plan.predicates[i], row,
-                                     col_indexes[i])) {
-                    keep = false;
-                    break;
-                  }
-                }
-                if (keep) local.push_back(std::move(row));
-              }
-              // Per-morsel (not per-row) batched counts on the worker's
-              // private shard: each morsel is counted exactly once, so the
-              // merged totals are identical at every DOP.
-              if (wctx->metrics != nullptr) {
-                wctx->metrics->Add("exec.filter.rows_in",
-                                   range.end - range.begin);
-                wctx->metrics->Add("exec.filter.rows_out",
-                                   static_cast<int64_t>(local.size()));
-              }
-              return Status::OK();
-            }));
-        for (std::vector<Row>& batch : kept) {
-          for (Row& row : batch) {
-            out.Add(std::move(row));
-          }
-        }
-        publish_wall();
-        return out;
-      }
-      for (Row& row : in.mutable_rows()) {
-        bool keep = true;
-        for (size_t i = 0; i < plan.predicates.size(); ++i) {
-          ctx->clock->Comp();
-          if (!EvalPredicate(plan.predicates[i], row, col_indexes[i])) {
-            keep = false;
-            break;  // most selective first => cheap early exit (§4)
-          }
-        }
-        if (keep) out.Add(std::move(row));
-      }
+      MMDB_ASSIGN_OR_RETURN(
+          Relation out,
+          FilterRows(in, plan.predicates, col_indexes, plan.vector, ctx));
       if (ctx->metrics != nullptr) {
-        ctx->metrics->Add("exec.filter.rows_in", rows_in);
+        ctx->metrics->Add("exec.filter.rows_in", in.num_tuples());
         ctx->metrics->Add("exec.filter.rows_out", out.num_tuples());
+        if (timing) {
+          ctx->metrics->Add(
+              "exec.filter.wall_ns",
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count());
+        }
       }
-      publish_wall();
-      return out;
+      return NodeResult(std::move(out));
     }
     case PlanNode::Kind::kJoin: {
       // CachedBuild hook (DESIGN.md §15): for an in-memory hybrid hash
@@ -307,22 +283,25 @@ StatusOr<Relation> ExecuteNode(const PlanNode& plan, const Catalog& catalog,
         if (std::shared_ptr<const CachedBuild> cached =
                 reuse->cache->LookupBuild(bfp, bpos)) {
           MMDB_ASSIGN_OR_RETURN(
-              Relation probe,
+              NodeResult probe,
               ExecuteRec(pnode, catalog, ctx, indexes, trace, reuse));
           reuse->state[&plan] = 2;
           ScopedDop sd(ctx, plan.dop);
-          return ProbeCachedBuild(*cached, probe, ppos, plan.vector, ctx);
+          return NodeResult(ProbeCachedBuild(*cached, probe.rel(), ppos,
+                                             plan.vector, ctx));
         }
         // Miss. Execute the probe child first so the build window (child
         // subtree + table construction) is one contiguous cost span for
         // admission; charge totals are order-independent.
         MMDB_ASSIGN_OR_RETURN(
-            Relation probe,
+            NodeResult probe_result,
             ExecuteRec(pnode, catalog, ctx, indexes, trace, reuse));
         const double build_t0 = ctx->clock->Seconds();
         MMDB_ASSIGN_OR_RETURN(
-            Relation build,
+            NodeResult build_result,
             ExecuteRec(bnode, catalog, ctx, indexes, trace, reuse));
+        const Relation& probe = probe_result.rel();
+        const Relation& build = build_result.rel();
         ScopedDop sd(ctx, plan.dop);
         const int64_t r_pages =
             std::max<int64_t>(1, build.NumPages(ctx->page_size()));
@@ -331,11 +310,13 @@ StatusOr<Relation> ExecuteNode(const PlanNode& plan, const Catalog& catalog,
         if (split.q >= 1.0) {
           // In-memory: construct the table once with the hybrid's exact
           // single-partition charges (one Hash + one Move per build
-          // tuple, rows inserted in input order), probe, then admit.
+          // tuple, rows inserted in input order), probe, then admit. The
+          // table owns its rows, so a borrowed build input is copied here.
           auto cb = std::make_shared<CachedBuild>(bpos, build.schema());
           ctx->clock->Hash(build.num_tuples());
           ctx->clock->Move(build.num_tuples());
-          for (Row& row : build.mutable_rows()) {
+          Relation rows = std::move(build_result).Take();
+          for (Row& row : rows.mutable_rows()) {
             cb->table.Insert(std::move(row));
           }
           cb->rows = cb->table.size();
@@ -343,21 +324,23 @@ StatusOr<Relation> ExecuteNode(const PlanNode& plan, const Catalog& catalog,
           Relation out = ProbeCachedBuild(*cb, probe, ppos, plan.vector, ctx);
           reuse->cache->InstallBuild(bfp, bpos, reuse->fps.tables[&bnode],
                                      std::move(cb), build_cost);
-          return out;
+          return NodeResult(std::move(out));
         }
         // Spilling build: fall through to the ordinary hybrid join.
         JoinSpec spec;
         spec.left_column = bpos;
         spec.right_column = ppos;
-        if (plan.vector) return VectorHashJoin(build, probe, spec, ctx);
-        return ExecuteJoin(plan.algorithm, build, probe, spec, ctx);
+        if (plan.vector) return Owned(VectorHashJoin(build, probe, spec, ctx));
+        return Owned(ExecuteJoin(plan.algorithm, build, probe, spec, ctx));
       }
       MMDB_ASSIGN_OR_RETURN(
-          Relation left,
+          NodeResult left_result,
           ExecuteRec(*plan.child_left, catalog, ctx, indexes, trace, reuse));
       MMDB_ASSIGN_OR_RETURN(
-          Relation right,
+          NodeResult right_result,
           ExecuteRec(*plan.child_right, catalog, ctx, indexes, trace, reuse));
+      const Relation& left = left_result.rel();
+      const Relation& right = right_result.rel();
       MMDB_ASSIGN_OR_RETURN(
           int left_idx,
           FindColumn(plan.child_left->output_columns, plan.join.left));
@@ -374,14 +357,15 @@ StatusOr<Relation> ExecuteNode(const PlanNode& plan, const Catalog& catalog,
         // Vectorized probe; delegates back to the row-major hybrid when the
         // build spills or the node runs parallel, so bytes and charges
         // match tuple execution unconditionally.
-        return VectorHashJoin(build, probe, spec, ctx);
+        return Owned(VectorHashJoin(build, probe, spec, ctx));
       }
-      return ExecuteJoin(plan.algorithm, build, probe, spec, ctx);
+      return Owned(ExecuteJoin(plan.algorithm, build, probe, spec, ctx));
     }
     case PlanNode::Kind::kProject: {
       MMDB_ASSIGN_OR_RETURN(
-          Relation in,
+          NodeResult child,
           ExecuteRec(*plan.child_left, catalog, ctx, indexes, trace, reuse));
+      const Relation& in = child.rel();
       std::vector<int> col_indexes;
       col_indexes.reserve(plan.projection.size());
       for (const ColumnRef& ref : plan.projection) {
@@ -398,7 +382,7 @@ StatusOr<Relation> ExecuteNode(const PlanNode& plan, const Catalog& catalog,
         }
         out.Add(std::move(projected));
       }
-      return out;
+      return NodeResult(std::move(out));
     }
   }
   return Status::Internal("unknown plan node kind");
@@ -410,14 +394,15 @@ StatusOr<Relation> ExecuteNode(const PlanNode& plan, const Catalog& catalog,
 /// disk and spill-counter snapshots. All snapshot reads happen at serial
 /// points: any parallel region inside the node has completed and merged
 /// its worker clocks/shards before the node returns.
-StatusOr<Relation> ExecuteRec(const PlanNode& plan, const Catalog& catalog,
-                              ExecContext* ctx, IndexProvider* indexes,
-                              PlanRunTrace* trace, CacheRun* reuse) {
+StatusOr<NodeResult> ExecuteRec(const PlanNode& plan, const Catalog& catalog,
+                                ExecContext* ctx, IndexProvider* indexes,
+                                PlanRunTrace* trace, CacheRun* reuse) {
   // Result-cache hook (DESIGN.md §15): any node but a bare table scan may
-  // be served wholesale from a materialized result. A hit copies the
-  // cached relation out (one Move per tuple — the only work the warm plan
-  // does) and skips the entire subtree; a miss executes normally, and the
-  // node's inclusive cost-clock window becomes the admission cost.
+  // be served wholesale from a materialized result. A hit is served as a
+  // pinned borrow of the cached relation, charged one Move per tuple (the
+  // only work the warm plan does), and skips the entire subtree; a miss
+  // executes normally, and the node's inclusive cost-clock window becomes
+  // the admission cost.
   const bool cacheable =
       reuse != nullptr && plan.kind != PlanNode::Kind::kScan;
   std::string fp;
@@ -431,16 +416,18 @@ StatusOr<Relation> ExecuteRec(const PlanNode& plan, const Catalog& catalog,
         st.rows_out = hit->num_tuples();
         st.cache_state = 1;
       }
-      return *hit;  // copy; the cached relation stays resident
+      const Relation* rel = hit.get();
+      return NodeResult::Borrow(rel, std::move(hit));
     }
     reuse->state[&plan] = 3;  // a build serve below may upgrade this to 2
   }
   if (trace == nullptr) {
     if (!cacheable) return ExecuteNode(plan, catalog, ctx, indexes, trace, reuse);
     const double seconds_before = ctx->clock->Seconds();
-    StatusOr<Relation> out = ExecuteNode(plan, catalog, ctx, indexes, trace, reuse);
+    StatusOr<NodeResult> out =
+        ExecuteNode(plan, catalog, ctx, indexes, trace, reuse);
     if (out.ok()) {
-      reuse->cache->InstallResult(fp, reuse->fps.tables[&plan], *out,
+      reuse->cache->InstallResult(fp, reuse->fps.tables[&plan], out->rel(),
                                   ctx->clock->Seconds() - seconds_before);
     }
     return out;
@@ -453,13 +440,14 @@ StatusOr<Relation> ExecuteRec(const PlanNode& plan, const Catalog& catalog,
   const int64_t spill_parts_before =
       ctx->metrics != nullptr ? ctx->metrics->Get("exec.spill.partitions") : 0;
   const auto wall_before = std::chrono::steady_clock::now();
-  StatusOr<Relation> out = ExecuteNode(plan, catalog, ctx, indexes, trace, reuse);
+  StatusOr<NodeResult> out =
+      ExecuteNode(plan, catalog, ctx, indexes, trace, reuse);
   if (!out.ok()) return out;
   const auto wall_after = std::chrono::steady_clock::now();
   const CostCounters after = ctx->clock->counters();
   const SimulatedDisk::Stats disk_after = ctx->disk->stats();
   PlanNodeRunStats& st = trace->nodes[&plan];
-  st.rows_out = out->num_tuples();
+  st.rows_out = out->rel().num_tuples();
   st.comparisons = after.comparisons - before.comparisons;
   st.hashes = after.hashes - before.hashes;
   st.page_reads = disk_after.reads - disk_before.reads;
@@ -474,7 +462,7 @@ StatusOr<Relation> ExecuteRec(const PlanNode& plan, const Catalog& catalog,
                    wall_after - wall_before)
                    .count();
   if (cacheable) {
-    reuse->cache->InstallResult(fp, reuse->fps.tables[&plan], *out,
+    reuse->cache->InstallResult(fp, reuse->fps.tables[&plan], out->rel(),
                                 st.cost_seconds);
   }
   if (reuse != nullptr) {
@@ -489,13 +477,18 @@ StatusOr<Relation> ExecuteRec(const PlanNode& plan, const Catalog& catalog,
 StatusOr<Relation> ExecutePlan(const PlanNode& plan, const Catalog& catalog,
                                ExecContext* ctx, IndexProvider* indexes,
                                PlanRunTrace* trace) {
-  if (ctx->reuse_cache == nullptr) {
-    return ExecuteRec(plan, catalog, ctx, indexes, trace, nullptr);
-  }
   CacheRun reuse;
-  reuse.cache = ctx->reuse_cache;
-  reuse.cache->FingerprintPlan(plan, &reuse.fps);
-  return ExecuteRec(plan, catalog, ctx, indexes, trace, &reuse);
+  if (ctx->reuse_cache != nullptr) {
+    reuse.cache = ctx->reuse_cache;
+    reuse.cache->FingerprintPlan(plan, &reuse.fps);
+  }
+  // The root always materializes: a bare scan or a cache hit at the root
+  // is copied out, so no borrow outlives the statement's latch.
+  MMDB_ASSIGN_OR_RETURN(
+      NodeResult root,
+      ExecuteRec(plan, catalog, ctx, indexes, trace,
+                 reuse.cache != nullptr ? &reuse : nullptr));
+  return std::move(root).Take();
 }
 
 std::string RenderAnalyzedPlan(const PlanNode& plan,
