@@ -90,12 +90,16 @@ TEST_P(SetOpSpillTest, SpillingMatchesInMemory) {
   EXPECT_EQ(tiny.disk.TotalPages(), 0);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Ops, SetOpSpillTest,
-    ::testing::Values(SetOpCase{SetOp::kUnion, "union"},
-                      SetOpCase{SetOp::kIntersect, "intersect"},
-                      SetOpCase{SetOp::kDifference, "difference"}),
-    [](const auto& info) { return info.param.name; });
+// Static storage zero-fills the padding between `op` and `name`. gtest
+// prints the parameter's raw bytes into the discovered test name, so
+// stack temporaries would give a name that changes from build to build.
+const SetOpCase kSetOpCases[] = {{SetOp::kUnion, "union"},
+                                 {SetOp::kIntersect, "intersect"},
+                                 {SetOp::kDifference, "difference"}};
+
+INSTANTIATE_TEST_SUITE_P(Ops, SetOpSpillTest,
+                         ::testing::ValuesIn(kSetOpCases),
+                         [](const auto& info) { return info.param.name; });
 
 TEST(SemiJoinTest, MatchesReferenceSemantics) {
   Schema rs({Column::Int64("k"), Column::Int64("v")});
