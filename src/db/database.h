@@ -124,7 +124,8 @@ class Database : public IndexProvider {
   /// Optimizes and executes a declarative query.
   StatusOr<QueryResult> Execute(const Query& query);
 
-  /// Runs a query, then hash-aggregates its result (§3.9).
+  /// Runs a query and hash-aggregates its result (§3.9) as the plan's
+  /// terminal step — the same entry SQL GROUP BY and DISTINCT use.
   StatusOr<Relation> ExecuteAggregate(const Query& query,
                                       const AggregateSpec& agg);
 
@@ -314,9 +315,12 @@ class Database : public IndexProvider {
   /// The planner settings every SQL, Execute and Explain path shares.
   OptimizerOptions PlannerOptions() const;
   /// Optimize + execute under `ctx`; with `trace` the plan text is the
-  /// EXPLAIN ANALYZE rendering.
+  /// EXPLAIN ANALYZE rendering, and with `aggregate` the result is grouped
+  /// by it (RunQuery).
   StatusOr<QueryResult> ExecuteWith(const Query& query, ExecContext* ctx,
-                                    PlanRunTrace* trace = nullptr);
+                                    PlanRunTrace* trace = nullptr,
+                                    const AggregateSpec* aggregate = nullptr,
+                                    AggStats* agg_stats = nullptr);
   /// Shared body of IndexRangeScan / IndexLookupAll; caller holds the
   /// index latch.
   Status IndexRangeScanLocked(const TableHolder& table, IndexHolder& index,

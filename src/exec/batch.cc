@@ -55,11 +55,12 @@ Row RowBatch::RowAt(int64_t i) const {
 
 namespace {
 
-// Transposes rows [begin, end) into `batch` (already Reset to the output
-// schema), reading source column `src_cols[c]` into batch column `c`. The
-// value-type switch runs once per column, so the inner loops are tight
-// std::get loops over one type.
-void TransposeInto(const std::vector<Row>& rows, int64_t begin, int64_t end,
+// Transposes rows [begin, end) — row i is `row_at(i)` — into `batch`
+// (already Reset to the output schema), reading source column
+// `src_cols[c]` into batch column `c`. The value-type switch runs once per
+// column, so the inner loops are tight std::get loops over one type.
+template <typename RowAt>
+void TransposeInto(const RowAt& row_at, int64_t begin, int64_t end,
                    const std::vector<int>& src_cols, RowBatch* batch) {
   const size_t take = static_cast<size_t>(end - begin);
   for (size_t c = 0; c < src_cols.size(); ++c) {
@@ -69,20 +70,19 @@ void TransposeInto(const std::vector<Row>& rows, int64_t begin, int64_t end,
       case ValueType::kInt64:
         col.i64.reserve(take);
         for (int64_t i = begin; i < end; ++i) {
-          col.i64.push_back(std::get<int64_t>(rows[static_cast<size_t>(i)][src]));
+          col.i64.push_back(std::get<int64_t>(row_at(i)[src]));
         }
         break;
       case ValueType::kDouble:
         col.f64.reserve(take);
         for (int64_t i = begin; i < end; ++i) {
-          col.f64.push_back(std::get<double>(rows[static_cast<size_t>(i)][src]));
+          col.f64.push_back(std::get<double>(row_at(i)[src]));
         }
         break;
       case ValueType::kString:
         col.str.reserve(take);
         for (int64_t i = begin; i < end; ++i) {
-          col.str.push_back(
-              std::get<std::string>(rows[static_cast<size_t>(i)][src]));
+          col.str.push_back(std::get<std::string>(row_at(i)[src]));
         }
         break;
     }
@@ -96,7 +96,10 @@ StatusOr<bool> BatchMemScan::NextBatch(RowBatch* batch) {
   if (pos_ >= end_) return false;
   const int64_t take = std::min(kBatchRows, end_ - pos_);
   batch->Reset(schema_);
-  TransposeInto(relation_->rows(), pos_, pos_ + take, columns_, batch);
+  const std::vector<Row>& rows = relation_->rows();
+  TransposeInto(
+      [&rows](int64_t i) -> const Row& { return rows[static_cast<size_t>(i)]; },
+      pos_, pos_ + take, columns_, batch);
   pos_ += take;
   return true;
 }
@@ -298,13 +301,11 @@ StatusOr<Relation> MaterializeBatches(BatchOperator* op) {
   return out;
 }
 
-void RowsToBatch(const Relation& rel, int64_t begin, int64_t end,
-                 RowBatch* batch) {
-  batch->Reset(rel.schema());
-  const int ncols = rel.schema().num_columns();
-  std::vector<int> all(static_cast<size_t>(ncols));
-  for (int c = 0; c < ncols; ++c) all[static_cast<size_t>(c)] = c;
-  TransposeInto(rel.rows(), begin, end, all, batch);
+void RowRefsToBatch(const Row* const* rows, int64_t n, const Schema& schema,
+                    const std::vector<int>& src_cols, RowBatch* batch) {
+  batch->Reset(schema);
+  TransposeInto([rows](int64_t i) -> const Row& { return *rows[i]; }, 0, n,
+                src_cols, batch);
 }
 
 }  // namespace mmdb

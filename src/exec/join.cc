@@ -34,6 +34,35 @@ void EmitJoined(const Row& r_row, const Row& s_row, Relation* out) {
   out->Add(ConcatRows(r_row, s_row));
 }
 
+std::chrono::steady_clock::time_point JoinStart(const ExecContext* ctx) {
+  return ctx != nullptr && ctx->metrics != nullptr && ctx->collect_wall_ns
+             ? std::chrono::steady_clock::now()
+             : std::chrono::steady_clock::time_point();
+}
+
+void PublishJoinRun(ExecContext* ctx, int64_t build_tuples,
+                    int64_t probe_tuples, const JoinRunStats& st,
+                    std::chrono::steady_clock::time_point t0) {
+  if (ctx == nullptr || ctx->metrics == nullptr) return;
+  MetricsRegistry* m = ctx->metrics;
+  m->Add("exec.join.runs", 1);
+  m->Add("exec.join.build_tuples", build_tuples);
+  m->Add("exec.join.probe_tuples", probe_tuples);
+  m->Add("exec.join.output_tuples", st.output_tuples);
+  m->Add("exec.join.passes", st.passes);
+  m->Add("exec.join.spilled_partitions", st.partitions);
+  m->Add("exec.join.recursions", st.recursion_depth);
+  m->Add("exec.join.migrations", st.migrations);
+  m->Add("exec.join.forced_probes", st.forced_probes);
+  m->Record("exec.join.fanout", st.output_tuples);
+  if (ctx->collect_wall_ns) {
+    m->Add("exec.join.wall_ns",
+           std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now() - t0)
+               .count());
+  }
+}
+
 }  // namespace exec_internal
 
 StatusOr<Relation> NestedLoopJoin(const Relation& r, const Relation& s,
@@ -82,31 +111,11 @@ StatusOr<Relation> ExecuteJoin(JoinAlgorithm algorithm, const Relation& r,
   JoinRunStats local;
   JoinRunStats* st = stats != nullptr ? stats : &local;
   *st = JoinRunStats{};
-  const bool timing =
-      ctx != nullptr && ctx->metrics != nullptr && ctx->collect_wall_ns;
-  const auto t0 = timing ? std::chrono::steady_clock::now()
-                         : std::chrono::steady_clock::time_point();
+  const auto t0 = exec_internal::JoinStart(ctx);
   StatusOr<Relation> out = DispatchJoin(algorithm, r, s, spec, ctx, st);
-  // Publish once per top-level join: the GRACE/hybrid leaves recurse
-  // internally, so counting here (and only here) avoids double counts.
-  if (out.ok() && ctx != nullptr && ctx->metrics != nullptr) {
-    MetricsRegistry* m = ctx->metrics;
-    m->Add("exec.join.runs", 1);
-    m->Add("exec.join.build_tuples", r.num_tuples());
-    m->Add("exec.join.probe_tuples", s.num_tuples());
-    m->Add("exec.join.output_tuples", st->output_tuples);
-    m->Add("exec.join.passes", st->passes);
-    m->Add("exec.join.spilled_partitions", st->partitions);
-    m->Add("exec.join.recursions", st->recursion_depth);
-    m->Add("exec.join.migrations", st->migrations);
-    m->Add("exec.join.forced_probes", st->forced_probes);
-    m->Record("exec.join.fanout", st->output_tuples);
-    if (timing) {
-      m->Add("exec.join.wall_ns",
-             std::chrono::duration_cast<std::chrono::nanoseconds>(
-                 std::chrono::steady_clock::now() - t0)
-                 .count());
-    }
+  if (out.ok()) {
+    exec_internal::PublishJoinRun(ctx, r.num_tuples(), s.num_tuples(), *st,
+                                  t0);
   }
   return out;
 }

@@ -4,6 +4,7 @@
 #include <map>
 #include <string>
 
+#include "exec/aggregate.h"
 #include "exec/exec_context.h"
 #include "optimizer/catalog.h"
 #include "optimizer/plan.h"
@@ -58,10 +59,17 @@ struct PlanRunTrace {
 /// With `trace` non-null, each node's actual row counts, comparisons, page
 /// I/O, spill volume and cost-clock delta are recorded (spill figures need
 /// ctx->metrics attached).
+///
+/// With `aggregate` non-null the result is instead the plan's output
+/// grouped by it — exactly HashAggregate on the relation the plan would
+/// return, run as the executor's terminal pipeline breaker (AggregateView
+/// reads the root in place). `agg_stats`, when given, receives its stats.
 StatusOr<Relation> ExecutePlan(const PlanNode& plan, const Catalog& catalog,
                                ExecContext* ctx,
                                IndexProvider* indexes = nullptr,
-                               PlanRunTrace* trace = nullptr);
+                               PlanRunTrace* trace = nullptr,
+                               const AggregateSpec* aggregate = nullptr,
+                               AggStats* agg_stats = nullptr);
 
 /// The plan text with each node annotated by its actual run statistics:
 ///   Join[hybrid-hash](...)  [~60 tuples, 0.123s]
@@ -70,7 +78,8 @@ std::string RenderAnalyzedPlan(const PlanNode& plan,
                                const PlanRunTrace& trace);
 
 /// Convenience: optimize + execute in one call. With `trace` non-null the
-/// returned plan_text is the EXPLAIN ANALYZE rendering.
+/// returned plan_text is the EXPLAIN ANALYZE rendering; `aggregate` and
+/// `agg_stats` are ExecutePlan's.
 struct QueryResult {
   Relation relation;
   std::string plan_text;
@@ -79,7 +88,9 @@ StatusOr<QueryResult> RunQuery(const Query& query, const Catalog& catalog,
                                const struct OptimizerOptions& options,
                                ExecContext* ctx,
                                IndexProvider* indexes = nullptr,
-                               PlanRunTrace* trace = nullptr);
+                               PlanRunTrace* trace = nullptr,
+                               const AggregateSpec* aggregate = nullptr,
+                               AggStats* agg_stats = nullptr);
 
 }  // namespace mmdb
 

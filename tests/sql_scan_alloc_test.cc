@@ -1,14 +1,17 @@
 // Allocation accounting for SQL scans (DESIGN.md §14): a Filter over a
-// resident table reads the table in place and copies only its survivors,
-// so a one-survivor query over 100k rows allocates a bounded number of
-// blocks — not one (or more) per table row, which a per-scan table copy
-// costs.
+// resident table reads the table in place and passes on references to its
+// survivors, so a one-survivor query over 100k rows allocates a bounded
+// number of blocks — not one (or more) per table row, which a per-scan
+// table copy costs. GROUP BY, DISTINCT and the in-memory hash join read
+// those references in place too, so they allocate for what they produce
+// (groups, distinct rows, join output and build), not per survivor.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "db/database.h"
 
@@ -68,6 +71,22 @@ void LoadTable(Database* db) {
   ASSERT_TRUE(db->BulkLoad("t", std::move(rel)).ok());
 }
 
+/// u(k, w) with kBuildRows rows, k = 0..kBuildRows-1: joined on t.grp it
+/// matches kBuildRows / 1000 of t's rows.
+constexpr int64_t kBuildRows = 50;
+
+void LoadBuildTable(Database* db) {
+  const Schema schema({Column::Int64("k"), Column::Int64("w")});
+  ASSERT_TRUE(db->CreateTable("u", schema).ok());
+  Relation rel(schema);
+  for (int64_t i = 0; i < kBuildRows; ++i) rel.Add({Value{i}, Value{2 * i}});
+  ASSERT_TRUE(db->BulkLoad("u", std::move(rel)).ok());
+}
+
+/// `id < 30000` keeps 30% of t: kSurvivors rows in kGroups groups of grp.
+constexpr int64_t kSurvivors = 30000;
+constexpr int64_t kGroups = 1000;
+
 /// Allocations made by one SQL statement, which must return `want_rows`.
 uint64_t AllocsFor(Database* db, const std::string& sql, int64_t want_rows) {
   const uint64_t before = g_allocs.load();
@@ -102,6 +121,67 @@ TEST_P(SqlScanAllocTest, OneSurvivorFilterAllocatesForSurvivorsNotTable) {
   const uint64_t hundred =
       AllocsFor(&db, "SELECT id, bal FROM t WHERE grp = 42", kRows / 1000);
   EXPECT_LT(hundred, one + 10 * uint64_t(kRows / 1000));
+}
+
+// The pipeline-breaker cases below compare against the one-survivor
+// statement (parse, plan, metrics, morsel buffers) and allow a few blocks
+// per row they produce — far below one block per survivor, which copying
+// the survivors into the breaker costs.
+
+TEST_P(SqlScanAllocTest, GroupByAllocatesForGroupsNotSurvivors) {
+  Database::Options opts;
+  opts.vectorize = GetParam();
+  Database db(opts);
+  LoadTable(&db);
+  AllocsFor(&db, "SELECT id, bal FROM t WHERE id = 7", 1);
+  const uint64_t one =
+      AllocsFor(&db, "SELECT id, bal FROM t WHERE id = 4242", 1);
+  const std::string sql =
+      "SELECT grp, SUM(bal) FROM t WHERE id < " + std::to_string(kSurvivors) +
+      " GROUP BY grp";
+  AllocsFor(&db, sql, kGroups);
+  const uint64_t grouped = AllocsFor(&db, sql, kGroups);
+  EXPECT_LT(grouped, one + 8 * uint64_t(kGroups))
+      << "allocations scale with the survivors";
+}
+
+TEST_P(SqlScanAllocTest, JoinProbeAllocatesForOutputAndBuildNotSurvivors) {
+  Database::Options opts;
+  opts.vectorize = GetParam();
+  Database db(opts);
+  LoadTable(&db);
+  LoadBuildTable(&db);
+  AllocsFor(&db, "SELECT id, bal FROM t WHERE id = 7", 1);
+  const uint64_t one =
+      AllocsFor(&db, "SELECT id, bal FROM t WHERE id = 4242", 1);
+  const std::string sql =
+      "SELECT t.id, u.w FROM t, u WHERE t.grp = u.k AND t.id < " +
+      std::to_string(kSurvivors);
+  const int64_t output = kSurvivors * kBuildRows / 1000;
+  auto plan = db.ExecuteSql("EXPLAIN " + sql);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_NE(plan->plan_text.find("hybrid-hash"), std::string::npos)
+      << plan->plan_text;
+  AllocsFor(&db, sql, output);
+  const uint64_t joined = AllocsFor(&db, sql, output);
+  EXPECT_LT(joined, one + 4 * uint64_t(output + kBuildRows))
+      << "allocations scale with the probe survivors";
+}
+
+TEST_P(SqlScanAllocTest, DistinctAllocatesForDistinctRows) {
+  Database::Options opts;
+  opts.vectorize = GetParam();
+  Database db(opts);
+  LoadTable(&db);
+  AllocsFor(&db, "SELECT id, bal FROM t WHERE id = 7", 1);
+  const uint64_t one =
+      AllocsFor(&db, "SELECT id, bal FROM t WHERE id = 4242", 1);
+  const std::string sql = "SELECT DISTINCT grp FROM t WHERE id < " +
+                          std::to_string(kSurvivors);
+  AllocsFor(&db, sql, kGroups);
+  const uint64_t distinct = AllocsFor(&db, sql, kGroups);
+  EXPECT_LT(distinct, one + 8 * uint64_t(kGroups))
+      << "allocations scale with the survivors";
 }
 
 INSTANTIATE_TEST_SUITE_P(TupleAndVector, SqlScanAllocTest,
