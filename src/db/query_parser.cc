@@ -398,8 +398,16 @@ class Parser {
         MMDB_ASSIGN_OR_RETURN(ColumnRef ref, ResolveItemRef(item, stmt));
         stmt.query.select_columns.push_back(std::move(ref));
       }
-      if (stmt.distinct && stmt.query.select_columns.empty()) {
-        return Status::InvalidArgument("SELECT DISTINCT * is not supported");
+      if (stmt.distinct) {
+        if (stmt.query.select_columns.empty()) {
+          return Status::InvalidArgument("SELECT DISTINCT * is not supported");
+        }
+        // DISTINCT groups on every selected column (§3.9).
+        AggregateSpec distinct;
+        for (size_t i = 0; i < stmt.query.select_columns.size(); ++i) {
+          distinct.group_by.push_back(static_cast<int>(i));
+        }
+        stmt.aggregate = std::move(distinct);
       }
       return stmt;
     }

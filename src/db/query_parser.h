@@ -40,8 +40,9 @@ struct ParsedStatement {
   // one target table) and query.filters (the WHERE restrictions).
   Query query;
   bool distinct = false;
-  /// Present when the select list contains aggregates; group_by/column
-  /// indexes refer to the columns of `query.select_columns`.
+  /// Present when the select list contains aggregates, and for SELECT
+  /// DISTINCT (grouping on every selected column, no aggregates);
+  /// group_by/column indexes refer to the columns of `query.select_columns`.
   std::optional<AggregateSpec> aggregate;
 
   // kCreateTable / kUpdate
