@@ -1,9 +1,12 @@
-// Ablation (DESIGN.md §5): group-commit trigger — page-full vs timer.
+// Ablation (DESIGN.md §5): group-commit trigger — idle device vs timer
+// vs page-full.
 //
 // A commit group normally closes when its log page fills; with few
-// concurrent transactions the page may never fill, so a timer bounds the
-// wait ("the transaction is delayed from committing until its commit
-// record actually appears on disk"). We sweep the flush timeout at two
+// concurrent transactions the page may never fill. With timeout 0 (the
+// default) a waiting commit's page goes out as soon as the device is
+// idle; a positive timeout lingers that long for more commits ("the
+// transaction is delayed from committing until its commit record
+// actually appears on disk"). We sweep the flush timeout at two
 // concurrency levels and report throughput, commit-group size, and the
 // derived mean commit latency (threads / tps, closed loop):
 //
@@ -11,6 +14,8 @@
 //     matters (the paper's 1000-tps regime);
 //   * low concurrency: a long timeout trades commit latency for group
 //     size; past the point where groups stop growing it only adds latency.
+//     No linger at all can split the clients into groups that never
+//     merge (EXPERIMENTS, S5a/ablation re-run).
 
 #include <cstdio>
 
@@ -58,7 +63,7 @@ int main(int argc, char** argv) {
   std::printf("%10s %12s | %9s %12s %14s\n", "threads", "timeout",
               "tps", "group size", "latency(ms)");
   for (int threads : {4, 64}) {
-    for (int timeout_us : {200, 1000, 5000, 20000}) {
+    for (int timeout_us : {0, 200, 1000, 5000, 20000}) {
       const BankingResult r = RunWithTimeout(
           threads, std::chrono::microseconds(timeout_us), duration_ms);
       std::printf("%10d %9d us | %9.0f %12.1f %14.1f\n", threads,

@@ -1,11 +1,13 @@
 // DESIGN.md §13: online hot backup and the log-shipping read replica,
 // machine-checked. Three phases:
 //
-//   throughput — the seeded banking workload runs twice: once bare, once
-//     with a continuous full -> incremental backup loop riding alongside.
-//     Machine-checked: primary tps with backups >= 75% of the bare
+//   throughput — the seeded banking workload runs bare and with a
+//     continuous full -> incremental backup loop riding alongside, in
+//     seven pairs that alternate which side runs first. Machine-checked:
+//     the median pair's primary tps with backups >= 75% of its bare
 //     baseline (the backup only shares the store's page mutex, one page
-//     at a time).
+//     at a time). The zero-latency log leaves the primary CPU-bound, so
+//     one pair alone is too noisy to gate on.
 //
 //   backup differential — every mid-workload backup restores to a
 //     transaction-consistent cut (banking conservation), and the backup
@@ -87,11 +89,14 @@ bool StoresIdentical(RecoverableStore* a, RecoverableStore* b) {
   return true;
 }
 
+constexpr int kThroughputPairs = 7;
+
 struct Result {
   int64_t accounts = 0;
-  double baseline_tps = 0;
-  double backup_tps = 0;
-  double tps_ratio = 0;
+  double baseline_tps = 0;  ///< of the median pair
+  double backup_tps = 0;    ///< of the median pair
+  double tps_ratio = 0;     ///< median over the pairs
+  std::vector<std::pair<double, double>> pair_tps;  ///< (bare, backups)
   int64_t backups_taken = 0;
   int64_t incremental_backups = 0;
   int64_t pages_copied = 0;
@@ -107,23 +112,27 @@ struct Result {
   std::string replica_metrics;
 };
 
-void RunBackupPhases(int64_t accounts, milliseconds duration, Result* r) {
+/// Bare banking tps (one unmeasured warm-up run first so the cold-start
+/// cost doesn't land in the denominator of the tps ratio).
+double RunBaseline(int64_t accounts, milliseconds duration) {
+  const BankingOptions bopts = Banking(accounts, duration);
+  Database db;
+  MMDB_CHECK(db.EnableTransactions(PlaneOptions(accounts)).ok());
+  MMDB_CHECK(InitAccounts(db.recoverable_store(), bopts).ok());
+  BankingOptions warm = bopts;
+  warm.duration = milliseconds(100);
+  (void)RunBankingWorkload(db.txn_manager(), warm);
+  return RunBankingWorkload(db.txn_manager(), bopts).tps;
+}
+
+/// The same workload with a continuous backup loop alongside; every
+/// mid-workload chain prefix must restore to a consistent cut. With
+/// `final_checks`, the quiesced backup and recovery twins are checked too
+/// and the backup stats land in `r`. Returns the primary's tps.
+double RunWithBackups(int64_t accounts, milliseconds duration,
+                      bool final_checks, Result* r) {
   const BankingOptions bopts = Banking(accounts, duration);
   const int64_t expected_total = accounts * bopts.initial_balance;
-
-  // Bare baseline (one unmeasured warm-up run first so the cold-start cost
-  // doesn't land in the denominator of the tps ratio).
-  {
-    Database db;
-    MMDB_CHECK(db.EnableTransactions(PlaneOptions(accounts)).ok());
-    MMDB_CHECK(InitAccounts(db.recoverable_store(), bopts).ok());
-    BankingOptions warm = bopts;
-    warm.duration = milliseconds(100);
-    (void)RunBankingWorkload(db.txn_manager(), warm);
-    r->baseline_tps = RunBankingWorkload(db.txn_manager(), bopts).tps;
-  }
-
-  // Same workload with a continuous backup loop alongside.
   Database db;
   MMDB_CHECK(db.EnableTransactions(PlaneOptions(accounts)).ok());
   MMDB_CHECK(InitAccounts(db.recoverable_store(), bopts).ok());
@@ -145,8 +154,6 @@ void RunBackupPhases(int64_t accounts, milliseconds duration, Result* r) {
   const BankingResult run = RunBankingWorkload(db.txn_manager(), bopts);
   stop.store(true, std::memory_order_release);
   backups.join();
-  r->backup_tps = run.tps;
-  r->tps_ratio = r->backup_tps / r->baseline_tps;
 
   // Every mid-workload chain prefix restores to a consistent cut.
   std::vector<const BackupImage*> chain;
@@ -160,6 +167,7 @@ void RunBackupPhases(int64_t accounts, milliseconds duration, Result* r) {
     MMDB_CHECK_MSG(*total == expected_total,
                    "mid-workload backup restored a non-atomic cut");
   }
+  if (!final_checks) return run.tps;
 
   // Quiesced: the hot image at this fence IS the blocking-checkpoint twin.
   BackupOptions final_opts;
@@ -189,6 +197,33 @@ void RunBackupPhases(int64_t accounts, milliseconds duration, Result* r) {
   r->pages_skipped = stats.pages_skipped;
   r->log_records_captured = stats.log_records_captured;
   r->primary_metrics = db.MetricsJson();
+  return run.tps;
+}
+
+void RunBackupPhases(int64_t accounts, milliseconds duration, Result* r) {
+  // Alternate which side of a pair runs first, so drift in the host's
+  // load hits both sides alike; gate on the median pair.
+  for (int p = 0; p < kThroughputPairs; ++p) {
+    const bool last = p + 1 == kThroughputPairs;
+    double baseline = 0;
+    double backup = 0;
+    if (p % 2 == 0) {
+      baseline = RunBaseline(accounts, duration);
+      backup = RunWithBackups(accounts, duration, last, r);
+    } else {
+      backup = RunWithBackups(accounts, duration, last, r);
+      baseline = RunBaseline(accounts, duration);
+    }
+    r->pair_tps.emplace_back(baseline, backup);
+  }
+  std::vector<std::pair<double, double>> sorted = r->pair_tps;
+  std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
+    return a.second / a.first < b.second / b.first;
+  });
+  const std::pair<double, double>& median = sorted[sorted.size() / 2];
+  r->baseline_tps = median.first;
+  r->backup_tps = median.second;
+  r->tps_ratio = median.second / median.first;
 }
 
 void RunReplicaPhase(int64_t accounts, milliseconds duration, Result* r) {
@@ -303,7 +338,7 @@ void WriteJson(const std::string& path, const Result& r,
                "  \"replica_consistent_snapshots\": %lld,\n"
                "  \"replica_max_lag_lsn\": %lld,\n"
                "  \"replica_final_lag_lsn\": %lld,\n"
-               "  \"lag_vs_batch_cap\": [",
+               "  \"pair_tps_ratios\": [",
                static_cast<long long>(r.accounts), r.baseline_tps,
                r.backup_tps, r.tps_ratio,
                static_cast<long long>(r.backups_taken),
@@ -317,6 +352,11 @@ void WriteJson(const std::string& path, const Result& r,
                static_cast<long long>(r.replica_consistent_snapshots),
                static_cast<long long>(r.replica_max_lag_lsn),
                static_cast<long long>(r.replica_final_lag_lsn));
+  for (size_t i = 0; i < r.pair_tps.size(); ++i) {
+    std::fprintf(f, "%s%.4f", i == 0 ? "" : ", ",
+                 r.pair_tps[i].second / r.pair_tps[i].first);
+  }
+  std::fprintf(f, "],\n  \"lag_vs_batch_cap\": [");
   for (size_t i = 0; i < drain.size(); ++i) {
     std::fprintf(f,
                  "%s\n    {\"batch_cap\": %lld, \"initial_lag_lsn\": %lld, "
@@ -366,11 +406,17 @@ int main(int argc, char** argv) {
   RunReplicaPhase(accounts, duration, &r);
   const std::vector<DrainPoint> drain = RunLagDrain(accounts);
 
-  std::printf("%-36s %12.0f tps\n", "banking, no backups (baseline)",
+  std::printf("%-36s %12.0f tps\n", "banking, no backups (median pair)",
               r.baseline_tps);
-  std::printf("%-36s %12.0f tps\n", "banking, continuous backup loop",
+  std::printf("%-36s %12.0f tps\n", "banking, backup loop (median pair)",
               r.backup_tps);
-  std::printf("%-36s %12.3f   (must be >= 0.75)\n", "tps ratio", r.tps_ratio);
+  for (size_t p = 0; p < r.pair_tps.size(); ++p) {
+    std::printf("  pair %zu: %8.0f bare, %8.0f with backups %9.3f\n", p + 1,
+                r.pair_tps[p].first, r.pair_tps[p].second,
+                r.pair_tps[p].second / r.pair_tps[p].first);
+  }
+  std::printf("%-36s %12.3f   (must be >= 0.75)\n", "median tps ratio",
+              r.tps_ratio);
   std::printf("%-36s %6lld full+inc (%lld incremental)\n", "backups taken",
               static_cast<long long>(r.backups_taken),
               static_cast<long long>(r.incremental_backups));
@@ -400,6 +446,8 @@ int main(int argc, char** argv) {
   }
 
   // The §13 claims, machine-checked on every run (including CI smoke).
+  // Flush first: a failed check aborts, and the figures above explain it.
+  std::fflush(stdout);
   MMDB_CHECK_MSG(r.restore_identical,
                  "hot backup restore diverged from the primary image");
   MMDB_CHECK_MSG(r.recovered_twin_identical,

@@ -187,7 +187,7 @@ Status Database::Insert(const std::string& name, Row row) {
     }
   }
   table.relation.Add(std::move(row));
-  InvalidateCatalog();
+  MarkStatisticsStale();
   if (reuse_cache_ != nullptr) reuse_cache_->InvalidateTable(name);
   return Status::OK();
 }
@@ -201,7 +201,6 @@ Status Database::BulkLoad(const std::string& name, Relation relation) {
   for (Row& row : relation.mutable_rows()) {
     MMDB_RETURN_IF_ERROR(Insert(name, std::move(row)));
   }
-  InvalidateCatalog();
   return Status::OK();
 }
 
@@ -438,12 +437,23 @@ Status Database::IndexRangeScanLocked(
 }
 
 const Catalog& Database::catalog() {
+  RefreshCatalog(/*statistics=*/true);
+  return catalog_;
+}
+
+void Database::RefreshCatalog(bool statistics) {
   // Double-checked rebuild: concurrent read statements may all ask for the
   // catalog; only the first rebuilds (under catalog_mu_), the rest either
-  // wait on the mutex or see the release-published clean flag.
-  if (!catalog_dirty_.load(std::memory_order_acquire)) return catalog_;
-  std::lock_guard<std::mutex> lock(catalog_mu_);
-  if (catalog_dirty_.load(std::memory_order_relaxed)) {
+  // wait on the mutex or see the release-published clean flags. The flags
+  // only turn stale under the exclusive latch, so a statement that found
+  // them clean keeps a stable catalog for as long as it holds the latch.
+  auto current = [&] {
+    return !catalog_dirty_.load(std::memory_order_acquire) &&
+           (!statistics || !stats_stale_.load(std::memory_order_acquire));
+  };
+  if (current()) return;
+  std::unique_lock<std::shared_mutex> lock(catalog_mu_);
+  if (!current()) {
     catalog_ = Catalog(options_.page_size);
     for (const auto& [name, table] : tables_) {
       Status s = catalog_.RegisterTable(name, &table.relation);
@@ -466,9 +476,9 @@ const Catalog& Database::catalog() {
         MMDB_CHECK_MSG(s.ok(), s.ToString().c_str());
       }
     }
+    stats_stale_.store(false, std::memory_order_release);
     catalog_dirty_.store(false, std::memory_order_release);
   }
-  return catalog_;
 }
 
 StatusOr<Relation> Database::IndexLookupAll(const std::string& table_name,
@@ -626,10 +636,16 @@ StatusOr<Database::SqlResult> Database::ExecuteSqlPreCommit(
     // concurrent writers overlap their parse work and the exclusive
     // section shrinks to the statement's actual apply. Name resolution is
     // re-done under the exclusive latch, so a DDL racing in between can
-    // only turn this statement into a clean error, never corrupt it.
+    // only turn this statement into a clean error, never corrupt it. The
+    // parse needs schemas and index sets, not statistics: after an INSERT
+    // it leaves the statistics rebuild to the next planning statement (a
+    // rebuild per INSERT made loading quadratic), and it holds catalog_mu_
+    // shared so a reader's rebuild cannot overlap it.
     StatusOr<ParsedStatement> parsed = [&]() -> StatusOr<ParsedStatement> {
       std::shared_lock<std::shared_mutex> shared(latch_);
-      return ParseStatement(sql, catalog());
+      RefreshCatalog(/*statistics=*/false);
+      std::shared_lock<std::shared_mutex> catalog_lock(catalog_mu_);
+      return ParseStatement(sql, catalog_);
     }();
     if (!parsed.ok()) return parsed.status();
     std::unique_lock<std::shared_mutex> lock(latch_);

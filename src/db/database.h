@@ -299,9 +299,18 @@ class Database : public IndexProvider {
   Status BuildIndex(TableHolder* table, const std::string& table_name,
                     const std::string& column, IndexType type);
   StatusOr<Row> RowByOrdinal(const TableHolder& table, int64_t ordinal) const;
+  /// A schema or index set changed: the next catalog use rebuilds.
   void InvalidateCatalog() {
     catalog_dirty_.store(true, std::memory_order_release);
   }
+  /// Rows were added: only the column statistics are stale. Write parses
+  /// need schemas and index sets alone, so only planning rebuilds for this.
+  void MarkStatisticsStale() {
+    stats_stale_.store(true, std::memory_order_release);
+  }
+  /// Rebuilds catalog_ if its schemas or index sets are out of date, or,
+  /// with `statistics`, if its statistics are.
+  void RefreshCatalog(bool statistics);
   AccessModelParams ModelFor(const TableHolder& table, int column) const;
 
   /// True when `sql`'s first keyword is CREATE / INSERT / UPDATE — decides
@@ -341,13 +350,16 @@ class Database : public IndexProvider {
   std::map<std::string, TableHolder> tables_;
   Catalog catalog_;
   std::atomic<bool> catalog_dirty_{true};
+  std::atomic<bool> stats_stale_{false};
 
   /// §10 catalog/table latch: read statements shared, write statements
   /// exclusive. The public embedded APIs do not take it (single-threaded
   /// by contract); ExecuteSql does.
   mutable std::shared_mutex latch_;
-  /// Serializes the lazy catalog rebuild among concurrent readers.
-  std::mutex catalog_mu_;
+  /// Guards the lazy catalog rebuild (exclusive) against concurrent
+  /// readers that rebuild too and against write parses (shared), which
+  /// run under the shared latch and may find the statistics stale.
+  std::shared_mutex catalog_mu_;
 
   // §5 plane.
   TxnPlaneOptions txn_options_;

@@ -26,7 +26,8 @@ StatusOr<int64_t> LogDevice::WritePage(std::string data) {
       data.resize(static_cast<size_t>(persist));  // torn: prefix only
     }
   }
-  data.resize(static_cast<size_t>(page_size_), '\0');
+  // Keep the payload only; reads pad it back to a full page. The device
+  // is still charged a whole page per write.
   pages_.push_back(std::move(data));
   bytes_written_ += page_size_;
   return static_cast<int64_t>(pages_.size()) - 1;
@@ -41,7 +42,9 @@ StatusOr<std::string> LogDevice::ReadPage(int64_t page_no) const {
     MMDB_RETURN_IF_ERROR(
         injector_->OnRead(FaultDevice::kLogDevice, device_index_, page_no));
   }
-  return pages_[static_cast<size_t>(page_no)];
+  std::string page = pages_[static_cast<size_t>(page_no)];
+  page.resize(static_cast<size_t>(page_size_), '\0');
+  return page;
 }
 
 int64_t LogDevice::num_pages() const {
@@ -77,9 +80,9 @@ std::string LogDevice::ReadAll(ReadStats* stats) const {
     } else {
       // Zero-substitute: the record parser skips zeros as padding, so an
       // unreadable page costs its records but not the whole restart.
-      out.append(static_cast<size_t>(page_size_), '\0');
       if (stats != nullptr) ++stats->unreadable_pages;
     }
+    out.resize((i + 1) * static_cast<size_t>(page_size_), '\0');
   }
   return out;
 }

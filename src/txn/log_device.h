@@ -42,7 +42,8 @@ class LogDevice {
     device_index_ = device_index;
   }
 
-  /// Blocking write of one page (data shorter than page_size is padded).
+  /// Blocking write of one page (data shorter than page_size is padded
+  /// with zeros on read; only the payload is kept in memory).
   /// Serialized: two concurrent writers queue on the single arm.
   /// Returns the page number, or kIOError when the fault injector fails the
   /// transfer (nothing persisted — callers retry). A torn or bit-flipped

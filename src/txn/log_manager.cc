@@ -1,6 +1,7 @@
 #include "txn/log_manager.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/check.h"
 
@@ -32,10 +33,7 @@ void GroupCommitLog::Start() {
 
 void GroupCommitLog::Stop() {
   if (stripes_.empty() || !stripes_[0]->flusher.joinable()) return;
-  stop_.store(true);
-  for (auto& stripe : stripes_) {
-    stripe->cv.notify_all();
-  }
+  StopFlushers(/*crash=*/false);
   for (auto& stripe : stripes_) {
     if (stripe->flusher.joinable()) stripe->flusher.join();
   }
@@ -43,11 +41,7 @@ void GroupCommitLog::Stop() {
 
 void GroupCommitLog::CrashStop() {
   if (stripes_.empty() || !stripes_[0]->flusher.joinable()) return;
-  crash_.store(true);
-  stop_.store(true);
-  for (auto& stripe : stripes_) {
-    stripe->cv.notify_all();
-  }
+  StopFlushers(/*crash=*/true);
   for (auto& stripe : stripes_) {
     if (stripe->flusher.joinable()) stripe->flusher.join();
     // The power failed: buffered-but-unwritten bytes are gone.
@@ -57,10 +51,20 @@ void GroupCommitLog::CrashStop() {
     stripe->commit_waiting = false;
     stripe->force_upto = kInvalidLsn;
   }
-  // Records that never reached a device are gone; they no longer hold the
-  // durable horizon back. ship_log_ mirrors the devices and survives.
-  std::unique_lock<std::mutex> ship(ship_mu_);
-  inflight_.clear();
+}
+
+void GroupCommitLog::StopFlushers(bool crash) {
+  // An idle flusher waits with no timeout, so the flag must change under
+  // the mutex it checks the flag under: either it sees the flag before it
+  // waits, or it is already waiting when the notify comes.
+  for (auto& stripe : stripes_) {
+    {
+      std::lock_guard<std::mutex> lock(stripe->mu);
+      if (crash) crash_.store(true);
+      stop_.store(true);
+    }
+    stripe->cv.notify_all();
+  }
 }
 
 Lsn GroupCommitLog::Append(LogRecord rec) {
@@ -75,23 +79,19 @@ Lsn GroupCommitLog::AppendCommit(LogRecord rec,
 Lsn GroupCommitLog::AppendInternal(LogRecord rec, bool is_commit,
                                    const std::vector<TxnId>& deps) {
   const int64_t size = rec.SerializedSize();
-  Lsn lsn;
-  {
-    // LSN assignment and inflight registration are atomic together, so the
-    // durable-horizon scan can never miss a record that has an LSN but is
-    // not yet visible in any stripe's pending queue.
-    std::unique_lock<std::mutex> ship(ship_mu_);
-    lsn = next_lsn_.fetch_add(size);
-    inflight_.insert(lsn);
-  }
-  rec.lsn = lsn;
   logical_bytes_.fetch_add(size);
-
   Stripe& stripe = *stripes_[static_cast<size_t>(
       rec.txn_id >= 0 ? rec.txn_id % static_cast<int64_t>(stripes_.size())
                       : 0)];
+  Lsn lsn;
   {
     std::unique_lock<std::mutex> lock(stripe.mu);
+    // The LSN is assigned under the stripe mutex, together with the queue
+    // insert: every stripe's pending queue is in LSN order, and no record
+    // ever has an LSN without being visible in its queue. DurableHorizon
+    // and WaitLsnDurable rely on both.
+    lsn = next_lsn_.fetch_add(size);
+    rec.lsn = lsn;
     rec.AppendTo(&stripe.buffer);
     PendingRecord pending;
     pending.lsn = lsn;
@@ -99,28 +99,29 @@ Lsn GroupCommitLog::AppendInternal(LogRecord rec, bool is_commit,
     pending.is_commit = is_commit;
     pending.txn = rec.txn_id;
     pending.deps = deps;
-    pending.record = std::move(rec);
+    pending.record = std::make_shared<const LogRecord>(std::move(rec));
+    if (is_commit) {
+      pending.appended = std::chrono::steady_clock::now();
+      if (!stripe.commit_waiting) {
+        stripe.commit_waiting = true;
+        stripe.oldest_commit = pending.appended;
+      }
+    }
     stripe.pending.push_back(std::move(pending));
-    if (is_commit && !stripe.commit_waiting) {
-      stripe.commit_waiting = true;
-      stripe.oldest_commit = std::chrono::steady_clock::now();
-    }
-    {
-      std::unique_lock<std::mutex> ship(ship_mu_);
-      auto it = inflight_.find(lsn);
-      if (it != inflight_.end()) inflight_.erase(it);  // CrashStop may clear
-    }
   }
   stripe.cv.notify_all();
   return lsn;
 }
 
 int64_t GroupCommitLog::SafeBytes(Stripe* stripe) {
-  // Caller holds stripe->mu.
+  // Caller holds stripe->mu. durable_mu_ is taken only once a commit
+  // with dependencies turns up: commit waiters contend for it after every
+  // write.
   int64_t safe = 0;
-  std::unique_lock<std::mutex> dlock(durable_mu_);
+  std::unique_lock<std::mutex> dlock(durable_mu_, std::defer_lock);
   for (const PendingRecord& rec : stripe->pending) {
-    if (rec.is_commit) {
+    if (rec.is_commit && !rec.deps.empty()) {
+      if (!dlock.owns_lock()) dlock.lock();
       for (TxnId dep : rec.deps) {
         if (!durable_commits_.count(dep)) return safe;
       }
@@ -130,11 +131,9 @@ int64_t GroupCommitLog::SafeBytes(Stripe* stripe) {
   return safe;
 }
 
-void GroupCommitLog::AccountFlushed(Stripe* stripe, int64_t n,
-                                    int64_t* commits_in_write) {
+void GroupCommitLog::AccountFlushed(Stripe* stripe, int64_t n) {
   // Caller holds stripe->mu.
   std::vector<TxnId> newly_durable;
-  std::vector<LogRecord> newly_shipped;
   while (n > 0) {
     MMDB_CHECK(!stripe->pending.empty());
     PendingRecord& rec = stripe->pending.front();
@@ -142,25 +141,15 @@ void GroupCommitLog::AccountFlushed(Stripe* stripe, int64_t n,
     rec.bytes_left -= take;
     n -= take;
     if (rec.bytes_left == 0) {
-      if (rec.is_commit) {
-        newly_durable.push_back(rec.txn);
-        ++*commits_in_write;
-      }
-      newly_shipped.push_back(std::move(rec.record));
+      if (rec.is_commit) newly_durable.push_back(rec.txn);
       stripe->pending.pop_front();
-    }
-  }
-  if (!newly_shipped.empty()) {
-    std::unique_lock<std::mutex> ship(ship_mu_);
-    for (LogRecord& r : newly_shipped) {
-      const Lsn lsn = r.lsn;
-      ship_log_.emplace(lsn, std::move(r));
     }
   }
   {
     std::unique_lock<std::mutex> dlock(durable_mu_);
     for (TxnId t : newly_durable) durable_commits_.insert(t);
     commit_count_ += static_cast<int64_t>(newly_durable.size());
+    if (!newly_durable.empty()) ++writes_with_commits_;
     // Wake WaitCommitDurable AND WaitLsnDurable waiters: durability
     // advanced even when no commit completed.
     durable_cv_.notify_all();
@@ -171,50 +160,55 @@ void GroupCommitLog::AccountFlushed(Stripe* stripe, int64_t n,
       if (other.get() != stripe) other->cv.notify_all();
     }
   }
-  // Re-examine whether commits are still waiting.
-  bool commit_left = false;
+  // Re-examine whether commits are still waiting. The linger clock keeps
+  // running from the oldest remaining commit's append; a partial flush
+  // does not restart it.
+  stripe->commit_waiting = false;
   for (const PendingRecord& rec : stripe->pending) {
     if (rec.is_commit) {
-      commit_left = true;
+      stripe->commit_waiting = true;
+      stripe->oldest_commit = rec.appended;
       break;
     }
-  }
-  if (!commit_left) {
-    stripe->commit_waiting = false;
-  } else {
-    stripe->oldest_commit = std::chrono::steady_clock::now();
   }
 }
 
 void GroupCommitLog::FlusherLoop(Stripe* stripe) {
+  using Clock = std::chrono::steady_clock;
+  const bool linger =
+      options_.group_commit && options_.flush_timeout.count() > 0;
   std::unique_lock<std::mutex> lock(stripe->mu);
   while (true) {
     if (crash_.load()) return;  // power failure: drop everything buffered
     const bool stopping = stop_.load();
-    int64_t safe = SafeBytes(stripe);
+    const int64_t safe = SafeBytes(stripe);
 
-    const bool full_page = safe >= page_size_;
-    bool force_partial = false;
-    // WaitLsnDurable pressure: push out partial pages while records at or
-    // below the fence are still buffered.
-    if (safe > 0 && !stripe->pending.empty() &&
-        stripe->force_upto != kInvalidLsn &&
-        stripe->pending.front().lsn <= stripe->force_upto) {
-      force_partial = true;
-    }
-    if (safe > 0 && stripe->commit_waiting) {
-      if (!options_.group_commit || stopping) {
-        force_partial = true;
-      } else {
-        const auto deadline = stripe->oldest_commit + options_.flush_timeout;
-        if (std::chrono::steady_clock::now() >= deadline) {
-          force_partial = true;
+    // A full page always goes out. A partial page goes out when a commit
+    // waits on it (after the linger, if one is configured), when
+    // WaitLsnDurable fences records in it, or at shutdown. The device is
+    // idle whenever this thread is here, so a waiting commit's write
+    // starts at once; commits appended during the write form the next
+    // group.
+    bool flush = safe >= page_size_;
+    std::optional<Clock::time_point> deadline;
+    if (safe > 0 && !flush) {
+      if (stopping) {
+        flush = true;
+      } else if (stripe->force_upto != kInvalidLsn &&
+                 stripe->pending.front().lsn <= stripe->force_upto) {
+        // The queue is in LSN order, so the front is its oldest record.
+        flush = true;
+      } else if (stripe->commit_waiting) {
+        if (!linger) {
+          flush = true;
+        } else {
+          deadline = stripe->oldest_commit + options_.flush_timeout;
+          flush = Clock::now() >= *deadline;
         }
       }
     }
-    if (stopping && safe > 0) force_partial = true;
 
-    if (full_page || force_partial) {
+    if (flush) {
       int64_t n = std::min(safe, page_size_);
       if (!options_.group_commit) {
         // Strict one-log-I/O-per-commit baseline: never let commits that
@@ -232,7 +226,14 @@ void GroupCommitLog::FlusherLoop(Stripe* stripe) {
       }
       std::string chunk = stripe->buffer.substr(0, static_cast<size_t>(n));
       stripe->buffer.erase(0, static_cast<size_t>(n));
-      int64_t commits_in_write = 0;
+      // The records this write completes, for the shipping log.
+      std::vector<std::shared_ptr<const LogRecord>> completed;
+      int64_t upto = 0;
+      for (const PendingRecord& rec : stripe->pending) {
+        upto += rec.bytes_left;
+        if (upto > n) break;
+        completed.push_back(rec.record);
+      }
       // Device write without the stripe lock: appends continue meanwhile.
       // Pending accounting happens after the write completes (durability).
       lock.unlock();
@@ -246,6 +247,17 @@ void GroupCommitLog::FlusherLoop(Stripe* stripe) {
         // Exponential backoff, capped well under the device latency.
         std::this_thread::sleep_for(std::chrono::microseconds(1 << attempt));
       }
+      if (written) {
+        // Publish to the shipping log before the records leave the queue
+        // (AccountFlushed), so nothing below DurableHorizon is missing
+        // from it. ship_mu_ is never taken inside a stripe mutex, so a
+        // long ReadDurableRange cannot stall appends.
+        std::unique_lock<std::mutex> ship(ship_mu_);
+        for (std::shared_ptr<const LogRecord>& rec : completed) {
+          const Lsn lsn = rec->lsn;
+          ship_log_.emplace(lsn, std::move(rec));
+        }
+      }
       lock.lock();
       if (!written) {
         // Nothing persisted and nothing lost: put the chunk back at the
@@ -255,33 +267,25 @@ void GroupCommitLog::FlusherLoop(Stripe* stripe) {
         stripe->cv.wait_for(lock, std::chrono::microseconds(500));
         continue;
       }
-      AccountFlushed(stripe, n, &commits_in_write);
-      if (commits_in_write > 0) {
-        std::unique_lock<std::mutex> dlock(durable_mu_);
-        ++writes_with_commits_;
-        commits_grouped_ += commits_in_write;
-      }
+      AccountFlushed(stripe, n);
       continue;  // there may be more to flush
     }
 
     if (stopping && stripe->pending.empty()) return;
-    if (stopping) {
-      // Remaining bytes are blocked on cross-stripe dependencies; wait for
-      // them to clear rather than spinning.
+    if (safe < static_cast<int64_t>(stripe->buffer.size())) {
+      // Bytes blocked on another stripe's commits. That stripe wakes this
+      // one when they become durable, but without this mutex, so poll too.
       stripe->cv.wait_for(lock, std::chrono::microseconds(200));
-      continue;
+    } else if (deadline.has_value()) {
+      stripe->cv.wait_until(lock, *deadline);
+    } else {
+      // Nothing due: an append, a fence, or a stop wakes the flusher.
+      stripe->cv.wait(lock);
     }
-    stripe->cv.wait_for(lock, options_.group_commit
-                                  ? options_.flush_timeout
-                                  : std::chrono::microseconds(200));
   }
 }
 
 void GroupCommitLog::WaitCommitDurable(TxnId txn) {
-  // Nudge this txn's stripe so a partial page is not stuck on the timer.
-  Stripe& stripe = *stripes_[static_cast<size_t>(
-      txn % static_cast<int64_t>(stripes_.size()))];
-  stripe.cv.notify_all();
   std::unique_lock<std::mutex> lock(durable_mu_);
   durable_cv_.wait(lock, [&] { return durable_commits_.count(txn) != 0; });
 }
@@ -292,17 +296,23 @@ bool GroupCommitLog::IsCommitDurable(TxnId txn) const {
 }
 
 void GroupCommitLog::WaitLsnDurable(Lsn lsn) {
-  // Raise the flush fence on every stripe still holding records <= lsn.
+  // Records assigned from here on get LSNs >= the counter; they are not
+  // part of this fence, so a steady stream of appends cannot starve it.
+  const Lsn fence = std::min(lsn, next_lsn_.load() - 1);
+  // Raise the flush fence on every stripe still holding records <= fence.
+  // Queues are in LSN order, and a record's LSN and queue entry appear
+  // together, so each queue's front decides.
   auto anything_pending = [&]() {
+    bool pending = false;
     for (auto& stripe : stripes_) {
       std::unique_lock<std::mutex> slock(stripe->mu);
-      if (!stripe->pending.empty() && stripe->pending.front().lsn <= lsn) {
-        stripe->force_upto = std::max(stripe->force_upto, lsn);
+      if (!stripe->pending.empty() && stripe->pending.front().lsn <= fence) {
+        stripe->force_upto = std::max(stripe->force_upto, fence);
         stripe->cv.notify_all();
-        return true;
+        pending = true;
       }
     }
-    return false;
+    return pending;
   };
   while (anything_pending()) {
     std::unique_lock<std::mutex> dlock(durable_mu_);
@@ -336,37 +346,36 @@ std::vector<LogRecord> GroupCommitLog::ReadAllForRecovery(
 }
 
 Lsn GroupCommitLog::DurableHorizon() const {
-  // Cut order matters: take the ship_mu_ snapshot (inflight records + the
-  // LSN counter) FIRST, then scan the stripes. Any record assigned before
-  // the cut is either in inflight_ (seen here), or already stripe-pending
-  // (seen by the scan below unless it became durable or was dropped — both
-  // of which stop constraining the horizon). Any record assigned after the
-  // cut has lsn >= `frontier`. Never hold ship_mu_ across a stripe lock
-  // (appends take stripe.mu then ship_mu_).
-  Lsn horizon;
-  {
-    std::unique_lock<std::mutex> ship(ship_mu_);
-    horizon = next_lsn_.load();
-    if (!inflight_.empty()) horizon = std::min(horizon, *inflight_.begin());
-  }
+  // Read the counter first, then the queue fronts. A record assigned
+  // before the read sits in its stripe's queue (its LSN and queue entry
+  // appear under one stripe-mutex hold) until it is durable or dropped by
+  // a crash; a record assigned after the read has lsn >= the counter. The
+  // queues are in LSN order, so each front is its stripe's minimum.
+  Lsn horizon = next_lsn_.load();
   for (const auto& stripe : stripes_) {
     std::unique_lock<std::mutex> lock(stripe->mu);
-    // Stripe queues are not LSN-sorted (the counter fetch and the queue
-    // insert race across threads), so scan them all — the front is not
-    // necessarily the minimum.
-    for (const PendingRecord& rec : stripe->pending) {
-      horizon = std::min(horizon, rec.lsn);
+    if (!stripe->pending.empty()) {
+      horizon = std::min(horizon, stripe->pending.front().lsn);
     }
   }
   return horizon;
 }
 
 std::vector<LogRecord> GroupCommitLog::ReadDurableRange(Lsn from, Lsn upto) {
+  // Hold ship_mu_ only to collect references: a flush that completes
+  // meanwhile waits for this lock, so the copy happens outside it.
+  std::vector<std::shared_ptr<const LogRecord>> refs;
+  {
+    std::unique_lock<std::mutex> ship(ship_mu_);
+    for (auto it = ship_log_.lower_bound(from);
+         it != ship_log_.end() && it->first < upto; ++it) {
+      refs.push_back(it->second);
+    }
+  }
   std::vector<LogRecord> out;
-  std::unique_lock<std::mutex> ship(ship_mu_);
-  for (auto it = ship_log_.lower_bound(from);
-       it != ship_log_.end() && it->first < upto; ++it) {
-    out.push_back(it->second);
+  out.reserve(refs.size());
+  for (const std::shared_ptr<const LogRecord>& rec : refs) {
+    out.push_back(*rec);
   }
   return out;
 }
@@ -385,7 +394,7 @@ Wal::Stats GroupCommitLog::stats() const {
   s.avg_commit_group =
       writes_with_commits_ == 0
           ? 0
-          : double(commits_grouped_) / double(writes_with_commits_);
+          : double(commit_count_) / double(writes_with_commits_);
   return s;
 }
 

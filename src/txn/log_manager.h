@@ -8,7 +8,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -71,9 +70,12 @@ class Wal {
   /// notified that the transaction has committed until this event").
   virtual void WaitCommitDurable(TxnId txn) = 0;
 
-  /// Blocks until every record with LSN <= `lsn` is durable — the WAL rule
-  /// the checkpointer needs before persisting a page (forces partial-page
-  /// flushes if necessary). Default: no-op for already-durable media.
+  /// Blocks until every record with LSN <= `lsn` that had been assigned
+  /// when the call began is durable — the WAL rule the checkpointer needs
+  /// before persisting a page, and the hot backup's end fence (forces
+  /// partial-page flushes if necessary). Records assigned during the wait
+  /// are not waited for, so a fence past the log's end means "everything
+  /// so far". Default: no-op for already-durable media.
   virtual void WaitLsnDurable(Lsn lsn) { (void)lsn; }
 
   /// Releases any per-transaction buffered state after abort.
@@ -108,17 +110,24 @@ class Wal {
 struct GroupCommitLogOptions {
   /// false: flush the log page immediately on every commit (baseline).
   bool group_commit = true;
-  /// Max time a pre-committed transaction waits for its page to fill
-  /// before a partial page is forced out.
-  std::chrono::microseconds flush_timeout{2000};
+  /// How long a partial page holding a pre-committed transaction may
+  /// linger for more commits, counted from the oldest waiting commit's
+  /// append. 0 (the default) means no linger: the page goes out as soon
+  /// as the device is idle, and the commits that arrive during that write
+  /// form the next group.
+  std::chrono::microseconds flush_timeout{0};
 };
 
 /// §5.2's log manager over one or more log devices. Records append to a
-/// per-stripe buffer; a flusher thread per stripe writes full pages (or
-/// timed-out partial pages). Commit records become durable when their
-/// bytes reach the device; with several stripes, a page holding a commit
-/// whose dependencies are not yet durable is held back (the topological
-/// commit-group ordering), flushing the safe prefix instead.
+/// per-stripe buffer; a flusher thread per stripe writes full pages, and
+/// partial pages once a commit waits on them. The flusher is self-clocking:
+/// while a page write is in flight, new commits queue in the buffer and
+/// leave together in the next write, so the device's own latency paces
+/// the groups and group size grows with load. Commit records become
+/// durable when their bytes reach the device; with several stripes, a page
+/// holding a commit whose dependencies are not yet durable is held back
+/// (the topological commit-group ordering), flushing the safe prefix
+/// instead.
 class GroupCommitLog : public Wal {
  public:
   GroupCommitLog(std::vector<LogDevice*> devices,
@@ -152,9 +161,11 @@ class GroupCommitLog : public Wal {
     bool is_commit = false;
     TxnId txn = kInvalidTxn;
     std::vector<TxnId> deps;
-    /// Retained until the bytes are durable, then moved into ship_log_ so
-    /// log shipping can read the record back without touching the device.
-    LogRecord record;
+    /// Commit records: when the commit was appended (the linger clock).
+    std::chrono::steady_clock::time_point appended;
+    /// Shared with ship_log_ once the bytes are durable, so log shipping
+    /// can read the record back without touching the device.
+    std::shared_ptr<const LogRecord> record;
   };
 
   struct Stripe {
@@ -162,8 +173,10 @@ class GroupCommitLog : public Wal {
     std::mutex mu;
     std::condition_variable cv;
     std::string buffer;
+    /// In LSN order: LSNs are assigned under `mu`, in queue order.
     std::deque<PendingRecord> pending;
     bool commit_waiting = false;
+    /// Append time of the oldest commit still in `pending`.
     std::chrono::steady_clock::time_point oldest_commit;
     /// Flush (partial pages allowed) until all records with lsn <= this
     /// are durable — set by WaitLsnDurable.
@@ -173,12 +186,16 @@ class GroupCommitLog : public Wal {
 
   Lsn AppendInternal(LogRecord rec, bool is_commit,
                      const std::vector<TxnId>& deps);
+  /// Sets the stop (and, for a crash, the crash) flag under every stripe
+  /// mutex and wakes the flushers, so an idle flusher cannot miss it.
+  void StopFlushers(bool crash);
   void FlusherLoop(Stripe* stripe);
   /// Bytes at the front of `stripe->buffer` whose commits have all their
   /// dependencies durable (whole records only).
   int64_t SafeBytes(Stripe* stripe);
-  /// Pops `n` bytes of pending records, marking completed commits durable.
-  void AccountFlushed(Stripe* stripe, int64_t n, int64_t* commits_in_write);
+  /// Pops `n` bytes of pending records, marking completed commits durable
+  /// (and counting the write's group before any waiter wakes).
+  void AccountFlushed(Stripe* stripe, int64_t n);
 
   std::vector<std::unique_ptr<Stripe>> stripes_;
   GroupCommitLogOptions options_;
@@ -196,16 +213,12 @@ class GroupCommitLog : public Wal {
   std::unordered_set<TxnId> durable_commits_;
   int64_t commit_count_ = 0;
   int64_t writes_with_commits_ = 0;
-  int64_t commits_grouped_ = 0;
 
-  /// Shipping state. inflight_ holds LSNs assigned but not yet enqueued on
-  /// a stripe (the window between next_lsn_.fetch_add and pending
-  /// insertion), so DurableHorizon never reads past a record that exists
-  /// but is invisible to the stripe scan. ship_log_ mirrors what the
-  /// devices durably hold, keyed by LSN.
+  /// Shipping state: ship_log_ mirrors what the devices durably hold,
+  /// keyed by LSN. Records are immutable once logged, so readers copy
+  /// them outside ship_mu_.
   mutable std::mutex ship_mu_;
-  std::multiset<Lsn> inflight_;
-  std::map<Lsn, LogRecord> ship_log_;
+  std::map<Lsn, std::shared_ptr<const LogRecord>> ship_log_;
 };
 
 }  // namespace mmdb

@@ -190,6 +190,7 @@ Status TransactionManager::Commit(TxnId txn) {
     }
     state = std::move(it->second);
     active_.erase(it);
+    if (state.begin_lsn != kInvalidLsn) finishing_.insert(state.begin_lsn);
   }
   std::sort(state.deps.begin(), state.deps.end());
   state.deps.erase(std::unique(state.deps.begin(), state.deps.end()),
@@ -220,6 +221,7 @@ Status TransactionManager::Commit(TxnId txn) {
   locks_->FinalizeCommit(txn);
   {
     std::unique_lock<std::mutex> lock(mu_);
+    EraseFinishingLocked(state.begin_lsn);
     ++stats_.committed;
   }
   if (commit_hook_) commit_hook_(txn);
@@ -236,6 +238,7 @@ Status TransactionManager::Abort(TxnId txn) {
     }
     state = std::move(it->second);
     active_.erase(it);
+    if (state.begin_lsn != kInvalidLsn) finishing_.insert(state.begin_lsn);
   }
   // Compensation updates, newest first: restore old values in memory and
   // in the log, so recovery can simply replay aborted transactions.
@@ -247,8 +250,13 @@ Status TransactionManager::Abort(TxnId txn) {
     rec.old_value = it->new_value;  // compensation: swap directions
     rec.new_value = it->old_value;
     const Lsn lsn = wal_->Append(rec);
-    MMDB_RETURN_IF_ERROR(
-        store_->WriteRecord(it->record_id, it->old_value, lsn, fut_));
+    Status written =
+        store_->WriteRecord(it->record_id, it->old_value, lsn, fut_);
+    if (!written.ok()) {
+      std::unique_lock<std::mutex> lock(mu_);
+      EraseFinishingLocked(state.begin_lsn);
+      return written;
+    }
   }
   // Release MVCC claims only after the store holds the restored values:
   // readers that still see the pending pre-image node and readers that see
@@ -268,6 +276,7 @@ Status TransactionManager::Abort(TxnId txn) {
   locks_->ReleaseAll(txn);
   {
     std::unique_lock<std::mutex> lock(mu_);
+    EraseFinishingLocked(state.begin_lsn);
     ++stats_.aborted;
   }
   return Status::OK();
@@ -278,9 +287,14 @@ TransactionManager::Stats TransactionManager::stats() const {
   return stats_;
 }
 
+void TransactionManager::EraseFinishingLocked(Lsn begin_lsn) {
+  auto it = finishing_.find(begin_lsn);
+  if (it != finishing_.end()) finishing_.erase(it);
+}
+
 Lsn TransactionManager::OldestActiveBeginLsn() const {
   std::unique_lock<std::mutex> lock(mu_);
-  Lsn oldest = kInvalidLsn;
+  Lsn oldest = finishing_.empty() ? kInvalidLsn : *finishing_.begin();
   for (const auto& [txn, state] : active_) {
     if (state.begin_lsn == kInvalidLsn) continue;
     if (oldest == kInvalidLsn || state.begin_lsn < oldest) {

@@ -102,7 +102,9 @@ class TransactionManager {
   /// kInvalidLsn when none is in flight. A hot backup starts its log
   /// capture window here: every update a transaction active during the
   /// page copy could have made carries an LSN at or after its begin
-  /// record.
+  /// record. A transaction inside Commit or Abort still counts until it
+  /// returns, so one whose commit or abort record lands after a backup's
+  /// end fence has all its updates in that backup's window.
   Lsn OldestActiveBeginLsn() const;
 
   RecoverableStore* store() const { return store_; }
@@ -139,6 +141,8 @@ class TransactionManager {
   bool LookupMode(TxnId txn, TxnMode* mode, uint64_t* read_ts) const;
   /// Appends `record_id` to `txn`'s claimed list (deduplicated).
   Status TrackClaim(TxnId txn, int64_t record_id);
+  /// Drops one `begin_lsn` entry from finishing_; caller holds mu_.
+  void EraseFinishingLocked(Lsn begin_lsn);
 
   RecoverableStore* store_;
   LockManager* locks_;
@@ -151,6 +155,9 @@ class TransactionManager {
   std::atomic<TxnId> next_txn_{1};
   mutable std::mutex mu_;
   std::map<TxnId, TxnState> active_;
+  /// Begin LSNs of transactions that have left active_ in Commit or Abort
+  /// and not yet returned (see OldestActiveBeginLsn).
+  std::multiset<Lsn> finishing_;
   Stats stats_;
 };
 

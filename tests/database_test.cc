@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "storage/datagen.h"
 
 namespace mmdb {
@@ -310,6 +314,101 @@ TEST_F(DatabaseTest, IndexScanResultsMatchFullScan) {
   for (const Row& row : after->relation.rows()) b.insert(RowToString(row));
   EXPECT_EQ(a, b);
   // The indexed execution does strictly less comparison work.
+}
+
+// INSERT marks only the statistics stale; the first planning statement
+// rebuilds them once. What it plans with must equal a catalog built
+// fresh over the same rows.
+TEST(SqlCatalogTest, StatisticsAfterInsertsMatchAFreshCatalog) {
+  Database db;
+  ASSERT_TRUE(db.ExecuteSql("CREATE TABLE t (k INT64, v INT64)").ok());
+  for (int64_t batch = 0; batch < 10; ++batch) {
+    std::string sql = "INSERT INTO t VALUES ";
+    for (int64_t i = 0; i < 10; ++i) {
+      const int64_t k = batch * 10 + i;
+      sql += i == 0 ? "(" : ", (";
+      sql += std::to_string(k) + ", " + std::to_string(k % 7) + ")";
+    }
+    ASSERT_TRUE(db.ExecuteSql(sql).ok());
+    ASSERT_TRUE(db.ExecuteSql("UPDATE t SET v = 9 WHERE k = " +
+                              std::to_string(batch * 3))
+                    .ok());
+  }
+  auto selected = db.ExecuteSql("SELECT k FROM t WHERE v = 9");
+  ASSERT_TRUE(selected.ok());
+  EXPECT_EQ(selected->relation.num_tuples(), 10);
+
+  auto planned = db.catalog().Lookup("t");
+  ASSERT_TRUE(planned.ok());
+  auto relation = db.GetTable("t");
+  ASSERT_TRUE(relation.ok());
+  Catalog fresh;
+  ASSERT_TRUE(fresh.RegisterTable("t", *relation).ok());
+  const TableStats& got = (*planned)->stats;
+  const TableStats& want = (*fresh.Lookup("t"))->stats;
+  EXPECT_EQ(got.num_tuples, 100);
+  EXPECT_EQ(got.num_tuples, want.num_tuples);
+  EXPECT_EQ(got.num_pages, want.num_pages);
+  ASSERT_EQ(got.columns.size(), want.columns.size());
+  for (size_t c = 0; c < got.columns.size(); ++c) {
+    EXPECT_EQ(got.columns[c].num_distinct, want.columns[c].num_distinct);
+    EXPECT_TRUE(ValuesEqual(got.columns[c].min_value,
+                            want.columns[c].min_value));
+    EXPECT_TRUE(ValuesEqual(got.columns[c].max_value,
+                            want.columns[c].max_value));
+  }
+
+  // An index changes what a write parse needs, so it rebuilds at once.
+  ASSERT_TRUE(db.CreateIndex("t", "k", Database::IndexType::kHash).ok());
+  ASSERT_TRUE(db.ExecuteSql("INSERT INTO t VALUES (100, 1)").ok());
+  EXPECT_NE(db.catalog().FindIndex("t", "k"), nullptr);
+}
+
+// Write parses run under the shared latch beside readers that may
+// rebuild stale statistics; the two must never overlap (TSan checks).
+// Each INSERT leaves the statistics stale, and the UPDATE after it parses
+// against the catalog while readers rebuild.
+TEST(SqlCatalogConcurrencyTest, InsertsBesideReadersThatRebuildStatistics) {
+  Database db;
+  ASSERT_TRUE(db.ExecuteSql("CREATE TABLE t (k INT64, v INT64)").ok());
+  // Enough rows that each statistics rebuild takes a while, so write
+  // parses land inside it.
+  constexpr int64_t kPreloaded = 5000;
+  for (int64_t k = 0; k < kPreloaded; ++k) {
+    ASSERT_TRUE(db.Insert("t", {Value{-1 - k}, Value{k % 5}}).ok());
+  }
+  constexpr int kWriters = 2;
+  constexpr int kInsertsEach = 100;
+  std::atomic<int> writers_left{kWriters};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < kInsertsEach; ++i) {
+        const int64_t k = w * kInsertsEach + i;
+        EXPECT_TRUE(db.ExecuteSql("INSERT INTO t VALUES (" +
+                                  std::to_string(k) + ", " +
+                                  std::to_string(k % 5) + ")")
+                        .ok());
+        EXPECT_TRUE(
+            db.ExecuteSql("UPDATE t SET v = 4 WHERE k = " + std::to_string(k))
+                .ok());
+      }
+      --writers_left;
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&] {
+      while (writers_left.load() > 0) {
+        EXPECT_TRUE(db.ExecuteSql("SELECT k FROM t WHERE v = 3").ok());
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  auto all = db.ExecuteSql("SELECT k FROM t WHERE v = 4");
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all->relation.num_tuples(), kWriters * kInsertsEach + 1000);
+  EXPECT_EQ((*db.catalog().Lookup("t"))->stats.num_tuples,
+            kPreloaded + kWriters * kInsertsEach);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <thread>
 
 #include "sim/fault_injector.h"
@@ -319,6 +321,99 @@ TEST_F(GroupCommitLogTest, StopFlushesCleanly) {
   ASSERT_EQ(recs.size(), 1u);
 }
 
+
+LogRecord Commit(TxnId txn) {
+  LogRecord rec;
+  rec.type = LogRecordType::kCommit;
+  rec.txn_id = txn;
+  return rec;
+}
+
+// The default policy (flush_timeout 0): a waiting commit's page goes out
+// as soon as the device is idle, and commits appended during that write
+// share the next one. The device latency is the only timing used.
+TEST(GroupCommitConcurrencyTest, LoneCommitOnIdleDeviceTakesOneWrite) {
+  LogDevice device(512, microseconds(0));
+  GroupCommitLog log({&device}, GroupCommitLogOptions{});
+  log.Start();
+  log.AppendCommit(Commit(1), {});
+  log.WaitCommitDurable(1);
+  EXPECT_EQ(device.num_pages(), 1);
+  const Wal::Stats stats = log.stats();
+  EXPECT_EQ(stats.commits, 1);
+  EXPECT_DOUBLE_EQ(stats.avg_commit_group, 1.0);
+  log.Stop();
+  EXPECT_EQ(device.num_pages(), 1);
+}
+
+TEST(GroupCommitConcurrencyTest, CommitsDuringAWriteShareTheNextWrite) {
+  // Four closed-loop committers and one 20 ms page write at a time: at
+  // most the commits of one write are in flight, so the other committers'
+  // commits queue up and leave together in the next write.
+  constexpr int kThreads = 4;
+  constexpr int kCommitsEach = 5;
+  LogDevice device(512, microseconds(20000));
+  GroupCommitLog log({&device}, GroupCommitLogOptions{});
+  log.Start();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kCommitsEach; ++i) {
+        const TxnId txn = 1 + t + i * kThreads;
+        log.AppendCommit(Commit(txn), {});
+        log.WaitCommitDurable(txn);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  log.Stop();
+  const Wal::Stats stats = log.stats();
+  EXPECT_EQ(stats.commits, kThreads * kCommitsEach);
+  EXPECT_LT(stats.device_writes, kThreads * kCommitsEach);
+  EXPECT_GT(stats.avg_commit_group, 1.0);
+}
+
+TEST(GroupCommitConcurrencyTest, StopRacingAnIdleFlusherNeverHangs) {
+  // The idle flusher waits with no timeout; Stop and CrashStop must still
+  // reach it however their flags race its wait.
+  for (int round = 0; round < 200; ++round) {
+    LogDevice device(512, microseconds(0));
+    GroupCommitLog log({&device}, GroupCommitLogOptions{});
+    log.Start();
+    if (round % 2 == 1) log.Append(Update(1, 0, "a", "b"));  // not due
+    if (round % 4 == 3) {
+      log.CrashStop();
+      EXPECT_EQ(device.num_pages(), 0);
+    } else {
+      log.Stop();  // a clean stop writes what is buffered
+      EXPECT_EQ(device.num_pages(), round % 2);
+    }
+  }
+}
+
+TEST(GroupCommitConcurrencyTest, PositiveTimeoutLingersThenWritesOnce) {
+  // With a 20 ms linger, two commits appended back to back leave in one
+  // write, no sooner than the linger after the first append and, with the
+  // device idle, within the linger plus one 2 ms write (10x margin).
+  const microseconds linger(20000);
+  const microseconds write(2000);
+  LogDevice device(512, write);
+  GroupCommitLogOptions opts;
+  opts.flush_timeout = linger;
+  GroupCommitLog log({&device}, opts);
+  log.Start();
+  const auto start = std::chrono::steady_clock::now();
+  log.AppendCommit(Commit(1), {});
+  log.AppendCommit(Commit(2), {});
+  log.WaitCommitDurable(1);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  log.WaitCommitDurable(2);
+  EXPECT_GE(waited, linger + write);
+  EXPECT_LT(waited, 10 * (linger + write));
+  EXPECT_EQ(device.num_pages(), 1);
+  EXPECT_DOUBLE_EQ(log.stats().avg_commit_group, 2.0);
+  log.Stop();
+}
 
 TEST(GroupCommitLogStressTest, DependencyOrderInvariantUnderLoad) {
   // Property (§5.2's lattice): whenever a dependent transaction's commit

@@ -211,5 +211,36 @@ TEST_F(TxnTest, CheckpointEnforcesWalRule) {
   ASSERT_TRUE(tm_->Abort(t).ok());
 }
 
+// A hot backup starts its log window at the oldest active transaction's
+// begin record. A transaction inside Commit must still count: its commit
+// record may land after the backup's end fence, and a window that starts
+// after its first update would then restore only part of it.
+TEST(TxnOldestActiveTest, CommittingTransactionStillBoundsOldestBegin) {
+  SimulatedDisk disk(256);
+  StableMemory stable(1 << 20);
+  LogDevice device(256, microseconds(0));
+  RecoverableStore store(&disk, /*num_records=*/64, /*record_size=*/16, 256);
+  FirstUpdateTable fut(&stable, store.num_pages());
+  LockManager locks;
+  // The flusher is not started yet, so the commit cannot become durable
+  // and Commit stays in its durability wait until the test starts it.
+  GroupCommitLog wal({&device}, GroupCommitLogOptions{});
+  TransactionManager tm(&store, &locks, &wal, &fut);
+
+  const TxnId t = tm.Begin();
+  const Lsn begin = tm.OldestActiveBeginLsn();
+  ASSERT_NE(begin, kInvalidLsn);
+  ASSERT_TRUE(tm.Update(t, 3, std::string(16, 'x')).ok());
+  const int64_t logged = wal.stats().logical_bytes;
+  std::thread committer([&] { EXPECT_TRUE(tm.Commit(t).ok()); });
+  while (wal.stats().logical_bytes == logged) std::this_thread::yield();
+  EXPECT_EQ(tm.OldestActiveBeginLsn(), begin);
+
+  wal.Start();
+  committer.join();
+  EXPECT_EQ(tm.OldestActiveBeginLsn(), kInvalidLsn);
+  wal.Stop();
+}
+
 }  // namespace
 }  // namespace mmdb
