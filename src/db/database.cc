@@ -572,7 +572,6 @@ OptimizerOptions Database::PlannerOptions() const {
   opts.cost_params = options_.cost_params;
   opts.w_cpu = options_.w_cpu;
   opts.hash_only = options_.planner_hash_only;
-  opts.vectorize = options_.vectorize;
   opts.reuse_cache = reuse_cache_.get();
   opts.reuse_cost_discounts = options_.reuse_plan_discounts;
   return opts;

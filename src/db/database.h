@@ -60,9 +60,9 @@ class Database : public IndexProvider {
     /// Planner knobs (W, hash-only reduction).
     double w_cpu = 1.0;
     bool planner_hash_only = false;
-    /// Stamp vector=on onto plans: filters and in-memory hash joins run
-    /// the batch kernels (DESIGN.md §14). Same results and cost-clock
-    /// totals; less real time.
+    /// Unused: the executor has one execution path (DESIGN.md §14). Kept
+    /// only because sql_e2e/sql_e2e.cc copies it into
+    /// OptimizerOptions::vectorize; both fields go with that line.
     bool vectorize = false;
     /// Buffer pool for the paged (B+-tree) indexes.
     int64_t buffer_pool_pages = 4096;

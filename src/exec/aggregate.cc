@@ -1,7 +1,6 @@
 #include "exec/aggregate.h"
 
 #include <algorithm>
-#include <chrono>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -89,8 +88,9 @@ bool KeyRowsEqual(const Row& a, const Row& b) {
   return true;
 }
 
-}  // namespace
-
+/// Result schema of an aggregation: the group-by columns followed by one
+/// column per aggregate (COUNT -> INT64, SUM/AVG -> DOUBLE, MIN/MAX -> the
+/// input column's type).
 Schema AggregateOutputSchema(const Schema& in, const AggregateSpec& spec) {
   std::vector<Column> cols;
   for (int c : spec.group_by) {
@@ -121,6 +121,8 @@ Schema AggregateOutputSchema(const Schema& in, const AggregateSpec& spec) {
   return Schema(std::move(cols));
 }
 
+/// Validates `spec` against `input_schema`: column ranges, SUM/AVG not on
+/// strings.
 Status ValidateAggregateSpec(const Schema& input_schema,
                              const AggregateSpec& spec) {
   for (int c : spec.group_by) {
@@ -142,8 +144,6 @@ Status ValidateAggregateSpec(const Schema& input_schema,
   }
   return Status::OK();
 }
-
-namespace {
 
 void EmitGroup(const GroupState& g, const AggregateSpec& spec,
                Relation* out) {
@@ -433,14 +433,11 @@ Status ParallelAggregatePartition(const std::vector<Row>& rows,
   return Status::OK();
 }
 
-using WallClock = std::chrono::steady_clock;
-
 /// Publishes one top-level aggregation's exec.agg.* counters (AggregateRec
 /// recurses on overflow partitions internally, so only the entries count)
 /// and fills in its own cost-clock delta.
 void FinishAggregateRun(ExecContext* ctx, int64_t input_tuples,
-                        double seconds_before, WallClock::time_point t0,
-                        AggStats* st) {
+                        double seconds_before, AggStats* st) {
   st->cost_seconds = ctx->clock->Seconds() - seconds_before;
   if (ctx->metrics == nullptr) return;
   MetricsRegistry* m = ctx->metrics;
@@ -450,18 +447,6 @@ void FinishAggregateRun(ExecContext* ctx, int64_t input_tuples,
   m->Add("exec.agg.one_pass_runs", st->one_pass ? 1 : 0);
   m->Add("exec.agg.spilled_partitions", st->partitions);
   m->Record("exec.agg.group_count", st->groups);
-  if (ctx->collect_wall_ns) {
-    m->Add("exec.agg.wall_ns",
-           std::chrono::duration_cast<std::chrono::nanoseconds>(
-               WallClock::now() - t0)
-               .count());
-  }
-}
-
-WallClock::time_point AggregateStart(const ExecContext* ctx) {
-  return ctx->metrics != nullptr && ctx->collect_wall_ns
-             ? WallClock::now()
-             : WallClock::time_point();
 }
 
 }  // namespace
@@ -491,7 +476,6 @@ StatusOr<Relation> AggregateView(const RowView& input,
   AggStats* st = stats != nullptr ? stats : &local;
   *st = AggStats{};
   st->one_pass = one_pass;
-  const auto t0 = AggregateStart(ctx);
   const double seconds_before = ctx->clock->Seconds();
   if (ctx->dop > 1) {
     if (one_pass) {
@@ -520,7 +504,7 @@ StatusOr<Relation> AggregateView(const RowView& input,
     MMDB_RETURN_IF_ERROR(AggregateRec(rows.rows(), nullptr, rows.schema(),
                                       spec, ctx, 0, &out, st));
   }
-  FinishAggregateRun(ctx, input.size(), seconds_before, t0, st);
+  FinishAggregateRun(ctx, input.size(), seconds_before, st);
   return out;
 }
 

@@ -38,17 +38,6 @@ struct AggStats {
   double cost_seconds = 0;  ///< cost-clock delta of the aggregation itself
 };
 
-/// Result schema of an aggregation: the group-by columns followed by one
-/// column per aggregate (COUNT -> INT64, SUM/AVG -> DOUBLE, MIN/MAX -> the
-/// input column's type). Shared by the tuple and the batch implementations
-/// so the two paths cannot drift.
-Schema AggregateOutputSchema(const Schema& input, const AggregateSpec& spec);
-
-/// Validates `spec` against `input_schema` (column ranges, SUM/AVG not on
-/// strings) — the shared precondition of both aggregation paths.
-Status ValidateAggregateSpec(const Schema& input_schema,
-                             const AggregateSpec& spec);
-
 /// §3.9: hash-based aggregation. If the input (hence certainly the result)
 /// fits in |M| pages a single hash pass groups everything in memory;
 /// otherwise the input is hash-partitioned on the grouping attributes and

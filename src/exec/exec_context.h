@@ -41,11 +41,6 @@ struct ExecContext {
   /// private shard merged exactly like the worker clocks, so totals are
   /// deterministic at every DOP. When null, nothing is recorded.
   MetricsRegistry* metrics = nullptr;
-  /// When true, operators additionally publish real elapsed time as
-  /// `exec.*.wall_ns` counters. Off by default: wall time is
-  /// nondeterministic, and the deterministic metric snapshot (which tests
-  /// compare across DOPs and runs) must stay bit-identical.
-  bool collect_wall_ns = false;
   /// Intermediate-reuse cache (DESIGN.md §15). When set, the plan executor
   /// serves and installs materialized sub-plan results and join-build hash
   /// tables keyed by plan fingerprint. Null (the default) disables reuse:

@@ -1,7 +1,5 @@
 #include "exec/join.h"
 
-#include <chrono>
-
 #include "common/check.h"
 
 namespace mmdb {
@@ -34,15 +32,42 @@ void EmitJoined(const Row& r_row, const Row& s_row, Relation* out) {
   out->Add(ConcatRows(r_row, s_row));
 }
 
-std::chrono::steady_clock::time_point JoinStart(const ExecContext* ctx) {
-  return ctx != nullptr && ctx->metrics != nullptr && ctx->collect_wall_ns
-             ? std::chrono::steady_clock::now()
-             : std::chrono::steady_clock::time_point();
+namespace {
+
+/// Emits build row ++ probe view row `i` into `out`.
+void EmitJoinedView(const Row& r_row, const RowView& probe, int64_t i,
+                    Relation* out) {
+  const Row& s_row = probe.row(i);
+  if (probe.identity()) {
+    EmitJoined(r_row, s_row, out);
+    return;
+  }
+  const int ncols = probe.schema().num_columns();
+  Row row;
+  row.reserve(r_row.size() + static_cast<size_t>(ncols));
+  row.insert(row.end(), r_row.begin(), r_row.end());
+  for (int c = 0; c < ncols; ++c) row.push_back(s_row[probe.source_column(c)]);
+  out->Add(std::move(row));
+}
+
+}  // namespace
+
+Relation ProbeHashTable(const JoinHashTable& table, const Schema& build_schema,
+                        const RowView& probe, int probe_key, ExecContext* ctx) {
+  Relation out(Schema::Concat(build_schema, probe.schema()));
+  const size_t key = probe.source_column(probe_key);
+  const int64_t n = probe.size();
+  ctx->clock->Hash(n);
+  for (int64_t i = 0; i < n; ++i) {
+    table.ProbeWith(ctx->clock, probe.row(i)[key], [&](const Row& r_row) {
+      EmitJoinedView(r_row, probe, i, &out);
+    });
+  }
+  return out;
 }
 
 void PublishJoinRun(ExecContext* ctx, int64_t build_tuples,
-                    int64_t probe_tuples, const JoinRunStats& st,
-                    std::chrono::steady_clock::time_point t0) {
+                    int64_t probe_tuples, const JoinRunStats& st) {
   if (ctx == nullptr || ctx->metrics == nullptr) return;
   MetricsRegistry* m = ctx->metrics;
   m->Add("exec.join.runs", 1);
@@ -55,12 +80,6 @@ void PublishJoinRun(ExecContext* ctx, int64_t build_tuples,
   m->Add("exec.join.migrations", st.migrations);
   m->Add("exec.join.forced_probes", st.forced_probes);
   m->Record("exec.join.fanout", st.output_tuples);
-  if (ctx->collect_wall_ns) {
-    m->Add("exec.join.wall_ns",
-           std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now() - t0)
-               .count());
-  }
 }
 
 }  // namespace exec_internal
@@ -111,11 +130,9 @@ StatusOr<Relation> ExecuteJoin(JoinAlgorithm algorithm, const Relation& r,
   JoinRunStats local;
   JoinRunStats* st = stats != nullptr ? stats : &local;
   *st = JoinRunStats{};
-  const auto t0 = exec_internal::JoinStart(ctx);
   StatusOr<Relation> out = DispatchJoin(algorithm, r, s, spec, ctx, st);
   if (out.ok()) {
-    exec_internal::PublishJoinRun(ctx, r.num_tuples(), s.num_tuples(), *st,
-                                  t0);
+    exec_internal::PublishJoinRun(ctx, r.num_tuples(), s.num_tuples(), *st);
   }
   return out;
 }

@@ -1,7 +1,6 @@
 #ifndef MMDB_EXEC_JOIN_H_
 #define MMDB_EXEC_JOIN_H_
 
-#include <chrono>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -9,6 +8,7 @@
 #include "common/status.h"
 #include "exec/exec_context.h"
 #include "storage/relation.h"
+#include "storage/row_view.h"
 
 namespace mmdb {
 
@@ -116,14 +116,6 @@ class JoinHashTable {
     }
   }
 
-  /// Bucket lookup by precomputed 64-bit hash — the vectorized probe path,
-  /// which computes key hashes column-at-a-time and walks the matching
-  /// bucket itself (charging the same comparisons Probe would).
-  const std::vector<Row>* FindBucket(uint64_t hash) const {
-    auto it = buckets_.find(hash);
-    return it == buckets_.end() ? nullptr : &it->second;
-  }
-
   int key_column() const { return key_column_; }
   int64_t size() const { return size_; }
 
@@ -137,17 +129,22 @@ class JoinHashTable {
 /// Emits the joined tuple r ++ s into `out`.
 void EmitJoined(const Row& r_row, const Row& s_row, Relation* out);
 
-/// When a whole join runs: the wall-clock start PublishJoinRun measures
-/// from (taken only when ctx collects wall time).
-std::chrono::steady_clock::time_point JoinStart(const ExecContext* ctx);
+/// The in-memory hash join's probe, shared by the plan executor's hybrid
+/// join and its CachedBuild serve (DESIGN.md §14, §15): probes a complete
+/// build `table` (rows of `build_schema`) with every row of `probe`, read
+/// in place, and returns build row ++ probe row for each match in probe
+/// input order, bucket-scan order within a key. Charges the
+/// single-partition hybrid's probe side: one Hash per probe tuple, one
+/// Comp per bucket entry scanned or per miss.
+Relation ProbeHashTable(const JoinHashTable& table, const Schema& build_schema,
+                        const RowView& probe, int probe_key, ExecContext* ctx);
 
 /// Publishes one top-level join's exec.join.* counters. Every entry that
-/// runs a whole join (ExecuteJoin, VectorHashJoin, the plan executor's
-/// in-memory hybrid) publishes through here, once per join: the GRACE and
-/// hybrid leaves recurse internally and must not count again.
+/// runs a whole join (ExecuteJoin, the plan executor's in-memory hybrid)
+/// publishes through here, once per join: the GRACE and hybrid leaves
+/// recurse internally and must not count again.
 void PublishJoinRun(ExecContext* ctx, int64_t build_tuples,
-                    int64_t probe_tuples, const JoinRunStats& st,
-                    std::chrono::steady_clock::time_point t0);
+                    int64_t probe_tuples, const JoinRunStats& st);
 
 }  // namespace exec_internal
 

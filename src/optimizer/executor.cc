@@ -7,7 +7,6 @@
 #include "common/check.h"
 #include "cost/join_cost.h"
 #include "exec/aggregate.h"
-#include "exec/batch.h"
 #include "exec/parallel.h"
 #include "optimizer/optimizer.h"
 
@@ -119,24 +118,14 @@ StatusOr<int> FindColumn(const std::vector<ColumnRef>& columns,
 /// ParallelFor (inline at DOP 1), and the result is the survivors'
 /// selection — pointers to `in`'s source rows; nothing is copied.
 /// Per-morsel selections concatenate in morsel order, so the output order
-/// is the serial loop's at every DOP. The tuple body charges one Comp per
-/// predicate evaluated with early exit (most selective first, §4); the
-/// vector body (§14) runs the compiled-predicate kernel over column-major
-/// batches of the view's columns, where predicate j sees only rows that
-/// survived predicates 0..j-1, so its Comp totals and survivors are the
-/// tuple body's. `col_indexes` are view columns.
+/// is the serial loop's at every DOP. Each row is charged one Comp per
+/// predicate evaluated with early exit (most selective first, §4).
+/// `col_indexes` are view columns.
 StatusOr<std::vector<const Row*>> FilterRows(
     const RowView& in, const std::vector<Predicate>& preds,
-    const std::vector<int>& col_indexes, bool vector, ExecContext* ctx) {
-  std::vector<size_t> src_cols;  // tuple body: source column per predicate
+    const std::vector<int>& col_indexes, ExecContext* ctx) {
+  std::vector<size_t> src_cols;  // source column per predicate
   for (int c : col_indexes) src_cols.push_back(in.source_column(c));
-  std::vector<int> batch_src;  // vector body: source column per view column
-  for (int c = 0; c < in.schema().num_columns(); ++c) {
-    batch_src.push_back(static_cast<int>(in.source_column(c)));
-  }
-  const std::vector<CompiledPredicate> compiled =
-      vector ? CompilePredicates(in.schema(), preds, col_indexes)
-             : std::vector<CompiledPredicate>();
   const std::vector<IndexRange> morsels = MorselRanges(in.size());
   std::vector<std::vector<const Row*>> kept(morsels.size());
   MMDB_RETURN_IF_ERROR(ParallelFor(
@@ -144,25 +133,6 @@ StatusOr<std::vector<const Row*>> FilterRows(
       [&](ExecContext* wctx, int, int64_t m) {
         const IndexRange range = morsels[static_cast<size_t>(m)];
         std::vector<const Row*>& keep = kept[static_cast<size_t>(m)];
-        if (vector) {
-          RowBatch batch;
-          std::vector<const Row*> refs;
-          for (int64_t base = range.begin; base < range.end;
-               base += kBatchRows) {
-            const int64_t take = std::min(range.end - base, kBatchRows);
-            refs.resize(static_cast<size_t>(take));
-            for (int64_t k = 0; k < take; ++k) {
-              refs[static_cast<size_t>(k)] = &in.row(base + k);
-            }
-            RowRefsToBatch(refs.data(), take, in.schema(), batch_src,
-                           &batch);
-            BatchFilter::FilterBatch(compiled, wctx->clock, &batch);
-            for (int64_t k = 0; k < batch.ActiveRows(); ++k) {
-              keep.push_back(refs[static_cast<size_t>(batch.ActiveIndex(k))]);
-            }
-          }
-          return Status::OK();
-        }
         for (int64_t r = range.begin; r < range.end; ++r) {
           const Row& row = in.row(r);
           bool pass = true;
@@ -243,8 +213,7 @@ StatusOr<NodeResult> ExecuteJoinNode(const PlanNode& plan,
       reuse->state[&plan] = 2;
       ScopedDop sd(ctx, plan.dop);
       return NodeResult::Owned(exec_internal::ProbeHashTable(
-          cached->table, cached->schema, probe.view(), ppos, plan.vector,
-          ctx));
+          cached->table, cached->schema, probe.view(), ppos, ctx));
     }
   }
   // With the cache on, the probe child runs first so that, on a miss, the
@@ -272,12 +241,11 @@ StatusOr<NodeResult> ExecuteJoinNode(const PlanNode& plan,
     // The in-memory hybrid (a cache miss at any DOP, else DOP 1): build
     // the table once, probe the probe view in place; a miss then offers
     // the table for admission.
-    const auto t0 = exec_internal::JoinStart(ctx);
     const int64_t build_tuples = build.view().size();
     std::shared_ptr<CachedBuild> cb = BuildTable(std::move(build), bpos, ctx);
     const double build_cost = ctx->clock->Seconds() - build_t0;
-    Relation out = exec_internal::ProbeHashTable(
-        cb->table, cb->schema, probe.view(), ppos, plan.vector, ctx);
+    Relation out = exec_internal::ProbeHashTable(cb->table, cb->schema,
+                                                 probe.view(), ppos, ctx);
     if (reuse != nullptr) {
       reuse->cache->InstallBuild(reuse->fps.canonical[&bnode], bpos,
                                  reuse->fps.tables[&bnode], std::move(cb),
@@ -285,14 +253,12 @@ StatusOr<NodeResult> ExecuteJoinNode(const PlanNode& plan,
     } else {
       JoinRunStats st;
       st.output_tuples = out.num_tuples();
-      exec_internal::PublishJoinRun(ctx, build_tuples, probe.view().size(),
-                                    st, t0);
+      exec_internal::PublishJoinRun(ctx, build_tuples, probe.view().size(), st);
     }
     return NodeResult::Owned(std::move(out));
   }
   // A spilling build, a DOP > 1 join or another algorithm: ExecuteJoin on
-  // materialized inputs. (VectorHashJoin would delegate to the row-major
-  // hybrid in exactly these cases, so the vector flag changes nothing.)
+  // materialized inputs.
   Relation build_copy;
   Relation probe_copy;
   const Relation& build_rel = build.Rows(&build_copy);
@@ -327,8 +293,7 @@ StatusOr<NodeResult> ExecuteNode(const PlanNode& plan, const Catalog& catalog,
       NodeResult table = NodeResult::Borrow(entry->relation);
       MMDB_ASSIGN_OR_RETURN(
           std::vector<const Row*> survivors,
-          FilterRows(table.view(), {plan.predicates[0]}, {idx},
-                     /*vector=*/false, ctx));
+          FilterRows(table.view(), {plan.predicates[0]}, {idx}, ctx));
       table.mutable_view()->Select(std::move(survivors));
       return table;
     }
@@ -346,25 +311,15 @@ StatusOr<NodeResult> ExecuteNode(const PlanNode& plan, const Catalog& catalog,
         col_indexes.push_back(idx);
       }
       ScopedDop sd(ctx, plan.dop);
-      const bool timing = ctx->metrics != nullptr && ctx->collect_wall_ns;
-      const auto t0 = timing ? std::chrono::steady_clock::now()
-                             : std::chrono::steady_clock::time_point();
       const int64_t rows_in = child.view().size();
-      MMDB_ASSIGN_OR_RETURN(std::vector<const Row*> survivors,
-                            FilterRows(child.view(), plan.predicates,
-                                       col_indexes, plan.vector, ctx));
+      MMDB_ASSIGN_OR_RETURN(
+          std::vector<const Row*> survivors,
+          FilterRows(child.view(), plan.predicates, col_indexes, ctx));
       const int64_t rows_out = static_cast<int64_t>(survivors.size());
       child.mutable_view()->Select(std::move(survivors));
       if (ctx->metrics != nullptr) {
         ctx->metrics->Add("exec.filter.rows_in", rows_in);
         ctx->metrics->Add("exec.filter.rows_out", rows_out);
-        if (timing) {
-          ctx->metrics->Add(
-              "exec.filter.wall_ns",
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count());
-        }
       }
       return child;
     }

@@ -465,15 +465,13 @@ StatusOr<std::unique_ptr<PlanNode>> Optimizer::Optimize(
     root = std::move(project);
   }
 
-  // ---- Surface the requested DOP / vectorization on the operators that
-  // exploit them.
-  if (options_.dop > 1 || options_.vectorize) {
+  // ---- Surface the requested DOP on the operators that exploit it.
+  if (options_.dop > 1) {
     std::function<void(PlanNode*)> stamp = [&](PlanNode* node) {
       if (node == nullptr) return;
       if (node->kind == PlanNode::Kind::kJoin ||
           node->kind == PlanNode::Kind::kFilter) {
-        if (options_.dop > 1) node->dop = options_.dop;
-        node->vector = options_.vectorize;
+        node->dop = options_.dop;
       }
       stamp(node->child_left.get());
       stamp(node->child_right.get());

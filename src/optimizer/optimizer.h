@@ -24,9 +24,9 @@ struct OptimizerOptions {
   /// Degree of parallelism stamped onto the join and filter nodes of the
   /// produced plan (DESIGN.md §8). 1 = serial plans, today's behavior.
   int dop = 1;
-  /// Stamp `vector=on` onto the join and filter nodes of the produced plan
-  /// (DESIGN.md §14): the executor then runs the batch kernels. Results and
-  /// cost-clock totals are identical to tuple execution at every DOP.
+  /// Unused: the executor has one execution path (DESIGN.md §14). Kept
+  /// only because sql_e2e/sql_e2e.cc assigns it from
+  /// Database::Options::vectorize; both fields go with that line.
   bool vectorize = false;
   /// Intermediate-reuse cache consulted during costing (DESIGN.md §15).
   /// When set, each DP state is fingerprinted with the cache's canonical

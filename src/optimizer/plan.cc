@@ -56,7 +56,6 @@ std::string PlanNode::ToString(int indent, const Annotator& annotate) const {
     }
   }
   if (dop > 1) out += " dop=" + std::to_string(dop);
-  if (vector) out += " vector=on";
   out += est;
   if (annotate) out += annotate(*this, indent);
   out += "\n";

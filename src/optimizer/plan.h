@@ -75,12 +75,6 @@ struct PlanNode {
   /// operator itself runs; 1 means serial.
   int dop = 1;
 
-  /// Vectorized execution for this operator (kJoin / kFilter; DESIGN.md
-  /// §14): the executor runs the batch kernels instead of the tuple loop.
-  /// Result bytes and cost-clock totals are identical either way — the
-  /// vector path saves real time, not simulated cost.
-  bool vector = false;
-
   std::unique_ptr<PlanNode> child_left;
   std::unique_ptr<PlanNode> child_right;
 

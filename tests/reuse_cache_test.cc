@@ -129,14 +129,13 @@ TEST(ReuseCacheFingerprint, TableVersionsDiverge) {
   EXPECT_EQ(after, Fp(cache, *plan));
 }
 
-TEST(ReuseCacheFingerprint, DopAndVectorDoNotFingerprint) {
-  // PR3/PR9's differential suites prove result bytes are identical at
-  // every DOP and under vectorization, so one entry serves them all.
+TEST(ReuseCacheFingerprint, DopDoesNotFingerprint) {
+  // The parallel and plan differential suites prove result bytes are
+  // identical at every DOP, so one entry serves them all.
   ReuseCache cache;
   auto a = Filter(Scan("r", "r"), "r", "key", CmpOp::kGt, Value{int64_t{3}});
   auto b = Filter(Scan("r", "r"), "r", "key", CmpOp::kGt, Value{int64_t{3}});
   b->dop = 4;
-  b->vector = true;
   EXPECT_EQ(Fp(cache, *a), Fp(cache, *b));
 }
 

@@ -1,11 +1,11 @@
 // Differential suite for the plan-fingerprint reuse cache (DESIGN.md §15):
 // with plan discounts off the cache is an invisible accelerator — cache-on
 // and cache-off runs must produce byte-identical rows in identical order,
-// at DOP 1/2/4, tuple and vector paths, across repetitions, and across
-// input mutations that force invalidation. With discounts on the planner
-// may legitimately reshape the plan, so content (multiset) identity is the
-// contract there. A final concurrent test drives 8 reader threads through
-// the cache while writers invalidate — the TSan preset runs it.
+// at DOP 1/2/4, across repetitions, and across input mutations that force
+// invalidation. With discounts on the planner may legitimately reshape the
+// plan, so content (multiset) identity is the contract there. A final
+// concurrent test drives 8 reader threads through the cache while writers
+// invalidate — the TSan preset runs it.
 
 #include <gtest/gtest.h>
 
@@ -95,40 +95,34 @@ TEST_P(ReuseCacheDifferentialTest, TransparentModeIsByteIdenticalAtEveryDop) {
     std::vector<std::string> base_rows;
     bool have_base = false;
     for (const int dop : {1, 2, 4}) {
-      for (const bool vectorize : {false, true}) {
-        OptimizerOptions opts;
-        opts.memory_pages = 4096;
-        opts.hash_only = true;
-        opts.dop = dop;
-        opts.vectorize = vectorize;
-        opts.reuse_cache = &cache;
-        opts.reuse_cost_discounts = false;  // transparent mode
-        // Cache-off twin first, then cache-on (which both installs, on its
-        // first visit, and serves, on every later one — the fingerprints
-        // ignore dop/vector, so later (dop, vector) combinations are pure
-        // warm serves).
-        ExecEnv off_env(4096);
-        OptimizerOptions off_opts = opts;
-        off_opts.reuse_cache = nullptr;
-        auto off = RunQuery(query, catalog, off_opts, &off_env.ctx);
-        ASSERT_TRUE(off.ok()) << off.status().ToString();
+      OptimizerOptions opts;
+      opts.memory_pages = 4096;
+      opts.hash_only = true;
+      opts.dop = dop;
+      opts.reuse_cache = &cache;
+      opts.reuse_cost_discounts = false;  // transparent mode
+      // Cache-off twin first, then cache-on (which both installs, on its
+      // first visit, and serves, on every later one — the fingerprints
+      // ignore dop, so later DOPs are pure warm serves).
+      ExecEnv off_env(4096);
+      OptimizerOptions off_opts = opts;
+      off_opts.reuse_cache = nullptr;
+      auto off = RunQuery(query, catalog, off_opts, &off_env.ctx);
+      ASSERT_TRUE(off.ok()) << off.status().ToString();
 
-        ExecEnv on_env(4096);
-        on_env.ctx.reuse_cache = &cache;
-        auto on = RunQuery(query, catalog, opts, &on_env.ctx);
-        ASSERT_TRUE(on.ok()) << on.status().ToString();
+      ExecEnv on_env(4096);
+      on_env.ctx.reuse_cache = &cache;
+      auto on = RunQuery(query, catalog, opts, &on_env.ctx);
+      ASSERT_TRUE(on.ok()) << on.status().ToString();
 
-        const std::vector<std::string> off_rows = RowStrings(off->relation);
-        const std::vector<std::string> on_rows = RowStrings(on->relation);
-        EXPECT_EQ(on_rows, off_rows)
-            << "round=" << round << " dop=" << dop
-            << " vector=" << vectorize;
-        if (!have_base) {
-          base_rows = off_rows;
-          have_base = true;
-        } else if (round != 2) {
-          EXPECT_EQ(off_rows, base_rows) << "baseline drifted";
-        }
+      const std::vector<std::string> off_rows = RowStrings(off->relation);
+      const std::vector<std::string> on_rows = RowStrings(on->relation);
+      EXPECT_EQ(on_rows, off_rows) << "round=" << round << " dop=" << dop;
+      if (!have_base) {
+        base_rows = off_rows;
+        have_base = true;
+      } else if (round != 2) {
+        EXPECT_EQ(off_rows, base_rows) << "baseline drifted";
       }
     }
   }

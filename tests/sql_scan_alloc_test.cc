@@ -99,12 +99,8 @@ uint64_t AllocsFor(Database* db, const std::string& sql, int64_t want_rows) {
   return allocs;
 }
 
-class SqlScanAllocTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(SqlScanAllocTest, OneSurvivorFilterAllocatesForSurvivorsNotTable) {
-  Database::Options opts;
-  opts.vectorize = GetParam();
-  Database db(opts);
+TEST(SqlScanAllocTest, OneSurvivorFilterAllocatesForSurvivorsNotTable) {
+  Database db;
   LoadTable(&db);
   // Warm-up: first-use allocations (metric names, lazy statics) are not
   // what is measured.
@@ -128,10 +124,8 @@ TEST_P(SqlScanAllocTest, OneSurvivorFilterAllocatesForSurvivorsNotTable) {
 // per row they produce — far below one block per survivor, which copying
 // the survivors into the breaker costs.
 
-TEST_P(SqlScanAllocTest, GroupByAllocatesForGroupsNotSurvivors) {
-  Database::Options opts;
-  opts.vectorize = GetParam();
-  Database db(opts);
+TEST(SqlScanAllocTest, GroupByAllocatesForGroupsNotSurvivors) {
+  Database db;
   LoadTable(&db);
   AllocsFor(&db, "SELECT id, bal FROM t WHERE id = 7", 1);
   const uint64_t one =
@@ -145,10 +139,8 @@ TEST_P(SqlScanAllocTest, GroupByAllocatesForGroupsNotSurvivors) {
       << "allocations scale with the survivors";
 }
 
-TEST_P(SqlScanAllocTest, JoinProbeAllocatesForOutputAndBuildNotSurvivors) {
-  Database::Options opts;
-  opts.vectorize = GetParam();
-  Database db(opts);
+TEST(SqlScanAllocTest, JoinProbeAllocatesForOutputAndBuildNotSurvivors) {
+  Database db;
   LoadTable(&db);
   LoadBuildTable(&db);
   AllocsFor(&db, "SELECT id, bal FROM t WHERE id = 7", 1);
@@ -168,10 +160,8 @@ TEST_P(SqlScanAllocTest, JoinProbeAllocatesForOutputAndBuildNotSurvivors) {
       << "allocations scale with the probe survivors";
 }
 
-TEST_P(SqlScanAllocTest, DistinctAllocatesForDistinctRows) {
-  Database::Options opts;
-  opts.vectorize = GetParam();
-  Database db(opts);
+TEST(SqlScanAllocTest, DistinctAllocatesForDistinctRows) {
+  Database db;
   LoadTable(&db);
   AllocsFor(&db, "SELECT id, bal FROM t WHERE id = 7", 1);
   const uint64_t one =
@@ -183,12 +173,6 @@ TEST_P(SqlScanAllocTest, DistinctAllocatesForDistinctRows) {
   EXPECT_LT(distinct, one + 8 * uint64_t(kGroups))
       << "allocations scale with the survivors";
 }
-
-INSTANTIATE_TEST_SUITE_P(TupleAndVector, SqlScanAllocTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Vector" : "Tuple";
-                         });
 
 }  // namespace
 }  // namespace mmdb

@@ -100,24 +100,20 @@ TEST(SqlScanTest, CacheHitResultsAreUnchangedByLaterUpdate) {
 }
 
 TEST(SqlScanTest, ExplainAnalyzeTracesTheBorrowedScan) {
-  for (bool vectorize : {false, true}) {
-    Database::Options opts;
-    opts.vectorize = vectorize;
-    Database db(opts);
-    LoadTable(&db, 3000);
-    auto filtered =
-        db.ExecuteSql("EXPLAIN ANALYZE SELECT id FROM t WHERE grp = 3");
-    ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
-    EXPECT_TRUE(filtered->analyzed);
-    EXPECT_EQ(filtered->relation.num_tuples(), 30);
-    EXPECT_EQ(ActualRowsUnder(filtered->plan_text, "Scan(t)"), 3000)
-        << filtered->plan_text;
-    auto bare = db.ExecuteSql("EXPLAIN ANALYZE SELECT * FROM t");
-    ASSERT_TRUE(bare.ok());
-    EXPECT_EQ(bare->relation.num_tuples(), 3000);
-    EXPECT_EQ(ActualRowsUnder(bare->plan_text, "Scan(t)"), 3000)
-        << bare->plan_text;
-  }
+  Database db;
+  LoadTable(&db, 3000);
+  auto filtered =
+      db.ExecuteSql("EXPLAIN ANALYZE SELECT id FROM t WHERE grp = 3");
+  ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
+  EXPECT_TRUE(filtered->analyzed);
+  EXPECT_EQ(filtered->relation.num_tuples(), 30);
+  EXPECT_EQ(ActualRowsUnder(filtered->plan_text, "Scan(t)"), 3000)
+      << filtered->plan_text;
+  auto bare = db.ExecuteSql("EXPLAIN ANALYZE SELECT * FROM t");
+  ASSERT_TRUE(bare.ok());
+  EXPECT_EQ(bare->relation.num_tuples(), 3000);
+  EXPECT_EQ(ActualRowsUnder(bare->plan_text, "Scan(t)"), 3000)
+      << bare->plan_text;
 }
 
 // Four snapshot sessions (no table locks: only the shared database latch

@@ -3,10 +3,9 @@
 // in-memory hybrid hash join read them in place. For SQL filter+project,
 // GROUP BY, DISTINCT and join statements, the view path must return the
 // bytes, in the order, that the materializing paths return: a DOP 2 plan
-// (whose joins run on materialized inputs), the vector kernels, the reuse
-// cache, and HashAggregate / ExecuteJoin called directly on the
-// materialized inputs — the last with the same cost-clock totals and the
-// same exec.* counters.
+// (whose joins run on materialized inputs), the reuse cache, and
+// HashAggregate / ExecuteJoin called directly on the materialized inputs —
+// the last with the same cost-clock totals and the same exec.* counters.
 
 #include <gtest/gtest.h>
 
@@ -152,15 +151,6 @@ TEST_P(SqlViewDifferentialTest, ViewPathMatchesEveryMaterializingPath) {
     EXPECT_EQ(par.counters, base.counters) << "dop=2";
     EXPECT_EQ(par.metrics, base.metrics) << "dop=2";
 
-    // Vector kernels.
-    OptimizerOptions vec = BaseOptions();
-    vec.vectorize = true;
-    ExecEnv vec_env(4096);
-    const RunOutcome v = RunStatement(st, t.catalog, vec, &vec_env);
-    EXPECT_EQ(v.rows, base.rows) << "vector";
-    EXPECT_EQ(v.counters, base.counters) << "vector";
-    EXPECT_EQ(v.metrics, base.metrics) << "vector";
-
     // Reuse cache, transparent: a cold run installs, a warm run serves.
     OptimizerOptions cached = BaseOptions();
     cached.reuse_cache = &cache;
@@ -215,48 +205,44 @@ TEST_P(SqlViewDifferentialTest, JoinCountersMatchDirectExecuteJoin) {
       "SELECT * FROM r, s WHERE r.key = s.key AND s.payload < 500 "
       "AND r.payload > 100",
       t.catalog);
-  for (const bool vectorize : {false, true}) {
-    OptimizerOptions opts = BaseOptions();
-    opts.vectorize = vectorize;
-    Optimizer optimizer(&t.catalog, opts);
-    auto plan = optimizer.Optimize(st.query);
-    ASSERT_TRUE(plan.ok());
-    const PlanNode* join = FindJoin(**plan);
-    ASSERT_NE(join, nullptr);
-    ASSERT_EQ(join->algorithm, JoinAlgorithm::kHybridHash);
+  Optimizer optimizer(&t.catalog, BaseOptions());
+  auto plan = optimizer.Optimize(st.query);
+  ASSERT_TRUE(plan.ok());
+  const PlanNode* join = FindJoin(**plan);
+  ASSERT_NE(join, nullptr);
+  ASSERT_EQ(join->algorithm, JoinAlgorithm::kHybridHash);
 
-    ExecEnv view_env(4096);
-    auto view = ExecutePlan(**plan, t.catalog, &view_env.ctx);
-    ASSERT_TRUE(view.ok());
+  ExecEnv view_env(4096);
+  auto view = ExecutePlan(**plan, t.catalog, &view_env.ctx);
+  ASSERT_TRUE(view.ok());
 
-    // The same join on materialized inputs: both filtered children
-    // executed (and copied) on their own, then ExecuteJoin.
-    const PlanNode& bnode =
-        join->build_is_right ? *join->child_right : *join->child_left;
-    const PlanNode& pnode =
-        join->build_is_right ? *join->child_left : *join->child_right;
-    ExecEnv direct_env(4096);
-    auto probe = ExecutePlan(pnode, t.catalog, &direct_env.ctx);
-    auto build = ExecutePlan(bnode, t.catalog, &direct_env.ctx);
-    ASSERT_TRUE(probe.ok() && build.ok());
-    JoinSpec spec;
-    spec.left_column = Position(
-        bnode.output_columns,
-        join->build_is_right ? join->join.right : join->join.left);
-    spec.right_column = Position(
-        pnode.output_columns,
-        join->build_is_right ? join->join.left : join->join.right);
-    auto direct = ExecuteJoin(join->algorithm, *build, *probe, spec,
-                              &direct_env.ctx);
-    ASSERT_TRUE(direct.ok());
+  // The same join on materialized inputs: both filtered children
+  // executed (and copied) on their own, then ExecuteJoin.
+  const PlanNode& bnode =
+      join->build_is_right ? *join->child_right : *join->child_left;
+  const PlanNode& pnode =
+      join->build_is_right ? *join->child_left : *join->child_right;
+  ExecEnv direct_env(4096);
+  auto probe = ExecutePlan(pnode, t.catalog, &direct_env.ctx);
+  auto build = ExecutePlan(bnode, t.catalog, &direct_env.ctx);
+  ASSERT_TRUE(probe.ok() && build.ok());
+  JoinSpec spec;
+  spec.left_column = Position(
+      bnode.output_columns,
+      join->build_is_right ? join->join.right : join->join.left);
+  spec.right_column = Position(
+      pnode.output_columns,
+      join->build_is_right ? join->join.left : join->join.right);
+  auto direct = ExecuteJoin(join->algorithm, *build, *probe, spec,
+                            &direct_env.ctx);
+  ASSERT_TRUE(direct.ok());
 
-    EXPECT_EQ(RowStrings(*view), RowStrings(*direct));
-    EXPECT_EQ(view_env.clock.counters(), direct_env.clock.counters());
-    EXPECT_EQ(view_env.metrics.ToJson(), direct_env.metrics.ToJson());
-    EXPECT_EQ(view_env.metrics.Get("exec.join.runs"), 1);
-    EXPECT_GT(view_env.metrics.Get("exec.filter.rows_in"),
-              view_env.metrics.Get("exec.filter.rows_out"));
-  }
+  EXPECT_EQ(RowStrings(*view), RowStrings(*direct));
+  EXPECT_EQ(view_env.clock.counters(), direct_env.clock.counters());
+  EXPECT_EQ(view_env.metrics.ToJson(), direct_env.metrics.ToJson());
+  EXPECT_EQ(view_env.metrics.Get("exec.join.runs"), 1);
+  EXPECT_GT(view_env.metrics.Get("exec.filter.rows_in"),
+            view_env.metrics.Get("exec.filter.rows_out"));
 }
 
 /// Scan(name) with its table's columns.
@@ -315,27 +301,23 @@ TEST_P(SqlViewDifferentialTest, FilterOverOwnedJoinOutputOutlivesMoves) {
   }
   ASSERT_GT(expected.num_tuples(), 0);
 
-  for (const bool vectorize : {false, true}) {
-    project.child_left->vector = vectorize;
-    project.child_left->child_left->vector = vectorize;
-    ExecEnv env(4096);
-    auto out = ExecutePlan(project, t.catalog, &env.ctx);
-    ASSERT_TRUE(out.ok()) << out.status().ToString();
-    EXPECT_EQ(RowStrings(*out), RowStrings(expected));
+  ExecEnv env(4096);
+  auto out = ExecutePlan(project, t.catalog, &env.ctx);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(RowStrings(*out), RowStrings(expected));
 
-    // And grouped straight from that view.
-    AggregateSpec agg;
-    agg.group_by = {0};
-    agg.aggregates = {{AggFn::kCount, 0, "n"}, {AggFn::kMax, 2, "pad"}};
-    ExecEnv agg_env(4096);
-    auto groups = ExecutePlan(project, t.catalog, &agg_env.ctx, nullptr,
-                              nullptr, &agg);
-    ASSERT_TRUE(groups.ok());
-    ExecEnv direct_env(4096);
-    auto direct = HashAggregate(expected, agg, &direct_env.ctx);
-    ASSERT_TRUE(direct.ok());
-    EXPECT_EQ(RowStrings(*groups), RowStrings(*direct));
-  }
+  // And grouped straight from that view.
+  AggregateSpec agg;
+  agg.group_by = {0};
+  agg.aggregates = {{AggFn::kCount, 0, "n"}, {AggFn::kMax, 2, "pad"}};
+  ExecEnv agg_env(4096);
+  auto groups = ExecutePlan(project, t.catalog, &agg_env.ctx, nullptr,
+                            nullptr, &agg);
+  ASSERT_TRUE(groups.ok());
+  ExecEnv direct_env(4096);
+  auto direct = HashAggregate(expected, agg, &direct_env.ctx);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(RowStrings(*groups), RowStrings(*direct));
 }
 
 // A view is offered to the reuse cache with its bytes and its rows on
