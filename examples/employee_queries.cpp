@@ -4,18 +4,32 @@
 //   retrieve (emp.salary, emp.name) where emp.name = "j*" (sequential)
 //
 // Demonstrates the AVL vs B+-tree trade-off: we build both indexes on the
-// same relation, run both query shapes, and report comparisons/page-faults
-// alongside the §2 cost model's prediction for the configured memory size.
+// same relation, run both query shapes through SQL, print each plan's
+// IndexScan, and report page faults alongside the §2 cost model's
+// prediction for the configured memory size.
 //
 //   $ ./build/examples/employee_queries
 
 #include <cstdio>
+#include <string>
 
 #include "cost/access_cost.h"
 #include "db/database.h"
 #include "storage/datagen.h"
 
 using namespace mmdb;  // NOLINT — example brevity
+
+namespace {
+
+/// Runs one SELECT and prints its plan.
+Database::SqlResult Select(Database* db, const std::string& sql) {
+  StatusOr<Database::SqlResult> result = db->ExecuteSql(sql);
+  MMDB_CHECK_MSG(result.ok(), result.status().ToString().c_str());
+  std::printf("%s\n%s", sql.c_str(), result->plan_text.c_str());
+  return std::move(*result);
+}
+
+}  // namespace
 
 int main() {
   constexpr int64_t kEmployees = 100'000;
@@ -44,38 +58,31 @@ int main() {
 
   // ---- Case 1: random access by key ------------------------------------
   // Find a real "jones" first (names carry random ids), then point-look it
-  // up — the paper's `emp.name = "Jones"` query.
-  std::string some_jones;
-  MMDB_CHECK(db.IndexRangeScan("emp", "name", Value{std::string("jones")}, 1,
-                               [&](const Row& row) {
-                                 some_jones = std::get<std::string>(row[1]);
-                                 return false;
-                               })
-                 .ok());
-  StatusOr<Row> by_name = db.IndexLookup("emp", "name", Value{some_jones});
-  MMDB_CHECK(by_name.ok());
-  std::printf("name lookup (%s): %s\n", some_jones.c_str(),
-              RowToString(*by_name).c_str());
-  StatusOr<Row> by_id = db.IndexLookup("emp", "emp_id", Value{int64_t{777}});
-  MMDB_CHECK(by_id.ok());
-  std::printf("id lookup:   %s\n", RowToString(*by_id).c_str());
+  // up — the paper's `emp.name = "Jones"` query. The AVL prefix scan
+  // returns names in key order.
+  Database::SqlResult joneses =
+      Select(&db, "SELECT name FROM emp WHERE name LIKE 'jones%'");
+  MMDB_CHECK(joneses.relation.num_tuples() > 0);
+  const std::string some_jones =
+      std::get<std::string>(joneses.relation.rows()[0][0]);
+  Database::SqlResult by_name =
+      Select(&db, "SELECT * FROM emp WHERE name = '" + some_jones + "'");
+  MMDB_CHECK(by_name.relation.num_tuples() > 0);
+  std::printf("name lookup (%s): %s\n\n", some_jones.c_str(),
+              RowToString(by_name.relation.rows()[0]).c_str());
+  Database::SqlResult by_id =
+      Select(&db, "SELECT * FROM emp WHERE emp_id = 777");
+  MMDB_CHECK(by_id.relation.num_tuples() == 1);
+  std::printf("id lookup:   %s\n\n",
+              RowToString(by_id.relation.rows()[0]).c_str());
 
   // ---- Case 2: sequential access, the "J*" prefix query ---------------
-  int64_t matches = 0;
-  double total_salary = 0;
-  MMDB_CHECK(db.IndexRangeScan(
-                   "emp", "name", Value{std::string("j")}, /*limit=*/-1,
-                   [&](const Row& row) {
-                     const std::string& name = std::get<std::string>(row[1]);
-                     if (name.empty() || name[0] != 'j') return false;  // past J
-                     ++matches;
-                     total_salary += std::get<double>(row[3]);
-                     return true;
-                   })
-                 .ok());
-  std::printf("\nemp.name = \"j*\": %lld employees, avg salary %.0f\n",
-              static_cast<long long>(matches),
-              matches ? total_salary / double(matches) : 0.0);
+  Database::SqlResult j_star =
+      Select(&db, "SELECT COUNT(*) AS n, AVG(salary) AS avg_salary FROM emp "
+                  "WHERE name LIKE 'j%'");
+  MMDB_CHECK(j_star.relation.num_tuples() == 1);
+  std::printf("emp.name = \"j*\": %s (employees, avg salary)\n",
+              RowToString(j_star.relation.rows()[0]).c_str());
 
   std::printf("\nbuffer pool: %lld faults / %lld fetches\n",
               static_cast<long long>(db.buffer_pool()->stats().faults),

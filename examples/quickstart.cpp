@@ -1,73 +1,75 @@
 // Quickstart: create tables, load data, index, and run an optimized join
-// query through the public Database facade.
+// query, all through SQL on the public Database facade.
 //
 //   $ ./build/examples/quickstart
 
 #include <cstdio>
+#include <string>
 
+#include "common/random.h"
 #include "db/database.h"
 
 using namespace mmdb;  // NOLINT — example brevity
+
+namespace {
+
+Database::SqlResult Run(Database* db, const std::string& sql) {
+  StatusOr<Database::SqlResult> result = db->ExecuteSql(sql);
+  MMDB_CHECK_MSG(result.ok(), result.status().ToString().c_str());
+  return std::move(*result);
+}
+
+}  // namespace
 
 int main() {
   Database db;
 
   // ---- 1. Schema + data ----------------------------------------------
-  Schema dept_schema({Column::Int64("dept_id"), Column::Char("dept_name", 16)});
-  Schema emp_schema({Column::Int64("emp_id"), Column::Char("name", 20),
-                     Column::Int64("dept"), Column::Double("salary")});
-
-  MMDB_CHECK(db.CreateTable("dept", dept_schema).ok());
-  MMDB_CHECK(db.CreateTable("emp", emp_schema).ok());
-
-  const char* dept_names[] = {"engineering", "sales", "support", "finance"};
-  for (int64_t i = 0; i < 4; ++i) {
-    MMDB_CHECK(db.Insert("dept", {i, std::string(dept_names[i])}).ok());
-  }
+  Run(&db, "CREATE TABLE dept (dept_id INT64, dept_name CHAR(16))");
+  Run(&db, "CREATE TABLE emp (emp_id INT64, name CHAR(20), dept INT64, "
+           "salary DOUBLE)");
+  Run(&db, "INSERT INTO dept VALUES (0, 'engineering'), (1, 'sales'), "
+           "(2, 'support'), (3, 'finance')");
   Random rng(7);
+  std::string insert = "INSERT INTO emp VALUES ";
   for (int64_t i = 0; i < 1000; ++i) {
-    MMDB_CHECK(db.Insert("emp", {i, "emp_" + std::to_string(i),
-                                 static_cast<int64_t>(rng.Uniform(4)),
-                                 40000.0 + rng.NextDouble() * 60000.0})
-                   .ok());
+    const int64_t dept = static_cast<int64_t>(rng.Uniform(4));
+    char row[96];
+    std::snprintf(row, sizeof(row), "%s(%lld, 'emp_%lld', %lld, %.2f)",
+                  i == 0 ? "" : ", ", static_cast<long long>(i),
+                  static_cast<long long>(i), static_cast<long long>(dept),
+                  40000.0 + rng.NextDouble() * 60000.0);
+    insert += row;
   }
+  Run(&db, insert);
 
   // ---- 2. Point access through an index (§2) ---------------------------
+  // There is no CREATE INDEX in the dialect; kAuto picks AVL or B+-tree
+  // by the §2 cost model.
   MMDB_CHECK(db.CreateIndex("emp", "emp_id", Database::IndexType::kAuto).ok());
-  StatusOr<Row> jones = db.IndexLookup("emp", "emp_id", Value{int64_t{42}});
-  MMDB_CHECK(jones.ok());
-  std::printf("emp 42: %s\n", RowToString(*jones).c_str());
+  Database::SqlResult point = Run(&db, "SELECT * FROM emp WHERE emp_id = 42");
+  MMDB_CHECK(point.relation.num_tuples() == 1);
+  std::printf("emp 42: %s\nplan:\n%s",
+              RowToString(point.relation.rows()[0]).c_str(),
+              point.plan_text.c_str());
 
   // ---- 3. A join query through the optimizer (§3/§4) -------------------
-  Query q;
-  q.tables = {"emp", "dept"};
-  q.joins = {{ColumnRef{"emp", "dept"}, ColumnRef{"dept", "dept_id"}}};
-  q.filters = {{"emp", "salary", CmpOp::kGt, Value{80000.0}}};
-  q.select_columns = {{"emp", "name"}, {"dept", "dept_name"},
-                      {"emp", "salary"}};
-
-  StatusOr<std::string> plan = db.Explain(q);
-  MMDB_CHECK(plan.ok());
-  std::printf("plan:\n%s", plan->c_str());
-
-  StatusOr<QueryResult> result = db.Execute(q);
-  MMDB_CHECK(result.ok());
+  const std::string join =
+      "SELECT emp.name, dept.dept_name, emp.salary FROM emp, dept "
+      "WHERE emp.dept = dept.dept_id AND emp.salary > 80000.0";
+  std::printf("plan:\n%s", Run(&db, "EXPLAIN " + join).plan_text.c_str());
+  Database::SqlResult earners = Run(&db, join);
   std::printf("high earners: %lld rows; first: %s\n",
-              static_cast<long long>(result->relation.num_tuples()),
-              result->relation.num_tuples() > 0
-                  ? RowToString(result->relation.rows()[0]).c_str()
+              static_cast<long long>(earners.relation.num_tuples()),
+              earners.relation.num_tuples() > 0
+                  ? RowToString(earners.relation.rows()[0]).c_str()
                   : "(none)");
 
   // ---- 4. Aggregation (§3.9) -------------------------------------------
-  Query all_emps;
-  all_emps.tables = {"emp"};
-  AggregateSpec agg;
-  agg.group_by = {2};  // dept column of emp
-  agg.aggregates.push_back({AggFn::kAvg, 3, "avg_salary"});
-  agg.aggregates.push_back({AggFn::kCount, 0, "n"});
-  StatusOr<Relation> by_dept = db.ExecuteAggregate(all_emps, agg);
-  MMDB_CHECK(by_dept.ok());
-  for (const Row& row : by_dept->rows()) {
+  Database::SqlResult by_dept =
+      Run(&db, "SELECT dept, AVG(salary) AS avg_salary, COUNT(*) AS n "
+               "FROM emp GROUP BY dept");
+  for (const Row& row : by_dept.relation.rows()) {
     std::printf("dept %s\n", RowToString(row).c_str());
   }
 

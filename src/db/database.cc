@@ -130,6 +130,11 @@ MetricsRegistry::Snapshot Database::MetricsSnapshot() {
 std::string Database::MetricsJson() { return MetricsSnapshot().ToJson(); }
 
 Status Database::CreateTable(const std::string& name, Schema schema) {
+  std::unique_lock<std::shared_mutex> lock(latch_);
+  return CreateTableLocked(name, std::move(schema));
+}
+
+Status Database::CreateTableLocked(const std::string& name, Schema schema) {
   if (tables_.count(name)) return Status::AlreadyExists("table " + name);
   if (schema.num_columns() == 0) {
     return Status::InvalidArgument("table needs at least one column");
@@ -193,6 +198,7 @@ Status Database::Insert(const std::string& name, Row row) {
 }
 
 Status Database::BulkLoad(const std::string& name, Relation relation) {
+  std::unique_lock<std::shared_mutex> lock(latch_);
   auto it = tables_.find(name);
   if (it == tables_.end()) return Status::NotFound("table " + name);
   if (!(relation.schema() == it->second.relation.schema())) {
@@ -302,6 +308,7 @@ Status Database::BuildIndex(TableHolder* table, const std::string& table_name,
 
 Status Database::CreateIndex(const std::string& table_name,
                              const std::string& column, IndexType type) {
+  std::unique_lock<std::shared_mutex> lock(latch_);
   auto it = tables_.find(table_name);
   if (it == tables_.end()) return Status::NotFound("table " + table_name);
   if (it->second.indexes.count(column)) {
@@ -323,67 +330,9 @@ StatusOr<Row> Database::RowByOrdinal(const TableHolder& table,
   return table.relation.rows()[static_cast<size_t>(ordinal)];
 }
 
-StatusOr<Row> Database::IndexLookup(const std::string& table_name,
-                                    const std::string& column,
-                                    const Value& key) {
-  auto it = tables_.find(table_name);
-  if (it == tables_.end()) return Status::NotFound("table " + table_name);
-  auto idx_it = it->second.indexes.find(column);
-  if (idx_it == it->second.indexes.end()) {
-    return Status::NotFound("no index on " + table_name + "." + column);
-  }
-  IndexHolder& index = idx_it->second;
-  std::lock_guard<std::mutex> index_latch(*index.latch);
-  switch (index.type) {
-    case IndexType::kAvl: {
-      MMDB_ASSIGN_OR_RETURN(int64_t ordinal, index.avl->Find(key));
-      return RowByOrdinal(it->second, ordinal);
-    }
-    case IndexType::kBTree: {
-      std::vector<char> kbuf(static_cast<size_t>(index.key_width));
-      if (TypeOf(key) == ValueType::kInt64) {
-        BPlusTree::EncodeInt64Key(std::get<int64_t>(key), kbuf.data(),
-                                  index.key_width);
-      } else if (TypeOf(key) == ValueType::kString) {
-        BPlusTree::EncodeStringKey(std::get<std::string>(key), kbuf.data(),
-                                   index.key_width);
-      } else {
-        return Status::InvalidArgument("unsupported B+-tree key type");
-      }
-      char payload[8];
-      MMDB_RETURN_IF_ERROR(index.btree->Find(kbuf.data(), payload));
-      int64_t ordinal;
-      std::memcpy(&ordinal, payload, sizeof(ordinal));
-      return RowByOrdinal(it->second, ordinal);
-    }
-    case IndexType::kHash: {
-      MMDB_ASSIGN_OR_RETURN(int64_t ordinal, index.hash->Find(key));
-      return RowByOrdinal(it->second, ordinal);
-    }
-    case IndexType::kAuto:
-      break;
-  }
-  return Status::Internal("unresolved index type");
-}
-
-Status Database::IndexRangeScan(const std::string& table_name,
-                                const std::string& column, const Value& low,
-                                int64_t limit,
-                                const std::function<bool(const Row&)>& fn) {
-  auto it = tables_.find(table_name);
-  if (it == tables_.end()) return Status::NotFound("table " + table_name);
-  auto idx_it = it->second.indexes.find(column);
-  if (idx_it == it->second.indexes.end()) {
-    return Status::NotFound("no index on " + table_name + "." + column);
-  }
-  IndexHolder& index = idx_it->second;
-  std::lock_guard<std::mutex> index_latch(*index.latch);
-  return IndexRangeScanLocked(it->second, index, low, limit, fn);
-}
-
 Status Database::IndexRangeScanLocked(
     const TableHolder& table, IndexHolder& index, const Value& low,
-    int64_t limit, const std::function<bool(const Row&)>& fn) {
+    const std::function<bool(const Row&)>& fn) {
   switch (index.type) {
     case IndexType::kAvl: {
       Status status = Status::OK();
@@ -396,8 +345,7 @@ Status Database::IndexRangeScanLocked(
               return false;
             }
             return fn(*row);
-          },
-          limit);
+          });
       return status;
     }
     case IndexType::kBTree: {
@@ -423,8 +371,7 @@ Status Database::IndexRangeScanLocked(
               return false;
             }
             return fn(*row);
-          },
-          limit));
+          }));
       return status;
     }
     case IndexType::kHash:
@@ -553,8 +500,7 @@ StatusOr<Relation> Database::IndexLookupAll(const std::string& table_name,
   };
   const int col_index = index.column;
   MMDB_RETURN_IF_ERROR(IndexRangeScanLocked(
-      table, index, pred.literal, /*limit=*/-1,
-      [&](const Row& row) {
+      table, index, pred.literal, [&](const Row& row) {
         clock->Comp();
         if (!qualifies(row[size_t(col_index)])) return false;  // past range
         if (status.ok()) {
@@ -584,24 +530,6 @@ StatusOr<QueryResult> Database::ExecuteWith(const Query& query,
                                             AggStats* agg_stats) {
   return RunQuery(query, catalog(), PlannerOptions(), ctx, this, trace,
                   aggregate, agg_stats);
-}
-
-StatusOr<QueryResult> Database::Execute(const Query& query) {
-  return ExecuteWith(query, &exec_ctx_);
-}
-
-StatusOr<Relation> Database::ExecuteAggregate(const Query& query,
-                                              const AggregateSpec& agg) {
-  MMDB_ASSIGN_OR_RETURN(QueryResult result,
-                        ExecuteWith(query, &exec_ctx_, nullptr, &agg));
-  return std::move(result.relation);
-}
-
-StatusOr<std::string> Database::Explain(const Query& query) {
-  Optimizer optimizer(&catalog(), PlannerOptions());
-  MMDB_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> plan,
-                        optimizer.Optimize(query));
-  return plan->ToString();
 }
 
 bool Database::IsWriteSql(const std::string& sql) {
@@ -717,7 +645,10 @@ StatusOr<Database::SqlResult> Database::ExecuteSqlReadLocked(
   SqlResult result;
   switch (stmt.kind) {
     case ParsedStatement::Kind::kExplain: {
-      MMDB_ASSIGN_OR_RETURN(result.plan_text, Explain(stmt.query));
+      Optimizer optimizer(&catalog(), PlannerOptions());
+      MMDB_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> plan,
+                            optimizer.Optimize(stmt.query));
+      result.plan_text = plan->ToString();
       return result;
     }
     case ParsedStatement::Kind::kExplainAnalyze:
@@ -767,7 +698,7 @@ StatusOr<Database::SqlResult> Database::ExecuteSqlWriteLocked(
   SqlResult result;
   switch (stmt.kind) {
     case ParsedStatement::Kind::kCreateTable: {
-      MMDB_RETURN_IF_ERROR(CreateTable(stmt.table_name, stmt.schema));
+      MMDB_RETURN_IF_ERROR(CreateTableLocked(stmt.table_name, stmt.schema));
       return result;
     }
     case ParsedStatement::Kind::kInsert: {

@@ -38,15 +38,17 @@ namespace mmdb {
 ///  * and an optional transactional plane with group-commit logging,
 ///    fuzzy checkpointing and crash recovery (§5).
 ///
+/// Queries go through SQL only: `ExecuteSql` here, or `server/Server`,
+/// which adds admission control and transaction-scoped table locks on top.
+///
 /// Threading (DESIGN.md §10): `ExecuteSql` is re-entrant — read statements
 /// (SELECT / EXPLAIN [ANALYZE]) run concurrently under a shared
 /// catalog/table latch with statement-local cost clocks and metrics shards
 /// (merged on completion, so totals match a serial run), while write
 /// statements (CREATE TABLE / INSERT / UPDATE) take the latch exclusively.
-/// The other public methods (Execute, Insert, CreateIndex, ...) remain
-/// single-threaded embedded APIs; multi-session traffic goes through
-/// `server/Server`, which adds admission control and transaction-scoped
-/// table locks on top. The transactional plane is fully thread-safe.
+/// So do the data calls outside the dialect (CreateTable, BulkLoad,
+/// CreateIndex), which may therefore run beside SQL statements. The
+/// transactional plane is fully thread-safe.
 ///
 /// Database implements IndexProvider: the planner's IndexScan nodes are
 /// served by the facade's own AVL / B+-tree / hash indexes.
@@ -87,29 +89,19 @@ class Database : public IndexProvider {
   explicit Database(Options options);
 
   // ---- DDL / data ----------------------------------------------------
+  // CreateTable, BulkLoad and CreateIndex take the latch exclusively.
   Status CreateTable(const std::string& name, Schema schema);
-  Status Insert(const std::string& name, Row row);
+  /// Appends every row of `relation`, whose schema must match the table's:
+  /// the bulk form of SQL INSERT.
   Status BulkLoad(const std::string& name, Relation relation);
   StatusOr<const Relation*> GetTable(const std::string& name) const;
 
   // ---- Indexes (§2) ----------------------------------------------------
-  /// Builds an index on `table.column`. kAuto applies the §2 cost model:
-  /// AVL when the memory fraction exceeds the break-even H, else B+-tree.
+  /// Builds an index on `table.column` (there is no CREATE INDEX in the
+  /// SQL dialect). kAuto applies the §2 cost model: AVL when the memory
+  /// fraction exceeds the break-even H, else B+-tree.
   Status CreateIndex(const std::string& table, const std::string& column,
                      IndexType type);
-
-  /// Which index type CreateIndex(kAuto) would pick right now.
-  StatusOr<IndexType> PickIndexType(const std::string& table,
-                                    const std::string& column) const;
-
-  /// Point lookup through the index: returns some row with column == key.
-  StatusOr<Row> IndexLookup(const std::string& table,
-                            const std::string& column, const Value& key);
-
-  /// Ordered scan of up to `limit` rows with column >= low (AVL/B+ only).
-  Status IndexRangeScan(const std::string& table, const std::string& column,
-                        const Value& low, int64_t limit,
-                        const std::function<bool(const Row&)>& fn);
 
   /// IndexProvider: all rows satisfying an equality / prefix restriction,
   /// served from the column's index (used by IndexScan plan nodes). CPU
@@ -119,18 +111,6 @@ class Database : public IndexProvider {
   StatusOr<Relation> IndexLookupAll(const std::string& table,
                                     const Predicate& pred,
                                     ExecContext* ctx = nullptr) override;
-
-  // ---- Queries (§3, §4) ------------------------------------------------
-  /// Optimizes and executes a declarative query.
-  StatusOr<QueryResult> Execute(const Query& query);
-
-  /// Runs a query and hash-aggregates its result (§3.9) as the plan's
-  /// terminal step — the same entry SQL GROUP BY and DISTINCT use.
-  StatusOr<Relation> ExecuteAggregate(const Query& query,
-                                      const AggregateSpec& agg);
-
-  /// The plan that Execute would run, without running it.
-  StatusOr<std::string> Explain(const Query& query);
 
   // ---- SQL front end (db/query_parser.h) --------------------------------
   struct SqlResult {
@@ -296,8 +276,18 @@ class Database : public IndexProvider {
     std::map<std::string, IndexHolder> indexes;
   };
 
+  // Bodies of the DDL / data calls and of SQL writes; the caller holds
+  // latch_ exclusively.
+  Status CreateTableLocked(const std::string& name, Schema schema);
+  /// Appends one row and maintains the table's indexes: the body of SQL
+  /// INSERT and of BulkLoad.
+  Status Insert(const std::string& name, Row row);
+  /// Which index type CreateIndex(kAuto) picks right now.
+  StatusOr<IndexType> PickIndexType(const std::string& table,
+                                    const std::string& column) const;
   Status BuildIndex(TableHolder* table, const std::string& table_name,
                     const std::string& column, IndexType type);
+
   StatusOr<Row> RowByOrdinal(const TableHolder& table, int64_t ordinal) const;
   /// A schema or index set changed: the next catalog use rebuilds.
   void InvalidateCatalog() {
@@ -321,19 +311,20 @@ class Database : public IndexProvider {
   StatusOr<SqlResult> ExecuteSqlWriteLocked(const struct ParsedStatement& stmt);
   Status ExecuteUpdateLocked(const struct ParsedStatement& stmt,
                              int64_t* rows_affected);
-  /// The planner settings every SQL, Execute and Explain path shares.
+  /// The planner settings every SQL statement plans with.
   OptimizerOptions PlannerOptions() const;
   /// Optimize + execute under `ctx`; with `trace` the plan text is the
   /// EXPLAIN ANALYZE rendering, and with `aggregate` the result is grouped
   /// by it (RunQuery).
   StatusOr<QueryResult> ExecuteWith(const Query& query, ExecContext* ctx,
-                                    PlanRunTrace* trace = nullptr,
-                                    const AggregateSpec* aggregate = nullptr,
-                                    AggStats* agg_stats = nullptr);
-  /// Shared body of IndexRangeScan / IndexLookupAll; caller holds the
+                                    PlanRunTrace* trace,
+                                    const AggregateSpec* aggregate,
+                                    AggStats* agg_stats);
+  /// IndexLookupAll's ordered scan (AVL / B+-tree) of the rows whose key
+  /// is >= low, in key order until `fn` returns false; caller holds the
   /// index latch.
   Status IndexRangeScanLocked(const TableHolder& table, IndexHolder& index,
-                              const Value& low, int64_t limit,
+                              const Value& low,
                               const std::function<bool(const Row&)>& fn);
 
   void SyncTxnPlaneMetrics();
@@ -352,9 +343,8 @@ class Database : public IndexProvider {
   std::atomic<bool> catalog_dirty_{true};
   std::atomic<bool> stats_stale_{false};
 
-  /// §10 catalog/table latch: read statements shared, write statements
-  /// exclusive. The public embedded APIs do not take it (single-threaded
-  /// by contract); ExecuteSql does.
+  /// §10 catalog/table latch: read statements shared; write statements,
+  /// CreateTable, BulkLoad and CreateIndex exclusive.
   mutable std::shared_mutex latch_;
   /// Guards the lazy catalog rebuild (exclusive) against concurrent
   /// readers that rebuild too and against write parses (shared), which

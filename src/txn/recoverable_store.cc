@@ -52,22 +52,16 @@ void FirstUpdateTable::SetSlot(int64_t page, Lsn lsn) {
 
 void FirstUpdateTable::RecordUpdate(int64_t page, Lsn lsn) {
   MMDB_DCHECK(page >= 0 && page < num_pages_);
+  if (lsn == kInvalidLsn) return;
   std::unique_lock<std::mutex> lock(mu_);
-  if (Slots()[page] == kInvalidLsn) SetSlot(page, lsn);
+  const Lsn current = Slots()[page];
+  if (current == kInvalidLsn || lsn < current) SetSlot(page, lsn);
 }
 
 void FirstUpdateTable::ResetPage(int64_t page) {
   MMDB_DCHECK(page >= 0 && page < num_pages_);
   std::unique_lock<std::mutex> lock(mu_);
   SetSlot(page, kInvalidLsn);
-}
-
-void FirstUpdateTable::RestoreUpdate(int64_t page, Lsn lsn) {
-  MMDB_DCHECK(page >= 0 && page < num_pages_);
-  if (lsn == kInvalidLsn) return;
-  std::unique_lock<std::mutex> lock(mu_);
-  const Lsn current = Slots()[page];
-  if (current == kInvalidLsn || lsn < current) SetSlot(page, lsn);
 }
 
 Lsn FirstUpdateTable::Get(int64_t page) const {
@@ -229,7 +223,7 @@ Status RecoverableStore::WriteRecord(int64_t record_id, std::string_view value,
   }
   ++stats_.updates;
   lock.unlock();
-  if (fut != nullptr && lsn != kInvalidLsn) fut->RecordUpdate(page, lsn);
+  if (fut != nullptr) fut->RecordUpdate(page, lsn);
   return Status::OK();
 }
 
@@ -357,7 +351,7 @@ Status RecoverableStore::CheckpointPage(int64_t page, FirstUpdateTable* fut,
     lock.lock();
     dirty_pages_.insert(page);
     lock.unlock();
-    if (fut != nullptr) fut->RestoreUpdate(page, old_first);
+    if (fut != nullptr) fut->RecordUpdate(page, old_first);
     return write_status;
   }
   lock.lock();

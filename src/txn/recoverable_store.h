@@ -15,10 +15,11 @@
 
 namespace mmdb {
 
-/// §5.5's stable table: for every page, the LSN of the first update since
-/// the page was last checkpointed ("A table can be placed in stable memory
-/// to record which pages have been updated since their last checkpoint,
-/// and the log record id of the first operation that updated the page").
+/// §5.5's stable table: for every page, the smallest LSN among the
+/// updates since the page was last checkpointed ("A table can be placed
+/// in stable memory to record which pages have been updated since their
+/// last checkpoint, and the log record id of the first operation that
+/// updated the page").
 /// MinLsn() is the point in the log from which recovery must commence.
 ///
 /// The table guards itself against stable-memory bit flips with an
@@ -32,15 +33,16 @@ class FirstUpdateTable {
   FirstUpdateTable(StableMemory* stable, int64_t num_pages,
                    const std::string& region_name = "first_update_table");
 
-  /// Records `lsn` as the page's first update if it is currently clean.
+  /// Notes an update of `page` at `lsn` (no-op for kInvalidLsn): the entry
+  /// becomes min(current, lsn). Updates append their log records and write
+  /// the store with no lock across the two, so after a reset they can
+  /// arrive here out of LSN order; keeping the first call's LSN would let
+  /// recovery skip an earlier update's redo. A failed checkpoint write
+  /// re-arms the page's pre-reset entry through this too.
   void RecordUpdate(int64_t page, Lsn lsn);
 
   /// Checkpoint of `page` completed: reset its update status.
   void ResetPage(int64_t page);
-
-  /// Re-arms `page` after a failed checkpoint write: the entry becomes
-  /// min(current, lsn) so recovery still scans from the pre-reset point.
-  void RestoreUpdate(int64_t page, Lsn lsn);
 
   /// First-update LSN of `page`, or kInvalidLsn when clean.
   Lsn Get(int64_t page) const;

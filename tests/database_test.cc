@@ -14,24 +14,29 @@ namespace {
 class DatabaseTest : public ::testing::Test {
  protected:
   DatabaseTest() {
-    MMDB_CHECK(db_.CreateTable("emp", Schema({Column::Int64("emp_id"),
-                                              Column::Char("name", 20),
-                                              Column::Int64("dept"),
-                                              Column::Double("salary")}))
-                   .ok());
-    MMDB_CHECK(db_.CreateTable("dept", Schema({Column::Int64("dept_id"),
-                                               Column::Char("dname", 12)}))
-                   .ok());
+    Relation emp(Schema({Column::Int64("emp_id"), Column::Char("name", 20),
+                         Column::Int64("dept"), Column::Double("salary")}));
+    Relation dept(
+        Schema({Column::Int64("dept_id"), Column::Char("dname", 12)}));
+    MMDB_CHECK(db_.CreateTable("emp", emp.schema()).ok());
+    MMDB_CHECK(db_.CreateTable("dept", dept.schema()).ok());
     for (int64_t d = 0; d < 5; ++d) {
-      MMDB_CHECK(db_.Insert("dept", {d, "dept" + std::to_string(d)}).ok());
+      dept.Add({d, "dept" + std::to_string(d)});
     }
     Random rng(9);
     for (int64_t i = 0; i < 500; ++i) {
-      MMDB_CHECK(db_.Insert("emp", {i, "name" + std::to_string(i),
-                                    static_cast<int64_t>(rng.Uniform(5)),
-                                    1000.0 + double(i)})
-                     .ok());
+      emp.Add({i, "name" + std::to_string(i),
+               static_cast<int64_t>(rng.Uniform(5)), 1000.0 + double(i)});
     }
+    MMDB_CHECK(db_.BulkLoad("dept", std::move(dept)).ok());
+    MMDB_CHECK(db_.BulkLoad("emp", std::move(emp)).ok());
+  }
+
+  /// Runs one statement, which must succeed.
+  Database::SqlResult Sql(const std::string& sql) {
+    StatusOr<Database::SqlResult> result = db_.ExecuteSql(sql);
+    EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    return result.ok() ? std::move(*result) : Database::SqlResult{};
   }
 
   Database db_;
@@ -42,11 +47,18 @@ TEST_F(DatabaseTest, DdlErrors) {
             StatusCode::kAlreadyExists);
   EXPECT_EQ(db_.CreateTable("empty", Schema(std::vector<Column>{})).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(db_.Insert("nope", {}).code(), StatusCode::kNotFound);
-  EXPECT_EQ(db_.Insert("dept", {Value{int64_t{1}}}).code(),
+  EXPECT_EQ(db_.ExecuteSql("INSERT INTO nope VALUES (1)").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(db_.ExecuteSql("INSERT INTO dept VALUES (1)").status().code(),
             StatusCode::kInvalidArgument);  // arity
-  EXPECT_EQ(db_.Insert("dept", {Value{1.5}, Value{std::string("x")}}).code(),
-            StatusCode::kInvalidArgument);  // type
+  EXPECT_EQ(
+      db_.ExecuteSql("INSERT INTO dept VALUES (1.5, 'x')").status().code(),
+      StatusCode::kInvalidArgument);  // type
+  const Schema dept_schema = (*db_.GetTable("dept"))->schema();
+  EXPECT_EQ(db_.BulkLoad("nope", Relation(dept_schema)).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(db_.BulkLoad("emp", Relation(dept_schema)).code(),
+            StatusCode::kInvalidArgument);  // schema
 }
 
 TEST_F(DatabaseTest, IndexLookupAllTypes) {
@@ -55,53 +67,39 @@ TEST_F(DatabaseTest, IndexLookupAllTypes) {
   ASSERT_TRUE(db_.CreateIndex("emp", "name", Database::IndexType::kAvl).ok());
   ASSERT_TRUE(db_.CreateIndex("emp", "dept", Database::IndexType::kHash).ok());
 
-  auto by_id = db_.IndexLookup("emp", "emp_id", Value{int64_t{123}});
-  ASSERT_TRUE(by_id.ok());
-  EXPECT_EQ(std::get<int64_t>((*by_id)[0]), 123);
+  Database::SqlResult by_id = Sql("SELECT * FROM emp WHERE emp_id = 123");
+  EXPECT_NE(by_id.plan_text.find("IndexScan[btree]"), std::string::npos);
+  ASSERT_EQ(by_id.relation.num_tuples(), 1);
+  EXPECT_EQ(std::get<int64_t>(by_id.relation.rows()[0][0]), 123);
 
-  auto by_name = db_.IndexLookup("emp", "name", Value{std::string("name77")});
-  ASSERT_TRUE(by_name.ok());
-  EXPECT_EQ(std::get<int64_t>((*by_name)[0]), 77);
+  Database::SqlResult by_name = Sql("SELECT * FROM emp WHERE name = 'name77'");
+  EXPECT_NE(by_name.plan_text.find("IndexScan[avl]"), std::string::npos);
+  ASSERT_EQ(by_name.relation.num_tuples(), 1);
+  EXPECT_EQ(std::get<int64_t>(by_name.relation.rows()[0][0]), 77);
 
-  auto by_dept = db_.IndexLookup("emp", "dept", Value{int64_t{3}});
-  ASSERT_TRUE(by_dept.ok());
-  EXPECT_EQ(std::get<int64_t>((*by_dept)[2]), 3);
+  Database::SqlResult by_dept = Sql("SELECT * FROM emp WHERE dept = 3");
+  EXPECT_NE(by_dept.plan_text.find("IndexScan[hash]"), std::string::npos);
+  ASSERT_GT(by_dept.relation.num_tuples(), 0);
+  for (const Row& row : by_dept.relation.rows()) {
+    EXPECT_EQ(std::get<int64_t>(row[2]), 3);
+  }
 
-  EXPECT_EQ(db_.IndexLookup("emp", "emp_id", Value{int64_t{9999}})
-                .status()
-                .code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(db_.IndexLookup("emp", "salary", Value{1.0}).status().code(),
-            StatusCode::kNotFound);  // no index on salary
+  EXPECT_EQ(Sql("SELECT * FROM emp WHERE emp_id = 9999").relation.num_tuples(),
+            0);
+  // No index on salary: a scan answers instead.
+  Database::SqlResult by_salary = Sql("SELECT * FROM emp WHERE salary = 1.0");
+  EXPECT_EQ(by_salary.plan_text.find("IndexScan"), std::string::npos);
+  EXPECT_EQ(by_salary.relation.num_tuples(), 0);
 }
 
 TEST_F(DatabaseTest, IndexesMaintainedByLaterInserts) {
   ASSERT_TRUE(db_.CreateIndex("emp", "emp_id",
                               Database::IndexType::kBTree).ok());
-  ASSERT_TRUE(db_.Insert("emp", {int64_t{100000}, std::string("late"),
-                                 int64_t{1}, 9.0})
-                  .ok());
-  auto row = db_.IndexLookup("emp", "emp_id", Value{int64_t{100000}});
-  ASSERT_TRUE(row.ok());
-  EXPECT_EQ(std::get<std::string>((*row)[1]), "late");
-}
-
-TEST_F(DatabaseTest, IndexRangeScanOrdered) {
-  ASSERT_TRUE(db_.CreateIndex("emp", "emp_id", Database::IndexType::kAvl).ok());
-  std::vector<int64_t> ids;
-  ASSERT_TRUE(db_.IndexRangeScan("emp", "emp_id", Value{int64_t{490}}, 5,
-                                 [&](const Row& row) {
-                                   ids.push_back(std::get<int64_t>(row[0]));
-                                   return true;
-                                 })
-                  .ok());
-  EXPECT_EQ(ids, (std::vector<int64_t>{490, 491, 492, 493, 494}));
-  // Hash indexes refuse ordered scans.
-  ASSERT_TRUE(db_.CreateIndex("emp", "dept", Database::IndexType::kHash).ok());
-  EXPECT_EQ(db_.IndexRangeScan("emp", "dept", Value{int64_t{0}}, 1,
-                               [](const Row&) { return true; })
-                .code(),
-            StatusCode::kFailedPrecondition);
+  Sql("INSERT INTO emp VALUES (100000, 'late', 1, 9.0)");
+  Database::SqlResult row = Sql("SELECT name FROM emp WHERE emp_id = 100000");
+  EXPECT_NE(row.plan_text.find("IndexScan[btree]"), std::string::npos);
+  ASSERT_EQ(row.relation.num_tuples(), 1);
+  EXPECT_EQ(std::get<std::string>(row.relation.rows()[0][0]), "late");
 }
 
 TEST_F(DatabaseTest, AutoIndexFollowsSection2Model) {
@@ -112,55 +110,46 @@ TEST_F(DatabaseTest, AutoIndexFollowsSection2Model) {
   Relation emp = MakeEmployeeRelation(2000, 64, 1);
   ASSERT_TRUE(rich.CreateTable("emp", emp.schema()).ok());
   ASSERT_TRUE(rich.BulkLoad("emp", emp).ok());
-  auto pick = rich.PickIndexType("emp", "emp_id");
-  ASSERT_TRUE(pick.ok());
-  EXPECT_EQ(*pick, Database::IndexType::kAvl);
+  ASSERT_TRUE(
+      rich.CreateIndex("emp", "emp_id", Database::IndexType::kAuto).ok());
+  const IndexInfo* picked = rich.catalog().FindIndex("emp", "emp_id");
+  ASSERT_NE(picked, nullptr);
+  EXPECT_EQ(picked->kind, IndexKind::kAvl);
 
   Database::Options tiny;
   tiny.buffer_pool_pages = 4;
   Database poor(tiny);
   ASSERT_TRUE(poor.CreateTable("emp", emp.schema()).ok());
   ASSERT_TRUE(poor.BulkLoad("emp", emp).ok());
-  pick = poor.PickIndexType("emp", "emp_id");
-  ASSERT_TRUE(pick.ok());
-  EXPECT_EQ(*pick, Database::IndexType::kBTree);
+  ASSERT_TRUE(
+      poor.CreateIndex("emp", "emp_id", Database::IndexType::kAuto).ok());
+  picked = poor.catalog().FindIndex("emp", "emp_id");
+  ASSERT_NE(picked, nullptr);
+  EXPECT_EQ(picked->kind, IndexKind::kBTree);
 }
 
 TEST_F(DatabaseTest, QueryJoinFilterProject) {
-  Query q;
-  q.tables = {"emp", "dept"};
-  q.joins = {{ColumnRef{"emp", "dept"}, ColumnRef{"dept", "dept_id"}}};
-  q.filters = {{"emp", "salary", CmpOp::kGe, Value{1400.0}}};
-  q.select_columns = {{"emp", "emp_id"}, {"dept", "dname"}};
-  auto result = db_.Execute(q);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->relation.num_tuples(), 100);  // salaries 1400..1499
-  EXPECT_EQ(result->relation.schema().num_columns(), 2);
-  EXPECT_NE(result->plan_text.find("hybrid-hash"), std::string::npos);
+  Database::SqlResult result =
+      Sql("SELECT emp.emp_id, dept.dname FROM emp, dept "
+          "WHERE emp.dept = dept.dept_id AND emp.salary >= 1400.0");
+  EXPECT_EQ(result.relation.num_tuples(), 100);  // salaries 1400..1499
+  EXPECT_EQ(result.relation.schema().num_columns(), 2);
+  EXPECT_NE(result.plan_text.find("hybrid-hash"), std::string::npos);
 }
 
 TEST_F(DatabaseTest, ExecuteAggregateGroupsQueryResult) {
-  Query q;
-  q.tables = {"emp"};
-  AggregateSpec agg;
-  agg.group_by = {2};  // dept
-  agg.aggregates.push_back({AggFn::kCount, 0, "n"});
-  auto out = db_.ExecuteAggregate(q, agg);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->num_tuples(), 5);
+  Database::SqlResult out = Sql("SELECT dept, COUNT(*) FROM emp GROUP BY dept");
+  EXPECT_EQ(out.relation.num_tuples(), 5);
   int64_t total = 0;
-  for (const Row& row : out->rows()) total += std::get<int64_t>(row[1]);
+  for (const Row& row : out.relation.rows()) total += std::get<int64_t>(row[1]);
   EXPECT_EQ(total, 500);
 }
 
 TEST_F(DatabaseTest, ExplainWithoutExecuting) {
-  Query q;
-  q.tables = {"emp"};
-  q.filters = {{"emp", "dept", CmpOp::kEq, Value{int64_t{0}}}};
-  auto plan = db_.Explain(q);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_NE(plan->find("Filter"), std::string::npos);
-  EXPECT_NE(plan->find("Scan(emp)"), std::string::npos);
+  Database::SqlResult plan = Sql("EXPLAIN SELECT * FROM emp WHERE dept = 0");
+  EXPECT_NE(plan.plan_text.find("Filter"), std::string::npos);
+  EXPECT_NE(plan.plan_text.find("Scan(emp)"), std::string::npos);
+  EXPECT_EQ(plan.relation.num_tuples(), 0);
 }
 
 TEST_F(DatabaseTest, TransactionsRequireEnabling) {
@@ -194,9 +183,7 @@ TEST_F(DatabaseTest, EndToEndCrashRecoveryThroughFacade) {
   ASSERT_TRUE(db_.recoverable_store()->ReadRecord(42, &out).ok());
   EXPECT_EQ(out, value);
   // Query plane is unaffected by the crash of the txn plane.
-  Query q;
-  q.tables = {"dept"};
-  EXPECT_TRUE(db_.Execute(q).ok());
+  EXPECT_EQ(Sql("SELECT * FROM dept").relation.num_tuples(), 5);
 }
 
 TEST_F(DatabaseTest, SqlCommitIdsStayDisjointFromRecordPlaneAcrossRecovery) {
@@ -239,14 +226,10 @@ TEST_F(DatabaseTest, SqlCommitIdsStayDisjointFromRecordPlaneAcrossRecovery) {
 }
 
 TEST_F(DatabaseTest, ClockAccumulatesAcrossQueries) {
-  Query q;
-  q.tables = {"emp"};
-  q.filters = {{"emp", "dept", CmpOp::kEq, Value{int64_t{1}}}};
   const double before = db_.clock()->Seconds();
-  ASSERT_TRUE(db_.Execute(q).ok());
+  Sql("SELECT * FROM emp WHERE dept = 1");
   EXPECT_GT(db_.clock()->Seconds(), before);
 }
-
 
 TEST_F(DatabaseTest, PlannerUsesIndexesForSelectiveRestrictions) {
   ASSERT_TRUE(db_.CreateIndex("emp", "emp_id",
@@ -255,65 +238,47 @@ TEST_F(DatabaseTest, PlannerUsesIndexesForSelectiveRestrictions) {
   ASSERT_TRUE(db_.CreateIndex("emp", "dept", Database::IndexType::kHash).ok());
 
   // Equality on the B+-tree column.
-  Query q;
-  q.tables = {"emp"};
-  q.filters = {{"emp", "emp_id", CmpOp::kEq, Value{int64_t{77}}}};
-  auto plan = db_.Explain(q);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_NE(plan->find("IndexScan[btree]"), std::string::npos) << *plan;
-  auto result = db_.Execute(q);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->relation.num_tuples(), 1);
-  EXPECT_EQ(std::get<int64_t>(result->relation.rows()[0][0]), 77);
+  const std::string q = "SELECT * FROM emp WHERE emp_id = 77";
+  const std::string plan = Sql("EXPLAIN " + q).plan_text;
+  EXPECT_NE(plan.find("IndexScan[btree]"), std::string::npos) << plan;
+  Database::SqlResult result = Sql(q);
+  ASSERT_EQ(result.relation.num_tuples(), 1);
+  EXPECT_EQ(std::get<int64_t>(result.relation.rows()[0][0]), 77);
 
   // Equality on the hash column: many matches, all returned.
-  Query q2;
-  q2.tables = {"emp"};
-  q2.filters = {{"emp", "dept", CmpOp::kEq, Value{int64_t{2}}}};
-  auto plan2 = db_.Explain(q2);
-  ASSERT_TRUE(plan2.ok());
-  EXPECT_NE(plan2->find("IndexScan[hash]"), std::string::npos) << *plan2;
-  auto r2 = db_.Execute(q2);
-  ASSERT_TRUE(r2.ok());
+  const std::string q2 = "SELECT * FROM emp WHERE dept = 2";
+  const std::string plan2 = Sql("EXPLAIN " + q2).plan_text;
+  EXPECT_NE(plan2.find("IndexScan[hash]"), std::string::npos) << plan2;
+  Database::SqlResult r2 = Sql(q2);
   int64_t expected = 0;
   for (const Row& row : (*db_.GetTable("emp"))->rows()) {
     if (std::get<int64_t>(row[2]) == 2) ++expected;
   }
-  EXPECT_EQ(r2->relation.num_tuples(), expected);
+  EXPECT_EQ(r2.relation.num_tuples(), expected);
 
   // Prefix on the AVL (ordered) column.
-  Query q3;
-  q3.tables = {"emp"};
-  q3.filters = {{"emp", "name", CmpOp::kPrefix, Value{std::string("name4")}}};
-  auto plan3 = db_.Explain(q3);
-  ASSERT_TRUE(plan3.ok());
-  EXPECT_NE(plan3->find("IndexScan[avl]"), std::string::npos) << *plan3;
-  auto r3 = db_.Execute(q3);
-  ASSERT_TRUE(r3.ok());
+  const std::string q3 = "SELECT * FROM emp WHERE name LIKE 'name4%'";
+  const std::string plan3 = Sql("EXPLAIN " + q3).plan_text;
+  EXPECT_NE(plan3.find("IndexScan[avl]"), std::string::npos) << plan3;
   // name4, name40..name49, name400..name499: 111 matches.
-  EXPECT_EQ(r3->relation.num_tuples(), 111);
+  EXPECT_EQ(Sql(q3).relation.num_tuples(), 111);
 }
 
 TEST_F(DatabaseTest, IndexScanResultsMatchFullScan) {
   // Same query with and without indexes must agree; residual predicates
   // still apply above the IndexScan.
-  Query q;
-  q.tables = {"emp", "dept"};
-  q.joins = {{ColumnRef{"emp", "dept"}, ColumnRef{"dept", "dept_id"}}};
-  q.filters = {{"emp", "dept", CmpOp::kEq, Value{int64_t{1}}},
-               {"emp", "salary", CmpOp::kGe, Value{1200.0}}};
-  q.select_columns = {{"emp", "emp_id"}, {"dept", "dname"}};
-  auto before = db_.Execute(q);
-  ASSERT_TRUE(before.ok());
+  const std::string q =
+      "SELECT emp.emp_id, dept.dname FROM emp, dept "
+      "WHERE emp.dept = dept.dept_id AND emp.dept = 1 "
+      "AND emp.salary >= 1200.0";
+  Database::SqlResult before = Sql(q);
   ASSERT_TRUE(db_.CreateIndex("emp", "dept", Database::IndexType::kHash).ok());
-  auto after = db_.Execute(q);
-  ASSERT_TRUE(after.ok());
-  EXPECT_NE(after->plan_text.find("IndexScan"), std::string::npos);
+  Database::SqlResult after = Sql(q);
+  EXPECT_NE(after.plan_text.find("IndexScan"), std::string::npos);
   std::multiset<std::string> a, b;
-  for (const Row& row : before->relation.rows()) a.insert(RowToString(row));
-  for (const Row& row : after->relation.rows()) b.insert(RowToString(row));
+  for (const Row& row : before.relation.rows()) a.insert(RowToString(row));
+  for (const Row& row : after.relation.rows()) b.insert(RowToString(row));
   EXPECT_EQ(a, b);
-  // The indexed execution does strictly less comparison work.
 }
 
 // INSERT marks only the statistics stale; the first planning statement
@@ -374,9 +339,11 @@ TEST(SqlCatalogConcurrencyTest, InsertsBesideReadersThatRebuildStatistics) {
   // Enough rows that each statistics rebuild takes a while, so write
   // parses land inside it.
   constexpr int64_t kPreloaded = 5000;
+  Relation preload((*db.GetTable("t"))->schema());
   for (int64_t k = 0; k < kPreloaded; ++k) {
-    ASSERT_TRUE(db.Insert("t", {Value{-1 - k}, Value{k % 5}}).ok());
+    preload.Add({Value{-1 - k}, Value{k % 5}});
   }
+  ASSERT_TRUE(db.BulkLoad("t", std::move(preload)).ok());
   constexpr int kWriters = 2;
   constexpr int kInsertsEach = 100;
   std::atomic<int> writers_left{kWriters};
@@ -409,6 +376,60 @@ TEST(SqlCatalogConcurrencyTest, InsertsBesideReadersThatRebuildStatistics) {
   EXPECT_EQ(all->relation.num_tuples(), kWriters * kInsertsEach + 1000);
   EXPECT_EQ((*db.catalog().Lookup("t"))->stats.num_tuples,
             kPreloaded + kWriters * kInsertsEach);
+}
+
+// CreateIndex and BulkLoad take the latch exclusively, so they may run
+// beside SQL statements on other threads (TSan checks). The readers'
+// point SELECT on t turns into an IndexScan once the index lands, and
+// their scans of u see whole batches only.
+TEST(SqlCatalogConcurrencyTest, CreateIndexAndBulkLoadBesideReaders) {
+  Database db;
+  ASSERT_TRUE(db.ExecuteSql("CREATE TABLE t (k INT64, v INT64)").ok());
+  ASSERT_TRUE(db.ExecuteSql("CREATE TABLE u (k INT64, v INT64)").ok());
+  const Schema schema = (*db.GetTable("t"))->schema();
+  constexpr int64_t kRows = 2000;
+  Relation rows(schema);
+  for (int64_t k = 0; k < kRows; ++k) rows.Add({Value{k}, Value{k % 5}});
+  ASSERT_TRUE(db.BulkLoad("t", std::move(rows)).ok());
+
+  constexpr int kBatches = 20;
+  constexpr int64_t kBatchRows = 100;
+  std::atomic<bool> done{false};
+  std::atomic<int> reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load()) {
+        auto point = db.ExecuteSql("SELECT v FROM t WHERE k = 7");
+        EXPECT_TRUE(point.ok() && point->relation.num_tuples() == 1);
+        auto scan = db.ExecuteSql("SELECT k FROM t WHERE v = 3");
+        EXPECT_TRUE(scan.ok() && scan->relation.num_tuples() == kRows / 5);
+        auto loaded = db.ExecuteSql("SELECT k FROM u");
+        EXPECT_TRUE(loaded.ok() &&
+                    loaded->relation.num_tuples() % kBatchRows == 0);
+        ++reads;
+      }
+    });
+  }
+  while (reads.load() < 2) std::this_thread::yield();
+  EXPECT_TRUE(db.CreateIndex("t", "k", Database::IndexType::kBTree).ok());
+  for (int b = 0; b < kBatches; ++b) {
+    Relation batch(schema);
+    for (int64_t i = 0; i < kBatchRows; ++i) {
+      batch.Add({Value{b * kBatchRows + i}, Value{i % 5}});
+    }
+    EXPECT_TRUE(db.BulkLoad("u", std::move(batch)).ok());
+  }
+  done = true;
+  for (std::thread& t : readers) t.join();
+
+  auto plan = db.ExecuteSql("EXPLAIN SELECT v FROM t WHERE k = 7");
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan->plan_text.find("IndexScan[btree]"), std::string::npos)
+      << plan->plan_text;
+  auto loaded = db.ExecuteSql("SELECT k FROM u");
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded->relation.num_tuples(), kBatches * kBatchRows);
 }
 
 }  // namespace

@@ -196,6 +196,47 @@ TEST_F(RecoveryTest, CheckpointBoundsLogScan) {
   EXPECT_GT(without_fut.redo_applied, 40);
 }
 
+TEST_F(RecoveryTest, FirstUpdateTableKeepsOldestOfOutOfOrderUpdates) {
+  // Two transactions update one page. Each appends its log record and then
+  // writes the store, with no lock across the two steps, so a checkpoint
+  // can reset the page's first-update entry between the appends (a < b)
+  // and the writes, which then land in reverse order. The snapshot copy
+  // holds neither update, so the entry must end at a: keeping b would let
+  // recovery skip a's redo.
+  const int64_t ra = 0;
+  const int64_t rb = 1;
+  const int64_t page = store_.PageOf(ra);
+  ASSERT_EQ(store_.PageOf(rb), page);
+  auto append_update = [&](TxnId txn, int64_t record,
+                           const std::string& value) {
+    LogRecord rec;
+    rec.type = LogRecordType::kUpdate;
+    rec.txn_id = txn;
+    rec.record_id = record;
+    rec.old_value = ReadRecord(record);
+    rec.new_value = Val(value);
+    return wal_->Append(rec);
+  };
+  const Lsn a = append_update(1, ra, "a");
+  const Lsn b = append_update(2, rb, "b");
+  ASSERT_LT(a, b);
+  ASSERT_TRUE(store_.CheckpointPage(page, &fut_, wal_.get()).ok());
+  ASSERT_TRUE(store_.WriteRecord(rb, Val("b"), b, &fut_).ok());
+  ASSERT_TRUE(store_.WriteRecord(ra, Val("a"), a, &fut_).ok());
+  EXPECT_EQ(fut_.Get(page), a);
+  for (TxnId txn : {TxnId{1}, TxnId{2}}) {
+    LogRecord commit;
+    commit.type = LogRecordType::kCommit;
+    commit.txn_id = txn;
+    wal_->AppendCommit(commit, {});
+    wal_->WaitCommitDurable(txn);
+  }
+  Crash();
+  Recover();
+  EXPECT_EQ(ReadRecord(ra), Val("a"));
+  EXPECT_EQ(ReadRecord(rb), Val("b"));
+}
+
 TEST_F(RecoveryTest, DoubleCrashRightAfterRecoveryLosesNothing) {
   // The end-of-recovery checkpoint persists redone state, so a second
   // crash before any new activity still recovers fully.
