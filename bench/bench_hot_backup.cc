@@ -190,12 +190,12 @@ double RunWithBackups(int64_t accounts, milliseconds duration,
   r->recovered_twin_identical =
       StoresIdentical(db.recoverable_store(), &dest.store);
 
-  const BackupManager::Stats stats = db.backup()->stats();
-  r->backups_taken = stats.backups_taken;
-  r->incremental_backups = stats.incremental_backups;
-  r->pages_copied = stats.pages_copied;
-  r->pages_skipped = stats.pages_skipped;
-  r->log_records_captured = stats.log_records_captured;
+  const MetricsRegistry& metrics = *db.metrics();
+  r->backups_taken = metrics.Get("backup.backups_taken");
+  r->incremental_backups = metrics.Get("backup.incremental_backups");
+  r->pages_copied = metrics.Get("backup.pages_copied");
+  r->pages_skipped = metrics.Get("backup.pages_skipped");
+  r->log_records_captured = metrics.Get("backup.log_records_captured");
   r->primary_metrics = db.MetricsJson();
   return run.tps;
 }

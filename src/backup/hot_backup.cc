@@ -9,8 +9,17 @@
 namespace mmdb {
 
 BackupManager::BackupManager(RecoverableStore* store, Wal* wal,
-                             TransactionManager* tm)
-    : store_(store), wal_(wal), tm_(tm) {}
+                             TransactionManager* tm, MetricsRegistry* metrics)
+    : store_(store),
+      wal_(wal),
+      tm_(tm),
+      counters_(metrics, "backup",
+                {{kBackupsTaken, "backups_taken"},
+                 {kIncrementalBackups, "incremental_backups"},
+                 {kPagesCopied, "pages_copied"},
+                 {kPagesSkipped, "pages_skipped"},
+                 {kLogRecordsCaptured, "log_records_captured"},
+                 {kLastEndLsn, "last_end_lsn"}}) {}
 
 StatusOr<Lsn> BackupManager::EndLsnOf(int64_t backup_id) const {
   std::unique_lock<std::mutex> lock(mu_);
@@ -91,14 +100,14 @@ StatusOr<BackupImage> BackupManager::RunHotBackup(
   {
     std::unique_lock<std::mutex> lock(mu_);
     end_lsns_[img.backup_id] = img.end_lsn;
-    ++stats_.backups_taken;
-    if (!img.is_full()) ++stats_.incremental_backups;
-    stats_.pages_copied += copied;
-    stats_.pages_skipped += skipped;
-    stats_.log_records_captured +=
-        static_cast<int64_t>(img.log_window.size());
-    stats_.last_end_lsn = img.end_lsn;
+    counters_.Set(kLastEndLsn, img.end_lsn);
   }
+  counters_.Add(kBackupsTaken);
+  if (!img.is_full()) counters_.Add(kIncrementalBackups);
+  counters_.Add(kPagesCopied, copied);
+  counters_.Add(kPagesSkipped, skipped);
+  counters_.Add(kLogRecordsCaptured,
+                static_cast<int64_t>(img.log_window.size()));
   return img;
 }
 
@@ -188,11 +197,6 @@ Status BackupManager::RestoreChain(
   }
   if (fut != nullptr) fut->Clear();
   return Status::OK();
-}
-
-BackupManager::Stats BackupManager::stats() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return stats_;
 }
 
 }  // namespace mmdb

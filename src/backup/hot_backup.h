@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "txn/log_record.h"
 #include "txn/recoverable_store.h"
@@ -80,20 +81,15 @@ struct RestoreOptions {
 /// of them into a fresh store. Thread-safe; backups run concurrently with
 /// foreground transactions (the only lock shared with traffic is the
 /// store's page mutex, held per page copy).
+///
+/// Counts "backup.*" into the registry passed at construction (a private
+/// one when null).
 class BackupManager {
  public:
-  struct Stats {
-    int64_t backups_taken = 0;
-    int64_t incremental_backups = 0;
-    int64_t pages_copied = 0;
-    int64_t pages_skipped = 0;  ///< unchanged pages an incremental skipped
-    int64_t log_records_captured = 0;
-    Lsn last_end_lsn = 0;
-  };
-
   /// All borrowed; `tm` may be null (then no active-txn lower bound is
   /// applied — only safe when no transactions run during the backup).
-  BackupManager(RecoverableStore* store, Wal* wal, TransactionManager* tm);
+  BackupManager(RecoverableStore* store, Wal* wal, TransactionManager* tm,
+                MetricsRegistry* metrics = nullptr);
 
   /// Takes an online backup: pages are copied from the live image while
   /// sessions run; the log window that repairs cross-page fuzziness is
@@ -116,7 +112,7 @@ class BackupManager {
   /// Known backup ids and their end LSNs (for incremental chaining).
   StatusOr<Lsn> EndLsnOf(int64_t backup_id) const;
 
-  Stats stats() const;
+  MetricsRegistry* metrics() const { return counters_.registry(); }
 
  private:
   RecoverableStore* store_;
@@ -126,7 +122,11 @@ class BackupManager {
   std::atomic<int64_t> next_backup_id_{1};
   mutable std::mutex mu_;
   std::map<int64_t, Lsn> end_lsns_;  ///< backup id -> end fence
-  Stats stats_;
+
+  enum Counter { kBackupsTaken, kIncrementalBackups, kPagesCopied,
+                 kPagesSkipped, kLogRecordsCaptured, kLastEndLsn,
+                 kNumCounters };
+  MetricCounters<kNumCounters> counters_;
 };
 
 }  // namespace mmdb

@@ -35,7 +35,15 @@ std::string_view IndexTag(IndexKind k) {
 
 ReuseCache::ReuseCache() : ReuseCache(Options()) {}
 
-ReuseCache::ReuseCache(Options options) : options_(options) {}
+ReuseCache::ReuseCache(Options options, MetricsRegistry* metrics)
+    : options_(options),
+      counters_(metrics, "cache.reuse",
+                {{kHits, "hits"}, {kMisses, "misses"},
+                 {kBuildHits, "build_hits"}, {kInstalls, "installs"},
+                 {kRejected, "rejected"}, {kEvictions, "evictions"},
+                 {kInvalidations, "invalidations"},
+                 {kInvalidatedEntries, "invalidated_entries"},
+                 {kBytes, "bytes"}, {kEntries, "entries"}}) {}
 
 void ReuseCache::SetEnvTag(std::string tag) { env_tag_ = std::move(tag); }
 
@@ -48,7 +56,7 @@ uint64_t ReuseCache::TableVersion(const std::string& table) const {
 void ReuseCache::InvalidateTable(const std::string& table) {
   std::lock_guard<std::mutex> lock(mu_);
   ++versions_[table];
-  ++stats_.invalidations;
+  counters_.Add(kInvalidations);
   auto it = by_table_.find(table);
   if (it == by_table_.end()) return;
   // EraseLocked mutates by_table_; detach the key set first.
@@ -57,7 +65,7 @@ void ReuseCache::InvalidateTable(const std::string& table) {
   for (const std::string& key : keys) {
     if (entries_.count(key)) {
       EraseLocked(key);
-      ++stats_.invalidated_entries;
+      counters_.Add(kInvalidatedEntries);
     }
   }
 }
@@ -217,10 +225,10 @@ std::shared_ptr<const Relation> ReuseCache::LookupResult(
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(fp);
   if (it == entries_.end() || it->second.result == nullptr) {
-    ++stats_.misses;
+    counters_.Add(kMisses);
     return nullptr;
   }
-  ++stats_.hits;
+  counters_.Add(kHits);
   it->second.tick = ++tick_;
   return it->second.result;
 }
@@ -276,11 +284,11 @@ std::shared_ptr<const CachedBuild> ReuseCache::LookupBuild(
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(BuildKey(build_fp, key_column));
   if (it == entries_.end() || it->second.build == nullptr) {
-    ++stats_.misses;
+    counters_.Add(kMisses);
     return nullptr;
   }
-  ++stats_.hits;
-  ++stats_.build_hits;
+  counters_.Add(kHits);
+  counters_.Add(kBuildHits);
   it->second.tick = ++tick_;
   return it->second.build;
 }
@@ -309,7 +317,7 @@ bool ReuseCache::RefusedLocked(int64_t bytes, double cost_seconds) {
                           : options_.budget_bytes / 4;
   if (cost_seconds < options_.min_cost_seconds || bytes > cap ||
       bytes > options_.budget_bytes) {
-    ++stats_.rejected;
+    counters_.Add(kRejected);
     return true;
   }
   return false;
@@ -327,7 +335,7 @@ bool ReuseCache::AdmitLocked(const std::string& key, Entry entry) {
     if (d < density) reclaimable += e.bytes;
   }
   if (reclaimable < entry.bytes) {
-    ++stats_.rejected;
+    counters_.Add(kRejected);
     return false;
   }
   if (entries_.count(key)) EraseLocked(key);  // refresh in place
@@ -335,7 +343,7 @@ bool ReuseCache::AdmitLocked(const std::string& key, Entry entry) {
   bytes_ += entry.bytes;
   for (const std::string& t : entry.tables) by_table_[t].insert(key);
   entries_[key] = std::move(entry);
-  ++stats_.installs;
+  counters_.Add(kInstalls);
   // Evict worst-density (oldest-tick tie-break) entries until the budget
   // holds. The new entry is protected: admission proved the math above.
   while (bytes_ > options_.budget_bytes) {
@@ -353,8 +361,10 @@ bool ReuseCache::AdmitLocked(const std::string& key, Entry entry) {
     }
     if (victim.empty()) break;
     EraseLocked(victim);
-    ++stats_.evictions;
+    counters_.Add(kEvictions);
   }
+  counters_.Set(kBytes, bytes_);
+  counters_.Set(kEntries, static_cast<int64_t>(entries_.size()));
   return true;
 }
 
@@ -370,13 +380,22 @@ void ReuseCache::EraseLocked(const std::string& key) {
     }
   }
   entries_.erase(it);
+  counters_.Set(kBytes, bytes_);
+  counters_.Set(kEntries, static_cast<int64_t>(entries_.size()));
 }
 
 ReuseCache::Stats ReuseCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Stats s = stats_;
-  s.bytes = bytes_;
-  s.entries = static_cast<int64_t>(entries_.size());
+  Stats s;
+  s.hits = counters_.Get(kHits);
+  s.misses = counters_.Get(kMisses);
+  s.build_hits = counters_.Get(kBuildHits);
+  s.installs = counters_.Get(kInstalls);
+  s.rejected = counters_.Get(kRejected);
+  s.evictions = counters_.Get(kEvictions);
+  s.invalidations = counters_.Get(kInvalidations);
+  s.invalidated_entries = counters_.Get(kInvalidatedEntries);
+  s.bytes = counters_.Get(kBytes);
+  s.entries = counters_.Get(kEntries);
   return s;
 }
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "common/metrics.h"
 #include "exec/join.h"
 #include "optimizer/plan.h"
 #include "storage/relation.h"
@@ -53,6 +54,9 @@ struct CachedBuild {
 /// guards the maps, and entries are handed out as shared_ptr<const ...> so
 /// an invalidation or eviction never yanks data from under an in-flight
 /// reader.
+///
+/// Counts "cache.reuse.*" into the registry passed at construction (a
+/// private one when null); bytes and entries are gauges.
 class ReuseCache {
  public:
   struct Options {
@@ -65,6 +69,7 @@ class ReuseCache {
     int64_t max_entry_bytes = 0;
   };
 
+  /// View over the "cache.reuse.*" counters.
   struct Stats {
     int64_t hits = 0;         ///< result + build serves
     int64_t misses = 0;       ///< serve lookups that found nothing
@@ -79,7 +84,7 @@ class ReuseCache {
   };
 
   ReuseCache();
-  explicit ReuseCache(Options options);
+  explicit ReuseCache(Options options, MetricsRegistry* metrics = nullptr);
 
   /// Execution-environment tag folded into every join fingerprint: the
   /// memory grant, fudge factor and page size change a hybrid join's
@@ -164,6 +169,7 @@ class ReuseCache {
                     double cost_seconds);
 
   Stats stats() const;
+  MetricsRegistry* metrics() const { return counters_.registry(); }
   /// Human-readable dump for the REPL's \cache command.
   std::string DebugString() const;
 
@@ -200,7 +206,11 @@ class ReuseCache {
   std::map<std::string, uint64_t> versions_;
   uint64_t tick_ = 0;
   int64_t bytes_ = 0;
-  mutable Stats stats_;
+
+  enum Counter { kHits, kMisses, kBuildHits, kInstalls, kRejected, kEvictions,
+                 kInvalidations, kInvalidatedEntries, kBytes, kEntries,
+                 kNumCounters };
+  MetricCounters<kNumCounters> counters_;
 };
 
 }  // namespace mmdb

@@ -4,11 +4,13 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace mmdb {
 
@@ -60,18 +62,18 @@ class MetricHistogram {
 };
 
 /// A registry of named counters and histograms — the engine's single
-/// observability surface. Every component that used to keep a one-off
-/// Stats struct now counts here (or publishes here on completion) under a
-/// dotted name ("buffer_pool.faults", "exec.spill.bytes", ...), and the
-/// old structs are thin views assembled from these counters.
+/// observability surface. Components bind counter handles once and count
+/// where the event happens, under a dotted name ("buffer_pool.faults",
+/// "txn.committed", "server.locks.waits", ...); the remaining Stats structs
+/// are views over those handles.
 ///
 /// Concurrency follows the CostClock merge discipline (DESIGN.md §8/§9):
 /// parallel exec workers each get a private shard registry that the
 /// parallel region merges into the parent once every worker has finished.
 /// Addition commutes, so merged totals are independent of the morsel →
 /// worker schedule — metrics stay deterministic at every DOP. Registries
-/// that *are* shared across threads (buffer pool, disk, txn plane) are
-/// safe too: name lookup takes a mutex, increments are atomic.
+/// that *are* shared across threads (the database's) are safe too: name
+/// lookup takes a mutex, increments are atomic.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -119,6 +121,38 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<MetricCounter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<MetricHistogram>, std::less<>>
       histograms_;
+};
+
+/// A component's counters, bound once at construction: the slot of each
+/// {slot, name} pair counts "<prefix>.<name>". They live in `host` or, when
+/// it is null, in a private registry the component owns, so a component
+/// built on its own still counts. Components name their slots by an enum.
+template <int N>
+class MetricCounters {
+ public:
+  MetricCounters(MetricsRegistry* host, std::string_view prefix,
+                 std::initializer_list<std::pair<int, std::string_view>> names)
+      : owned_(host != nullptr ? nullptr
+                               : std::make_unique<MetricsRegistry>()),
+        registry_(host != nullptr ? host : owned_.get()) {
+    for (const auto& [slot, name] : names) {
+      slots_[size_t(slot)] =
+          registry_->counter(std::string(prefix) + "." + std::string(name));
+    }
+  }
+
+  void Add(int slot, int64_t delta = 1) const {
+    slots_[size_t(slot)]->Add(delta);
+  }
+  void Set(int slot, int64_t value) const { slots_[size_t(slot)]->Set(value); }
+  int64_t Get(int slot) const { return slots_[size_t(slot)]->Get(); }
+  void Reset() const { for (MetricCounter* c : slots_) c->Set(0); }
+  MetricsRegistry* registry() const { return registry_; }
+
+ private:
+  std::unique_ptr<MetricsRegistry> owned_;
+  MetricsRegistry* registry_;
+  std::array<MetricCounter*, N> slots_{};
 };
 
 }  // namespace mmdb

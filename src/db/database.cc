@@ -16,23 +16,20 @@ namespace mmdb {
 Database::Database(Options options)
     : options_(options),
       clock_(options.cost_params),
-      disk_(options.page_size, &clock_),
-      pool_(&disk_, options.buffer_pool_pages, options.buffer_policy),
+      disk_(options.page_size, &clock_, &metrics_),
+      pool_(&disk_, options.buffer_pool_pages, options.buffer_policy,
+            /*seed=*/42, &metrics_),
       catalog_(options.page_size) {
   exec_ctx_.disk = &disk_;
   exec_ctx_.clock = &clock_;
   exec_ctx_.memory_pages = options.memory_pages;
   exec_ctx_.fudge = options.cost_params.fudge;
-  // One registry for the whole database: the disk, buffer pool and query
-  // executors count into it live.
-  disk_.AttachMetrics(&metrics_);
-  pool_.AttachMetrics(&metrics_);
   exec_ctx_.metrics = &metrics_;
   if (options.reuse_cache_bytes > 0) {
     ReuseCache::Options ro;
     ro.budget_bytes = options.reuse_cache_bytes;
     ro.min_cost_seconds = options.reuse_min_cost_seconds;
-    reuse_cache_ = std::make_unique<ReuseCache>(ro);
+    reuse_cache_ = std::make_unique<ReuseCache>(ro, &metrics_);
     // Entries must not cross execution environments: the memory grant,
     // fudge factor and page size all change a hybrid join's spill split
     // and therefore its emission order.
@@ -46,88 +43,7 @@ Database::Database(Options options)
   }
 }
 
-void Database::SyncTxnPlaneMetrics() {
-  if (!txn_enabled_) return;
-  const Wal::Stats ws = wal_->stats();
-  metrics_.Set("log.device_writes", ws.device_writes);
-  metrics_.Set("log.device_bytes", ws.device_bytes);
-  metrics_.Set("log.logical_bytes", ws.logical_bytes);
-  metrics_.Set("log.commits", ws.commits);
-  metrics_.Set("log.io_retries", ws.io_retries);
-  metrics_.Set("log.write_failures", ws.write_failures);
-  const TransactionManager::Stats ts = txn_manager_->stats();
-  metrics_.Set("txn.begun", ts.begun);
-  metrics_.Set("txn.committed", ts.committed);
-  metrics_.Set("txn.aborted", ts.aborted);
-  metrics_.Set("txn.snapshot_begun", ts.snapshot_begun);
-  metrics_.Set("txn.conflicts", ts.conflicts);
-  if (versions_ != nullptr) {
-    const MvccManager::Stats vs = versions_->stats();
-    metrics_.Set("mvcc.versions_stored", vs.versions_stored);
-    metrics_.Set("mvcc.versions_gced", vs.versions_gced);
-    metrics_.Set("mvcc.chain_reads", vs.chain_reads);
-    metrics_.Set("mvcc.direct_reads", vs.direct_reads);
-    metrics_.Set("mvcc.conflicts", vs.conflicts);
-    metrics_.Set("mvcc.commits", vs.commits);
-    metrics_.Set("mvcc.aborts", vs.aborts);
-  }
-  const LockManager::Stats ls = lock_manager_->stats();
-  metrics_.Set("locks.acquisitions", ls.acquisitions);
-  metrics_.Set("locks.waits", ls.waits);
-  metrics_.Set("locks.deadlocks", ls.deadlocks);
-  metrics_.Set("locks.dependencies_recorded", ls.dependencies_recorded);
-  metrics_.Set("checkpoint.pages_written",
-               checkpointer_->total_pages_written());
-  if (backup_ != nullptr) {
-    const BackupManager::Stats bs = backup_->stats();
-    metrics_.Set("backup.backups_taken", bs.backups_taken);
-    metrics_.Set("backup.incremental_backups", bs.incremental_backups);
-    metrics_.Set("backup.pages_copied", bs.pages_copied);
-    metrics_.Set("backup.pages_skipped", bs.pages_skipped);
-    metrics_.Set("backup.log_records_captured", bs.log_records_captured);
-    metrics_.Set("backup.last_end_lsn", bs.last_end_lsn);
-  }
-  if (recovery_ctl_ != nullptr) {
-    const RecoveryStats rs = recovery_ctl_->stats();
-    metrics_.Set("recovery.instant.pending", recovery_ctl_->remaining());
-    metrics_.Set("recovery.instant.complete",
-                 recovery_ctl_->complete() ? 1 : 0);
-    metrics_.Set("recovery.instant.index_records", rs.pending_records);
-    metrics_.Set("recovery.analysis.ms",
-                 static_cast<int64_t>(rs.analysis_seconds * 1e3));
-    metrics_.Set("recovery.ondemand.records", rs.ondemand_records);
-    metrics_.Set("recovery.ondemand.replayed", rs.ondemand_replayed);
-    metrics_.Set("recovery.ondemand.budget_exceeded",
-                 rs.ondemand_budget_exceeded);
-    metrics_.Set("recovery.ondemand.ms",
-                 static_cast<int64_t>(rs.ondemand_seconds * 1e3));
-    metrics_.Set("recovery.sweep.records", rs.sweep_records);
-    metrics_.Set("recovery.sweep.replayed", rs.sweep_replayed);
-    metrics_.Set("recovery.sweep.ms",
-                 static_cast<int64_t>(rs.sweep_seconds * 1e3));
-  }
-}
-
-MetricsRegistry::Snapshot Database::MetricsSnapshot() {
-  SyncTxnPlaneMetrics();
-  if (reuse_cache_ != nullptr) {
-    // Absolute values Set (not Add-ed through statement shards): the cache
-    // keeps its own counters, the registry mirrors them per snapshot.
-    const ReuseCache::Stats cs = reuse_cache_->stats();
-    metrics_.Set("cache.reuse.hits", cs.hits);
-    metrics_.Set("cache.reuse.build_hits", cs.build_hits);
-    metrics_.Set("cache.reuse.misses", cs.misses);
-    metrics_.Set("cache.reuse.installs", cs.installs);
-    metrics_.Set("cache.reuse.rejected", cs.rejected);
-    metrics_.Set("cache.reuse.evictions", cs.evictions);
-    metrics_.Set("cache.reuse.invalidations", cs.invalidations);
-    metrics_.Set("cache.reuse.bytes", cs.bytes);
-    metrics_.Set("cache.reuse.entries", cs.entries);
-  }
-  return metrics_.TakeSnapshot();
-}
-
-std::string Database::MetricsJson() { return MetricsSnapshot().ToJson(); }
+std::string Database::MetricsJson() { return metrics_.ToJson(); }
 
 Status Database::CreateTable(const std::string& name, Schema schema) {
   std::unique_lock<std::shared_mutex> lock(latch_);
@@ -870,50 +786,54 @@ Status Database::EnableTransactions(const TxnPlaneOptions& options) {
   }
 
   using WalKind = TxnPlaneOptions::WalKind;
-  switch (options.wal_kind) {
-    case WalKind::kSingleNoGroupCommit:
-    case WalKind::kSingle: {
-      log_devices_.push_back(std::make_unique<LogDevice>(
-          options_.page_size, options.log_write_latency));
-      log_devices_[0]->set_fault_injector(options.fault_injector);
-      GroupCommitLogOptions gc;
-      gc.group_commit = options.wal_kind == WalKind::kSingle;
-      wal_ = std::make_unique<GroupCommitLog>(
-          std::vector<LogDevice*>{log_devices_[0].get()}, gc);
-      break;
-    }
-    case WalKind::kPartitioned: {
-      GroupCommitLogOptions gc;
-      gc.group_commit = true;
-      auto partitioned = std::make_unique<PartitionedLogManager>(
-          options.log_partitions, options_.page_size,
-          options.log_write_latency, gc);
-      partitioned->set_fault_injector(options.fault_injector);
-      wal_ = std::move(partitioned);
-      break;
-    }
-    case WalKind::kStable: {
-      log_devices_.push_back(std::make_unique<LogDevice>(
-          options_.page_size, options.log_write_latency));
-      log_devices_[0]->set_fault_injector(options.fault_injector);
-      StableLogOptions so;
-      so.compress = options.compress_stable_log;
-      wal_ = std::make_unique<StableLogBuffer>(stable_.get(),
-                                               log_devices_[0].get(), so);
-      break;
-    }
+  // The partitioned log stripes over log_partitions devices; every other
+  // kind writes one. Device i is the fault injector's entity i.
+  const int num_devices =
+      options.wal_kind == WalKind::kPartitioned ? options.log_partitions : 1;
+  std::vector<LogDevice*> devices;
+  for (int i = 0; i < num_devices; ++i) {
+    log_devices_.push_back(std::make_unique<LogDevice>(
+        options_.page_size, options.log_write_latency));
+    log_devices_.back()->set_fault_injector(options.fault_injector, i);
+    devices.push_back(log_devices_.back().get());
   }
-  lock_manager_ = std::make_unique<LockManager>();
+  if (options.wal_kind == WalKind::kStable) {
+    StableLogOptions so;
+    so.compress = options.compress_stable_log;
+    wal_ = std::make_unique<StableLogBuffer>(stable_.get(), devices[0], so,
+                                             &metrics_);
+  } else {
+    GroupCommitLogOptions gc;
+    gc.group_commit = options.wal_kind != WalKind::kSingleNoGroupCommit;
+    wal_ = std::make_unique<GroupCommitLog>(std::move(devices), gc,
+                                            &metrics_);
+  }
   store_ = std::make_unique<RecoverableStore>(
       &disk_, options.num_records, options.record_size, options_.page_size);
   fut_ = std::make_unique<FirstUpdateTable>(stable_.get(),
                                             store_->num_pages());
-  if (options.enable_versioning) {
-    versions_ = std::make_unique<MvccManager>(store_.get());
+  ResetTxnManager(/*first_txn_id=*/1);
+  checkpointer_ = std::make_unique<Checkpointer>(
+      store_.get(), fut_.get(), wal_.get(), options.checkpointer_options,
+      &metrics_);
+  backup_ = std::make_unique<BackupManager>(store_.get(), wal_.get(),
+                                            txn_manager_.get(), &metrics_);
+
+  wal_->Start();
+  if (options.start_checkpointer) checkpointer_->Start();
+  txn_enabled_ = true;
+  return Status::OK();
+}
+
+void Database::ResetTxnManager(TxnId first_txn_id) {
+  lock_manager_ = std::make_unique<LockManager>(
+      LockManager::kDefaultWaitTimeout, &metrics_, "locks");
+  if (txn_options_.enable_versioning) {
+    versions_ = std::make_unique<MvccManager>(store_.get(), &metrics_);
   }
   txn_manager_ = std::make_unique<TransactionManager>(
-      store_.get(), lock_manager_.get(), wal_.get(), fut_.get(),
-      /*first_txn_id=*/1, versions_.get());
+      store_.get(), lock_manager_.get(), wal_.get(), fut_.get(), first_txn_id,
+      versions_.get(), &metrics_);
   // MVCC interaction (DESIGN.md §15): SQL plans never read the record
   // plane, so its commits cannot make a cached SQL result stale — but the
   // reserved namespace documents (and tests) the channel: every committed
@@ -924,15 +844,6 @@ Status Database::EnableTransactions(const TxnPlaneOptions& options) {
       reuse_cache_->InvalidateTable("<txn-records>");
     });
   }
-  checkpointer_ = std::make_unique<Checkpointer>(
-      store_.get(), fut_.get(), wal_.get(), options.checkpointer_options);
-  backup_ = std::make_unique<BackupManager>(store_.get(), wal_.get(),
-                                            txn_manager_.get());
-
-  wal_->Start();
-  if (options.start_checkpointer) checkpointer_->Start();
-  txn_enabled_ = true;
-  return Status::OK();
 }
 
 Status Database::RestoreFromBackup(
@@ -945,9 +856,7 @@ Status Database::RestoreFromBackup(
 
 StatusOr<int64_t> Database::CheckpointNow() {
   if (!txn_enabled_) return Status::FailedPrecondition("transactions off");
-  MMDB_ASSIGN_OR_RETURN(int64_t pages, checkpointer_->CheckpointOnce());
-  metrics_.Add("checkpoint.sweeps", 1);
-  return pages;
+  return checkpointer_->CheckpointOnce();
 }
 
 Status Database::Crash() {
@@ -995,18 +904,7 @@ StatusOr<RecoveryStats> Database::Recover(RecoveryOptions options) {
   // Fresh lock table, version chains, and manager state; restart the
   // background threads. New transaction ids start above everything in the
   // log; version chains are volatile and restart empty.
-  lock_manager_ = std::make_unique<LockManager>();
-  if (txn_options_.enable_versioning) {
-    versions_ = std::make_unique<MvccManager>(store_.get());
-  }
-  txn_manager_ = std::make_unique<TransactionManager>(
-      store_.get(), lock_manager_.get(), wal_.get(), fut_.get(),
-      stats.max_txn_id + 1, versions_.get());
-  if (reuse_cache_ != nullptr) {
-    txn_manager_->set_commit_hook([this](TxnId) {
-      reuse_cache_->InvalidateTable("<txn-records>");
-    });
-  }
+  ResetTxnManager(stats.max_txn_id + 1);
   // Keep the SQL-statement commit-id namespace disjoint from the record
   // plane across restarts: seed it past every SQL commit id in the log
   // (max_txn_id above excludes those, so the record plane stays below
@@ -1026,9 +924,11 @@ StatusOr<RecoveryStats> Database::Recover(RecoveryOptions options) {
     // if we crash again before the sweep reaches it.
     recovery_ctl_ = std::make_unique<RecoveryController>(
         store_.get(), fut_.get(), wal_.get(), std::move(plan), options,
-        /*on_complete=*/[this] {
+        /*on_complete=*/
+        [this] {
           if (txn_options_.start_checkpointer) checkpointer_->Start();
-        });
+        },
+        &metrics_);
     recovery_ctl_->Start();
   } else if (txn_options_.start_checkpointer) {
     checkpointer_->Start();

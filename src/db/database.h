@@ -24,7 +24,6 @@
 #include "txn/banking.h"
 #include "txn/checkpoint.h"
 #include "txn/instant_recovery.h"
-#include "txn/partitioned_log.h"
 #include "txn/recovery.h"
 #include "txn/stable_log.h"
 #include "txn/mvcc.h"
@@ -247,10 +246,10 @@ class Database : public IndexProvider {
   const Catalog& catalog();
 
   /// The database-wide metrics registry (DESIGN.md §9): the disk, buffer
-  /// pool and query executors count here live; the transactional plane is
-  /// synced into it on each snapshot.
+  /// pool, query executors, reuse cache and every transactional-plane
+  /// component count here live, where each event happens. Counters
+  /// accumulate across Crash()/Recover().
   MetricsRegistry* metrics() { return &metrics_; }
-  MetricsRegistry::Snapshot MetricsSnapshot();
   std::string MetricsJson();
 
   /// The plan-fingerprint reuse cache; null unless Options::
@@ -327,11 +326,13 @@ class Database : public IndexProvider {
                               const Value& low,
                               const std::function<bool(const Row&)>& fn);
 
-  void SyncTxnPlaneMetrics();
+  /// Builds a fresh lock table, version chains (when versioning is on) and
+  /// transaction manager that numbers transactions from `first_txn_id`.
+  void ResetTxnManager(TxnId first_txn_id);
 
   Options options_;
   CostClock clock_;
-  MetricsRegistry metrics_;  ///< declared before its users (disk, pool)
+  MetricsRegistry metrics_;  ///< declared before every component counting here
   SimulatedDisk disk_;
   BufferPool pool_;
   /// Declared before exec_ctx_, which points at it.

@@ -35,9 +35,6 @@ StatusOr<int64_t> LogShipper::ShipOnce() {
   }
   MMDB_RETURN_IF_ERROR(replica_->ApplyRecords(batch, upto, horizon));
   cursor_ = upto;
-  stats_.records_shipped += static_cast<int64_t>(batch.size());
-  ++stats_.batches;
-  stats_.last_shipped_lsn = cursor_;
   return static_cast<int64_t>(batch.size());
 }
 
@@ -82,11 +79,6 @@ void LogShipper::PollLoop() {
     auto shipped = ShipOnce();
     if (!shipped.ok()) return;
   }
-}
-
-LogShipper::Stats LogShipper::stats() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return stats_;
 }
 
 }  // namespace mmdb

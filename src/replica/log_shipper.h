@@ -47,13 +47,6 @@ class LogShipper {
   void Start();
   void Stop();
 
-  struct Stats {
-    int64_t records_shipped = 0;
-    int64_t batches = 0;
-    Lsn last_shipped_lsn = 0;  ///< cursor: next ship starts here
-  };
-  Stats stats() const;
-
  private:
   void PollLoop();
 
@@ -61,9 +54,8 @@ class LogShipper {
   Replica* replica_;
   Options options_;
 
-  mutable std::mutex mu_;
-  Lsn cursor_ = 0;
-  Stats stats_;
+  std::mutex mu_;
+  Lsn cursor_ = 0;  ///< next ship starts here
 
   std::thread thread_;
   std::mutex stop_mu_;

@@ -3,12 +3,16 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/metrics.h"
 #include "txn/recoverable_store.h"
 
 namespace mmdb {
 
-Replica::Replica(Database* db) : db_(db) {}
+Replica::Replica(Database* db)
+    : db_(db),
+      counters_(db->metrics(), "replica",
+                {{kAppliedRecords, "applied_records"},
+                 {kAppliedTxns, "applied_txns"}, {kHorizonLsn, "horizon_lsn"},
+                 {kLagLsn, "lag_lsn"}, {kInflightTxns, "inflight_txns"}}) {}
 
 Status Replica::ApplyRecords(const std::vector<LogRecord>& batch,
                              Lsn read_upto, Lsn shipped_horizon) {
@@ -18,7 +22,7 @@ Status Replica::ApplyRecords(const std::vector<LogRecord>& batch,
   }
   RecoverableStore* store = db_->recoverable_store();
   for (const LogRecord& rec : batch) {
-    ++stats_.applied_records;
+    counters_.Add(kAppliedRecords);
     switch (rec.type) {
       case LogRecordType::kBegin:
         inflight_[rec.txn_id];  // note the txn; updates may follow
@@ -41,7 +45,7 @@ Status Replica::ApplyRecords(const std::vector<LogRecord>& batch,
           }
           inflight_.erase(it);
         }
-        ++stats_.applied_txns;
+        counters_.Add(kAppliedTxns);
         break;
       }
       case LogRecordType::kCheckpoint:
@@ -54,11 +58,7 @@ Status Replica::ApplyRecords(const std::vector<LogRecord>& batch,
   // invisible by construction.
   if (read_upto > applied_horizon_) applied_horizon_ = read_upto;
   if (shipped_horizon > shipped_horizon_) shipped_horizon_ = shipped_horizon;
-  ++stats_.batches;
-  stats_.applied_horizon = applied_horizon_;
-  stats_.shipped_horizon = shipped_horizon_;
-  stats_.inflight_txns = static_cast<int64_t>(inflight_.size());
-  PublishMetricsLocked();
+  SetGaugesLocked();
   return Status::OK();
 }
 
@@ -89,11 +89,6 @@ Lsn Replica::AppliedHorizon() const {
   return applied_horizon_;
 }
 
-Replica::Stats Replica::stats() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return stats_;
-}
-
 Status Replica::Promote() {
   std::unique_lock<std::mutex> lock(mu_);
   if (promoted_) return Status::FailedPrecondition("already promoted");
@@ -101,7 +96,6 @@ Status Replica::Promote() {
   // primary they were either rolled back or lost with it. The installed
   // committed prefix stands as the new primary's state.
   inflight_.clear();
-  stats_.inflight_txns = 0;
   RecoverableStore* store = db_->recoverable_store();
   // Page-LSN stamps came from the PRIMARY's WAL; under this database's
   // own log they would overstate. Then persist the promoted image so the
@@ -113,18 +107,16 @@ Status Replica::Promote() {
   }
   if (fut != nullptr) fut->Clear();
   promoted_ = true;
-  PublishMetricsLocked();
+  SetGaugesLocked();
   return Status::OK();
 }
 
-void Replica::PublishMetricsLocked() {
-  MetricsRegistry* metrics = db_->metrics();
-  metrics->Set("replica.applied_records", stats_.applied_records);
-  metrics->Set("replica.applied_txns", stats_.applied_txns);
-  metrics->Set("replica.horizon_lsn", applied_horizon_);
-  metrics->Set("replica.lag_lsn", shipped_horizon_ > applied_horizon_
-                                      ? shipped_horizon_ - applied_horizon_
-                                      : 0);
+void Replica::SetGaugesLocked() {
+  counters_.Set(kHorizonLsn, applied_horizon_);
+  counters_.Set(kLagLsn, shipped_horizon_ > applied_horizon_
+                             ? shipped_horizon_ - applied_horizon_
+                             : 0);
+  counters_.Set(kInflightTxns, static_cast<int64_t>(inflight_.size()));
 }
 
 }  // namespace mmdb

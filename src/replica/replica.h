@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "db/database.h"
 #include "txn/log_record.h"
@@ -20,6 +21,8 @@ namespace mmdb {
 /// roll it back) arrives, and installed under one mutex hold — so every
 /// read the replica serves sees a committed-prefix snapshot of the
 /// primary, at the published horizon.
+///
+/// Counts "replica.*" into the wrapped database's registry as it applies.
 ///
 /// Reads: SnapshotRead() serves record reads at the applied horizon;
 /// a read-only Server (Server::Options::read_only) can front the wrapped
@@ -51,16 +54,6 @@ class Replica {
   Lsn LagLsn() const;
   Lsn AppliedHorizon() const;
 
-  struct Stats {
-    int64_t applied_records = 0;  ///< log records consumed
-    int64_t applied_txns = 0;     ///< commit/abort groups installed
-    int64_t batches = 0;
-    Lsn applied_horizon = 0;
-    Lsn shipped_horizon = 0;
-    int64_t inflight_txns = 0;  ///< buffered, commit not yet shipped
-  };
-  Stats stats() const;
-
   /// Detaches from the shipping stream and turns the wrapped database
   /// into a writable primary: drops in-flight transaction buffers (their
   /// commits never arrived — the committed prefix stands), clears page-LSN
@@ -77,16 +70,19 @@ class Replica {
     Lsn lsn;
   };
 
-  void PublishMetricsLocked();
+  /// Sets the horizon, lag and in-flight gauges.
+  void SetGaugesLocked();
 
   Database* db_;
+  enum Counter { kAppliedRecords, kAppliedTxns, kHorizonLsn, kLagLsn,
+                 kInflightTxns, kNumCounters };
+  MetricCounters<kNumCounters> counters_;
 
   mutable std::mutex mu_;
   /// txn id -> updates seen but not yet sealed by a commit/abort record.
   std::map<TxnId, std::vector<PendingUpdate>> inflight_;
   Lsn applied_horizon_ = 0;
   Lsn shipped_horizon_ = 0;
-  Stats stats_;
   bool promoted_ = false;
 };
 

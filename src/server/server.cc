@@ -11,6 +11,8 @@ Server::Server(Database* db) : Server(db, Options()) {}
 Server::Server(Database* db, Options options)
     : db_(db),
       options_(options),
+      table_locks_(LockManager::kDefaultWaitTimeout, db->metrics(),
+                   "server.locks"),
       scheduler_(options.scheduler, db->metrics()) {}
 
 Server::~Server() { Shutdown(); }

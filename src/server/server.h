@@ -28,8 +28,9 @@ namespace mmdb {
 /// under them.
 ///
 /// Server counters live in the database's metrics registry under
-/// server.sessions.* / server.admission.*, so Database::MetricsJson()
-/// reports them alongside everything else.
+/// server.sessions.* / server.admission.*, and the table-lock manager
+/// counts there under server.locks.*, so Database::MetricsJson() reports
+/// them alongside everything else.
 class Server {
  public:
   struct Options {

@@ -6,43 +6,25 @@
 
 namespace mmdb {
 
-void SimulatedDisk::BindCounters() {
-  c_reads_ = metrics_->counter("disk.reads");
-  c_writes_ = metrics_->counter("disk.writes");
-  c_seq_ios_ = metrics_->counter("disk.seq_ios");
-  c_rand_ios_ = metrics_->counter("disk.rand_ios");
-  c_io_errors_ = metrics_->counter("disk.io_errors");
-}
-
-void SimulatedDisk::AttachMetrics(MetricsRegistry* registry) {
-  std::lock_guard<std::mutex> lock(mu_);
-  MetricsRegistry* next = registry != nullptr ? registry : owned_metrics_.get();
-  if (next == metrics_) return;
-  // Carry accumulated tallies into the new home so stats() stays monotone
-  // across the switch.
-  next->MergeFrom(*metrics_);
-  metrics_->Reset();
-  metrics_ = next;
-  BindCounters();
-}
+SimulatedDisk::SimulatedDisk(int64_t page_size_bytes, CostClock* clock,
+                             MetricsRegistry* metrics)
+    : page_size_(page_size_bytes),
+      clock_(clock),
+      counters_(metrics, "disk",
+                {{kReads, "reads"}, {kWrites, "writes"}, {kSeqIos, "seq_ios"},
+                 {kRandIos, "rand_ios"}, {kIoErrors, "io_errors"}}) {}
 
 SimulatedDisk::Stats SimulatedDisk::stats() const {
   Stats s;
-  s.reads = c_reads_->Get();
-  s.writes = c_writes_->Get();
-  s.seq_ios = c_seq_ios_->Get();
-  s.rand_ios = c_rand_ios_->Get();
-  s.io_errors = c_io_errors_->Get();
+  s.reads = counters_.Get(kReads);
+  s.writes = counters_.Get(kWrites);
+  s.seq_ios = counters_.Get(kSeqIos);
+  s.rand_ios = counters_.Get(kRandIos);
+  s.io_errors = counters_.Get(kIoErrors);
   return s;
 }
 
-void SimulatedDisk::ResetStats() {
-  c_reads_->Set(0);
-  c_writes_->Set(0);
-  c_seq_ios_->Set(0);
-  c_rand_ios_->Set(0);
-  c_io_errors_->Set(0);
-}
+void SimulatedDisk::ResetStats() { counters_.Reset(); }
 
 void SimulatedDisk::MergeClock(const CostClock& other) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -77,9 +59,9 @@ void SimulatedDisk::Charge(File* f, int64_t page_no, IoKind kind) {
     }
   }
   if (kind == IoKind::kSequential) {
-    c_seq_ios_->Add(1);
+    counters_.Add(kSeqIos);
   } else {
-    c_rand_ios_->Add(1);
+    counters_.Add(kRandIos);
   }
   f->last_page_accessed = page_no;
 }
@@ -97,7 +79,7 @@ Status SimulatedDisk::WritePageLocked(FileId id, int64_t page_no,
     Status s = injector_->OnWrite(FaultDevice::kDataDisk, id, page_no,
                                   buf.data(), page_size_, &persist);
     if (!s.ok()) {
-      c_io_errors_->Add(1);
+      counters_.Add(kIoErrors);
       return s;
     }
   }
@@ -113,7 +95,7 @@ Status SimulatedDisk::WritePageLocked(FileId id, int64_t page_no,
   } else {
     page = std::move(buf);
   }
-  c_writes_->Add(1);
+  counters_.Add(kWrites);
   Charge(&f, page_no, kind);
   return Status::OK();
 }
@@ -136,7 +118,7 @@ Status SimulatedDisk::ReadPage(FileId id, int64_t page_no, void* out,
   if (injector_ != nullptr) {
     Status s = injector_->OnRead(FaultDevice::kDataDisk, id, page_no);
     if (!s.ok()) {
-      c_io_errors_->Add(1);
+      counters_.Add(kIoErrors);
       return s;
     }
   }
@@ -146,7 +128,7 @@ Status SimulatedDisk::ReadPage(FileId id, int64_t page_no, void* out,
   } else {
     std::memcpy(out, page.data(), static_cast<size_t>(page_size_));
   }
-  c_reads_->Add(1);
+  counters_.Add(kReads);
   Charge(&f, page_no, kind);
   return Status::OK();
 }

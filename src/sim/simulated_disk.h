@@ -41,14 +41,10 @@ class SimulatedDisk {
   using FileId = int64_t;
   static constexpr FileId kInvalidFile = -1;
 
+  /// Counts "disk.*" into `metrics` (a private registry when null).
   explicit SimulatedDisk(int64_t page_size_bytes = 4096,
-                         CostClock* clock = nullptr)
-      : page_size_(page_size_bytes),
-        clock_(clock),
-        owned_metrics_(std::make_unique<MetricsRegistry>()),
-        metrics_(owned_metrics_.get()) {
-    BindCounters();
-  }
+                         CostClock* clock = nullptr,
+                         MetricsRegistry* metrics = nullptr);
 
   SimulatedDisk(const SimulatedDisk&) = delete;
   SimulatedDisk& operator=(const SimulatedDisk&) = delete;
@@ -97,10 +93,8 @@ class SimulatedDisk {
   /// Total pages across all files (disk occupancy).
   int64_t TotalPages() const;
 
-  /// Legacy view assembled from the "disk.*" registry counters (DESIGN.md
-  /// §9). The disk counts directly into a MetricsRegistry — its own by
-  /// default, or one attached by the host. Like before, read only with no
-  /// transfer in flight.
+  /// View over the "disk.*" registry counters (DESIGN.md §9). Read only
+  /// with no transfer in flight.
   struct Stats {
     int64_t reads = 0;
     int64_t writes = 0;
@@ -111,11 +105,7 @@ class SimulatedDisk {
   Stats stats() const;
   void ResetStats();
 
-  /// Redirects counting into `registry` (e.g. the database-wide one);
-  /// accumulated tallies carry over. Pass nullptr to detach back to the
-  /// disk's private registry. Call with no transfer in flight.
-  void AttachMetrics(MetricsRegistry* registry);
-  MetricsRegistry* metrics() const { return metrics_; }
+  MetricsRegistry* metrics() const { return counters_.registry(); }
 
  private:
   struct File {
@@ -128,20 +118,13 @@ class SimulatedDisk {
   Status WritePageLocked(FileId id, int64_t page_no, const void* data,
                          IoKind kind);
 
-  void BindCounters();
-
   int64_t page_size_;
   CostClock* clock_;
   FaultInjector* injector_ = nullptr;
   FileId next_id_ = 0;
   std::map<FileId, File> files_;
-  std::unique_ptr<MetricsRegistry> owned_metrics_;
-  MetricsRegistry* metrics_ = nullptr;
-  MetricCounter* c_reads_ = nullptr;
-  MetricCounter* c_writes_ = nullptr;
-  MetricCounter* c_seq_ios_ = nullptr;
-  MetricCounter* c_rand_ios_ = nullptr;
-  MetricCounter* c_io_errors_ = nullptr;
+  enum Counter { kReads, kWrites, kSeqIos, kRandIos, kIoErrors, kNumCounters };
+  MetricCounters<kNumCounters> counters_;
   /// Guards files_, next_id_ and the clock charge of each transfer.
   mutable std::mutex mu_;
 };

@@ -14,7 +14,7 @@ Status BufferPool::ReadPageRetry(SimulatedDisk::FileId file, int64_t page_no,
   for (int attempt = 0; attempt < kDefaultMaxIoAttempts; ++attempt) {
     last = disk_->ReadPage(file, page_no, out, kind);
     if (last.ok() || last.code() != StatusCode::kIOError) return last;
-    c_io_retries_->Add(1);
+    counters_.Add(kIoRetries);
     std::this_thread::sleep_for(std::chrono::microseconds(1 << attempt));
   }
   return Status::RetryExhausted("buffer pool read: " + last.ToString());
@@ -26,19 +26,24 @@ Status BufferPool::WritePageRetry(SimulatedDisk::FileId file, int64_t page_no,
   for (int attempt = 0; attempt < kDefaultMaxIoAttempts; ++attempt) {
     last = disk_->WritePage(file, page_no, data, kind);
     if (last.ok() || last.code() != StatusCode::kIOError) return last;
-    c_io_retries_->Add(1);
+    counters_.Add(kIoRetries);
     std::this_thread::sleep_for(std::chrono::microseconds(1 << attempt));
   }
   return Status::RetryExhausted("buffer pool write: " + last.ToString());
 }
 
 BufferPool::BufferPool(SimulatedDisk* disk, int64_t num_frames,
-                       ReplacementPolicy policy, uint64_t seed)
-    : disk_(disk), num_frames_(num_frames), policy_(policy), rng_(seed) {
+                       ReplacementPolicy policy, uint64_t seed,
+                       MetricsRegistry* metrics)
+    : disk_(disk),
+      num_frames_(num_frames),
+      policy_(policy),
+      rng_(seed),
+      counters_(metrics, "buffer_pool",
+                {{kFetches, "fetches"}, {kHits, "hits"}, {kFaults, "faults"},
+                 {kEvictions, "evictions"}, {kWritebacks, "writebacks"},
+                 {kIoRetries, "io_retries"}}) {
   MMDB_CHECK_MSG(num_frames >= 1, "buffer pool needs at least one frame");
-  owned_metrics_ = std::make_unique<MetricsRegistry>();
-  metrics_ = owned_metrics_.get();
-  BindCounters();
   frames_.resize(static_cast<size_t>(num_frames));
   lru_pos_.resize(static_cast<size_t>(num_frames));
   in_lru_.assign(static_cast<size_t>(num_frames), false);
@@ -50,45 +55,18 @@ BufferPool::BufferPool(SimulatedDisk* disk, int64_t num_frames,
   }
 }
 
-void BufferPool::BindCounters() {
-  c_fetches_ = metrics_->counter("buffer_pool.fetches");
-  c_hits_ = metrics_->counter("buffer_pool.hits");
-  c_faults_ = metrics_->counter("buffer_pool.faults");
-  c_evictions_ = metrics_->counter("buffer_pool.evictions");
-  c_writebacks_ = metrics_->counter("buffer_pool.writebacks");
-  c_io_retries_ = metrics_->counter("buffer_pool.io_retries");
-}
-
-void BufferPool::AttachMetrics(MetricsRegistry* registry) {
-  MetricsRegistry* next = registry != nullptr ? registry : owned_metrics_.get();
-  if (next == metrics_) return;
-  // Carry accumulated tallies into the new home so stats() stays monotone
-  // across the switch.
-  next->MergeFrom(*metrics_);
-  metrics_->Reset();
-  metrics_ = next;
-  BindCounters();
-}
-
 BufferPool::Stats BufferPool::stats() const {
   Stats s;
-  s.fetches = c_fetches_->Get();
-  s.hits = c_hits_->Get();
-  s.faults = c_faults_->Get();
-  s.evictions = c_evictions_->Get();
-  s.writebacks = c_writebacks_->Get();
-  s.io_retries = c_io_retries_->Get();
+  s.fetches = counters_.Get(kFetches);
+  s.hits = counters_.Get(kHits);
+  s.faults = counters_.Get(kFaults);
+  s.evictions = counters_.Get(kEvictions);
+  s.writebacks = counters_.Get(kWritebacks);
+  s.io_retries = counters_.Get(kIoRetries);
   return s;
 }
 
-void BufferPool::ResetStats() {
-  c_fetches_->Set(0);
-  c_hits_->Set(0);
-  c_faults_->Set(0);
-  c_evictions_->Set(0);
-  c_writebacks_->Set(0);
-  c_io_retries_->Set(0);
-}
+void BufferPool::ResetStats() { counters_.Reset(); }
 
 char* BufferPool::PageRef::data() {
   MMDB_DCHECK(valid());
@@ -193,7 +171,7 @@ Status BufferPool::EvictFrame(int64_t frame) {
     // Write-back of a victim goes wherever the arm happens to be: random.
     MMDB_RETURN_IF_ERROR(
         WritePageRetry(f.file, f.page_no, f.data.data(), IoKind::kRandom));
-    c_writebacks_->Add(1);
+    counters_.Add(kWritebacks);
   }
   page_table_.erase(PageKey{f.file, f.page_no});
   if (in_lru_[static_cast<size_t>(frame)]) {
@@ -204,7 +182,7 @@ Status BufferPool::EvictFrame(int64_t frame) {
   f.dirty = false;
   f.file = SimulatedDisk::kInvalidFile;
   f.page_no = -1;
-  c_evictions_->Add(1);
+  counters_.Add(kEvictions);
   return Status::OK();
 }
 
@@ -221,16 +199,16 @@ StatusOr<int64_t> BufferPool::AcquireFrame() {
 
 StatusOr<BufferPool::PageRef> BufferPool::Fetch(SimulatedDisk::FileId file,
                                                 int64_t page_no, IoKind kind) {
-  c_fetches_->Add(1);
+  counters_.Add(kFetches);
   auto it = page_table_.find(PageKey{file, page_no});
   if (it != page_table_.end()) {
-    c_hits_->Add(1);
+    counters_.Add(kHits);
     Frame& f = frames_[static_cast<size_t>(it->second)];
     ++f.pin_count;
     Touch(it->second);
     return PageRef(this, it->second);
   }
-  c_faults_->Add(1);
+  counters_.Add(kFaults);
   MMDB_ASSIGN_OR_RETURN(int64_t frame, AcquireFrame());
   Frame& f = frames_[static_cast<size_t>(frame)];
   Status read = ReadPageRetry(file, page_no, f.data.data(), kind);
@@ -271,7 +249,7 @@ Status BufferPool::FlushAll() {
       MMDB_RETURN_IF_ERROR(
           WritePageRetry(f.file, f.page_no, f.data.data(), IoKind::kSequential));
       f.dirty = false;
-      c_writebacks_->Add(1);
+      counters_.Add(kWritebacks);
     }
   }
   return Status::OK();

@@ -27,9 +27,10 @@ enum class ReplacementPolicy { kRandom, kLru, kClock };
 /// experiments count page faults as a function of the memory fraction H.
 class BufferPool {
  public:
+  /// Counts "buffer_pool.*" into `metrics` (a private registry when null).
   BufferPool(SimulatedDisk* disk, int64_t num_frames,
              ReplacementPolicy policy = ReplacementPolicy::kRandom,
-             uint64_t seed = 42);
+             uint64_t seed = 42, MetricsRegistry* metrics = nullptr);
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
@@ -92,9 +93,7 @@ class BufferPool {
   int64_t num_frames() const { return num_frames_; }
   ReplacementPolicy policy() const { return policy_; }
 
-  /// Legacy view assembled from the "buffer_pool.*" registry counters
-  /// (DESIGN.md §9). The pool counts directly into a MetricsRegistry — its
-  /// own by default, or one attached by the host database.
+  /// View over the "buffer_pool.*" registry counters (DESIGN.md §9).
   struct Stats {
     int64_t fetches = 0;
     int64_t hits = 0;
@@ -106,11 +105,7 @@ class BufferPool {
   Stats stats() const;
   void ResetStats();
 
-  /// Redirects counting into `registry` (e.g. the database-wide one).
-  /// Tallies accumulated so far are carried over. Pass nullptr to go back
-  /// to the pool's private registry.
-  void AttachMetrics(MetricsRegistry* registry);
-  MetricsRegistry* metrics() const { return metrics_; }
+  MetricsRegistry* metrics() const { return counters_.registry(); }
 
  private:
   friend class PageRef;
@@ -160,16 +155,9 @@ class BufferPool {
 
   int64_t clock_hand_ = 0;
 
-  void BindCounters();
-
-  std::unique_ptr<MetricsRegistry> owned_metrics_;
-  MetricsRegistry* metrics_ = nullptr;
-  MetricCounter* c_fetches_ = nullptr;
-  MetricCounter* c_hits_ = nullptr;
-  MetricCounter* c_faults_ = nullptr;
-  MetricCounter* c_evictions_ = nullptr;
-  MetricCounter* c_writebacks_ = nullptr;
-  MetricCounter* c_io_retries_ = nullptr;
+  enum Counter { kFetches, kHits, kFaults, kEvictions, kWritebacks, kIoRetries,
+                 kNumCounters };
+  MetricCounters<kNumCounters> counters_;
 };
 
 }  // namespace mmdb

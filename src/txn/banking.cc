@@ -64,7 +64,8 @@ Status RunOneTransfer(TransactionManager* tm, const BankingOptions& options,
 BankingResult RunBankingWorkload(TransactionManager* tm,
                                  const BankingOptions& options) {
   const Wal::Stats wal_before = tm->wal()->stats();
-  const TransactionManager::Stats tm_before = tm->stats();
+  const int64_t committed_before = tm->metrics()->Get("txn.committed");
+  const int64_t aborted_before = tm->metrics()->Get("txn.aborted");
 
   std::vector<std::thread> threads;
   const auto start = std::chrono::steady_clock::now();
@@ -81,9 +82,8 @@ BankingResult RunBankingWorkload(TransactionManager* tm,
   const auto end = std::chrono::steady_clock::now();
 
   BankingResult result;
-  const TransactionManager::Stats tm_after = tm->stats();
-  result.committed = tm_after.committed - tm_before.committed;
-  result.aborted = tm_after.aborted - tm_before.aborted;
+  result.committed = tm->metrics()->Get("txn.committed") - committed_before;
+  result.aborted = tm->metrics()->Get("txn.aborted") - aborted_before;
   result.wall_seconds =
       std::chrono::duration_cast<std::chrono::duration<double>>(end - start)
           .count();

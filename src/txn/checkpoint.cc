@@ -5,8 +5,14 @@
 namespace mmdb {
 
 Checkpointer::Checkpointer(RecoverableStore* store, FirstUpdateTable* fut,
-                           Wal* wal, CheckpointerOptions options)
-    : store_(store), fut_(fut), wal_(wal), options_(options) {}
+                           Wal* wal, CheckpointerOptions options,
+                           MetricsRegistry* metrics)
+    : store_(store),
+      fut_(fut),
+      wal_(wal),
+      options_(options),
+      counters_(metrics, "checkpoint",
+                {{kPagesWritten, "pages_written"}, {kSweeps, "sweeps"}}) {}
 
 Checkpointer::~Checkpointer() { Stop(); }
 
@@ -19,7 +25,8 @@ StatusOr<int64_t> Checkpointer::CheckpointOnce() {
     MMDB_RETURN_IF_ERROR(store_->CheckpointPage(page, fut_, wal_));
     ++written;
   }
-  total_pages_written_.fetch_add(written);
+  counters_.Add(kPagesWritten, written);
+  counters_.Add(kSweeps);
   return written;
 }
 

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <thread>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "txn/recoverable_store.h"
 
@@ -21,11 +22,15 @@ struct CheckpointerOptions {
 /// process that sweeps through data buffers to find dirty pages". Because
 /// the database never quiesces, the checkpoint is fuzzy — pages may carry
 /// uncommitted data, which recovery undoes from the log's old values.
+///
+/// Every sweep, background or forced, counts "checkpoint.*" into the
+/// registry passed at construction (a private one when null).
 class Checkpointer {
  public:
   /// `wal` (optional) enforces the WAL rule per page before it is written.
   Checkpointer(RecoverableStore* store, FirstUpdateTable* fut,
-               class Wal* wal = nullptr, CheckpointerOptions options = {});
+               class Wal* wal = nullptr, CheckpointerOptions options = {},
+               MetricsRegistry* metrics = nullptr);
   ~Checkpointer();
 
   /// One full sweep over the currently dirty pages. Returns pages written.
@@ -35,7 +40,7 @@ class Checkpointer {
   void Start();
   void Stop();
 
-  int64_t total_pages_written() const { return total_pages_written_.load(); }
+  MetricsRegistry* metrics() const { return counters_.registry(); }
 
  private:
   void Loop();
@@ -46,7 +51,8 @@ class Checkpointer {
   CheckpointerOptions options_;
   std::thread thread_;
   std::atomic<bool> stop_{false};
-  std::atomic<int64_t> total_pages_written_{0};
+  enum Counter { kPagesWritten, kSweeps, kNumCounters };
+  MetricCounters<kNumCounters> counters_;
 };
 
 }  // namespace mmdb

@@ -20,13 +20,24 @@ RecoveryController::RecoveryController(RecoverableStore* store,
                                        FirstUpdateTable* fut, Wal* wal,
                                        InstantRecoveryPlan plan,
                                        RecoveryOptions options,
-                                       std::function<void()> on_complete)
+                                       std::function<void()> on_complete,
+                                       MetricsRegistry* metrics)
     : store_(store),
       fut_(fut),
       wal_(wal),
       plan_(std::move(plan)),
       options_(options),
-      on_complete_(std::move(on_complete)) {
+      on_complete_(std::move(on_complete)),
+      counters_(metrics, "recovery",
+                {{kOndemandRecords, "ondemand.records"},
+                 {kOndemandReplayed, "ondemand.replayed"},
+                 {kOndemandBudgetExceeded, "ondemand.budget_exceeded"},
+                 {kSweepRecords, "sweep.records"},
+                 {kSweepReplayed, "sweep.replayed"}, {kSweepMs, "sweep.ms"},
+                 {kOndemandMs, "ondemand.ms"}, {kPending, "instant.pending"},
+                 {kComplete, "instant.complete"},
+                 {kIndexRecords, "instant.index_records"},
+                 {kAnalysisMs, "analysis.ms"}}) {
   const int64_t n = store_->num_records();
   restored_ = std::make_unique<std::atomic<bool>[]>(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
@@ -38,6 +49,11 @@ RecoveryController::RecoveryController(RecoverableStore* store,
   }
   remaining_.store(static_cast<int64_t>(plan_.pending.size()),
                    std::memory_order_release);
+  counters_.Add(kIndexRecords, plan_.stats.pending_records);
+  counters_.Add(kAnalysisMs,
+                static_cast<int64_t>(plan_.stats.analysis_seconds * 1e3));
+  counters_.Set(kPending, static_cast<int64_t>(plan_.pending.size()));
+  counters_.Set(kComplete, 0);
 }
 
 RecoveryController::~RecoveryController() { Stop(); }
@@ -89,6 +105,7 @@ Status RecoveryController::EnsureRecovered(int64_t record_id,
       static_cast<int64_t>(chain.redo.size()) + (chain.undo >= 0 ? 1 : 0);
   if (!from_sweep && cost > options_.ondemand_replay_budget) {
     ondemand_budget_exceeded_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(kOndemandBudgetExceeded);
     return Status::Recovering("record awaits background recovery");
   }
 
@@ -120,12 +137,17 @@ Status RecoveryController::EnsureRecovered(int64_t record_id,
   if (from_sweep) {
     sweep_records_.fetch_add(1, std::memory_order_relaxed);
     sweep_replayed_.fetch_add(cost, std::memory_order_relaxed);
+    counters_.Add(kSweepRecords);
+    counters_.Add(kSweepReplayed, cost);
   } else {
     ondemand_records_.fetch_add(1, std::memory_order_relaxed);
     ondemand_replayed_.fetch_add(cost, std::memory_order_relaxed);
     ondemand_micros_.fetch_add(MicrosSince(t0), std::memory_order_relaxed);
+    counters_.Add(kOndemandRecords);
+    counters_.Add(kOndemandReplayed, cost);
   }
   remaining_.fetch_sub(1, std::memory_order_acq_rel);
+  counters_.Add(kPending, -1);  // not Set: concurrent restores would race
   return Status::OK();
 }
 
@@ -162,7 +184,11 @@ void RecoveryController::SweepLoop() {
     sweep_status_ = status;
     sweep_done_.store(true, std::memory_order_release);
     // Total sweep wall time (start -> index retired + final checkpoint).
-    sweep_micros_.store(MicrosSince(t0), std::memory_order_release);
+    const int64_t us = MicrosSince(t0);
+    sweep_micros_.store(us, std::memory_order_release);
+    // The serving window is closed: publish both phase timings.
+    counters_.Add(kSweepMs, us / 1000);
+    counters_.Add(kOndemandMs, ondemand_micros_.load() / 1000);
   }
   wait_cv_.notify_all();
   if (status.ok() && on_complete_) on_complete_();
@@ -196,6 +222,7 @@ Status RecoveryController::FinishSweep() {
     MMDB_RETURN_IF_ERROR(store_->CheckpointPage(page, fut_, wal_));
   }
   complete_.store(true, std::memory_order_release);
+  counters_.Set(kComplete, 1);
   store_->ClearAccessGuard(this);
   return Status::OK();
 }

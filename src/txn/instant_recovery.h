@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "txn/recovery.h"
@@ -30,6 +31,9 @@ namespace mmdb {
 /// next restart re-enters analysis and rebuilds the same index (new traffic
 /// adds ordinary logged updates on top, which analysis handles like any
 /// other committed work).
+///
+/// Counts recovery.ondemand.*, recovery.sweep.* and recovery.instant.* into
+/// the registry passed at construction (a private one when null).
 class RecoveryController : public RecordAccessGuard {
  public:
   /// `on_complete` runs on the sweep thread after the final checkpoint —
@@ -37,7 +41,8 @@ class RecoveryController : public RecordAccessGuard {
   /// checkpointer. May be empty.
   RecoveryController(RecoverableStore* store, FirstUpdateTable* fut, Wal* wal,
                      InstantRecoveryPlan plan, RecoveryOptions options,
-                     std::function<void()> on_complete = {});
+                     std::function<void()> on_complete = {},
+                     MetricsRegistry* metrics = nullptr);
   ~RecoveryController() override;
 
   RecoveryController(const RecoveryController&) = delete;
@@ -67,6 +72,7 @@ class RecoveryController : public RecordAccessGuard {
 
   /// Analysis stats plus live on-demand/sweep counters and phase timings.
   RecoveryStats stats() const;
+  MetricsRegistry* metrics() const { return counters_.registry(); }
 
   /// RecordAccessGuard: restore `record_id` before the access proceeds.
   Status OnAccess(int64_t record_id) override;
@@ -109,6 +115,12 @@ class RecoveryController : public RecordAccessGuard {
   std::atomic<int64_t> sweep_records_{0};
   std::atomic<int64_t> sweep_replayed_{0};
   std::atomic<int64_t> sweep_micros_{0};
+
+  enum Counter { kOndemandRecords, kOndemandReplayed, kOndemandBudgetExceeded,
+                 kSweepRecords, kSweepReplayed, kSweepMs, kOndemandMs,
+                 kPending, kComplete, kIndexRecords, kAnalysisMs,
+                 kNumCounters };
+  MetricCounters<kNumCounters> counters_;
 
   std::mutex wait_mu_;
   std::condition_variable wait_cv_;

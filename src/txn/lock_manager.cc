@@ -4,6 +4,14 @@
 
 namespace mmdb {
 
+LockManager::LockManager(std::chrono::milliseconds wait_timeout,
+                         MetricsRegistry* metrics, std::string_view prefix)
+    : wait_timeout_(wait_timeout),
+      counters_(metrics, prefix,
+                {{kAcquisitions, "acquisitions"}, {kWaits, "waits"},
+                 {kDeadlocks, "deadlocks"},
+                 {kDependenciesRecorded, "dependencies_recorded"}}) {}
+
 bool LockManager::Compatible(const Lock& lock, TxnId txn,
                              LockMode mode) const {
   for (const auto& [holder, held_mode] : lock.holders) {
@@ -33,7 +41,7 @@ Status LockManager::Acquire(TxnId txn, LockId lock_id, LockMode mode,
                             std::vector<TxnId>* deps) {
   std::unique_lock<std::mutex> lock(mu_);
   Lock& l = locks_[lock_id];
-  ++stats_.acquisitions;
+  counters_.Add(kAcquisitions);
 
   // Already held? Possibly upgrade (S+X, S+IX and IX+X all escalate to X).
   auto self = l.holders.find(txn);
@@ -57,14 +65,14 @@ Status LockManager::Acquire(TxnId txn, LockId lock_id, LockMode mode,
     for (TxnId blocker : blockers) {
       if (PathExists(blocker, txn)) {
         waits_for_.erase(txn);
-        ++stats_.deadlocks;
+        counters_.Add(kDeadlocks);
         return Status::Deadlock("waits-for cycle on lock " +
                                 std::to_string(lock_id));
       }
     }
     if (!waited) {
       waited = true;
-      ++stats_.waits;
+      counters_.Add(kWaits);
       ++l.waiting;
     }
     if (cv_.wait_for(lock, wait_timeout_) == std::cv_status::timeout) {
@@ -87,7 +95,7 @@ Status LockManager::Acquire(TxnId txn, LockId lock_id, LockMode mode,
     for (TxnId pc : l.pre_committed) {
       if (pc != txn) {
         deps->push_back(pc);
-        ++stats_.dependencies_recorded;
+        counters_.Add(kDependenciesRecorded);
       }
     }
   }
@@ -150,8 +158,12 @@ int64_t LockManager::NumLocks() const {
 }
 
 LockManager::Stats LockManager::stats() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return stats_;
+  Stats s;
+  s.acquisitions = counters_.Get(kAcquisitions);
+  s.waits = counters_.Get(kWaits);
+  s.deadlocks = counters_.Get(kDeadlocks);
+  s.dependencies_recorded = counters_.Get(kDependenciesRecorded);
+  return s;
 }
 
 }  // namespace mmdb

@@ -7,8 +7,10 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <string_view>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "txn/log_record.h"
 
@@ -47,11 +49,17 @@ inline LockMode CombineLockModes(LockMode a, LockMode b) {
 ///
 /// Deadlocks among *active* holders are detected with a waits-for-graph
 /// cycle check at block time; the requester is the victim (kDeadlock).
+///
+/// Counts "<prefix>.*" into `metrics` (a private registry when null): the
+/// Database's manager as "locks", the Server's table locks "server.locks".
 class LockManager {
  public:
-  explicit LockManager(
-      std::chrono::milliseconds wait_timeout = std::chrono::seconds(10))
-      : wait_timeout_(wait_timeout) {}
+  static constexpr std::chrono::milliseconds kDefaultWaitTimeout{10'000};
+
+  explicit LockManager(std::chrono::milliseconds wait_timeout =
+                           kDefaultWaitTimeout,
+                       MetricsRegistry* metrics = nullptr,
+                       std::string_view prefix = "locks");
 
   /// Acquires (or upgrades to) `mode` on `lock` for `txn`, blocking while
   /// incompatible active holders exist. On success appends the lock's
@@ -75,6 +83,7 @@ class LockManager {
   /// Number of lock table entries (tests).
   int64_t NumLocks() const;
 
+  /// View over the "<prefix>.*" counters.
   struct Stats {
     int64_t acquisitions = 0;
     int64_t waits = 0;
@@ -82,6 +91,7 @@ class LockManager {
     int64_t dependencies_recorded = 0;
   };
   Stats stats() const;
+  MetricsRegistry* metrics() const { return counters_.registry(); }
 
  private:
   struct Lock {
@@ -101,7 +111,10 @@ class LockManager {
   std::map<TxnId, std::set<LockId>> held_;           // txn -> locks held
   std::map<TxnId, std::set<LockId>> pre_committed_;  // txn -> locks pre-rel.
   std::map<TxnId, std::set<TxnId>> waits_for_;       // blocked -> blockers
-  Stats stats_;
+
+  enum Counter { kAcquisitions, kWaits, kDeadlocks, kDependenciesRecorded,
+                 kNumCounters };
+  MetricCounters<kNumCounters> counters_;
 };
 
 }  // namespace mmdb

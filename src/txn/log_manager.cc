@@ -7,9 +7,32 @@
 
 namespace mmdb {
 
+Wal::Wal(MetricsRegistry* metrics)
+    : counters_(metrics, "log",
+                {{kDeviceWrites, "device_writes"},
+                 {kDeviceBytes, "device_bytes"},
+                 {kLogicalBytes, "logical_bytes"}, {kCommits, "commits"},
+                 {kIoRetries, "io_retries"},
+                 {kWriteFailures, "write_failures"}}) {}
+
+Wal::Stats Wal::stats() const {
+  Stats s;
+  s.device_writes = counters_.Get(kDeviceWrites);
+  s.device_bytes = counters_.Get(kDeviceBytes);
+  s.logical_bytes = counters_.Get(kLogicalBytes);
+  s.commits = counters_.Get(kCommits);
+  const int64_t commit_writes = commit_writes_.load();
+  s.avg_commit_group =
+      commit_writes == 0 ? 0 : double(s.commits) / double(commit_writes);
+  s.io_retries = counters_.Get(kIoRetries);
+  s.write_failures = counters_.Get(kWriteFailures);
+  return s;
+}
+
 GroupCommitLog::GroupCommitLog(std::vector<LogDevice*> devices,
-                               GroupCommitLogOptions options)
-    : options_(options) {
+                               GroupCommitLogOptions options,
+                               MetricsRegistry* metrics)
+    : Wal(metrics), options_(options) {
   MMDB_CHECK_MSG(!devices.empty(), "need at least one log device");
   page_size_ = devices[0]->page_size();
   for (LogDevice* d : devices) {
@@ -79,7 +102,7 @@ Lsn GroupCommitLog::AppendCommit(LogRecord rec,
 Lsn GroupCommitLog::AppendInternal(LogRecord rec, bool is_commit,
                                    const std::vector<TxnId>& deps) {
   const int64_t size = rec.SerializedSize();
-  logical_bytes_.fetch_add(size);
+  counters_.Add(kLogicalBytes, size);
   Stripe& stripe = *stripes_[static_cast<size_t>(
       rec.txn_id >= 0 ? rec.txn_id % static_cast<int64_t>(stripes_.size())
                       : 0)];
@@ -148,8 +171,8 @@ void GroupCommitLog::AccountFlushed(Stripe* stripe, int64_t n) {
   {
     std::unique_lock<std::mutex> dlock(durable_mu_);
     for (TxnId t : newly_durable) durable_commits_.insert(t);
-    commit_count_ += static_cast<int64_t>(newly_durable.size());
-    if (!newly_durable.empty()) ++writes_with_commits_;
+    counters_.Add(kCommits, static_cast<int64_t>(newly_durable.size()));
+    if (!newly_durable.empty()) commit_writes_.fetch_add(1);
     // Wake WaitCommitDurable AND WaitLsnDurable waiters: durability
     // advanced even when no commit completed.
     durable_cv_.notify_all();
@@ -243,11 +266,13 @@ void GroupCommitLog::FlusherLoop(Stripe* stripe) {
           written = true;
           break;
         }
-        io_retries_.fetch_add(1);
+        counters_.Add(kIoRetries);
         // Exponential backoff, capped well under the device latency.
         std::this_thread::sleep_for(std::chrono::microseconds(1 << attempt));
       }
       if (written) {
+        counters_.Add(kDeviceWrites);
+        counters_.Add(kDeviceBytes, page_size_);
         // Publish to the shipping log before the records leave the queue
         // (AccountFlushed), so nothing below DurableHorizon is missing
         // from it. ship_mu_ is never taken inside a stripe mutex, so a
@@ -263,7 +288,7 @@ void GroupCommitLog::FlusherLoop(Stripe* stripe) {
         // Nothing persisted and nothing lost: put the chunk back at the
         // front (racing appends landed after it) and try again later.
         stripe->buffer.insert(0, chunk);
-        write_failures_.fetch_add(1);
+        counters_.Add(kWriteFailures);
         stripe->cv.wait_for(lock, std::chrono::microseconds(500));
         continue;
       }
@@ -378,24 +403,6 @@ std::vector<LogRecord> GroupCommitLog::ReadDurableRange(Lsn from, Lsn upto) {
     out.push_back(*rec);
   }
   return out;
-}
-
-Wal::Stats GroupCommitLog::stats() const {
-  Stats s;
-  for (const auto& stripe : stripes_) {
-    s.device_writes += stripe->device->num_pages();
-    s.device_bytes += stripe->device->bytes_written();
-  }
-  s.logical_bytes = logical_bytes_.load();
-  s.io_retries = io_retries_.load();
-  s.write_failures = write_failures_.load();
-  std::unique_lock<std::mutex> lock(durable_mu_);
-  s.commits = commit_count_;
-  s.avg_commit_group =
-      writes_with_commits_ == 0
-          ? 0
-          : double(commit_count_) / double(writes_with_commits_);
-  return s;
 }
 
 }  // namespace mmdb

@@ -12,13 +12,14 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "txn/log_device.h"
 #include "txn/log_record.h"
 
 namespace mmdb {
 
-/// Write-ahead-log abstraction the TransactionManager talks to. Three
+/// Write-ahead-log abstraction the TransactionManager talks to. Two
 /// implementations reproduce §5's ladder:
 ///   * GroupCommitLog, 1 device, group_commit=false — one log I/O per
 ///     commit, the ~100 tps baseline;
@@ -28,8 +29,12 @@ namespace mmdb {
 ///     dependency lattice (§5.2), ~k× further;
 ///   * StableLogBuffer (stable_log.h) — commit at memory speed, compressed
 ///     new-value-only disk log (§5.4).
+///
+/// Both count "log.*" into the registry passed at construction (a private
+/// one when null).
 class Wal {
  public:
+  /// View over the "log.*" counters.
   struct Stats {
     int64_t device_writes = 0;
     int64_t device_bytes = 0;
@@ -48,6 +53,7 @@ class Wal {
     int64_t retries = 0;                  ///< transient read errors retried
   };
 
+  explicit Wal(MetricsRegistry* metrics);
   virtual ~Wal() = default;
 
   virtual void Start() {}
@@ -104,7 +110,15 @@ class Wal {
     return {};
   }
 
-  virtual Stats stats() const = 0;
+  Stats stats() const;
+  MetricsRegistry* metrics() const { return counters_.registry(); }
+
+ protected:
+  enum Counter { kDeviceWrites, kDeviceBytes, kLogicalBytes, kCommits,
+                 kIoRetries, kWriteFailures, kNumCounters };
+  MetricCounters<kNumCounters> counters_;
+  /// Device writes that made a commit durable (GroupCommitLog only).
+  std::atomic<int64_t> commit_writes_{0};
 };
 
 struct GroupCommitLogOptions {
@@ -131,7 +145,8 @@ struct GroupCommitLogOptions {
 class GroupCommitLog : public Wal {
  public:
   GroupCommitLog(std::vector<LogDevice*> devices,
-                 GroupCommitLogOptions options);
+                 GroupCommitLogOptions options,
+                 MetricsRegistry* metrics = nullptr);
   ~GroupCommitLog() override;
 
   void Start() override;
@@ -150,9 +165,7 @@ class GroupCommitLog : public Wal {
       LogReadStats* stats = nullptr) override;
   Lsn DurableHorizon() const override;
   std::vector<LogRecord> ReadDurableRange(Lsn from, Lsn upto) override;
-  Stats stats() const override;
 
-  int num_stripes() const { return static_cast<int>(stripes_.size()); }
 
  private:
   struct PendingRecord {
@@ -204,15 +217,10 @@ class GroupCommitLog : public Wal {
   std::atomic<Lsn> next_lsn_{0};
   std::atomic<bool> stop_{false};
   std::atomic<bool> crash_{false};
-  std::atomic<int64_t> logical_bytes_{0};
-  std::atomic<int64_t> io_retries_{0};
-  std::atomic<int64_t> write_failures_{0};
 
   mutable std::mutex durable_mu_;
   std::condition_variable durable_cv_;
   std::unordered_set<TxnId> durable_commits_;
-  int64_t commit_count_ = 0;
-  int64_t writes_with_commits_ = 0;
 
   /// Shipping state: ship_log_ mirrors what the devices durably hold,
   /// keyed by LSN. Records are immutable once logged, so readers copy

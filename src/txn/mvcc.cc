@@ -7,8 +7,14 @@
 
 namespace mmdb {
 
-MvccManager::MvccManager(RecoverableStore* store)
-    : store_(store), chains_(store->num_records()) {}
+MvccManager::MvccManager(RecoverableStore* store, MetricsRegistry* metrics)
+    : store_(store),
+      chains_(store->num_records()),
+      counters_(metrics, "mvcc",
+                {{kVersionsStored, "versions_stored"},
+                 {kVersionsGced, "versions_gced"}, {kChainReads, "chain_reads"},
+                 {kDirectReads, "direct_reads"}, {kConflicts, "conflicts"},
+                 {kCommits, "commits"}, {kAborts, "aborts"}}) {}
 
 uint64_t MvccManager::BeginSnapshot() {
   std::unique_lock<std::mutex> lock(ts_mu_);
@@ -37,7 +43,7 @@ StatusOr<std::string> MvccManager::Read(uint64_t read_ts, int64_t record_id) {
       read_ts >= rv.newest_begin) {
     std::string value;
     MMDB_RETURN_IF_ERROR(store_->ReadRecord(record_id, &value));
-    direct_reads_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(kDirectReads);
     return value;
   }
   // Otherwise the newest chain node with begin <= read_ts is visible: an
@@ -46,7 +52,7 @@ StatusOr<std::string> MvccManager::Read(uint64_t read_ts, int64_t record_id) {
   for (const VersionNode* v = rv.history.get(); v != nullptr;
        v = v->next.get()) {
     if (v->begin <= read_ts) {
-      chain_reads_.fetch_add(1, std::memory_order_relaxed);
+      counters_.Add(kChainReads);
       return v->value;
     }
   }
@@ -66,14 +72,14 @@ Status MvccManager::ClaimWrite(TxnId txn, int64_t record_id,
   RecordVersions& rv = chains_.slot(record_id);
   if (rv.owner_txn != RecordVersions::kNoOwner) {
     if (rv.owner_txn == txn) return Status::OK();
-    conflicts_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(kConflicts);
     return Status::Conflict("record " + std::to_string(record_id) +
                             " owned by writer " +
                             std::to_string(rv.owner_txn));
   }
   if (snapshot_read_ts != kNoSnapshotCheck &&
       rv.newest_begin > snapshot_read_ts) {
-    conflicts_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(kConflicts);
     return Status::Conflict(
         "record " + std::to_string(record_id) + " committed at ts " +
         std::to_string(rv.newest_begin) + " > snapshot read ts " +
@@ -89,7 +95,7 @@ Status MvccManager::ClaimWrite(TxnId txn, int64_t record_id,
   node->next = std::move(rv.history);
   rv.history = std::move(node);
   rv.owner_txn = txn;
-  versions_stored_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kVersionsStored);
   return Status::OK();
 }
 
@@ -109,7 +115,7 @@ uint64_t MvccManager::CommitTxn(TxnId txn,
     rv.newest_begin = ts;
     rv.owner_txn = RecordVersions::kNoOwner;
   }
-  commits_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kCommits);
   return ts;
 }
 
@@ -126,7 +132,7 @@ void MvccManager::AbortTxn(TxnId txn,
     }
     rv.owner_txn = RecordVersions::kNoOwner;
   }
-  aborts_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kAborts);
 }
 
 uint64_t MvccManager::GcHorizon() const {
@@ -155,20 +161,8 @@ int64_t MvccManager::Gc() {
       link = &(*link)->next;
     }
   }
-  versions_gced_.fetch_add(removed, std::memory_order_relaxed);
+  counters_.Add(kVersionsGced, removed);
   return removed;
-}
-
-MvccManager::Stats MvccManager::stats() const {
-  Stats s;
-  s.versions_stored = versions_stored_.load(std::memory_order_relaxed);
-  s.versions_gced = versions_gced_.load(std::memory_order_relaxed);
-  s.chain_reads = chain_reads_.load(std::memory_order_relaxed);
-  s.direct_reads = direct_reads_.load(std::memory_order_relaxed);
-  s.conflicts = conflicts_.load(std::memory_order_relaxed);
-  s.commits = commits_.load(std::memory_order_relaxed);
-  s.aborts = aborts_.load(std::memory_order_relaxed);
-  return s;
 }
 
 uint64_t MvccManager::current_ts() const {

@@ -1,13 +1,13 @@
 #ifndef MMDB_TXN_MVCC_H_
 #define MMDB_TXN_MVCC_H_
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "storage/version_chain.h"
 #include "txn/recoverable_store.h"
@@ -45,11 +45,15 @@ namespace mmdb {
 ///
 /// Chains are volatile: after a crash recovery rebuilds the store and a
 /// fresh manager starts empty (open snapshots do not survive restarts).
+///
+/// Counts "mvcc.*" into the registry passed at construction (a private one
+/// when null).
 class MvccManager {
  public:
   /// `store` must outlive the manager; chain heads are sized to its record
   /// count.
-  explicit MvccManager(RecoverableStore* store);
+  explicit MvccManager(RecoverableStore* store,
+                       MetricsRegistry* metrics = nullptr);
 
   MvccManager(const MvccManager&) = delete;
   MvccManager& operator=(const MvccManager&) = delete;
@@ -104,20 +108,10 @@ class MvccManager {
   /// timestamp when no snapshot is open.
   uint64_t GcHorizon() const;
 
-  struct Stats {
-    int64_t versions_stored = 0;  ///< pre-image nodes captured by claims
-    int64_t versions_gced = 0;    ///< dropped by Gc (aborts not counted)
-    int64_t chain_reads = 0;      ///< snapshot reads served from a chain
-    int64_t direct_reads = 0;     ///< served straight from the store
-    int64_t conflicts = 0;        ///< ClaimWrite first-writer-wins rejects
-    int64_t commits = 0;          ///< CommitTxn calls
-    int64_t aborts = 0;           ///< AbortTxn calls
-  };
-  Stats stats() const;
-
   uint64_t current_ts() const;
   int64_t num_chains() const { return chains_.CountChains(); }
   int64_t num_versions() const { return chains_.CountNodes(); }
+  MetricsRegistry* metrics() const { return counters_.registry(); }
 
  private:
   RecoverableStore* store_;
@@ -129,13 +123,9 @@ class MvccManager {
   uint64_t commit_ts_ = 0;
   std::multiset<uint64_t> active_snapshots_;
 
-  std::atomic<int64_t> versions_stored_{0};
-  std::atomic<int64_t> versions_gced_{0};
-  std::atomic<int64_t> chain_reads_{0};
-  std::atomic<int64_t> direct_reads_{0};
-  std::atomic<int64_t> conflicts_{0};
-  std::atomic<int64_t> commits_{0};
-  std::atomic<int64_t> aborts_{0};
+  enum Counter { kVersionsStored, kVersionsGced, kChainReads, kDirectReads,
+                 kConflicts, kCommits, kAborts, kNumCounters };
+  MetricCounters<kNumCounters> counters_;
 };
 
 }  // namespace mmdb

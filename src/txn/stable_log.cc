@@ -16,8 +16,9 @@ std::string StableLogBuffer::TxnRegionName(TxnId txn) {
 }
 
 StableLogBuffer::StableLogBuffer(StableMemory* stable, LogDevice* device,
-                                 StableLogOptions options)
-    : stable_(stable), device_(device), options_(options) {
+                                 StableLogOptions options,
+                                 MetricsRegistry* metrics)
+    : Wal(metrics), stable_(stable), device_(device), options_(options) {
   if (!stable_->Has(kQueueRegion)) {
     Status s = stable_->Allocate(kQueueRegion, 0);
     MMDB_CHECK_MSG(s.ok(), s.ToString().c_str());
@@ -46,8 +47,8 @@ Lsn StableLogBuffer::Append(LogRecord rec) {
   const Lsn lsn = next_lsn_.fetch_add(size);
   rec.lsn = lsn;
 
+  counters_.Add(kLogicalBytes, size);
   std::unique_lock<std::mutex> lock(mu_);
-  logical_bytes_ += size;
   const std::string region = TxnRegionName(rec.txn_id);
   if (!stable_->Has(region)) {
     Status s = stable_->Allocate(region, 0);
@@ -105,8 +106,7 @@ Lsn StableLogBuffer::AppendCommit(LogRecord rec,
   s = stable_->Write(kQueueRegion, static_cast<int64_t>(old_size),
                      queued.data(), static_cast<int64_t>(queued.size()));
   MMDB_CHECK_MSG(s.ok(), s.ToString().c_str());
-  queued_bytes_compressed_ += static_cast<int64_t>(queued.size());
-  ++commits_;
+  counters_.Add(kCommits);
   stable_->Free(region);
   active_txns_.erase(txn);
   lock.unlock();
@@ -140,18 +140,19 @@ void StableLogBuffer::DrainerLoop() {
           break;
         }
         std::this_thread::sleep_for(std::chrono::microseconds(1 << attempt));
-        std::unique_lock<std::mutex> stats_lock(mu_);
-        ++io_retries_;
+        counters_.Add(kIoRetries);
       }
       lock.lock();
       if (!written) {
-        ++write_failures_;
+        counters_.Add(kWriteFailures);
         // The prefix is still queued; try again later. On Stop, leave it
         // in stable memory — it is durable there and recovery reads it.
         if (stop_) return;
         cv_.wait_for(lock, std::chrono::microseconds(500));
         continue;
       }
+      counters_.Add(kDeviceWrites);
+      counters_.Add(kDeviceBytes, page_size);
       // Now pop the drained prefix. Racing commits only appended after it,
       // so shift the tail down and truncate (Resize keeps StableMemory's
       // used-byte accounting in sync with the shrink).
@@ -208,19 +209,6 @@ std::vector<LogRecord> StableLogBuffer::ReadAllForRecovery(
   std::sort(all.begin(), all.end(),
             [](const LogRecord& a, const LogRecord& b) { return a.lsn < b.lsn; });
   return all;
-}
-
-Wal::Stats StableLogBuffer::stats() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  Stats s;
-  s.device_writes = device_->num_pages();
-  s.device_bytes = device_->bytes_written();
-  s.logical_bytes = logical_bytes_;
-  s.commits = commits_;
-  s.avg_commit_group = 0;
-  s.io_retries = io_retries_;
-  s.write_failures = write_failures_;
-  return s;
 }
 
 int64_t StableLogBuffer::queued_bytes() const {

@@ -38,7 +38,8 @@ struct StableLogOptions {
 class StableLogBuffer : public Wal {
  public:
   StableLogBuffer(StableMemory* stable, LogDevice* device,
-                  StableLogOptions options = {});
+                  StableLogOptions options = {},
+                  MetricsRegistry* metrics = nullptr);
   ~StableLogBuffer() override;
 
   void Start() override;
@@ -51,7 +52,6 @@ class StableLogBuffer : public Wal {
   void DiscardTxn(TxnId txn) override;
   std::vector<LogRecord> ReadAllForRecovery(
       LogReadStats* stats = nullptr) override;
-  Stats stats() const override;
 
   /// Bytes currently queued in stable memory awaiting drain.
   int64_t queued_bytes() const;
@@ -72,11 +72,6 @@ class StableLogBuffer : public Wal {
   std::unordered_set<TxnId> active_txns_;
 
   std::atomic<Lsn> next_lsn_{0};
-  int64_t logical_bytes_ = 0;
-  int64_t queued_bytes_compressed_ = 0;
-  int64_t commits_ = 0;
-  int64_t io_retries_ = 0;
-  int64_t write_failures_ = 0;
 };
 
 }  // namespace mmdb

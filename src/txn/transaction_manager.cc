@@ -11,12 +11,17 @@ TransactionManager::TransactionManager(RecoverableStore* store,
                                        LockManager* locks, Wal* wal,
                                        FirstUpdateTable* fut,
                                        TxnId first_txn_id,
-                                       MvccManager* versions)
+                                       MvccManager* versions,
+                                       MetricsRegistry* metrics)
     : store_(store),
       locks_(locks),
       wal_(wal),
       fut_(fut),
-      versions_(versions) {
+      versions_(versions),
+      counters_(metrics, "txn",
+                {{kBegun, "begun"}, {kCommitted, "committed"},
+                 {kAborted, "aborted"}, {kSnapshotBegun, "snapshot_begun"},
+                 {kConflicts, "conflicts"}}) {
   next_txn_.store(first_txn_id);
 }
 
@@ -30,7 +35,7 @@ TxnId TransactionManager::Begin() {
   TxnState state;
   state.begin_lsn = begin_lsn;
   active_[txn] = std::move(state);
-  ++stats_.begun;
+  counters_.Add(kBegun);
   return txn;
 }
 
@@ -51,8 +56,8 @@ TxnId TransactionManager::BeginSnapshotTxn() {
   state.begin_lsn = begin_lsn;
   state.read_ts = read_ts;
   active_[txn] = std::move(state);
-  ++stats_.begun;
-  ++stats_.snapshot_begun;
+  counters_.Add(kBegun);
+  counters_.Add(kSnapshotBegun);
   return txn;
 }
 
@@ -127,10 +132,7 @@ Status TransactionManager::Update(TxnId txn, int64_t record_id,
     // block, so they can never complete a waits-for cycle.
     Status claim = versions_->ClaimWrite(txn, record_id, read_ts);
     if (!claim.ok()) {
-      if (claim.code() == StatusCode::kConflict) {
-        std::unique_lock<std::mutex> lock(mu_);
-        ++stats_.conflicts;
-      }
+      if (claim.code() == StatusCode::kConflict) counters_.Add(kConflicts);
       return claim;
     }
     MMDB_RETURN_IF_ERROR(TrackClaim(txn, record_id));
@@ -146,10 +148,7 @@ Status TransactionManager::Update(TxnId txn, int64_t record_id,
       Status claim = versions_->ClaimWrite(txn, record_id,
                                            MvccManager::kNoSnapshotCheck);
       if (!claim.ok()) {
-        if (claim.code() == StatusCode::kConflict) {
-          std::unique_lock<std::mutex> lock(mu_);
-          ++stats_.conflicts;
-        }
+        if (claim.code() == StatusCode::kConflict) counters_.Add(kConflicts);
         return claim;
       }
       MMDB_RETURN_IF_ERROR(TrackClaim(txn, record_id));
@@ -222,8 +221,8 @@ Status TransactionManager::Commit(TxnId txn) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     EraseFinishingLocked(state.begin_lsn);
-    ++stats_.committed;
   }
+  counters_.Add(kCommitted);
   if (commit_hook_) commit_hook_(txn);
   return Status::OK();
 }
@@ -277,14 +276,9 @@ Status TransactionManager::Abort(TxnId txn) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     EraseFinishingLocked(state.begin_lsn);
-    ++stats_.aborted;
   }
+  counters_.Add(kAborted);
   return Status::OK();
-}
-
-TransactionManager::Stats TransactionManager::stats() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return stats_;
 }
 
 void TransactionManager::EraseFinishingLocked(Lsn begin_lsn) {

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "txn/lock_manager.h"
 #include "txn/log_manager.h"
@@ -53,6 +54,9 @@ enum class TxnMode {
 /// the transaction's read timestamp without locking, and updates claim
 /// per-record write ownership (kConflict when beaten) before taking the
 /// record X lock that keeps 2PL readers honest.
+///
+/// Counts "txn.*" into the registry passed at construction (a private one
+/// when null).
 class TransactionManager {
  public:
   /// `first_txn_id` must exceed every transaction id in the existing log
@@ -62,7 +66,8 @@ class TransactionManager {
   /// readers and snapshot transactions can run alongside (§6 / mvcc.h).
   TransactionManager(RecoverableStore* store, LockManager* locks, Wal* wal,
                      FirstUpdateTable* fut, TxnId first_txn_id = 1,
-                     MvccManager* versions = nullptr);
+                     MvccManager* versions = nullptr,
+                     MetricsRegistry* metrics = nullptr);
 
   /// Starts a 2PL transaction (writes its begin record).
   TxnId Begin();
@@ -89,15 +94,6 @@ class TransactionManager {
   /// claims.
   Status Abort(TxnId txn);
 
-  struct Stats {
-    int64_t begun = 0;
-    int64_t committed = 0;
-    int64_t aborted = 0;
-    int64_t snapshot_begun = 0;  ///< subset of `begun` at snapshot isolation
-    int64_t conflicts = 0;       ///< updates rejected with kConflict
-  };
-  Stats stats() const;
-
   /// Begin-record LSN of the oldest still-active transaction, or
   /// kInvalidLsn when none is in flight. A hot backup starts its log
   /// capture window here: every update a transaction active during the
@@ -110,6 +106,7 @@ class TransactionManager {
   RecoverableStore* store() const { return store_; }
   Wal* wal() const { return wal_; }
   MvccManager* versions() const { return versions_; }
+  MetricsRegistry* metrics() const { return counters_.registry(); }
 
   /// Invoked with the transaction id after every successful Commit, once
   /// the commit is durable and its locks are finalized. The Database wires
@@ -158,7 +155,10 @@ class TransactionManager {
   /// Begin LSNs of transactions that have left active_ in Commit or Abort
   /// and not yet returned (see OldestActiveBeginLsn).
   std::multiset<Lsn> finishing_;
-  Stats stats_;
+
+  enum Counter { kBegun, kCommitted, kAborted, kSnapshotBegun, kConflicts,
+                 kNumCounters };
+  MetricCounters<kNumCounters> counters_;
 };
 
 }  // namespace mmdb

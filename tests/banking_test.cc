@@ -59,7 +59,7 @@ TEST(BankingTest, SingleTransferMovesMoneyExactly) {
     ASSERT_TRUE(RunOneTransfer(db.txn_manager(), opts, &rng).ok());
   }
   EXPECT_EQ(*TotalBalance(db.recoverable_store(), opts), before);
-  EXPECT_EQ(db.txn_manager()->stats().committed, 25);
+  EXPECT_EQ(db.metrics()->Get("txn.committed"), 25);
 }
 
 class BankingWalKindTest : public ::testing::TestWithParam<WalKind> {};

@@ -231,10 +231,9 @@ TEST(HotBackup, IncrementalChainSkipsCleanPagesAndRestores) {
     EXPECT_EQ(state_at_inc1, AllRecords(&dest.store));
   }
 
-  const BackupManager::Stats stats = db.backup()->stats();
-  EXPECT_EQ(stats.backups_taken, 3);
-  EXPECT_EQ(stats.incremental_backups, 2);
-  EXPECT_GT(stats.pages_skipped, 0);
+  EXPECT_EQ(db.metrics()->Get("backup.backups_taken"), 3);
+  EXPECT_EQ(db.metrics()->Get("backup.incremental_backups"), 2);
+  EXPECT_GT(db.metrics()->Get("backup.pages_skipped"), 0);
 }
 
 TEST(HotBackup, PointInTimeRestoreToMidWorkloadCommit) {

@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <climits>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "db/database.h"
 #include "exec/aggregate.h"
 #include "exec/join.h"
+#include "server/server.h"
 #include "storage/datagen.h"
+#include "txn/banking.h"
 
 namespace mmdb {
 namespace {
@@ -267,6 +274,189 @@ TEST(MetricsParallelTest, NullMetricsPointerRecordsNothingAndStillRuns) {
     EXPECT_EQ(out->num_tuples(), 300);
   }
   EXPECT_EQ(env.metrics.Get("exec.join.runs"), 0);
+}
+
+// ---------------------------------------------------------------------------
+// The database registry: every component counts where the event happens,
+// so a read needs no snapshot first and counts survive Crash()/Recover().
+
+Database::TxnPlaneOptions FastPlane() {
+  Database::TxnPlaneOptions plane;
+  plane.num_records = 256;
+  plane.log_write_latency = std::chrono::microseconds(0);
+  return plane;
+}
+
+/// Commits `n` one-update record-plane transactions.
+void CommitRecords(Database* db, int n) {
+  TransactionManager* tm = db->txn_manager();
+  const std::string value(
+      static_cast<size_t>(db->recoverable_store()->record_size()), 'v');
+  for (int i = 0; i < n; ++i) {
+    const TxnId txn = tm->Begin();
+    ASSERT_TRUE(tm->Update(txn, i, value).ok());
+    ASSERT_TRUE(tm->Commit(txn).ok());
+  }
+}
+
+TEST(MetricsTest, TxnPlaneCountersAreLiveWithoutSnapshot) {
+  Database db;
+  ASSERT_TRUE(db.EnableTransactions(FastPlane()).ok());
+  CommitRecords(&db, 5);
+  EXPECT_EQ(db.metrics()->Get("txn.committed"), 5);
+  EXPECT_EQ(db.metrics()->Get("log.commits"), 5);
+}
+
+TEST(MetricsTest, CountersStayMonotonicAcrossRecover) {
+  Database db;
+  ASSERT_TRUE(db.EnableTransactions(FastPlane()).ok());
+  CommitRecords(&db, 5);
+  ASSERT_TRUE(db.Crash().ok());
+  ASSERT_TRUE(db.Recover().ok());
+  CommitRecords(&db, 1);
+  // Through the JSON too: a snapshot must not reset what was counted.
+  const std::string json = db.MetricsJson();
+  EXPECT_NE(json.find("\"txn.committed\":6"), std::string::npos);
+  EXPECT_EQ(db.metrics()->Get("txn.committed"), 6);
+}
+
+TEST(MetricsTest, CheckpointerSweepsCount) {
+  Database db;
+  ASSERT_TRUE(db.EnableTransactions(FastPlane()).ok());
+  CommitRecords(&db, 3);
+  // The background loop's path, not CheckpointNow.
+  auto written = db.checkpointer()->CheckpointOnce();
+  ASSERT_TRUE(written.ok());
+  EXPECT_EQ(db.metrics()->Get("checkpoint.sweeps"), 1);
+  EXPECT_EQ(db.metrics()->Get("checkpoint.pages_written"), *written);
+}
+
+TEST(MetricsTest, ReuseInvalidationReachesRegistry) {
+  Database::Options options;
+  options.reuse_cache_bytes = 1 << 20;
+  Database db(options);
+  ASSERT_TRUE(db.ExecuteSql("CREATE TABLE t (k INT64, v INT64)").ok());
+  ASSERT_TRUE(db.ExecuteSql("INSERT INTO t VALUES (1, 1)").ok());
+  auto table = db.GetTable("t");
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE(db.reuse_cache()->InstallResult("t-scan", {"t"}, **table, 1.0));
+  ASSERT_TRUE(db.ExecuteSql("UPDATE t SET v = 2 WHERE k = 1").ok());
+  EXPECT_EQ(db.metrics()->Get("cache.reuse.invalidated_entries"), 1);
+  EXPECT_EQ(db.metrics()->Get("cache.reuse.entries"), 0);
+}
+
+TEST(MetricsConcurrencyTest, SnapshotsBesideCommittingTransfers) {
+  Database db;
+  ASSERT_TRUE(db.EnableTransactions(FastPlane()).ok());
+  BankingOptions bank;
+  bank.num_accounts = 256;
+  ASSERT_TRUE(InitAccounts(db.recoverable_store(), bank).ok());
+  constexpr int kThreads = 4;
+  constexpr int kTransfersPerThread = 50;
+  std::atomic<int64_t> committed{0};
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Random rng(static_cast<uint64_t>(100 + t));
+      for (int i = 0; i < kTransfersPerThread; ++i) {
+        if (RunOneTransfer(db.txn_manager(), bank, &rng).ok()) {
+          committed.fetch_add(1);
+        }
+      }
+      running.fetch_sub(1);
+    });
+  }
+  do {
+    EXPECT_FALSE(db.MetricsJson().empty());
+  } while (running.load() > 0);
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(db.metrics()->Get("txn.committed"), committed.load());
+}
+
+/// One fixed single-threaded run over the whole surface: the versioned txn
+/// plane with a checkpoint and a hot backup, a crash and an instant
+/// recovery, then SQL through a server session with the reuse cache on.
+void RunSurfaceScenario(Database* db) {
+  Database::TxnPlaneOptions plane = FastPlane();
+  plane.enable_versioning = true;
+  ASSERT_TRUE(db->EnableTransactions(plane).ok());
+  CommitRecords(db, 5);
+  TransactionManager* tm = db->txn_manager();
+  const TxnId snapshot = tm->BeginSnapshotTxn();
+  ASSERT_TRUE(tm->Read(snapshot, 1).ok());
+  ASSERT_TRUE(tm->Commit(snapshot).ok());
+  ASSERT_TRUE(db->CheckpointNow().ok());
+  ASSERT_TRUE(db->backup()->RunHotBackup().ok());
+  CommitRecords(db, 3);
+  ASSERT_TRUE(db->Crash().ok());
+  RecoveryOptions recovery;
+  recovery.mode = RecoveryMode::kInstant;
+  ASSERT_TRUE(db->Recover(recovery).ok());
+  ASSERT_TRUE(db->WaitRecoveryDrained().ok());
+
+  Server server(db);
+  auto session = server.OpenSession();
+  ASSERT_TRUE(session.ok());
+  for (const char* sql : {
+           "CREATE TABLE emp (id INT64, dept INT64)",
+           "CREATE TABLE dept (dept INT64, name CHAR(12))",
+           "INSERT INTO emp VALUES (1, 1)",
+           "INSERT INTO emp VALUES (2, 2)",
+           "INSERT INTO dept VALUES (1, 'one')",
+           "INSERT INTO dept VALUES (2, 'two')",
+           "SELECT id, name FROM emp, dept WHERE emp.dept = dept.dept",
+           "SELECT id, name FROM emp, dept WHERE emp.dept = dept.dept",
+           "UPDATE emp SET dept = 2 WHERE id = 1",
+           "SELECT id, name FROM emp, dept WHERE emp.dept = dept.dept",
+       }) {
+    ASSERT_TRUE((*session)->ExecuteSql(sql).ok()) << sql;
+  }
+  ASSERT_TRUE(server.CloseSession((*session)->id()).ok());
+}
+
+TEST(MetricsTest, RegistryNamesCoverParent) {
+  // Every counter name MetricsJson() printed for RunSurfaceScenario while a
+  // snapshot still copied the txn plane in; none may be lost or renamed.
+  static const char* const kNames[] = {
+      "backup.backups_taken", "backup.incremental_backups",
+      "backup.last_end_lsn", "backup.log_records_captured",
+      "backup.pages_copied", "backup.pages_skipped", "buffer_pool.evictions",
+      "buffer_pool.faults", "buffer_pool.fetches", "buffer_pool.hits",
+      "buffer_pool.io_retries", "buffer_pool.writebacks",
+      "cache.reuse.build_hits", "cache.reuse.bytes", "cache.reuse.entries",
+      "cache.reuse.evictions", "cache.reuse.hits", "cache.reuse.installs",
+      "cache.reuse.invalidations", "cache.reuse.misses",
+      "cache.reuse.rejected", "checkpoint.pages_written", "checkpoint.sweeps",
+      "disk.io_errors", "disk.rand_ios", "disk.reads", "disk.seq_ios",
+      "disk.writes", "locks.acquisitions", "locks.deadlocks",
+      "locks.dependencies_recorded", "locks.waits", "log.commits",
+      "log.device_bytes", "log.device_writes", "log.io_retries",
+      "log.logical_bytes", "log.write_failures", "mvcc.aborts",
+      "mvcc.chain_reads", "mvcc.commits", "mvcc.conflicts",
+      "mvcc.direct_reads", "mvcc.versions_gced", "mvcc.versions_stored",
+      "recovery.analysis.ms", "recovery.corrupt_records_skipped",
+      "recovery.instant.complete", "recovery.instant.index_records",
+      "recovery.instant.pending", "recovery.log_records_scanned",
+      "recovery.ondemand.budget_exceeded", "recovery.ondemand.ms",
+      "recovery.ondemand.records", "recovery.ondemand.replayed",
+      "recovery.redo_applied", "recovery.runs",
+      "recovery.snapshot_pages_read", "recovery.sweep.ms",
+      "recovery.sweep.records", "recovery.sweep.replayed",
+      "recovery.undo_applied", "server.admission.admitted",
+      "server.sessions.active", "server.sessions.closed",
+      "server.sessions.opened", "server.shutdowns",
+      "session.row_lock_statements", "session.rows_affected",
+      "session.statements", "sql.update.rows", "sql.update.statements",
+      "txn.aborted", "txn.begun", "txn.committed", "txn.conflicts",
+      "txn.snapshot_begun",
+  };
+  Database::Options options;
+  options.reuse_cache_bytes = 1 << 20;
+  Database db(options);
+  RunSurfaceScenario(&db);
+  const auto counters = db.metrics()->TakeSnapshot().counters;
+  for (const char* name : kNames) EXPECT_EQ(counters.count(name), 1u) << name;
 }
 
 }  // namespace

@@ -48,8 +48,8 @@ TEST_F(MvccTest, DirectReadWhenNeverUpdated) {
   auto v = vm.Read(snap, 3);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(*v, Val('h'));
-  EXPECT_EQ(vm.stats().direct_reads, 1);
-  EXPECT_EQ(vm.stats().chain_reads, 0);
+  EXPECT_EQ(vm.metrics()->Get("mvcc.direct_reads"), 1);
+  EXPECT_EQ(vm.metrics()->Get("mvcc.chain_reads"), 0);
   vm.EndSnapshot(snap);
 }
 
@@ -62,7 +62,7 @@ TEST_F(MvccTest, SnapshotReaderSpansConcurrentCommit) {
   // The open snapshot still reads v1 — served from the version chain, since
   // the in-place value moved on.
   EXPECT_EQ(*vm.Read(snap, 0), Val('1'));
-  EXPECT_GT(vm.stats().chain_reads, 0);
+  EXPECT_GT(vm.metrics()->Get("mvcc.chain_reads"), 0);
   // A fresh snapshot sees v2, straight from the store.
   const uint64_t snap2 = vm.BeginSnapshot();
   EXPECT_EQ(*vm.Read(snap2, 0), Val('2'));
@@ -78,7 +78,7 @@ TEST_F(MvccTest, WriteWriteConflictOnSameRecord) {
   // kConflict — no deadlock is possible through claims.
   Status second = vm.ClaimWrite(2, 4, MvccManager::kNoSnapshotCheck);
   EXPECT_EQ(second.code(), StatusCode::kConflict);
-  EXPECT_EQ(vm.stats().conflicts, 1);
+  EXPECT_EQ(vm.metrics()->Get("mvcc.conflicts"), 1);
   // Re-claiming your own record is idempotent.
   EXPECT_TRUE(vm.ClaimWrite(1, 4, MvccManager::kNoSnapshotCheck).ok());
   // Once the owner aborts, the record is claimable again.
@@ -181,9 +181,8 @@ TEST(MvccTxnTest, SnapshotTxnFirstWriterWinsThroughTransactionManager) {
   EXPECT_EQ(st.code(), StatusCode::kConflict);
   ASSERT_TRUE(tm.Abort(reader).ok());
 
-  const TransactionManager::Stats stats = tm.stats();
-  EXPECT_EQ(stats.snapshot_begun, 4);
-  EXPECT_GE(stats.conflicts, 2);
+  EXPECT_EQ(tm.metrics()->Get("txn.snapshot_begun"), 4);
+  EXPECT_GE(tm.metrics()->Get("txn.conflicts"), 2);
   wal.Stop();
 }
 
@@ -262,7 +261,7 @@ TEST(MvccTxnTest, SnapshotScansSeeConservedTotalUnderLoad) {
   }
   vm.EndSnapshot(pinned);
   EXPECT_EQ(pinned_total, expected_total);
-  EXPECT_GT(vm.stats().chain_reads, 0);
+  EXPECT_GT(vm.metrics()->Get("mvcc.chain_reads"), 0);
   wal.Stop();
   // With no snapshot open, GC drains every retained version.
   vm.Gc();

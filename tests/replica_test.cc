@@ -89,7 +89,7 @@ TEST(Replica, ShipOnceAppliesOnlyCommittedPrefix) {
   EXPECT_EQ((*vals)[0], Val('a', 3)) << "uncommitted update leaked";
   EXPECT_EQ((*vals)[1], Val('b', 4));
   EXPECT_GT(horizon, 0);
-  EXPECT_EQ(p.replica->stats().inflight_txns, 1);
+  EXPECT_EQ(p.standby.metrics()->Get("replica.inflight_txns"), 1);
 
   // Commit arrives; the buffered updates are installed.
   ASSERT_TRUE(tm->Commit(open).ok());
@@ -97,7 +97,7 @@ TEST(Replica, ShipOnceAppliesOnlyCommittedPrefix) {
   vals = p.replica->SnapshotRead({3});
   ASSERT_TRUE(vals.ok());
   EXPECT_EQ((*vals)[0], Val('X', 3));
-  EXPECT_EQ(p.replica->stats().inflight_txns, 0);
+  EXPECT_EQ(p.standby.metrics()->Get("replica.inflight_txns"), 0);
 }
 
 TEST(Replica, AbortedTransactionRollsBack) {

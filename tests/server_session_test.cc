@@ -405,7 +405,7 @@ TEST(ConcurrencyTest, SnapshotWriteConflictRollsBackAndSurfaces) {
 
   ASSERT_TRUE(server.CloseSession((*sa)->id()).ok());
   ASSERT_TRUE(server.CloseSession((*sb)->id()).ok());
-  const std::string json = db.MetricsJson();  // syncs txn-plane counters
+  const std::string json = db.MetricsJson();
   EXPECT_GE(db.metrics()->Get("session.conflicts"), 1);
   EXPECT_GE(db.metrics()->Get("txn.conflicts"), 1);
   EXPECT_GE(db.metrics()->Get("mvcc.conflicts"), 1);

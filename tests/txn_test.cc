@@ -55,7 +55,7 @@ TEST_F(TxnTest, CommitAppliesUpdates) {
   std::string v;
   ASSERT_TRUE(store_.ReadRecord(3, &v).ok());
   EXPECT_EQ(v, Val("hello"));
-  EXPECT_EQ(tm_->stats().committed, 1);
+  EXPECT_EQ(tm_->metrics()->Get("txn.committed"), 1);
 }
 
 TEST_F(TxnTest, AbortRestoresOldValues) {
@@ -72,7 +72,7 @@ TEST_F(TxnTest, AbortRestoresOldValues) {
   EXPECT_EQ(v, Val("original"));
   ASSERT_TRUE(store_.ReadRecord(4, &v).ok());
   EXPECT_EQ(v, std::string(16, '\0'));
-  EXPECT_EQ(tm_->stats().aborted, 1);
+  EXPECT_EQ(tm_->metrics()->Get("txn.aborted"), 1);
 }
 
 TEST_F(TxnTest, ReadSeesOwnWritesViaStore) {
