@@ -1,12 +1,15 @@
-// Ablation (DESIGN.md §5): group-commit trigger — idle device vs timer
-// vs page-full.
+// Ablation (DESIGN.md §5): group-commit trigger — the default policy vs
+// a fixed timer vs page-full.
 //
 // A commit group normally closes when its log page fills; with few
-// concurrent transactions the page may never fill. With timeout 0 (the
-// default) a waiting commit's page goes out as soon as the device is
-// idle; a positive timeout lingers that long for more commits ("the
-// transaction is delayed from committing until its commit record
-// actually appears on disk"). We sweep the flush timeout at two
+// concurrent transactions the page may never fill. A positive timeout
+// lingers that long for more commits ("the transaction is delayed from
+// committing until its commit record actually appears on disk"). With
+// timeout 0 (the default) a waiting commit's page goes out as soon as the
+// device is idle, unless the log's own measurements say the committers
+// the last write released are about to return: it then holds the page
+// until they do, but never past the break-even horizon write time /
+// (waiting + 1) (DESIGN §10). We sweep the flush timeout at two
 // concurrency levels and report throughput, commit-group size, and the
 // derived mean commit latency (threads / tps, closed loop):
 //
@@ -14,10 +17,21 @@
 //     matters (the paper's 1000-tps regime);
 //   * low concurrency: a long timeout trades commit latency for group
 //     size; past the point where groups stop growing it only adds latency.
-//     No linger at all can split the clients into groups that never
-//     merge (EXPERIMENTS, S5a/ablation re-run).
+//     Writing the moment the device idles, with no hold at all, splits 4
+//     clients into groups of one and three that never merge (~195 tps);
+//     the default policy merges them into one group of four.
+//
+// Usage: bench_ablation_group_commit [--smoke] [duration_ms]
+//
+// --smoke runs every row for 1 s and exits non-zero unless the default
+// row keeps pace with the timers: at 4 clients it reaches >= 0.75x the
+// best positive timeout's tps at a group size >= 2.5, and at 64 clients
+// >= 0.9x the best row.
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <vector>
 
 #include "db/database.h"
 
@@ -51,21 +65,39 @@ BankingResult RunWithTimeout(int threads,
   return result;
 }
 
+struct SweepRow {
+  int threads;
+  int timeout_us;
+  double tps;
+  double group;
+};
+
 }  // namespace
 }  // namespace mmdb
 
 int main(int argc, char** argv) {
   using namespace mmdb;
-  const int duration_ms = argc > 1 ? std::atoi(argv[1]) : 1500;
+  bool smoke = false;
+  int duration_ms = 1500;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else {
+      duration_ms = std::atoi(argv[i]);
+    }
+  }
+  if (smoke) duration_ms = 1000;
   std::printf("== Ablation: group-commit flush timeout (10 ms log page "
               "writes, %d ms runs) ==\n\n",
               duration_ms);
   std::printf("%10s %12s | %9s %12s %14s\n", "threads", "timeout",
               "tps", "group size", "latency(ms)");
+  std::vector<SweepRow> rows;
   for (int threads : {4, 64}) {
     for (int timeout_us : {0, 200, 1000, 5000, 20000}) {
       const BankingResult r = RunWithTimeout(
           threads, std::chrono::microseconds(timeout_us), duration_ms);
+      rows.push_back({threads, timeout_us, r.tps, r.wal.avg_commit_group});
       std::printf("%10d %9d us | %9.0f %12.1f %14.1f\n", threads,
                   timeout_us, r.tps, r.wal.avg_commit_group,
                   r.tps > 0 ? double(threads) / r.tps * 1000 : 0.0);
@@ -74,5 +106,39 @@ int main(int argc, char** argv) {
   std::printf("\nwith 64 clients the page fills before any timer (timeout "
               "irrelevant); with 4 clients a longer timeout grows the "
               "commit group but charges every commit the wait.\n");
+
+  // The default row of `threads` against the best timer row (or, when
+  // `include_default`, the best row of all).
+  auto default_ratio = [&](int threads, bool include_default) {
+    const SweepRow* def = nullptr;
+    double best = 0;
+    for (const SweepRow& row : rows) {
+      if (row.threads != threads) continue;
+      if (row.timeout_us == 0) def = &row;
+      if (row.timeout_us > 0 || include_default) {
+        best = std::max(best, row.tps);
+      }
+    }
+    return best > 0 ? def->tps / best : 0;
+  };
+  const double ratio4 = default_ratio(4, /*include_default=*/false);
+  const double group4 = rows[0].group;
+  const double ratio64 = default_ratio(64, /*include_default=*/true);
+  std::printf("\n4 clients: default / best timer tps   %5.2fx  (smoke: >= "
+              "0.75)\n"
+              "4 clients: default group size        %5.1f   (smoke: >= 2.5)\n"
+              "64 clients: default / best row tps   %5.2fx  (smoke: >= "
+              "0.9)\n",
+              ratio4, group4, ratio64);
+
+  if (smoke) {
+    MMDB_CHECK_MSG(ratio4 >= 0.75,
+                   "4 clients: the default fell below 0.75x the best timer");
+    MMDB_CHECK_MSG(group4 >= 2.5,
+                   "4 clients: the default averaged fewer than 2.5 commits "
+                   "per write");
+    MMDB_CHECK_MSG(ratio64 >= 0.9,
+                   "64 clients: the default fell below 0.9x the best row");
+  }
   return 0;
 }

@@ -112,6 +112,11 @@ class BackupManager {
   /// Known backup ids and their end LSNs (for incremental chaining).
   StatusOr<Lsn> EndLsnOf(int64_t backup_id) const;
 
+  /// Re-points the active-transaction source after the owner replaces its
+  /// TransactionManager (Database::Recover). Not concurrent with
+  /// RunHotBackup; the backup id map survives.
+  void set_txn_manager(TransactionManager* tm) { tm_ = tm; }
+
   MetricsRegistry* metrics() const { return counters_.registry(); }
 
  private:

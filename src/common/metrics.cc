@@ -1,6 +1,7 @@
 #include "common/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace mmdb {
 
@@ -27,6 +28,23 @@ void MetricHistogram::Data::MergeFrom(const Data& other) {
   count += other.count;
   sum += other.sum;
   for (int i = 0; i < kNumBuckets; ++i) buckets[size_t(i)] += other.buckets[size_t(i)];
+}
+
+int64_t MetricHistogram::Data::Percentile(double p) const {
+  if (count == 0) return 0;
+  // The epsilon keeps an exact product (0.07 * 100) from rounding up a rank.
+  const int64_t rank = std::clamp<int64_t>(
+      static_cast<int64_t>(std::ceil(p * double(count) - 1e-9)), 1, count);
+  int64_t seen = 0;
+  for (int i = 0; i < kNumBuckets; ++i) {
+    seen += buckets[size_t(i)];
+    if (seen < rank) continue;
+    // Bucket i holds [2^(i-1), 2^i); bucket 0 holds values <= 0.
+    const int64_t upper =
+        i == 0 ? 0 : i == kNumBuckets - 1 ? max : (int64_t{1} << i) - 1;
+    return std::clamp(upper, min, max);
+  }
+  return max;
 }
 
 bool MetricHistogram::Data::operator==(const Data& other) const {

@@ -43,6 +43,10 @@ class MetricHistogram {
     std::array<int64_t, kNumBuckets> buckets{};
 
     double Mean() const { return count > 0 ? double(sum) / double(count) : 0; }
+    /// Nearest-rank `p`-quantile, 0 <= p <= 1: the largest value the
+    /// bucket holding the ceil(p * count)-th smallest value admits,
+    /// clamped to [min, max]. Exact for one value; 0 when empty.
+    int64_t Percentile(double p) const;
     void MergeFrom(const Data& other);
     bool operator==(const Data& other) const;
   };

@@ -834,6 +834,8 @@ void Database::ResetTxnManager(TxnId first_txn_id) {
   txn_manager_ = std::make_unique<TransactionManager>(
       store_.get(), lock_manager_.get(), wal_.get(), fut_.get(), first_txn_id,
       versions_.get(), &metrics_);
+  // The backup manager outlives recoveries; it must not read the old one.
+  if (backup_ != nullptr) backup_->set_txn_manager(txn_manager_.get());
   // MVCC interaction (DESIGN.md §15): SQL plans never read the record
   // plane, so its commits cannot make a cached SQL result stale — but the
   // reserved namespace documents (and tests) the channel: every committed

@@ -1,7 +1,6 @@
 #include "txn/log_manager.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/check.h"
 
@@ -13,7 +12,9 @@ Wal::Wal(MetricsRegistry* metrics)
                  {kDeviceBytes, "device_bytes"},
                  {kLogicalBytes, "logical_bytes"}, {kCommits, "commits"},
                  {kIoRetries, "io_retries"},
-                 {kWriteFailures, "write_failures"}}) {}
+                 {kWriteFailures, "write_failures"}, {kLingers, "lingers"},
+                 {kLingerTimeouts, "linger_timeouts"}}),
+      group_size_(counters_.registry()->histogram("log.group_size")) {}
 
 Wal::Stats Wal::stats() const {
   Stats s;
@@ -21,9 +22,7 @@ Wal::Stats Wal::stats() const {
   s.device_bytes = counters_.Get(kDeviceBytes);
   s.logical_bytes = counters_.Get(kLogicalBytes);
   s.commits = counters_.Get(kCommits);
-  const int64_t commit_writes = commit_writes_.load();
-  s.avg_commit_group =
-      commit_writes == 0 ? 0 : double(s.commits) / double(commit_writes);
+  s.avg_commit_group = group_size_->data().Mean();
   s.io_retries = counters_.Get(kIoRetries);
   s.write_failures = counters_.Get(kWriteFailures);
   return s;
@@ -32,7 +31,9 @@ Wal::Stats Wal::stats() const {
 GroupCommitLog::GroupCommitLog(std::vector<LogDevice*> devices,
                                GroupCommitLogOptions options,
                                MetricsRegistry* metrics)
-    : Wal(metrics), options_(options) {
+    : Wal(metrics),
+      options_(options),
+      write_us_(counters_.registry()->histogram("log.write_us")) {
   MMDB_CHECK_MSG(!devices.empty(), "need at least one log device");
   page_size_ = devices[0]->page_size();
   for (LogDevice* d : devices) {
@@ -71,7 +72,8 @@ void GroupCommitLog::CrashStop() {
     std::unique_lock<std::mutex> lock(stripe->mu);
     stripe->buffer.clear();
     stripe->pending.clear();
-    stripe->commit_waiting = false;
+    stripe->commits_waiting = 0;
+    stripe->awaiting_return = false;
     stripe->force_upto = kInvalidLsn;
   }
 }
@@ -124,10 +126,14 @@ Lsn GroupCommitLog::AppendInternal(LogRecord rec, bool is_commit,
     pending.deps = deps;
     pending.record = std::make_shared<const LogRecord>(std::move(rec));
     if (is_commit) {
-      pending.appended = std::chrono::steady_clock::now();
-      if (!stripe.commit_waiting) {
-        stripe.commit_waiting = true;
+      pending.appended = Clock::now();
+      if (stripe.commits_waiting++ == 0) {
         stripe.oldest_commit = pending.appended;
+      }
+      if (stripe.awaiting_return) {
+        stripe.awaiting_return = false;
+        stripe.gaps[size_t(stripe.gaps_seen++ % kGapRing)] =
+            pending.appended - stripe.last_release;
       }
     }
     stripe.pending.push_back(std::move(pending));
@@ -154,7 +160,8 @@ int64_t GroupCommitLog::SafeBytes(Stripe* stripe) {
   return safe;
 }
 
-void GroupCommitLog::AccountFlushed(Stripe* stripe, int64_t n) {
+void GroupCommitLog::AccountFlushed(Stripe* stripe, int64_t n,
+                                    Clock::time_point written) {
   // Caller holds stripe->mu.
   std::vector<TxnId> newly_durable;
   while (n > 0) {
@@ -172,46 +179,71 @@ void GroupCommitLog::AccountFlushed(Stripe* stripe, int64_t n) {
     std::unique_lock<std::mutex> dlock(durable_mu_);
     for (TxnId t : newly_durable) durable_commits_.insert(t);
     counters_.Add(kCommits, static_cast<int64_t>(newly_durable.size()));
-    if (!newly_durable.empty()) commit_writes_.fetch_add(1);
+    if (!newly_durable.empty()) {
+      group_size_->Record(static_cast<int64_t>(newly_durable.size()));
+    }
     // Wake WaitCommitDurable AND WaitLsnDurable waiters: durability
     // advanced even when no commit completed.
     durable_cv_.notify_all();
   }
-  if (!newly_durable.empty()) {
-    // Other stripes may have pages blocked on these commits.
-    for (auto& other : stripes_) {
-      if (other.get() != stripe) other->cv.notify_all();
-    }
+  if (newly_durable.empty()) return;
+  // Other stripes may have pages blocked on these commits.
+  for (auto& other : stripes_) {
+    if (other.get() != stripe) other->cv.notify_all();
   }
-  // Re-examine whether commits are still waiting. The linger clock keeps
-  // running from the oldest remaining commit's append; a partial flush
-  // does not restart it.
-  stripe->commit_waiting = false;
+  stripe->commits_waiting -= static_cast<int64_t>(newly_durable.size());
+  stripe->last_release = written;
+  stripe->expect =
+      static_cast<int64_t>(newly_durable.size()) + stripe->commits_waiting;
+  stripe->awaiting_return = true;
+  // The linger clock keeps running from the oldest remaining commit's
+  // append; a partial flush does not restart it.
   for (const PendingRecord& rec : stripe->pending) {
     if (rec.is_commit) {
-      stripe->commit_waiting = true;
       stripe->oldest_commit = rec.appended;
       break;
     }
   }
 }
 
+std::optional<GroupCommitLog::Clock::time_point>
+GroupCommitLog::ReturnDeadline(const Stripe& stripe) const {
+  // Until a return has been seen there is nothing to predict.
+  if (stripe.commits_waiting >= stripe.expect || stripe.gaps_seen == 0) {
+    return std::nullopt;
+  }
+  // Nearest-rank p90 of the remembered gaps; the maximum of fewer than 10.
+  std::array<Clock::duration, kGapRing> gaps = stripe.gaps;
+  const int64_t n = std::min<int64_t>(stripe.gaps_seen, kGapRing);
+  const auto p90 = gaps.begin() + (9 * n + 9) / 10 - 1;
+  std::nth_element(gaps.begin(), p90, gaps.begin() + n);
+  // Break-even: a return g after the release, had the page gone out at
+  // the release, would wait out the rest of that write and then its own,
+  // 2W - g; the hold charges each waiting commit g and the returner only
+  // W. It pays while (waiting + 1) * g < W. Hold when the p90 return
+  // falls inside that horizon, and no longer than the horizon.
+  const Clock::duration horizon =
+      stripe.write_time / (stripe.commits_waiting + 1);
+  if (*p90 >= horizon) return std::nullopt;
+  return stripe.last_release + horizon;
+}
+
 void GroupCommitLog::FlusherLoop(Stripe* stripe) {
-  using Clock = std::chrono::steady_clock;
   const bool linger =
       options_.group_commit && options_.flush_timeout.count() > 0;
   std::unique_lock<std::mutex> lock(stripe->mu);
+  bool holding = false;  // a partial page with a commit waits on a deadline
   while (true) {
     if (crash_.load()) return;  // power failure: drop everything buffered
     const bool stopping = stop_.load();
     const int64_t safe = SafeBytes(stripe);
 
     // A full page always goes out. A partial page goes out when a commit
-    // waits on it (after the linger, if one is configured), when
-    // WaitLsnDurable fences records in it, or at shutdown. The device is
-    // idle whenever this thread is here, so a waiting commit's write
-    // starts at once; commits appended during the write form the next
-    // group.
+    // waits on it (after the fixed linger if one is configured, or once
+    // the returning committers arrive or are overdue), when WaitLsnDurable
+    // fences records in it, or at shutdown. The device is idle whenever
+    // this thread is here, so a write starts at once; commits appended
+    // during the write form the next group.
     bool flush = safe >= page_size_;
     std::optional<Clock::time_point> deadline;
     if (safe > 0 && !flush) {
@@ -221,15 +253,20 @@ void GroupCommitLog::FlusherLoop(Stripe* stripe) {
                  stripe->pending.front().lsn <= stripe->force_upto) {
         // The queue is in LSN order, so the front is its oldest record.
         flush = true;
-      } else if (stripe->commit_waiting) {
-        if (!linger) {
-          flush = true;
-        } else {
+      } else if (stripe->commits_waiting > 0) {
+        if (linger) {
           deadline = stripe->oldest_commit + options_.flush_timeout;
-          flush = Clock::now() >= *deadline;
+        } else if (options_.group_commit) {
+          deadline = ReturnDeadline(*stripe);
+        }
+        flush = !deadline.has_value() || Clock::now() >= *deadline;
+        if (flush && deadline.has_value() && holding) {
+          counters_.Add(kLingerTimeouts);
         }
       }
     }
+    if (!flush && deadline.has_value() && !holding) counters_.Add(kLingers);
+    holding = !flush && deadline.has_value();
 
     if (flush) {
       int64_t n = std::min(safe, page_size_);
@@ -260,6 +297,7 @@ void GroupCommitLog::FlusherLoop(Stripe* stripe) {
       // Device write without the stripe lock: appends continue meanwhile.
       // Pending accounting happens after the write completes (durability).
       lock.unlock();
+      const Clock::time_point write_start = Clock::now();
       bool written = false;
       for (int attempt = 0; attempt < kDefaultMaxIoAttempts; ++attempt) {
         if (stripe->device->WritePage(chunk).ok()) {
@@ -270,7 +308,11 @@ void GroupCommitLog::FlusherLoop(Stripe* stripe) {
         // Exponential backoff, capped well under the device latency.
         std::this_thread::sleep_for(std::chrono::microseconds(1 << attempt));
       }
+      const Clock::time_point write_end = Clock::now();
       if (written) {
+        write_us_->Record(std::chrono::duration_cast<std::chrono::microseconds>(
+                              write_end - write_start)
+                              .count());
         counters_.Add(kDeviceWrites);
         counters_.Add(kDeviceBytes, page_size_);
         // Publish to the shipping log before the records leave the queue
@@ -292,7 +334,12 @@ void GroupCommitLog::FlusherLoop(Stripe* stripe) {
         stripe->cv.wait_for(lock, std::chrono::microseconds(500));
         continue;
       }
-      AccountFlushed(stripe, n);
+      // Only the flusher reads or writes the write-time average.
+      const Clock::duration took = write_end - write_start;
+      stripe->write_time = stripe->write_time.count() == 0
+                               ? took
+                               : (7 * stripe->write_time + took) / 8;
+      AccountFlushed(stripe, n, write_end);
       continue;  // there may be more to flush
     }
 

@@ -1,6 +1,7 @@
 #ifndef MMDB_TXN_LOG_MANAGER_H_
 #define MMDB_TXN_LOG_MANAGER_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -8,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -31,7 +33,9 @@ namespace mmdb {
 ///     new-value-only disk log (§5.4).
 ///
 /// Both count "log.*" into the registry passed at construction (a private
-/// one when null).
+/// one when null). GroupCommitLog also records "log.group_size" (commits
+/// per commit-carrying write), "log.write_us" (page-write time) and its
+/// holds for returning committers ("log.lingers", "log.linger_timeouts").
 class Wal {
  public:
   /// View over the "log.*" counters.
@@ -40,7 +44,7 @@ class Wal {
     int64_t device_bytes = 0;
     int64_t logical_bytes = 0;  ///< uncompressed log bytes generated
     int64_t commits = 0;
-    double avg_commit_group = 0;  ///< commits per device write (when >0)
+    double avg_commit_group = 0;  ///< commits per commit-carrying write
     int64_t io_retries = 0;      ///< transient write errors retried
     int64_t write_failures = 0;  ///< bounded retries exhausted (requeued)
   };
@@ -115,10 +119,12 @@ class Wal {
 
  protected:
   enum Counter { kDeviceWrites, kDeviceBytes, kLogicalBytes, kCommits,
-                 kIoRetries, kWriteFailures, kNumCounters };
+                 kIoRetries, kWriteFailures, kLingers, kLingerTimeouts,
+                 kNumCounters };
   MetricCounters<kNumCounters> counters_;
-  /// Device writes that made a commit durable (GroupCommitLog only).
-  std::atomic<int64_t> commit_writes_{0};
+  /// Commits per device write that made a commit durable (GroupCommitLog
+  /// only); its mean is Stats::avg_commit_group.
+  MetricHistogram* group_size_;
 };
 
 struct GroupCommitLogOptions {
@@ -126,9 +132,11 @@ struct GroupCommitLogOptions {
   bool group_commit = true;
   /// How long a partial page holding a pre-committed transaction may
   /// linger for more commits, counted from the oldest waiting commit's
-  /// append. 0 (the default) means no linger: the page goes out as soon
-  /// as the device is idle, and the commits that arrive during that write
-  /// form the next group.
+  /// append. 0 (the default) means no fixed linger: the page goes out as
+  /// soon as the device is idle, unless the log's own measurements say
+  /// the committers the last write released are about to return and
+  /// waiting for them costs less than the write it saves (see
+  /// GroupCommitLog).
   std::chrono::microseconds flush_timeout{0};
 };
 
@@ -137,7 +145,16 @@ struct GroupCommitLogOptions {
 /// partial pages once a commit waits on them. The flusher is self-clocking:
 /// while a page write is in flight, new commits queue in the buffer and
 /// leave together in the next write, so the device's own latency paces
-/// the groups and group size grows with load. Commit records become
+/// the groups and group size grows with load. Left at that, a small
+/// closed-loop population splits into groups that never merge: the commit
+/// queued behind a write goes out alone just before the committers that
+/// write released return. So, under the default flush_timeout of 0, each
+/// stripe measures the gap from a write's completion to the next commit
+/// append and times its page writes. It holds a partial page for the
+/// returning committers only while the expected group is incomplete and
+/// the p90 gap falls inside the break-even horizon write time / (waiting
+/// + 1), and no longer than that horizon after the release. A lone
+/// committer never waits. Commit records become
 /// durable when their bytes reach the device; with several stripes, a page
 /// holding a commit whose dependencies are not yet durable is held back
 /// (the topological commit-group ordering), flushing the safe prefix
@@ -181,6 +198,10 @@ class GroupCommitLog : public Wal {
     std::shared_ptr<const LogRecord> record;
   };
 
+  using Clock = std::chrono::steady_clock;
+  /// Return gaps a stripe remembers.
+  static constexpr int kGapRing = 64;
+
   struct Stripe {
     LogDevice* device = nullptr;
     std::mutex mu;
@@ -188,9 +209,21 @@ class GroupCommitLog : public Wal {
     std::string buffer;
     /// In LSN order: LSNs are assigned under `mu`, in queue order.
     std::deque<PendingRecord> pending;
-    bool commit_waiting = false;
+    /// Commit records in `pending`.
+    int64_t commits_waiting = 0;
     /// Append time of the oldest commit still in `pending`.
-    std::chrono::steady_clock::time_point oldest_commit;
+    Clock::time_point oldest_commit;
+    /// The default policy's measurements. A release is a write that made
+    /// commits durable; `expect` is the commits it made durable plus the
+    /// commits queued behind it, the group its committers would form.
+    Clock::time_point last_release;
+    int64_t expect = 0;
+    /// Set at a release; the next commit append records its return gap.
+    bool awaiting_return = false;
+    std::array<Clock::duration, kGapRing> gaps{};
+    int64_t gaps_seen = 0;
+    /// Moving average of this stripe's page-write time.
+    Clock::duration write_time{0};
     /// Flush (partial pages allowed) until all records with lsn <= this
     /// are durable — set by WaitLsnDurable.
     Lsn force_upto = kInvalidLsn;
@@ -203,16 +236,21 @@ class GroupCommitLog : public Wal {
   /// mutex and wakes the flushers, so an idle flusher cannot miss it.
   void StopFlushers(bool crash);
   void FlusherLoop(Stripe* stripe);
+  /// Default policy: when to stop holding a partial page for returning
+  /// committers, or nullopt to write it now. Caller holds stripe->mu.
+  std::optional<Clock::time_point> ReturnDeadline(const Stripe& stripe) const;
   /// Bytes at the front of `stripe->buffer` whose commits have all their
   /// dependencies durable (whole records only).
   int64_t SafeBytes(Stripe* stripe);
-  /// Pops `n` bytes of pending records, marking completed commits durable
-  /// (and counting the write's group before any waiter wakes).
-  void AccountFlushed(Stripe* stripe, int64_t n);
+  /// Pops `n` bytes of pending records, written at `written`, marking
+  /// completed commits durable (and counting the write's group before any
+  /// waiter wakes).
+  void AccountFlushed(Stripe* stripe, int64_t n, Clock::time_point written);
 
   std::vector<std::unique_ptr<Stripe>> stripes_;
   GroupCommitLogOptions options_;
   int64_t page_size_;
+  MetricHistogram* write_us_;
 
   std::atomic<Lsn> next_lsn_{0};
   std::atomic<bool> stop_{false};

@@ -127,6 +127,32 @@ TEST(HotBackup, InFlightTransactionIsRolledBackAtRestore) {
   ASSERT_TRUE(tm->Abort(loser).ok());
 }
 
+// Regression: Recover() replaces the TransactionManager, and the backup
+// manager kept the one it was built with. A full backup after recovery
+// read the freed manager for its active-transaction bound (a
+// heap-use-after-free under ASan) instead of the live one.
+TEST(HotBackup, FullBackupAfterRecoverSeesLiveTransactions) {
+  Database db;
+  ASSERT_TRUE(db.EnableTransactions(PlaneOptions()).ok());
+  for (int64_t i = 0; i < 8; ++i) CommitValue(&db, i, Val('a', i));
+  ASSERT_TRUE(db.Crash().ok());
+  ASSERT_TRUE(db.Recover().ok());
+
+  TransactionManager* tm = db.txn_manager();
+  const TxnId open = tm->Begin();
+  ASSERT_TRUE(tm->Update(open, 0, Val('o', 0)).ok());
+  const Lsn open_begin = tm->OldestActiveBeginLsn();
+  ASSERT_NE(open_begin, kInvalidLsn);
+  // Later commits push the durable horizon past the open one's begin, so
+  // only the active-transaction bound keeps its records in the window.
+  for (int64_t i = 1; i < 8; ++i) CommitValue(&db, i, Val('b', i));
+
+  auto img = db.backup()->RunHotBackup();
+  ASSERT_TRUE(img.ok()) << img.status().ToString();
+  EXPECT_LE(img->capture_from, open_begin);
+  ASSERT_TRUE(tm->Abort(open).ok());
+}
+
 // The differential harness proper: transfers commit on 8 threads while
 // backups run. Every backup must restore to a transaction-consistent cut —
 // the banking conservation invariant (total balance never changes) detects

@@ -415,6 +415,71 @@ TEST(GroupCommitConcurrencyTest, PositiveTimeoutLingersThenWritesOnce) {
   log.Stop();
 }
 
+/// Closed-loop committers on one default-policy log: each thread commits
+/// `commits_each` times, waiting for durability before the next commit.
+/// Returns the wall time the run took.
+std::chrono::steady_clock::duration RunClosedLoopCommitters(
+    GroupCommitLog* log, int threads, int commits_each) {
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([=] {
+      for (int i = 0; i < commits_each; ++i) {
+        const TxnId txn = 1 + t + i * threads;
+        log->AppendCommit(Commit(txn), {});
+        log->WaitCommitDurable(txn);
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  return std::chrono::steady_clock::now() - start;
+}
+
+TEST(GroupCommitConcurrencyTest, TwoClosedLoopCommittersShareWrites) {
+  // Two committers split into alternating groups of one when the flusher
+  // writes the moment a commit waits: one commit is always in flight while
+  // the other waits. The default policy sees the released committer return
+  // within a small fraction of the 5 ms write and holds the page for it.
+  LogDevice device(512, microseconds(5000));
+  GroupCommitLog log({&device}, GroupCommitLogOptions{});
+  log.Start();
+  RunClosedLoopCommitters(&log, 2, 20);
+  log.Stop();
+  const Wal::Stats stats = log.stats();
+  EXPECT_EQ(stats.commits, 40);
+  EXPECT_GE(stats.avg_commit_group, 1.8);
+}
+
+TEST(GroupCommitConcurrencyTest, LoneCommitterNeverLingers) {
+  // One committer: every write releases one commit and nothing queues
+  // behind it, so the expected group is always already complete.
+  const microseconds write(5000);
+  LogDevice device(512, write);
+  GroupCommitLog log({&device}, GroupCommitLogOptions{});
+  log.Start();
+  const auto took = RunClosedLoopCommitters(&log, 1, 20);
+  log.Stop();
+  EXPECT_EQ(log.stats().device_writes, 20);
+  EXPECT_EQ(log.metrics()->Get("log.lingers"), 0);
+  EXPECT_LT(took, 20 * 3 * write / 2);
+}
+
+TEST(GroupCommitConcurrencyTest, WritesRecordGroupSizeAndWriteTime) {
+  LogDevice device(512, microseconds(1000));
+  GroupCommitLog log({&device}, GroupCommitLogOptions{});
+  log.Start();
+  RunClosedLoopCommitters(&log, 1, 5);
+  log.Stop();
+  MetricsRegistry* m = log.metrics();
+  const MetricHistogram::Data groups = m->histogram("log.group_size")->data();
+  EXPECT_EQ(groups.count, 5);
+  EXPECT_EQ(groups.sum, 5);
+  const MetricHistogram::Data writes = m->histogram("log.write_us")->data();
+  EXPECT_EQ(writes.count, 5);
+  EXPECT_GE(writes.min, 1000);
+  EXPECT_DOUBLE_EQ(log.stats().avg_commit_group, groups.Mean());
+}
+
 TEST(GroupCommitLogStressTest, DependencyOrderInvariantUnderLoad) {
   // Property (§5.2's lattice): whenever a dependent transaction's commit
   // is durable, every one of its dependencies is already durable. Chains

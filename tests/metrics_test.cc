@@ -104,6 +104,63 @@ TEST(MetricsHistogramTest, MergeCombinesAndEmptyMergeIsNoOp) {
   EXPECT_TRUE(empty.data() == d);
 }
 
+TEST(MetricsHistogramTest, PercentileOfEmptyAndSingleValue) {
+  EXPECT_EQ(MetricHistogram::Data{}.Percentile(0.5), 0);
+  MetricHistogram h;
+  h.Record(1000);
+  const MetricHistogram::Data d = h.data();
+  for (double p : {0.0, 0.5, 0.9, 0.999, 1.0}) {
+    EXPECT_EQ(d.Percentile(p), 1000) << p;  // clamped to [min, max]
+  }
+}
+
+TEST(MetricsHistogramTest, PercentileIsNearestRankBucketUpperEdge) {
+  MetricHistogram h;
+  for (int64_t v : {1, 2, 3, 100}) h.Record(v);
+  const MetricHistogram::Data d = h.data();
+  EXPECT_EQ(d.Percentile(0.0), 1);   // rank 1: bucket [1, 2)
+  EXPECT_EQ(d.Percentile(0.25), 1);  // rank 1
+  EXPECT_EQ(d.Percentile(0.5), 3);   // rank 2: value 2, bucket [2, 4)
+  EXPECT_EQ(d.Percentile(0.75), 3);  // rank 3: value 3, same bucket
+  EXPECT_EQ(d.Percentile(0.76), 100);  // rank 4: [64, 128) clamped to max
+  EXPECT_EQ(d.Percentile(1.0), 100);
+
+  // 100 values 1..100: ranks land on exact products without rounding up.
+  MetricHistogram hundred;
+  for (int64_t v = 1; v <= 100; ++v) hundred.Record(v);
+  const MetricHistogram::Data h100 = hundred.data();
+  EXPECT_EQ(h100.Percentile(0.07), 7);   // rank 7: bucket [4, 8)
+  EXPECT_EQ(h100.Percentile(0.08), 15);  // rank 8: bucket [8, 16)
+  EXPECT_EQ(h100.Percentile(0.5), 63);   // rank 50: bucket [32, 64)
+  EXPECT_EQ(h100.Percentile(0.99), 100);
+
+  // Non-positive values share bucket 0, whose upper edge is 0.
+  MetricHistogram low;
+  low.Record(-4);
+  low.Record(0);
+  low.Record(9);
+  EXPECT_EQ(low.data().Percentile(0.5), 0);
+  EXPECT_EQ(low.data().Percentile(1.0), 9);
+}
+
+TEST(MetricsHistogramTest, PercentileOfMergedDataSeesBothSides) {
+  MetricHistogram fast;
+  MetricHistogram slow;
+  for (int i = 0; i < 90; ++i) fast.Record(10);
+  for (int i = 0; i < 10; ++i) slow.Record(5000);
+  MetricHistogram::Data merged = fast.data();
+  merged.MergeFrom(slow.data());
+  EXPECT_EQ(merged.Percentile(0.5), 15);     // bucket [8, 16)
+  EXPECT_EQ(merged.Percentile(0.9), 15);     // rank 90: still a fast value
+  EXPECT_EQ(merged.Percentile(0.91), 5000);  // bucket [4096, 8192) -> max
+  // Merging in either direction gives the same quantiles.
+  MetricHistogram::Data other = slow.data();
+  other.MergeFrom(fast.data());
+  for (double p : {0.1, 0.5, 0.9, 0.91, 0.99}) {
+    EXPECT_EQ(other.Percentile(p), merged.Percentile(p)) << p;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Registry merge / reset / snapshot semantics.
 
