@@ -492,7 +492,7 @@ StatusOr<Database::SqlResult> Database::ExecuteSqlPreCommit(
     }();
     if (!parsed.ok()) return parsed.status();
     std::unique_lock<std::shared_mutex> lock(latch_);
-    StatusOr<SqlResult> result = ExecuteSqlWriteLocked(*parsed);
+    StatusOr<SqlResult> result = ExecuteSqlWriteLocked(std::move(*parsed));
     // §5.2 pre-commit at statement granularity: with the transactional
     // plane enabled, a successful write statement appends a commit record
     // while still holding the latch — log order therefore matches latch
@@ -609,8 +609,7 @@ StatusOr<Database::SqlResult> Database::ExecuteSqlReadLocked(
 }
 
 StatusOr<Database::SqlResult> Database::ExecuteSqlWriteLocked(
-    const ParsedStatement& stmt_in) {
-  ParsedStatement stmt = stmt_in;
+    ParsedStatement&& stmt) {
   SqlResult result;
   switch (stmt.kind) {
     case ParsedStatement::Kind::kCreateTable: {
@@ -661,11 +660,11 @@ Status Database::ExecuteUpdateLocked(const ParsedStatement& stmt,
     MMDB_ASSIGN_OR_RETURN(int idx, schema.ColumnIndex(sc.column));
     sets.emplace_back(idx, &sc.value);
   }
-  std::vector<int> filter_cols;
-  filter_cols.reserve(stmt.query.filters.size());
+  std::vector<BoundPredicate> filters;
+  filters.reserve(stmt.query.filters.size());
   for (const Predicate& p : stmt.query.filters) {
     MMDB_ASSIGN_OR_RETURN(int idx, schema.ColumnIndex(p.column));
-    filter_cols.push_back(idx);
+    filters.emplace_back(p, static_cast<size_t>(idx));
   }
   // Point-update fast path (DESIGN.md §11): a single equality predicate on
   // an indexed column resolves its target ordinals through the index
@@ -679,7 +678,8 @@ Status Database::ExecuteUpdateLocked(const ParsedStatement& stmt,
     auto idx_it = table.indexes.find(pred.column);
     if (idx_it != table.indexes.end()) {
       IndexHolder& index = idx_it->second;
-      if (TypeOf(pred.literal) == schema.column(filter_cols[0]).type &&
+      if (TypeOf(pred.literal) ==
+              schema.column(static_cast<int>(filters[0].column())).type &&
           (index.type == IndexType::kHash || index.type == IndexType::kAvl)) {
         std::lock_guard<std::mutex> index_latch(*index.latch);
         if (index.type == IndexType::kHash) {
@@ -711,9 +711,7 @@ Status Database::ExecuteUpdateLocked(const ParsedStatement& stmt,
       local_clock.Comp();
       // Re-verify against the live row: one comparison buys immunity to
       // any future index-staleness bug on this write path.
-      if (!EvalPredicate(stmt.query.filters[0], row, filter_cols[0])) {
-        continue;
-      }
+      if (!filters[0].Matches(row)) continue;
       for (const std::pair<int, const Value*>& set : sets) {
         local_clock.Move();
         row[static_cast<size_t>(set.first)] = *set.second;
@@ -724,9 +722,9 @@ Status Database::ExecuteUpdateLocked(const ParsedStatement& stmt,
   } else {
     for (Row& row : table.relation.mutable_rows()) {
       bool match = true;
-      for (size_t i = 0; i < stmt.query.filters.size(); ++i) {
+      for (const BoundPredicate& filter : filters) {
         local_clock.Comp();
-        if (!EvalPredicate(stmt.query.filters[i], row, filter_cols[i])) {
+        if (!filter.Matches(row)) {
           match = false;
           break;
         }

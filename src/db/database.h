@@ -307,7 +307,9 @@ class Database : public IndexProvider {
   /// statement dispatch).
   static bool IsWriteSql(const std::string& sql);
   StatusOr<SqlResult> ExecuteSqlReadLocked(const std::string& sql);
-  StatusOr<SqlResult> ExecuteSqlWriteLocked(const struct ParsedStatement& stmt);
+  /// Applies a parsed write statement; INSERT moves its rows out of
+  /// `stmt`.
+  StatusOr<SqlResult> ExecuteSqlWriteLocked(struct ParsedStatement&& stmt);
   Status ExecuteUpdateLocked(const struct ParsedStatement& stmt,
                              int64_t* rows_affected);
   /// The planner settings every SQL statement plans with.

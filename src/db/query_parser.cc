@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <iterator>
 
 #include "common/check.h"
 
@@ -672,15 +673,20 @@ class Parser {
     MMDB_RETURN_IF_ERROR(ExpectKeyword("INTO"));
     MMDB_ASSIGN_OR_RETURN(stmt.table_name, ExpectIdent("a table name"));
     MMDB_RETURN_IF_ERROR(ExpectKeyword("VALUES"));
+    // Each row is parsed into `values` and then moved into a row of its
+    // exact width: the rows are moved on into the table, and one allocation
+    // of the right size beats a push_back-grown vector's spare capacity.
+    Row values;
     do {
       MMDB_RETURN_IF_ERROR(ExpectSymbol("("));
-      Row row;
+      values.clear();
       do {
         MMDB_ASSIGN_OR_RETURN(Value v, ParseLiteral());
-        row.push_back(std::move(v));
+        values.push_back(std::move(v));
       } while (ConsumeSymbol(","));
       MMDB_RETURN_IF_ERROR(ExpectSymbol(")"));
-      stmt.rows.push_back(std::move(row));
+      stmt.rows.emplace_back(std::make_move_iterator(values.begin()),
+                             std::make_move_iterator(values.end()));
     } while (ConsumeSymbol(","));
     return stmt;
   }

@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/hash.h"
+#include "common/hash_directory.h"
 #include "exec/parallel.h"
 #include "exec/partitioner.h"
 #include "storage/heap_file.h"
@@ -13,28 +14,38 @@ namespace mmdb {
 
 namespace {
 
-/// Running state of one aggregate over one group.
+/// Running state of one aggregate over one group, kept only as its AggFn
+/// needs: COUNT and AVG count rows, SUM and AVG add, MIN and MAX keep the
+/// extreme value.
 struct AggState {
   int64_t count = 0;
   double sum = 0;
-  Value min_v;
-  Value max_v;
+  Value extreme;
   bool seen = false;
 
-  void Update(const Value& v) {
-    ++count;
-    if (std::holds_alternative<int64_t>(v)) {
-      sum += double(std::get<int64_t>(v));
-    } else if (std::holds_alternative<double>(v)) {
-      sum += std::get<double>(v);
+  void Update(AggFn fn, const Row& row, int column) {
+    if (fn == AggFn::kCount) {
+      ++count;
+      return;
     }
-    if (!seen) {
-      min_v = v;
-      max_v = v;
-      seen = true;
-    } else {
-      if (CompareValues(v, min_v) < 0) min_v = v;
-      if (CompareValues(v, max_v) > 0) max_v = v;
+    const Value& v = row[static_cast<size_t>(column)];
+    switch (fn) {
+      case AggFn::kAvg:
+        ++count;
+        [[fallthrough]];
+      case AggFn::kSum:
+        if (const int64_t* i = std::get_if<int64_t>(&v)) {
+          sum += double(*i);
+        } else if (const double* d = std::get_if<double>(&v)) {
+          sum += *d;
+        }
+        return;
+      case AggFn::kMin:
+      case AggFn::kMax:
+        Extend(fn, v);
+        return;
+      case AggFn::kCount:
+        return;
     }
   }
 
@@ -42,25 +53,23 @@ struct AggState {
   /// and MAX are exactly order-independent; SUM/AVG re-associate the float
   /// additions, which is exact whenever the summed values are integers
   /// below 2^53 (DESIGN.md §8).
-  void Merge(const AggState& o) {
+  void Merge(AggFn fn, const AggState& o) {
     count += o.count;
     sum += o.sum;
-    if (o.seen) {
-      if (!seen) {
-        min_v = o.min_v;
-        max_v = o.max_v;
-        seen = true;
-      } else {
-        if (CompareValues(o.min_v, min_v) < 0) min_v = o.min_v;
-        if (CompareValues(o.max_v, max_v) > 0) max_v = o.max_v;
-      }
-    }
+    if (o.seen) Extend(fn, o.extreme);
   }
-};
 
-struct GroupState {
-  Row key;
-  std::vector<AggState> aggs;
+ private:
+  /// MIN or MAX over one more value.
+  void Extend(AggFn fn, const Value& v) {
+    if (!seen) {
+      extreme = v;
+      seen = true;
+      return;
+    }
+    const int c = CompareValues(v, extreme);
+    if (fn == AggFn::kMin ? c < 0 : c > 0) extreme = v;
+  }
 };
 
 uint64_t HashGroupKey(const Row& row, const std::vector<int>& cols) {
@@ -79,14 +88,99 @@ bool GroupKeyEquals(const Row& row, const std::vector<int>& cols,
   return true;
 }
 
-/// Equality of two already-projected group-key rows (the parallel merge).
-bool KeyRowsEqual(const Row& a, const Row& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!ValuesEqual(a[i], b[i])) return false;
+/// The groups of one aggregation, stored in first-seen order and found by
+/// group-key hash through a flat HashDirectory. A group is its key row and
+/// one AggState per aggregate, kept in one flat vector. The groups of one
+/// hash chain in insertion order, and a lookup charges one Comp per group
+/// of its hash scanned: the per-hash bucket scan of §3.9's hash table.
+class GroupTable {
+ public:
+  explicit GroupTable(size_t num_aggs) : num_aggs_(num_aggs) {}
+
+  /// The group, under hash `h`, whose key `matches` accepts, added with
+  /// the key `make_key()` returns when there is none. Adds the groups
+  /// scanned to `*comps` and sets `*added`.
+  template <typename Matches, typename MakeKey>
+  uint32_t FindOrAdd(uint64_t h, const Matches& matches,
+                     const MakeKey& make_key, int64_t* comps, bool* added) {
+    const uint32_t id = directory_.FindOrAdd(h);
+    if (id == heads_.size()) {
+      heads_.push_back(HashDirectory::kNone);
+      hashes_.push_back(h);
+    }
+    uint32_t* link = &heads_[id];
+    while (*link != HashDirectory::kNone) {
+      ++*comps;
+      if (matches(keys_[*link])) {
+        *added = false;
+        return *link;
+      }
+      link = &next_[*link];
+    }
+    const uint32_t g = static_cast<uint32_t>(keys_.size());
+    *link = g;
+    keys_.push_back(make_key());
+    next_.push_back(HashDirectory::kNone);
+    states_.resize(states_.size() + num_aggs_);
+    *added = true;
+    return g;
   }
-  return true;
-}
+
+  /// The AggStates of group `g`, one per aggregate.
+  AggState* aggs(uint32_t g) { return states_.data() + g * num_aggs_; }
+
+  /// Folds `row` into its group under `spec`, adding the group when new.
+  /// Adds the groups scanned to `*comps`; returns whether a group was
+  /// added. The caller charges the row's Hash.
+  bool Fold(const Row& row, const AggregateSpec& spec, int64_t* comps) {
+    bool added = false;
+    const uint32_t g = FindOrAdd(
+        HashGroupKey(row, spec.group_by),
+        [&](const Row& key) { return GroupKeyEquals(row, spec.group_by, key); },
+        [&] {
+          Row key;
+          key.reserve(spec.group_by.size());
+          for (int c : spec.group_by) {
+            key.push_back(row[static_cast<size_t>(c)]);
+          }
+          return key;
+        },
+        comps, &added);
+    AggState* states = aggs(g);
+    for (size_t i = 0; i < num_aggs_; ++i) {
+      const AggregateSpec::Aggregate& agg = spec.aggregates[i];
+      states[i].Update(agg.fn, row, agg.column);
+    }
+    return added;
+  }
+
+  /// Calls fn(hash, key, aggs) for every group in emission order: the
+  /// order in which a std::unordered_map<uint64_t, bucket> iterates after
+  /// meeting the hashes in first-seen order, each bucket in insertion
+  /// order. Only the distinct hashes enter the map, so emission costs a
+  /// node per group, not a lookup per row.
+  template <typename Fn>
+  void ForEach(const Fn& fn) {
+    std::unordered_map<uint64_t, uint32_t> order;
+    for (uint32_t id = 0; id < hashes_.size(); ++id) {
+      order.emplace(hashes_[id], id);
+    }
+    for (const auto& [h, id] : order) {
+      for (uint32_t g = heads_[id]; g != HashDirectory::kNone; g = next_[g]) {
+        fn(h, keys_[g], aggs(g));
+      }
+    }
+  }
+
+ private:
+  size_t num_aggs_;
+  HashDirectory directory_;
+  std::vector<uint32_t> heads_;   // first group, by directory id
+  std::vector<uint64_t> hashes_;  // the hash, by directory id
+  std::vector<Row> keys_;         // by group
+  std::vector<uint32_t> next_;    // next group of the same hash, by group
+  std::vector<AggState> states_;  // num_aggs_ per group
+};
 
 /// Result schema of an aggregation: the group-by columns followed by one
 /// column per aggregate (COUNT -> INT64, SUM/AVG -> DOUBLE, MIN/MAX -> the
@@ -145,11 +239,11 @@ Status ValidateAggregateSpec(const Schema& input_schema,
   return Status::OK();
 }
 
-void EmitGroup(const GroupState& g, const AggregateSpec& spec,
-               Relation* out) {
-  Row row = g.key;
+void EmitGroup(const Row& key, const AggState* aggs,
+               const AggregateSpec& spec, Relation* out) {
+  Row row = key;
   for (size_t i = 0; i < spec.aggregates.size(); ++i) {
-    const AggState& st = g.aggs[i];
+    const AggState& st = aggs[i];
     switch (spec.aggregates[i].fn) {
       case AggFn::kCount:
         row.emplace_back(st.count);
@@ -161,10 +255,8 @@ void EmitGroup(const GroupState& g, const AggregateSpec& spec,
         row.emplace_back(st.count == 0 ? 0.0 : st.sum / double(st.count));
         break;
       case AggFn::kMin:
-        row.push_back(st.min_v);
-        break;
       case AggFn::kMax:
-        row.push_back(st.max_v);
+        row.push_back(st.extreme);
         break;
     }
   }
@@ -173,50 +265,26 @@ void EmitGroup(const GroupState& g, const AggregateSpec& spec,
 
 /// One-pass hash aggregation of `n` rows into `out`; `row_at(i)` yields
 /// row i, whose columns `spec` indexes. Reading through the accessor lets
-/// a row-reference view aggregate its source rows in place.
+/// a row-reference view aggregate its source rows in place. Charges one
+/// Hash per row, one Comp per group scanned and one Move per group, all
+/// tallied and charged once.
 template <typename RowAt>
 void AggregateInMemory(int64_t n, const RowAt& row_at,
                        const AggregateSpec& spec, ExecContext* ctx,
                        Relation* out, int64_t* num_groups) {
-  std::unordered_map<uint64_t, std::vector<GroupState>> table;
+  GroupTable table(spec.aggregates.size());
+  int64_t comps = 0;
+  int64_t groups = 0;
   for (int64_t r = 0; r < n; ++r) {
-    const Row& row = row_at(r);
-    ctx->clock->Hash();
-    const uint64_t h = HashGroupKey(row, spec.group_by);
-    std::vector<GroupState>& bucket = table[h];
-    GroupState* group = nullptr;
-    for (GroupState& g : bucket) {
-      ctx->clock->Comp();
-      if (GroupKeyEquals(row, spec.group_by, g.key)) {
-        group = &g;
-        break;
-      }
-    }
-    if (group == nullptr) {
-      ctx->clock->Move();
-      GroupState g;
-      g.key.reserve(spec.group_by.size());
-      for (int c : spec.group_by) {
-        g.key.push_back(row[static_cast<size_t>(c)]);
-      }
-      g.aggs.resize(spec.aggregates.size());
-      bucket.push_back(std::move(g));
-      group = &bucket.back();
-    }
-    for (size_t i = 0; i < spec.aggregates.size(); ++i) {
-      const auto& agg = spec.aggregates[i];
-      const Value& v = agg.fn == AggFn::kCount
-                           ? row[0]
-                           : row[static_cast<size_t>(agg.column)];
-      group->aggs[i].Update(v);
-    }
+    if (table.Fold(row_at(r), spec, &comps)) ++groups;
   }
-  for (auto& [h, bucket] : table) {
-    for (const GroupState& g : bucket) {
-      EmitGroup(g, spec, out);
-      ++*num_groups;
-    }
-  }
+  ctx->clock->Hash(n);
+  ctx->clock->Comp(comps);
+  ctx->clock->Move(groups);
+  table.ForEach([&](uint64_t, const Row& key, const AggState* aggs) {
+    EmitGroup(key, aggs, spec, out);
+  });
+  *num_groups += groups;
 }
 
 /// The serial aggregation at recursion `depth`. `rows` is only read: at
@@ -276,8 +344,6 @@ Status AggregateRec(const std::vector<Row>& rows, std::vector<Row>* owned,
   return Status::OK();
 }
 
-using GroupTable = std::unordered_map<uint64_t, std::vector<GroupState>>;
-
 /// DOP > 1 one-pass aggregation: each worker folds its morsels into a
 /// private table, then the local tables merge into one global table.
 ///
@@ -290,7 +356,8 @@ using GroupTable = std::unordered_map<uint64_t, std::vector<GroupState>>;
 ///    Move if the group is new globally.
 /// With W workers seeing n_w rows and g_w local groups of g total groups,
 /// comps = sum(n_w - g_w) + (sum(g_w) - g) = n - g, moves = g, hashes = n —
-/// exactly the serial tallies, with every g_w cancelled out.
+/// exactly the serial tallies, with every g_w cancelled out. A morsel
+/// charges its tallies once.
 Status ParallelAggregateFit(const std::vector<Row>& rows,
                             const AggregateSpec& spec, ExecContext* ctx,
                             Relation* out, int64_t* num_groups) {
@@ -298,76 +365,52 @@ Status ParallelAggregateFit(const std::vector<Row>& rows,
       MorselRanges(static_cast<int64_t>(rows.size()));
   const int workers =
       std::max(1, PlannedWorkers(ctx, static_cast<int64_t>(morsels.size())));
-  std::vector<GroupTable> locals(static_cast<size_t>(workers));
+  std::vector<GroupTable> locals(static_cast<size_t>(workers),
+                                 GroupTable(spec.aggregates.size()));
   MMDB_RETURN_IF_ERROR(ParallelFor(
       ctx, static_cast<int64_t>(morsels.size()),
       [&](ExecContext* wctx, int worker, int64_t m) {
         GroupTable& table = locals[static_cast<size_t>(worker)];
         const IndexRange range = morsels[static_cast<size_t>(m)];
+        int64_t comps = 0;
         for (int64_t i = range.begin; i < range.end; ++i) {
-          const Row& row = rows[static_cast<size_t>(i)];
-          wctx->clock->Hash();
-          const uint64_t h = HashGroupKey(row, spec.group_by);
-          std::vector<GroupState>& bucket = table[h];
-          GroupState* group = nullptr;
-          for (GroupState& g : bucket) {
-            wctx->clock->Comp();
-            if (GroupKeyEquals(row, spec.group_by, g.key)) {
-              group = &g;
-              break;
-            }
-          }
-          if (group == nullptr) {
-            GroupState g;
-            g.key.reserve(spec.group_by.size());
-            for (int c : spec.group_by) {
-              g.key.push_back(row[static_cast<size_t>(c)]);
-            }
-            g.aggs.resize(spec.aggregates.size());
-            bucket.push_back(std::move(g));
-            group = &bucket.back();
-          }
-          for (size_t a = 0; a < spec.aggregates.size(); ++a) {
-            const auto& agg = spec.aggregates[a];
-            const Value& v = agg.fn == AggFn::kCount
-                                 ? row[0]
-                                 : row[static_cast<size_t>(agg.column)];
-            group->aggs[a].Update(v);
-          }
+          table.Fold(rows[static_cast<size_t>(i)], spec, &comps);
         }
+        wctx->clock->Hash(range.end - range.begin);
+        wctx->clock->Comp(comps);
         return Status::OK();
       }));
 
-  GroupTable global;
+  GroupTable global(spec.aggregates.size());
+  int64_t comps = 0;
+  int64_t groups = 0;
   for (GroupTable& local : locals) {
-    for (auto& [h, bucket] : local) {
-      for (GroupState& lg : bucket) {
-        std::vector<GroupState>& gbucket = global[h];
-        GroupState* found = nullptr;
-        for (GroupState& g : gbucket) {
-          ctx->clock->Comp();
-          if (KeyRowsEqual(lg.key, g.key)) {
-            found = &g;
-            break;
-          }
-        }
-        if (found == nullptr) {
-          ctx->clock->Move();
-          gbucket.push_back(std::move(lg));
-        } else {
-          for (size_t a = 0; a < found->aggs.size(); ++a) {
-            found->aggs[a].Merge(lg.aggs[a]);
-          }
-        }
+    local.ForEach([&](uint64_t h, Row& key, const AggState* aggs) {
+      bool added = false;
+      const uint32_t g = global.FindOrAdd(
+          h,
+          [&](const Row& other) {
+            return std::equal(key.begin(), key.end(), other.begin(),
+                              other.end(), ValuesEqual);
+          },
+          [&] { return std::move(key); }, &comps, &added);
+      AggState* into = global.aggs(g);
+      if (added) {
+        ++groups;
+        std::copy(aggs, aggs + spec.aggregates.size(), into);
+        return;
       }
-    }
+      for (size_t a = 0; a < spec.aggregates.size(); ++a) {
+        into[a].Merge(spec.aggregates[a].fn, aggs[a]);
+      }
+    });
   }
-  for (auto& [h, bucket] : global) {
-    for (const GroupState& g : bucket) {
-      EmitGroup(g, spec, out);
-      ++*num_groups;
-    }
-  }
+  ctx->clock->Comp(comps);
+  ctx->clock->Move(groups);
+  global.ForEach([&](uint64_t, const Row& key, const AggState* aggs) {
+    EmitGroup(key, aggs, spec, out);
+  });
+  *num_groups += groups;
   return Status::OK();
 }
 

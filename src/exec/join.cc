@@ -23,8 +23,10 @@ std::string_view JoinAlgorithmName(JoinAlgorithm a) {
 namespace exec_internal {
 
 void JoinHashTable::Insert(Row row) {
-  const uint64_t h = HashValue(row[static_cast<size_t>(key_column_)]);
-  buckets_[h].push_back(std::move(row));
+  const uint32_t b =
+      directory_.FindOrAdd(HashValue(row[static_cast<size_t>(key_column_)]));
+  if (b == buckets_.size()) buckets_.emplace_back();
+  buckets_[b].push_back(std::move(row));
   ++size_;
 }
 
@@ -57,12 +59,14 @@ Relation ProbeHashTable(const JoinHashTable& table, const Schema& build_schema,
   Relation out(Schema::Concat(build_schema, probe.schema()));
   const size_t key = probe.source_column(probe_key);
   const int64_t n = probe.size();
-  ctx->clock->Hash(n);
+  int64_t comps = 0;
   for (int64_t i = 0; i < n; ++i) {
-    table.ProbeWith(ctx->clock, probe.row(i)[key], [&](const Row& r_row) {
+    comps += table.Match(probe.row(i)[key], [&](const Row& r_row) {
       EmitJoinedView(r_row, probe, i, &out);
     });
   }
+  ctx->clock->Hash(n);
+  ctx->clock->Comp(comps);
   return out;
 }
 

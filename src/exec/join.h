@@ -2,9 +2,9 @@
 #define MMDB_EXEC_JOIN_H_
 
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "common/hash_directory.h"
 #include "common/status.h"
 #include "exec/exec_context.h"
 #include "storage/relation.h"
@@ -76,11 +76,13 @@ StatusOr<Relation> ExecuteJoin(JoinAlgorithm algorithm, const Relation& r,
 
 namespace exec_internal {
 
-/// Chained in-memory hash table keyed on one column. Charging convention:
-/// the *caller* charges Hash/Move on insert (the partitioning hash and the
-/// table hash are the same conceptual hash in the paper's formulas); Probe
-/// charges the actual key comparisons performed (~F per probe on average,
-/// matching the ||S||·F·comp term).
+/// In-memory hash table keyed on one column: one bucket per distinct key
+/// hash, holding its rows in insertion order, found through a flat
+/// HashDirectory. Charging convention: the *caller* charges Hash/Move on
+/// insert (the partitioning hash and the table hash are the same
+/// conceptual hash in the paper's formulas); a probe charges the key
+/// comparisons it performs (~F per probe on average, matching the
+/// ||S||·F·comp term).
 class JoinHashTable {
  public:
   JoinHashTable(int key_column, CostClock* clock)
@@ -102,18 +104,22 @@ class JoinHashTable {
   /// a private clock (merged by the parallel region — DESIGN.md §8).
   template <typename Fn>
   void ProbeWith(CostClock* clock, const Value& key, Fn&& fn) const {
-    const uint64_t h = HashValue(key);
-    auto it = buckets_.find(h);
-    if (it == buckets_.end()) {
-      if (clock != nullptr) clock->Comp();  // the miss still compares
-      return;
+    const int64_t comps = Match(key, std::forward<Fn>(fn));
+    if (clock != nullptr) clock->Comp(comps);
+  }
+
+  /// Calls `fn` for every stored row whose key equals `key`, in insertion
+  /// order, and returns the Comps the probe costs without charging them:
+  /// one per bucket entry scanned, or one for a miss.
+  template <typename Fn>
+  int64_t Match(const Value& key, Fn&& fn) const {
+    const uint32_t b = directory_.Find(HashValue(key));
+    if (b == HashDirectory::kNone) return 1;  // the miss still compares
+    const std::vector<Row>& bucket = buckets_[b];
+    for (const Row& row : bucket) {
+      if (ValuesEqual(row[static_cast<size_t>(key_column_)], key)) fn(row);
     }
-    for (const Row& row : it->second) {
-      if (clock != nullptr) clock->Comp();
-      if (ValuesEqual(row[static_cast<size_t>(key_column_)], key)) {
-        fn(row);
-      }
-    }
+    return static_cast<int64_t>(bucket.size());
   }
 
   int key_column() const { return key_column_; }
@@ -122,7 +128,8 @@ class JoinHashTable {
  private:
   int key_column_;
   CostClock* clock_;
-  std::unordered_map<uint64_t, std::vector<Row>> buckets_;
+  HashDirectory directory_;
+  std::vector<std::vector<Row>> buckets_;  // by directory id
   int64_t size_ = 0;
 };
 

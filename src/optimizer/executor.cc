@@ -119,13 +119,18 @@ StatusOr<int> FindColumn(const std::vector<ColumnRef>& columns,
 /// selection — pointers to `in`'s source rows; nothing is copied.
 /// Per-morsel selections concatenate in morsel order, so the output order
 /// is the serial loop's at every DOP. Each row is charged one Comp per
-/// predicate evaluated with early exit (most selective first, §4).
-/// `col_indexes` are view columns.
+/// predicate evaluated with early exit (most selective first, §4); a
+/// morsel tallies its Comps and charges them once. The predicates are
+/// bound to source columns once, before the loop; `col_indexes` are view
+/// columns.
 StatusOr<std::vector<const Row*>> FilterRows(
     const RowView& in, const std::vector<Predicate>& preds,
     const std::vector<int>& col_indexes, ExecContext* ctx) {
-  std::vector<size_t> src_cols;  // source column per predicate
-  for (int c : col_indexes) src_cols.push_back(in.source_column(c));
+  std::vector<BoundPredicate> bound;
+  bound.reserve(preds.size());
+  for (size_t i = 0; i < preds.size(); ++i) {
+    bound.emplace_back(preds[i], in.source_column(col_indexes[i]));
+  }
   const std::vector<IndexRange> morsels = MorselRanges(in.size());
   std::vector<std::vector<const Row*>> kept(morsels.size());
   MMDB_RETURN_IF_ERROR(ParallelFor(
@@ -133,18 +138,20 @@ StatusOr<std::vector<const Row*>> FilterRows(
       [&](ExecContext* wctx, int, int64_t m) {
         const IndexRange range = morsels[static_cast<size_t>(m)];
         std::vector<const Row*>& keep = kept[static_cast<size_t>(m)];
+        int64_t comps = 0;
         for (int64_t r = range.begin; r < range.end; ++r) {
           const Row& row = in.row(r);
           bool pass = true;
-          for (size_t i = 0; i < preds.size(); ++i) {
-            wctx->clock->Comp();
-            if (!EvalPredicate(preds[i], row, static_cast<int>(src_cols[i]))) {
+          for (const BoundPredicate& pred : bound) {
+            ++comps;
+            if (!pred.Matches(row)) {
               pass = false;
               break;
             }
           }
           if (pass) keep.push_back(&row);
         }
+        wctx->clock->Comp(comps);
         return Status::OK();
       }));
   if (kept.size() == 1) return std::move(kept[0]);

@@ -89,37 +89,19 @@ double EstimateSelectivity(const Predicate& pred, const TableEntry& entry) {
   return 1.0;
 }
 
-bool EvalPredicate(const Predicate& pred, const Row& row, int column_index) {
-  const Value& v = row[static_cast<size_t>(column_index)];
-  if (pred.op == CmpOp::kPrefix) {
-    if (TypeOf(v) != ValueType::kString ||
-        TypeOf(pred.literal) != ValueType::kString) {
-      return false;
-    }
-    const std::string& s = std::get<std::string>(v);
-    const std::string& prefix = std::get<std::string>(pred.literal);
-    return s.size() >= prefix.size() &&
-           s.compare(0, prefix.size(), prefix) == 0;
+BoundPredicate::BoundPredicate(const Predicate& pred, size_t column)
+    : column_(column), op_(pred.op), type_(TypeOf(pred.literal)) {
+  switch (type_) {
+    case ValueType::kInt64:
+      int_ = std::get<int64_t>(pred.literal);
+      break;
+    case ValueType::kDouble:
+      double_ = std::get<double>(pred.literal);
+      break;
+    case ValueType::kString:
+      string_ = std::get<std::string>(pred.literal);
+      break;
   }
-  if (TypeOf(v) != TypeOf(pred.literal)) return false;
-  const int cmp = CompareValues(v, pred.literal);
-  switch (pred.op) {
-    case CmpOp::kEq:
-      return cmp == 0;
-    case CmpOp::kNe:
-      return cmp != 0;
-    case CmpOp::kLt:
-      return cmp < 0;
-    case CmpOp::kLe:
-      return cmp <= 0;
-    case CmpOp::kGt:
-      return cmp > 0;
-    case CmpOp::kGe:
-      return cmp >= 0;
-    case CmpOp::kPrefix:
-      return false;  // handled above
-  }
-  return false;
 }
 
 }  // namespace mmdb

@@ -32,8 +32,65 @@ struct Predicate {
 /// heuristic (0.05 fallback).
 double EstimateSelectivity(const Predicate& pred, const TableEntry& entry);
 
-/// Evaluates `pred` against the value in `row[column_index]`.
-bool EvalPredicate(const Predicate& pred, const Row& row, int column_index);
+/// A Predicate resolved once, before a row loop: the source column it
+/// reads, its operator and its literal as a native value. Matches(row) is
+/// `row[column] <op> literal`. A value of another type than the literal
+/// never matches, kPrefix matches strings only, and the other operators
+/// test CompareValues' three-way result.
+class BoundPredicate {
+ public:
+  BoundPredicate(const Predicate& pred, size_t column);
+
+  size_t column() const { return column_; }
+
+  bool Matches(const Row& row) const {
+    const Value& v = row[column_];
+    if (v.index() != static_cast<size_t>(type_)) return false;
+    switch (type_) {
+      case ValueType::kInt64:
+        return Test(CompareNative(*std::get_if<int64_t>(&v), int_));
+      case ValueType::kDouble:
+        return Test(CompareNative(*std::get_if<double>(&v), double_));
+      case ValueType::kString:
+        break;
+    }
+    const std::string& s = *std::get_if<std::string>(&v);
+    if (op_ == CmpOp::kPrefix) {
+      return s.size() >= string_.size() &&
+             s.compare(0, string_.size(), string_) == 0;
+    }
+    const int c = s.compare(string_);
+    return Test(c < 0 ? -1 : (c > 0 ? 1 : 0));
+  }
+
+ private:
+  bool Test(int cmp) const {
+    switch (op_) {
+      case CmpOp::kEq:
+        return cmp == 0;
+      case CmpOp::kNe:
+        return cmp != 0;
+      case CmpOp::kLt:
+        return cmp < 0;
+      case CmpOp::kLe:
+        return cmp <= 0;
+      case CmpOp::kGt:
+        return cmp > 0;
+      case CmpOp::kGe:
+        return cmp >= 0;
+      case CmpOp::kPrefix:
+        return false;  // only a string literal prefixes, and never a number
+    }
+    return false;
+  }
+
+  size_t column_;
+  CmpOp op_;
+  ValueType type_;
+  int64_t int_ = 0;
+  double double_ = 0;
+  std::string string_;
+};
 
 }  // namespace mmdb
 

@@ -18,21 +18,15 @@ std::string_view ValueTypeName(ValueType t) {
   return "UNKNOWN";
 }
 
-ValueType TypeOf(const Value& v) {
-  return static_cast<ValueType>(v.index());
-}
+namespace value_internal {
 
-int CompareValues(const Value& a, const Value& b) {
+int CompareValuesSlow(const Value& a, const Value& b) {
   MMDB_DCHECK(a.index() == b.index());
   switch (TypeOf(a)) {
-    case ValueType::kInt64: {
-      int64_t x = std::get<int64_t>(a), y = std::get<int64_t>(b);
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
-    case ValueType::kDouble: {
-      double x = std::get<double>(a), y = std::get<double>(b);
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
+    case ValueType::kInt64:
+      return CompareNative(std::get<int64_t>(a), std::get<int64_t>(b));
+    case ValueType::kDouble:
+      return CompareNative(std::get<double>(a), std::get<double>(b));
     case ValueType::kString: {
       const std::string& x = std::get<std::string>(a);
       const std::string& y = std::get<std::string>(b);
@@ -43,7 +37,7 @@ int CompareValues(const Value& a, const Value& b) {
   return 0;
 }
 
-uint64_t HashValue(const Value& v) {
+uint64_t HashValueSlow(const Value& v) {
   switch (TypeOf(v)) {
     case ValueType::kInt64:
       return Mix64(static_cast<uint64_t>(std::get<int64_t>(v)));
@@ -60,6 +54,8 @@ uint64_t HashValue(const Value& v) {
   }
   return 0;
 }
+
+}  // namespace value_internal
 
 std::string ValueToString(const Value& v) {
   switch (TypeOf(v)) {

@@ -78,15 +78,18 @@ TEST_F(OptimizerTest, SelectivityEstimates) {
 
 TEST_F(OptimizerTest, PredicateEvaluation) {
   Row row = {int64_t{5}, std::string("jones_x"), 2.5};
-  EXPECT_TRUE(EvalPredicate({"t", "c", CmpOp::kEq, Value{int64_t{5}}}, row, 0));
-  EXPECT_FALSE(EvalPredicate({"t", "c", CmpOp::kNe, Value{int64_t{5}}}, row, 0));
-  EXPECT_TRUE(EvalPredicate({"t", "c", CmpOp::kLe, Value{2.5}}, row, 2));
-  EXPECT_TRUE(EvalPredicate(
-      {"t", "c", CmpOp::kPrefix, Value{std::string("jones")}}, row, 1));
-  EXPECT_FALSE(EvalPredicate(
-      {"t", "c", CmpOp::kPrefix, Value{std::string("smith")}}, row, 1));
+  auto matches = [&row](Predicate p, size_t column) {
+    return BoundPredicate(p, column).Matches(row);
+  };
+  EXPECT_TRUE(matches({"t", "c", CmpOp::kEq, Value{int64_t{5}}}, 0));
+  EXPECT_FALSE(matches({"t", "c", CmpOp::kNe, Value{int64_t{5}}}, 0));
+  EXPECT_TRUE(matches({"t", "c", CmpOp::kLe, Value{2.5}}, 2));
+  EXPECT_TRUE(
+      matches({"t", "c", CmpOp::kPrefix, Value{std::string("jones")}}, 1));
+  EXPECT_FALSE(
+      matches({"t", "c", CmpOp::kPrefix, Value{std::string("smith")}}, 1));
   // Type mismatch is simply false, never a crash.
-  EXPECT_FALSE(EvalPredicate({"t", "c", CmpOp::kEq, Value{2.5}}, row, 0));
+  EXPECT_FALSE(matches({"t", "c", CmpOp::kEq, Value{2.5}}, 0));
 }
 
 TEST_F(OptimizerTest, FiltersOrderedMostSelectiveFirst) {

@@ -61,7 +61,7 @@ std::multiset<std::string> Oracle(const Database& db, const Query& q) {
     if (keep) {
       for (const Predicate& p : q.filters) {
         Row probe = {value_of(ColumnRef{p.table, p.column})};
-        if (!EvalPredicate(p, probe, 0)) {
+        if (!BoundPredicate(p, 0).Matches(probe)) {
           keep = false;
           break;
         }
