@@ -23,8 +23,9 @@ namespace mmdb {
 /// side of an in-memory hybrid hash join, keyed on `key_column` of
 /// `schema`, with its rows inserted in build-input order (the order
 /// exec_internal::ProbeHashTable relies on for byte-identical emission).
-/// The embedded JoinHashTable carries no clock: serving probes always
-/// charge through ProbeWith on the statement's own clock.
+/// The embedded JoinHashTable carries no clock: a serving probe
+/// (ProbeHashTable) charges the Comps Match reports to the statement's own
+/// clock.
 struct CachedBuild {
   CachedBuild(int key, Schema build_schema)
       : table(key, nullptr), schema(std::move(build_schema)), key_column(key) {}

@@ -16,8 +16,8 @@ namespace mmdb {
 
 /// One named monotonic counter. Increments are relaxed atomics: safe for
 /// the registries that are genuinely shared across threads (the buffer
-/// pool under the checkpointer, the simulated disk under parallel spills)
-/// and free on the single-owner per-worker shards.
+/// pool under the checkpointer, the database's under concurrent
+/// statements) and free on the single-owner per-statement shards.
 class MetricCounter {
  public:
   void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
@@ -72,12 +72,12 @@ class MetricHistogram {
 /// are views over those handles.
 ///
 /// Concurrency follows the CostClock merge discipline (DESIGN.md §8/§9):
-/// parallel exec workers each get a private shard registry that the
-/// parallel region merges into the parent once every worker has finished.
-/// Addition commutes, so merged totals are independent of the morsel →
-/// worker schedule — metrics stay deterministic at every DOP. Registries
-/// that *are* shared across threads (the database's) are safe too: name
-/// lookup takes a mutex, increments are atomic.
+/// a SQL read statement or a server session counts into a private shard
+/// registry that is merged into the database's when it finishes. Addition
+/// commutes, so merged totals do not depend on how many sessions ran or
+/// how they interleaved. Registries that *are* shared across threads (the
+/// database's) are safe too: name lookup takes a mutex, increments are
+/// atomic.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -100,8 +100,8 @@ class MetricsRegistry {
   int64_t Get(std::string_view name) const;
 
   /// Folds another registry's tallies into this one (counters add,
-  /// histograms merge). Used by the parallel regions exactly like
-  /// CostClock::MergeFrom.
+  /// histograms merge). Used by the statement and session shards exactly
+  /// like CostClock::MergeFrom.
   void MergeFrom(const MetricsRegistry& other);
 
   /// Zeroes every value; names survive (snapshot-vs-reset semantics: a

@@ -1,7 +1,5 @@
 #include "common/thread_pool.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace mmdb {
@@ -49,12 +47,6 @@ void ThreadPool::WorkerLoop() {
     }
     task();  // an exception lands in the task's future, not on this thread
   }
-}
-
-ThreadPool* ThreadPool::Shared() {
-  static ThreadPool* pool = new ThreadPool(
-      std::max(8, static_cast<int>(std::thread::hardware_concurrency())));
-  return pool;
 }
 
 }  // namespace mmdb

@@ -11,7 +11,8 @@
 
 namespace mmdb {
 
-/// A fixed-size worker pool backing the parallel operators (DESIGN.md §8).
+/// A fixed-size worker pool (the SQL scheduler's statement workers, the
+/// instant-recovery background restorer).
 ///
 /// Guarantees:
 ///  * tasks are dequeued in submission order (FIFO dispatch — with one
@@ -34,13 +35,6 @@ class ThreadPool {
   /// Enqueues `fn`. The returned future becomes ready when `fn` completes
   /// and rethrows anything `fn` threw.
   std::future<void> Submit(std::function<void()> fn);
-
-  /// Process-wide pool shared by all parallel operators. Sized to the
-  /// hardware concurrency but never below 8, so a DOP-8 request gets real
-  /// threads (and real interleavings for the sanitizer) even on small
-  /// machines. Never destroyed (leaked on purpose: operators may run
-  /// during static teardown of test binaries).
-  static ThreadPool* Shared();
 
  private:
   void WorkerLoop();

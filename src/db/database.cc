@@ -13,6 +13,31 @@
 
 namespace mmdb {
 
+namespace {
+
+/// Whether the B+-tree can key a column of `type`. Its keys compare by
+/// memcmp, and only INT64 and CHAR have an order-preserving encoding.
+bool BTreeKeys(ValueType type) {
+  return type == ValueType::kInt64 || type == ValueType::kString;
+}
+
+/// The widest B+-tree key BuildIndex makes (CHAR keys are cut to 32 bytes).
+constexpr int32_t kMaxBTreeKeyWidth = 32;
+
+/// Writes `key` as the B+-tree's `width` key bytes to `out`.
+Status EncodeBTreeKey(const Value& key, int32_t width, char* out) {
+  if (const int64_t* i = std::get_if<int64_t>(&key)) {
+    BPlusTree::EncodeInt64Key(*i, out, width);
+  } else if (const std::string* s = std::get_if<std::string>(&key)) {
+    BPlusTree::EncodeStringKey(*s, out, width);
+  } else {
+    return Status::InvalidArgument("unsupported B+-tree key type");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Database::Database(Options options)
     : options_(options),
       clock_(options.cost_params),
@@ -77,35 +102,8 @@ Status Database::Insert(const std::string& name, Row row) {
     }
   }
   const int64_t ordinal = table.relation.num_tuples();
-  // Maintain indexes.
-  for (auto& [col_name, index] : table.indexes) {
-    const Value& key = row[static_cast<size_t>(index.column)];
-    switch (index.type) {
-      case IndexType::kAvl:
-        index.avl->Insert(key, ordinal);
-        break;
-      case IndexType::kBTree: {
-        std::vector<char> kbuf(static_cast<size_t>(index.key_width));
-        if (TypeOf(key) == ValueType::kInt64) {
-          BPlusTree::EncodeInt64Key(std::get<int64_t>(key), kbuf.data(),
-                                    index.key_width);
-        } else if (TypeOf(key) == ValueType::kString) {
-          BPlusTree::EncodeStringKey(std::get<std::string>(key), kbuf.data(),
-                                     index.key_width);
-        } else {
-          return Status::InvalidArgument("unsupported B+-tree key type");
-        }
-        char payload[8];
-        std::memcpy(payload, &ordinal, sizeof(ordinal));
-        MMDB_RETURN_IF_ERROR(index.btree->Insert(kbuf.data(), payload));
-        break;
-      }
-      case IndexType::kHash:
-        index.hash->Insert(key, ordinal);
-        break;
-      case IndexType::kAuto:
-        return Status::Internal("unresolved index type");
-    }
+  for (auto& entry : table.indexes) {
+    MMDB_RETURN_IF_ERROR(AddToIndex(&entry.second, row, ordinal));
   }
   table.relation.Add(std::move(row));
   MarkStatisticsStale();
@@ -148,6 +146,9 @@ StatusOr<Database::IndexType> Database::PickIndexType(
   if (it == tables_.end()) return Status::NotFound("table " + table_name);
   MMDB_ASSIGN_OR_RETURN(int col,
                         it->second.relation.schema().ColumnIndex(column));
+  if (!BTreeKeys(it->second.relation.schema().column(col).type)) {
+    return IndexType::kAvl;
+  }
   const AccessModelParams p = ModelFor(it->second, col);
   // H = fraction of the structure (≈ the database) resident given our
   // buffer budget; AVL wins only above the §2 break-even threshold.
@@ -163,22 +164,21 @@ Status Database::BuildIndex(TableHolder* table, const std::string& table_name,
                             const std::string& column, IndexType type) {
   MMDB_ASSIGN_OR_RETURN(int col,
                         table->relation.schema().ColumnIndex(column));
+  const Column& col_def = table->relation.schema().column(col);
+  if (type == IndexType::kBTree && !BTreeKeys(col_def.type)) {
+    return Status::InvalidArgument("a B+-tree cannot key column " + column +
+                                   " (INT64 and CHAR only)");
+  }
   IndexHolder index;
   index.type = type;
   index.column = col;
-  const Column& col_def = table->relation.schema().column(col);
   index.key_width = col_def.type == ValueType::kString
-                        ? std::min<int32_t>(col_def.width, 32)
+                        ? std::min<int32_t>(col_def.width, kMaxBTreeKeyWidth)
                         : 8;
   switch (type) {
-    case IndexType::kAvl: {
+    case IndexType::kAvl:
       index.avl = std::make_unique<AvlTree>();
-      int64_t ordinal = 0;
-      for (const Row& row : table->relation.rows()) {
-        index.avl->Insert(row[static_cast<size_t>(col)], ordinal++);
-      }
       break;
-    }
     case IndexType::kBTree: {
       index.btree_file = std::make_unique<PageFile>(
           &disk_, "btree_" + table_name + "_" + column);
@@ -187,39 +187,43 @@ Status Database::BuildIndex(TableHolder* table, const std::string& table_name,
       bopts.payload_width = 8;
       index.btree = std::make_unique<BPlusTree>(&pool_, index.btree_file.get(),
                                                 bopts);
-      std::vector<char> kbuf(static_cast<size_t>(index.key_width));
-      int64_t ordinal = 0;
-      for (const Row& row : table->relation.rows()) {
-        const Value& key = row[static_cast<size_t>(col)];
-        if (TypeOf(key) == ValueType::kInt64) {
-          BPlusTree::EncodeInt64Key(std::get<int64_t>(key), kbuf.data(),
-                                    index.key_width);
-        } else if (TypeOf(key) == ValueType::kString) {
-          BPlusTree::EncodeStringKey(std::get<std::string>(key), kbuf.data(),
-                                     index.key_width);
-        } else {
-          return Status::InvalidArgument("unsupported B+-tree key type");
-        }
-        char payload[8];
-        std::memcpy(payload, &ordinal, sizeof(ordinal));
-        MMDB_RETURN_IF_ERROR(index.btree->Insert(kbuf.data(), payload));
-        ++ordinal;
-      }
       break;
     }
-    case IndexType::kHash: {
+    case IndexType::kHash:
       index.hash = std::make_unique<HashIndex>();
-      int64_t ordinal = 0;
-      for (const Row& row : table->relation.rows()) {
-        index.hash->Insert(row[static_cast<size_t>(col)], ordinal++);
-      }
       break;
-    }
     case IndexType::kAuto:
       return Status::Internal("kAuto must be resolved by caller");
   }
+  int64_t ordinal = 0;
+  for (const Row& row : table->relation.rows()) {
+    MMDB_RETURN_IF_ERROR(AddToIndex(&index, row, ordinal++));
+  }
   table->indexes[column] = std::move(index);
   return Status::OK();
+}
+
+Status Database::AddToIndex(IndexHolder* index, const Row& row,
+                            int64_t ordinal) {
+  const Value& key = row[static_cast<size_t>(index->column)];
+  switch (index->type) {
+    case IndexType::kAvl:
+      index->avl->Insert(key, ordinal);
+      return Status::OK();
+    case IndexType::kBTree: {
+      char kbuf[kMaxBTreeKeyWidth];
+      MMDB_RETURN_IF_ERROR(EncodeBTreeKey(key, index->key_width, kbuf));
+      char payload[sizeof(ordinal)];
+      std::memcpy(payload, &ordinal, sizeof(ordinal));
+      return index->btree->Insert(kbuf, payload);
+    }
+    case IndexType::kHash:
+      index->hash->Insert(key, ordinal);
+      return Status::OK();
+    case IndexType::kAuto:
+      break;
+  }
+  return Status::Internal("unresolved index type");
 }
 
 Status Database::CreateIndex(const std::string& table_name,
@@ -265,19 +269,11 @@ Status Database::IndexRangeScanLocked(
       return status;
     }
     case IndexType::kBTree: {
-      std::vector<char> kbuf(static_cast<size_t>(index.key_width));
-      if (TypeOf(low) == ValueType::kInt64) {
-        BPlusTree::EncodeInt64Key(std::get<int64_t>(low), kbuf.data(),
-                                  index.key_width);
-      } else if (TypeOf(low) == ValueType::kString) {
-        BPlusTree::EncodeStringKey(std::get<std::string>(low), kbuf.data(),
-                                   index.key_width);
-      } else {
-        return Status::InvalidArgument("unsupported B+-tree key type");
-      }
+      char kbuf[kMaxBTreeKeyWidth];
+      MMDB_RETURN_IF_ERROR(EncodeBTreeKey(low, index.key_width, kbuf));
       Status status = Status::OK();
       MMDB_RETURN_IF_ERROR(index.btree->ScanFrom(
-          kbuf.data(),
+          kbuf,
           [&](const char*, const char* payload) {
             int64_t ordinal;
             std::memcpy(&ordinal, payload, sizeof(ordinal));
@@ -540,7 +536,7 @@ StatusOr<Database::SqlResult> Database::ExecuteSqlReadLocked(
   // Statement-local context: each concurrent reader charges a private
   // clock and metrics shard, merged when the statement finishes. Addition
   // commutes, so N statements produce the same totals in any interleaving
-  // as they would serially (the same discipline the DOP>1 operators use).
+  // as they would serially.
   CostClock local_clock(options_.cost_params);
   MetricsRegistry local_metrics;
   ExecContext ctx = exec_ctx_;
@@ -552,7 +548,7 @@ StatusOr<Database::SqlResult> Database::ExecuteSqlReadLocked(
     MetricsRegistry* shard;
     ~MergeOnExit() {
       // The disk owns the only lock that already serializes charges to the
-      // global clock (checkpointer, parallel spills), so merge through it.
+      // global clock (the checkpointer's I/O), so merge through it.
       db->disk_.MergeClock(*clock);
       db->metrics_.MergeFrom(*shard);
     }

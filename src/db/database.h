@@ -98,7 +98,9 @@ class Database : public IndexProvider {
   // ---- Indexes (§2) ----------------------------------------------------
   /// Builds an index on `table.column` (there is no CREATE INDEX in the
   /// SQL dialect). kAuto applies the §2 cost model: AVL when the memory
-  /// fraction exceeds the break-even H, else B+-tree.
+  /// fraction exceeds the break-even H, else B+-tree. The B+-tree keys
+  /// INT64 and CHAR columns only: kBTree on any other column is refused,
+  /// and kAuto picks AVL for it.
   Status CreateIndex(const std::string& table, const std::string& column,
                      IndexType type);
 
@@ -286,6 +288,10 @@ class Database : public IndexProvider {
                                     const std::string& column) const;
   Status BuildIndex(TableHolder* table, const std::string& table_name,
                     const std::string& column, IndexType type);
+  /// Adds `row`'s key to `index` under `ordinal`: the one write path into
+  /// every index type, shared by Insert and BuildIndex.
+  static Status AddToIndex(IndexHolder* index, const Row& row,
+                           int64_t ordinal);
 
   StatusOr<Row> RowByOrdinal(const TableHolder& table, int64_t ordinal) const;
   /// A schema or index set changed: the next catalog use rebuilds.

@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "common/hash.h"
 #include "common/hash_directory.h"
-#include "exec/parallel.h"
 #include "exec/partitioner.h"
 #include "storage/heap_file.h"
 
@@ -49,16 +48,6 @@ struct AggState {
     }
   }
 
-  /// Folds another partial state in (the parallel merge step). COUNT, MIN
-  /// and MAX are exactly order-independent; SUM/AVG re-associate the float
-  /// additions, which is exact whenever the summed values are integers
-  /// below 2^53 (DESIGN.md §8).
-  void Merge(AggFn fn, const AggState& o) {
-    count += o.count;
-    sum += o.sum;
-    if (o.seen) Extend(fn, o.extreme);
-  }
-
  private:
   /// MIN or MAX over one more value.
   void Extend(AggFn fn, const Value& v) {
@@ -97,56 +86,32 @@ class GroupTable {
  public:
   explicit GroupTable(size_t num_aggs) : num_aggs_(num_aggs) {}
 
-  /// The group, under hash `h`, whose key `matches` accepts, added with
-  /// the key `make_key()` returns when there is none. Adds the groups
-  /// scanned to `*comps` and sets `*added`.
-  template <typename Matches, typename MakeKey>
-  uint32_t FindOrAdd(uint64_t h, const Matches& matches,
-                     const MakeKey& make_key, int64_t* comps, bool* added) {
+  /// Folds `row` into its group under `spec`, adding the group when new.
+  /// Adds the groups scanned to `*comps`; returns whether a group was
+  /// added. The caller charges the row's Hash.
+  bool Fold(const Row& row, const AggregateSpec& spec, int64_t* comps) {
+    const uint64_t h = HashGroupKey(row, spec.group_by);
     const uint32_t id = directory_.FindOrAdd(h);
     if (id == heads_.size()) {
       heads_.push_back(HashDirectory::kNone);
       hashes_.push_back(h);
     }
     uint32_t* link = &heads_[id];
-    while (*link != HashDirectory::kNone) {
+    for (; *link != HashDirectory::kNone; link = &next_[*link]) {
       ++*comps;
-      if (matches(keys_[*link])) {
-        *added = false;
-        return *link;
-      }
-      link = &next_[*link];
+      if (GroupKeyEquals(row, spec.group_by, keys_[*link])) break;
     }
-    const uint32_t g = static_cast<uint32_t>(keys_.size());
-    *link = g;
-    keys_.push_back(make_key());
-    next_.push_back(HashDirectory::kNone);
-    states_.resize(states_.size() + num_aggs_);
-    *added = true;
-    return g;
-  }
-
-  /// The AggStates of group `g`, one per aggregate.
-  AggState* aggs(uint32_t g) { return states_.data() + g * num_aggs_; }
-
-  /// Folds `row` into its group under `spec`, adding the group when new.
-  /// Adds the groups scanned to `*comps`; returns whether a group was
-  /// added. The caller charges the row's Hash.
-  bool Fold(const Row& row, const AggregateSpec& spec, int64_t* comps) {
-    bool added = false;
-    const uint32_t g = FindOrAdd(
-        HashGroupKey(row, spec.group_by),
-        [&](const Row& key) { return GroupKeyEquals(row, spec.group_by, key); },
-        [&] {
-          Row key;
-          key.reserve(spec.group_by.size());
-          for (int c : spec.group_by) {
-            key.push_back(row[static_cast<size_t>(c)]);
-          }
-          return key;
-        },
-        comps, &added);
-    AggState* states = aggs(g);
+    const bool added = *link == HashDirectory::kNone;
+    if (added) {
+      *link = static_cast<uint32_t>(keys_.size());
+      Row key;
+      key.reserve(spec.group_by.size());
+      for (int c : spec.group_by) key.push_back(row[static_cast<size_t>(c)]);
+      keys_.push_back(std::move(key));
+      next_.push_back(HashDirectory::kNone);
+      states_.resize(states_.size() + num_aggs_);
+    }
+    AggState* states = aggs(*link);
     for (size_t i = 0; i < num_aggs_; ++i) {
       const AggregateSpec::Aggregate& agg = spec.aggregates[i];
       states[i].Update(agg.fn, row, agg.column);
@@ -154,7 +119,7 @@ class GroupTable {
     return added;
   }
 
-  /// Calls fn(hash, key, aggs) for every group in emission order: the
+  /// Calls fn(key, aggs) for every group in emission order: the
   /// order in which a std::unordered_map<uint64_t, bucket> iterates after
   /// meeting the hashes in first-seen order, each bucket in insertion
   /// order. Only the distinct hashes enter the map, so emission costs a
@@ -165,14 +130,18 @@ class GroupTable {
     for (uint32_t id = 0; id < hashes_.size(); ++id) {
       order.emplace(hashes_[id], id);
     }
-    for (const auto& [h, id] : order) {
-      for (uint32_t g = heads_[id]; g != HashDirectory::kNone; g = next_[g]) {
-        fn(h, keys_[g], aggs(g));
+    for (const auto& entry : order) {
+      for (uint32_t g = heads_[entry.second]; g != HashDirectory::kNone;
+           g = next_[g]) {
+        fn(keys_[g], aggs(g));
       }
     }
   }
 
  private:
+  /// The AggStates of group `g`, one per aggregate.
+  AggState* aggs(uint32_t g) { return states_.data() + g * num_aggs_; }
+
   size_t num_aggs_;
   HashDirectory directory_;
   std::vector<uint32_t> heads_;   // first group, by directory id
@@ -281,7 +250,7 @@ void AggregateInMemory(int64_t n, const RowAt& row_at,
   ctx->clock->Hash(n);
   ctx->clock->Comp(comps);
   ctx->clock->Move(groups);
-  table.ForEach([&](uint64_t, const Row& key, const AggState* aggs) {
+  table.ForEach([&](const Row& key, const AggState* aggs) {
     EmitGroup(key, aggs, spec, out);
   });
   *num_groups += groups;
@@ -344,138 +313,6 @@ Status AggregateRec(const std::vector<Row>& rows, std::vector<Row>* owned,
   return Status::OK();
 }
 
-/// DOP > 1 one-pass aggregation: each worker folds its morsels into a
-/// private table, then the local tables merge into one global table.
-///
-/// Charging convention (DESIGN.md §8) — chosen so the totals are the SAME
-/// as a serial AggregateInMemory at any DOP and any morsel→worker
-/// assignment (modulo 64-bit group-hash collisions):
-///  * local insert of row: Hash, plus one Comp per local group scanned; a
-///    NEW local group charges no Move (it is only a partial);
-///  * merging one local group: one Comp per global group scanned, plus one
-///    Move if the group is new globally.
-/// With W workers seeing n_w rows and g_w local groups of g total groups,
-/// comps = sum(n_w - g_w) + (sum(g_w) - g) = n - g, moves = g, hashes = n —
-/// exactly the serial tallies, with every g_w cancelled out. A morsel
-/// charges its tallies once.
-Status ParallelAggregateFit(const std::vector<Row>& rows,
-                            const AggregateSpec& spec, ExecContext* ctx,
-                            Relation* out, int64_t* num_groups) {
-  const std::vector<IndexRange> morsels =
-      MorselRanges(static_cast<int64_t>(rows.size()));
-  const int workers =
-      std::max(1, PlannedWorkers(ctx, static_cast<int64_t>(morsels.size())));
-  std::vector<GroupTable> locals(static_cast<size_t>(workers),
-                                 GroupTable(spec.aggregates.size()));
-  MMDB_RETURN_IF_ERROR(ParallelFor(
-      ctx, static_cast<int64_t>(morsels.size()),
-      [&](ExecContext* wctx, int worker, int64_t m) {
-        GroupTable& table = locals[static_cast<size_t>(worker)];
-        const IndexRange range = morsels[static_cast<size_t>(m)];
-        int64_t comps = 0;
-        for (int64_t i = range.begin; i < range.end; ++i) {
-          table.Fold(rows[static_cast<size_t>(i)], spec, &comps);
-        }
-        wctx->clock->Hash(range.end - range.begin);
-        wctx->clock->Comp(comps);
-        return Status::OK();
-      }));
-
-  GroupTable global(spec.aggregates.size());
-  int64_t comps = 0;
-  int64_t groups = 0;
-  for (GroupTable& local : locals) {
-    local.ForEach([&](uint64_t h, Row& key, const AggState* aggs) {
-      bool added = false;
-      const uint32_t g = global.FindOrAdd(
-          h,
-          [&](const Row& other) {
-            return std::equal(key.begin(), key.end(), other.begin(),
-                              other.end(), ValuesEqual);
-          },
-          [&] { return std::move(key); }, &comps, &added);
-      AggState* into = global.aggs(g);
-      if (added) {
-        ++groups;
-        std::copy(aggs, aggs + spec.aggregates.size(), into);
-        return;
-      }
-      for (size_t a = 0; a < spec.aggregates.size(); ++a) {
-        into[a].Merge(spec.aggregates[a].fn, aggs[a]);
-      }
-    });
-  }
-  ctx->clock->Comp(comps);
-  ctx->clock->Move(groups);
-  global.ForEach([&](uint64_t, const Row& key, const AggState* aggs) {
-    EmitGroup(key, aggs, spec, out);
-  });
-  *num_groups += groups;
-  return Status::OK();
-}
-
-/// DOP > 1 partitioned aggregation (depth 0 of the serial recursion):
-/// morsel-parallel partitioning hash, one spill task per partition (files
-/// byte-identical to serial), then one task per partition running the
-/// serial AggregateRec at depth 1. Per-partition outputs concatenate in
-/// partition order — the serial emission order.
-Status ParallelAggregatePartition(const std::vector<Row>& rows,
-                                  const Schema& in_schema,
-                                  const AggregateSpec& spec, ExecContext* ctx,
-                                  Relation* out, AggStats* stats) {
-  const int64_t capacity =
-      std::max<int64_t>(1, ctx->TuplesInPages(in_schema, ctx->memory_pages));
-  const int64_t b = std::max<int64_t>(
-      2, std::min<int64_t>(
-             ctx->memory_pages,
-             (static_cast<int64_t>(rows.size()) + capacity - 1) / capacity));
-  if (stats != nullptr) stats->partitions = b;
-  PartitionWriterSet writers(ctx, in_schema, b,
-                             b <= 1 ? IoKind::kSequential : IoKind::kRandom,
-                             "agg_part");
-  std::vector<int32_t> pids;
-  MMDB_RETURN_IF_ERROR(ComputePartitionIds(
-      ctx, rows,
-      [&](const Row& row) {
-        const uint64_t h = HashGroupKey(row, spec.group_by);
-        return static_cast<int64_t>(Mix64(h ^ (0xABCDull * 1)) %
-                                    static_cast<uint64_t>(b));
-      },
-      &pids));
-  const std::vector<std::vector<int64_t>> groups =
-      GroupIndicesByPartition(pids, b);
-  MMDB_RETURN_IF_ERROR(ParallelDistribute(ctx, rows, groups, 0, &writers));
-  MMDB_RETURN_IF_ERROR(writers.FinishAll());
-
-  const auto parts = writers.Release();
-  std::vector<Relation> partial(static_cast<size_t>(b),
-                                Relation(out->schema()));
-  std::vector<int64_t> part_groups(static_cast<size_t>(b), 0);
-  MMDB_RETURN_IF_ERROR(ParallelFor(
-      ctx, b, [&](ExecContext* wctx, int, int64_t i) {
-        const auto& pf = parts[static_cast<size_t>(i)];
-        if (pf.records == 0) {
-          wctx->disk->DeleteFile(pf.file);
-          return Status::OK();
-        }
-        MMDB_ASSIGN_OR_RETURN(std::vector<Row> part,
-                              ReadAndDeletePartition(wctx, in_schema, pf));
-        AggStats local_stats;
-        MMDB_RETURN_IF_ERROR(AggregateRec(part, &part, in_schema, spec, wctx,
-                                          1, &partial[static_cast<size_t>(i)],
-                                          &local_stats));
-        part_groups[static_cast<size_t>(i)] = local_stats.groups;
-        return Status::OK();
-      }));
-  for (size_t i = 0; i < partial.size(); ++i) {
-    for (Row& row : partial[i].mutable_rows()) {
-      out->Add(std::move(row));
-    }
-    if (stats != nullptr) stats->groups += part_groups[i];
-  }
-  return Status::OK();
-}
-
 /// Publishes one top-level aggregation's exec.agg.* counters (AggregateRec
 /// recurses on overflow partitions internally, so only the entries count)
 /// and fills in its own cost-clock delta.
@@ -507,12 +344,10 @@ StatusOr<Relation> AggregateView(const RowView& input,
   const int64_t capacity = std::max<int64_t>(
       1, ctx->TuplesInPages(input.schema(), ctx->memory_pages));
   const bool one_pass = input.size() <= capacity;
-  // A partitioned or parallel run reads row-major rows: the view's source
-  // when the view is all of it, else a copy, taken before the run starts.
+  // A partitioned run reads row-major rows: the view's source when the
+  // view is all of it, else a copy, taken before the run starts.
   Relation copy;
-  if ((!one_pass || ctx->dop > 1) && !input.identity()) {
-    copy = input.Materialize();
-  }
+  if (!one_pass && !input.identity()) copy = input.Materialize();
   const Relation& rows = input.identity() ? *input.source() : copy;
   Relation out(AggregateOutputSchema(input.schema(), spec));
   AggStats local;
@@ -520,15 +355,7 @@ StatusOr<Relation> AggregateView(const RowView& input,
   *st = AggStats{};
   st->one_pass = one_pass;
   const double seconds_before = ctx->clock->Seconds();
-  if (ctx->dop > 1) {
-    if (one_pass) {
-      MMDB_RETURN_IF_ERROR(
-          ParallelAggregateFit(rows.rows(), spec, ctx, &out, &st->groups));
-    } else {
-      MMDB_RETURN_IF_ERROR(ParallelAggregatePartition(
-          rows.rows(), rows.schema(), spec, ctx, &out, st));
-    }
-  } else if (one_pass) {
+  if (one_pass) {
     // Grouped in place: the spec's columns translated to source columns.
     AggregateSpec source_spec = spec;
     for (int& c : source_spec.group_by) {

@@ -51,9 +51,9 @@ StatusOr<Relation> HashAggregate(const Relation& input,
 /// HashAggregate over rows read in place (DESIGN.md §14) — the one
 /// aggregation entry: HashAggregate is this over a whole relation, and the
 /// executor's terminal pipeline breaker calls it on the root view. An
-/// input that fits one pass at DOP 1 is grouped straight from the view's
-/// source rows; a partitioned or DOP > 1 run reads a materialized copy
-/// unless the view is its whole source. Charges, metrics, result bytes and
+/// input that fits one pass is grouped straight from the view's source
+/// rows; a partitioned run reads a materialized copy unless the view is
+/// its whole source. Charges, metrics, result bytes and
 /// emission order are HashAggregate's on the materialized view.
 StatusOr<Relation> AggregateView(const RowView& input,
                                  const AggregateSpec& spec, ExecContext* ctx,

@@ -30,16 +30,10 @@ struct ExecContext {
   /// Cap on recursive overflow resolution in hybrid hash (§3.3: "apply the
   /// hybrid hash join recursively").
   int max_recursion_depth = 4;
-  /// Degree of parallelism for the operators that support it (morsel scans,
-  /// partition-parallel hash joins, parallel aggregation — DESIGN.md §8).
-  /// 1 (the default) runs the original serial code paths unchanged. At any
-  /// DOP the simulated cost totals are identical: parallel workers charge
-  /// private clocks that are merged when each parallel region completes.
-  int dop = 1;
   /// Optional observability sink (DESIGN.md §9). When set, operators record
-  /// named counters/histograms here; parallel regions give each worker a
-  /// private shard merged exactly like the worker clocks, so totals are
-  /// deterministic at every DOP. When null, nothing is recorded.
+  /// named counters/histograms here; a SQL statement gets a private shard
+  /// merged into the database registry when it finishes (DESIGN.md §8).
+  /// When null, nothing is recorded.
   MetricsRegistry* metrics = nullptr;
   /// Intermediate-reuse cache (DESIGN.md §15). When set, the plan executor
   /// serves and installs materialized sub-plan results and join-build hash

@@ -96,16 +96,8 @@ class JoinHashTable {
   /// partitioning).
   template <typename Fn>
   void Probe(const Value& key, Fn&& fn) const {
-    ProbeWith(clock_, key, std::forward<Fn>(fn));
-  }
-
-  /// Probe charging an explicit clock. Once the build is complete the table
-  /// is read-only, so parallel workers probe it concurrently, each charging
-  /// a private clock (merged by the parallel region — DESIGN.md §8).
-  template <typename Fn>
-  void ProbeWith(CostClock* clock, const Value& key, Fn&& fn) const {
     const int64_t comps = Match(key, std::forward<Fn>(fn));
-    if (clock != nullptr) clock->Comp(comps);
+    if (clock_ != nullptr) clock_->Comp(comps);
   }
 
   /// Calls `fn` for every stored row whose key equals `key`, in insertion

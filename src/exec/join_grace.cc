@@ -3,7 +3,6 @@
 
 #include "common/check.h"
 #include "exec/join.h"
-#include "exec/parallel.h"
 #include "exec/partitioner.h"
 #include "storage/heap_file.h"
 
@@ -11,125 +10,12 @@ namespace mmdb {
 
 using exec_internal::JoinHashTable;
 
-namespace {
-
-/// Morsel-parallel probe of a read-only table, emitting matches in probe
-/// order: per-morsel result buffers are concatenated in morsel order, so
-/// the output sequence is identical to a serial probe loop at any DOP.
-/// Charges one Hash per probe row plus the table's comparison convention,
-/// all on the worker clocks.
-Status ParallelProbeEmit(ExecContext* ctx, const JoinHashTable& table,
-                         const std::vector<Row>& probe_rows, int probe_column,
-                         Relation* out) {
-  const std::vector<IndexRange> morsels =
-      MorselRanges(static_cast<int64_t>(probe_rows.size()));
-  std::vector<std::vector<Row>> emitted(morsels.size());
-  MMDB_RETURN_IF_ERROR(ParallelFor(
-      ctx, static_cast<int64_t>(morsels.size()),
-      [&](ExecContext* wctx, int, int64_t m) {
-        std::vector<Row>& local = emitted[static_cast<size_t>(m)];
-        const IndexRange range = morsels[static_cast<size_t>(m)];
-        for (int64_t i = range.begin; i < range.end; ++i) {
-          const Row& row = probe_rows[static_cast<size_t>(i)];
-          wctx->clock->Hash();
-          table.ProbeWith(wctx->clock,
-                          row[static_cast<size_t>(probe_column)],
-                          [&](const Row& r_row) {
-                            local.push_back(ConcatRows(r_row, row));
-                          });
-        }
-        return Status::OK();
-      }));
-  for (std::vector<Row>& batch : emitted) {
-    for (Row& row : batch) {
-      out->Add(std::move(row));
-    }
-  }
-  return Status::OK();
-}
-
-/// Phase 1 at DOP > 1: morsel-parallel partitioning hash, then one spill
-/// task per partition appending that partition's rows in input order — the
-/// spill files are byte-identical to the serial ones, so page counts and
-/// flush I/Os match exactly.
-Status ParallelPartitionPhase(ExecContext* ctx, const Relation& rel,
-                              int key_column,
-                              const HashPartitioner& partitioner,
-                              PartitionWriterSet* writers) {
-  std::vector<int32_t> pids;
-  MMDB_RETURN_IF_ERROR(ComputePartitionIds(
-      ctx, rel.rows(),
-      [&](const Row& row) {
-        return partitioner.PartitionOf(row[static_cast<size_t>(key_column)]);
-      },
-      &pids));
-  const std::vector<std::vector<int64_t>> groups =
-      GroupIndicesByPartition(pids, partitioner.num_partitions());
-  MMDB_RETURN_IF_ERROR(
-      ParallelDistribute(ctx, rel.rows(), groups, 0, writers));
-  return writers->FinishAll();
-}
-
-/// Phase 2 at DOP > 1: one task per (R_i, S_i) pair; results are collected
-/// per partition and concatenated in partition order, matching the serial
-/// emission order exactly.
-StatusOr<Relation> ParallelGracePhase2(
-    ExecContext* ctx, const Schema& rs, const Schema& ss,
-    const JoinSpec& spec, int64_t num_partitions,
-    const std::vector<PartitionWriterSet::PartitionFile>& r_parts,
-    const std::vector<PartitionWriterSet::PartitionFile>& s_parts) {
-  Relation out(Schema::Concat(rs, ss));
-  std::vector<Relation> partial(static_cast<size_t>(num_partitions));
-  MMDB_RETURN_IF_ERROR(ParallelFor(
-      ctx, num_partitions, [&](ExecContext* wctx, int, int64_t i) {
-        const auto& rp = r_parts[static_cast<size_t>(i)];
-        const auto& sp = s_parts[static_cast<size_t>(i)];
-        if (rp.records == 0 || sp.records == 0) {
-          wctx->disk->DeleteFile(rp.file);
-          wctx->disk->DeleteFile(sp.file);
-          return Status::OK();
-        }
-        MMDB_ASSIGN_OR_RETURN(std::vector<Row> r_rows,
-                              ReadAndDeletePartition(wctx, rs, rp));
-        JoinHashTable table(spec.left_column, wctx->clock);
-        for (Row& row : r_rows) {
-          wctx->clock->Hash();
-          wctx->clock->Move();
-          table.Insert(std::move(row));
-        }
-        Relation local(Schema::Concat(rs, ss));
-        std::vector<char> buf(static_cast<size_t>(ss.record_size()));
-        PagedRecordReader s_reader(wctx->disk, sp.file, ss.record_size(),
-                                   IoKind::kSequential);
-        while (s_reader.Next(buf.data())) {
-          Row row = DeserializeRow(ss, buf.data());
-          wctx->clock->Hash();
-          table.Probe(row[static_cast<size_t>(spec.right_column)],
-                      [&](const Row& r_row) {
-                        exec_internal::EmitJoined(r_row, row, &local);
-                      });
-        }
-        wctx->disk->DeleteFile(sp.file);
-        partial[static_cast<size_t>(i)] = std::move(local);
-        return Status::OK();
-      }));
-  for (Relation& p : partial) {
-    for (Row& row : p.mutable_rows()) {
-      out.Add(std::move(row));
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 /// §3.6 GRACE hash join. Phase 1 partitions both relations completely into
 /// B compatible subsets (one output-buffer page each, random flushes);
 /// phase 2 joins each (R_i, S_i) pair with an in-memory hash table,
 /// reading the partitions back sequentially. Following the paper's own
 /// substitution, phase 2 hashes instead of using [KITS83]'s hardware
-/// sorter. At ctx->dop > 1 both phases run partition-parallel (§8 of
-/// DESIGN.md) with identical simulated-cost totals.
+/// sorter.
 StatusOr<Relation> GraceHashJoin(const Relation& r, const Relation& s,
                                  const JoinSpec& spec, ExecContext* ctx,
                                  JoinRunStats* stats) {
@@ -149,17 +35,12 @@ StatusOr<Relation> GraceHashJoin(const Relation& r, const Relation& s,
       ctx->clock->Move();
       table.Insert(row);
     }
-    if (ctx->dop > 1) {
-      MMDB_RETURN_IF_ERROR(
-          ParallelProbeEmit(ctx, table, s.rows(), spec.right_column, &out));
-    } else {
-      for (const Row& row : s.rows()) {
-        ctx->clock->Hash();
-        table.Probe(row[static_cast<size_t>(spec.right_column)],
-                    [&](const Row& r_row) {
-                      exec_internal::EmitJoined(r_row, row, &out);
-                    });
-      }
+    for (const Row& row : s.rows()) {
+      ctx->clock->Hash();
+      table.Probe(row[static_cast<size_t>(spec.right_column)],
+                  [&](const Row& r_row) {
+                    exec_internal::EmitJoined(r_row, row, &out);
+                  });
     }
     if (stats != nullptr) {
       stats->output_tuples = out.num_tuples();
@@ -183,24 +64,6 @@ StatusOr<Relation> GraceHashJoin(const Relation& r, const Relation& s,
                                "grace_r");
   PartitionWriterSet s_writers(ctx, ss, num_partitions, IoKind::kRandom,
                                "grace_s");
-  if (ctx->dop > 1) {
-    MMDB_RETURN_IF_ERROR(ParallelPartitionPhase(ctx, r, spec.left_column,
-                                                partitioner, &r_writers));
-    MMDB_RETURN_IF_ERROR(ParallelPartitionPhase(ctx, s, spec.right_column,
-                                                partitioner, &s_writers));
-    auto r_parts = r_writers.Release();
-    auto s_parts = s_writers.Release();
-    MMDB_ASSIGN_OR_RETURN(out,
-                          ParallelGracePhase2(ctx, rs, ss, spec,
-                                              num_partitions, r_parts,
-                                              s_parts));
-    if (stats != nullptr) {
-      stats->output_tuples = out.num_tuples();
-      stats->partitions = num_partitions;
-    }
-    return out;
-  }
-
   for (const Row& row : r.rows()) {
     ctx->clock->Hash();
     const Value& key = row[static_cast<size_t>(spec.left_column)];

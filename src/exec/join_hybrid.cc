@@ -4,7 +4,6 @@
 #include "common/check.h"
 #include "cost/join_cost.h"
 #include "exec/join.h"
-#include "exec/parallel.h"
 #include "exec/partitioner.h"
 #include "storage/heap_file.h"
 
@@ -102,19 +101,13 @@ Status JoinSpilledPair(std::vector<Row> r_rows, std::vector<Row> s_rows,
 /// exactly the partitions that truly do not fit, never the static split's
 /// save-everything fallback.
 ///
-/// One code path serves every DOP: the destaging schedule is *replayed*
-/// from the partition-id array (a pure function of the input), so which
-/// partitions migrate — and hence every downstream charge — is identical
-/// whether the scan ran on one worker or eight:
-///  * partition ids compute morsel-parallel (one Hash per tuple);
-///  * resident partitions build serially in input order;
-///  * each spilled partition is written by one task (input order →
-///    byte-identical spill files); migrated tuples charge one extra Move
-///    each (the rewrite from the hash table to the output buffer);
-///  * resident S tuples probe morsel-parallel with matches concatenated in
-///    morsel order (the serial emission order);
-///  * phase 2 runs one task per spilled pair, outputs concatenated in
-///    partition order.
+/// The destaging schedule is *replayed* from R's partition ids (a pure
+/// function of the input) before any tuple moves, so each R tuple is then
+/// either inserted into the resident table or appended to its partition's
+/// spill file once, in input order; migrated tuples charge one extra Move
+/// each (the rewrite from the hash table to the output buffer). S tuples
+/// of resident partitions probe immediately, the rest spill, and phase 2
+/// joins the spilled pairs in partition order.
 StatusOr<Relation> HybridHashJoinImpl(const Relation& r, const Relation& s,
                                       const JoinSpec& spec, ExecContext* ctx,
                                       JoinRunStats* stats, int depth) {
@@ -131,15 +124,12 @@ StatusOr<Relation> HybridHashJoinImpl(const Relation& r, const Relation& s,
 
   // ---- Phase 1a: partition ids for R (the partitioning hash).
   std::vector<int32_t> r_pids;
-  MMDB_RETURN_IF_ERROR(ComputePartitionIds(
-      ctx, r.rows(),
-      [&](const Row& row) {
-        return partitioner.PartitionOf(
-            row[static_cast<size_t>(spec.left_column)]);
-      },
-      &r_pids));
-  const std::vector<std::vector<int64_t>> r_groups =
-      GroupIndicesByPartition(r_pids, P);
+  r_pids.reserve(r.rows().size());
+  for (const Row& row : r.rows()) {
+    r_pids.push_back(static_cast<int32_t>(partitioner.PartitionOf(
+        row[static_cast<size_t>(spec.left_column)])));
+  }
+  ctx->clock->Hash(static_cast<int64_t>(r_pids.size()));
 
   // ---- Destaging schedule: replay R's arrival order, evicting the
   // largest resident partition whenever the buffered build would exceed
@@ -190,137 +180,71 @@ StatusOr<Relation> HybridHashJoinImpl(const Relation& r, const Relation& s,
                    : double(resident_rows) / double(r_pids.size());
   }
 
-  // ---- Phase 1b over R: build the resident partitions in input order;
-  // one spill task per destaged partition. Migrated tuples sat in the hash
-  // table before their partition destaged: charge the rewrite.
+  // ---- Phase 1b over R: resident partitions build the hash table, the
+  // destaged ones spill. Migrated tuples sat in the hash table before
+  // their partition destaged: charge the rewrite.
   const IoKind spill_kind =
       spilled_count <= 1 ? IoKind::kSequential : IoKind::kRandom;
-  JoinHashTable resident(spec.left_column, ctx->clock);
-  for (int64_t p = 0; p < P; ++p) {
-    if (spilled[static_cast<size_t>(p)]) continue;
-    for (int64_t idx : r_groups[static_cast<size_t>(p)]) {
-      ctx->clock->Move();
-      resident.Insert(r.rows()[static_cast<size_t>(idx)]);
-    }
-  }
   std::unique_ptr<PartitionWriterSet> r_spill;
   std::unique_ptr<PartitionWriterSet> s_spill;
   if (spilled_count > 0) {
     ctx->clock->Move(migrated_rows);
     r_spill = std::make_unique<PartitionWriterSet>(ctx, rs, P, spill_kind,
                                                    "hybrid_r");
-    std::vector<std::vector<int64_t>> spill_groups = r_groups;
-    for (int64_t p = 0; p < P; ++p) {
-      if (!spilled[static_cast<size_t>(p)]) {
-        spill_groups[static_cast<size_t>(p)].clear();
-      }
-    }
-    MMDB_RETURN_IF_ERROR(
-        ParallelDistribute(ctx, r.rows(), spill_groups, 0, r_spill.get()));
-    MMDB_RETURN_IF_ERROR(r_spill->FinishAll());
-  }
-
-  // ---- Phase 1c over S: resident partitions probe immediately
-  // (morsel-parallel against the now read-only table), the rest spills.
-  std::vector<int32_t> s_pids;
-  MMDB_RETURN_IF_ERROR(ComputePartitionIds(
-      ctx, s.rows(),
-      [&](const Row& row) {
-        return partitioner.PartitionOf(
-            row[static_cast<size_t>(spec.right_column)]);
-      },
-      &s_pids));
-  std::vector<int64_t> probe_idx;
-  for (size_t i = 0; i < s_pids.size(); ++i) {
-    if (!spilled[static_cast<size_t>(s_pids[i])]) {
-      probe_idx.push_back(static_cast<int64_t>(i));
-    }
-  }
-  {
-    const std::vector<IndexRange> morsels =
-        MorselRanges(static_cast<int64_t>(probe_idx.size()));
-    std::vector<std::vector<Row>> emitted(morsels.size());
-    MMDB_RETURN_IF_ERROR(ParallelFor(
-        ctx, static_cast<int64_t>(morsels.size()),
-        [&](ExecContext* wctx, int, int64_t m) {
-          std::vector<Row>& local = emitted[static_cast<size_t>(m)];
-          const IndexRange range = morsels[static_cast<size_t>(m)];
-          for (int64_t i = range.begin; i < range.end; ++i) {
-            const Row& row = s.rows()[static_cast<size_t>(
-                probe_idx[static_cast<size_t>(i)])];
-            resident.ProbeWith(
-                wctx->clock, row[static_cast<size_t>(spec.right_column)],
-                [&](const Row& r_row) {
-                  local.push_back(ConcatRows(r_row, row));
-                });
-          }
-          return Status::OK();
-        }));
-    for (std::vector<Row>& batch : emitted) {
-      for (Row& row : batch) {
-        out.Add(std::move(row));
-      }
-    }
-  }
-  if (spilled_count > 0) {
     s_spill = std::make_unique<PartitionWriterSet>(ctx, ss, P, spill_kind,
                                                    "hybrid_s");
-    std::vector<std::vector<int64_t>> spill_groups =
-        GroupIndicesByPartition(s_pids, P);
-    for (int64_t p = 0; p < P; ++p) {
-      if (!spilled[static_cast<size_t>(p)]) {
-        spill_groups[static_cast<size_t>(p)].clear();
-      }
-    }
-    MMDB_RETURN_IF_ERROR(
-        ParallelDistribute(ctx, s.rows(), spill_groups, 0, s_spill.get()));
-    MMDB_RETURN_IF_ERROR(s_spill->FinishAll());
   }
-
-  // ---- Phase 2: one task per spilled pair, concatenated in partition
-  // order (the serial emission order).
-  if (spilled_count > 0) {
-    auto r_parts = r_spill->Release();
-    auto s_parts = s_spill->Release();
-    std::vector<Relation> partial(static_cast<size_t>(P));
-    std::vector<JoinRunStats> pair_stats(static_cast<size_t>(P));
-    MMDB_RETURN_IF_ERROR(ParallelFor(
-        ctx, P, [&](ExecContext* wctx, int, int64_t i) {
-          const auto& rp = r_parts[static_cast<size_t>(i)];
-          const auto& sp = s_parts[static_cast<size_t>(i)];
-          if (rp.records == 0 || sp.records == 0) {
-            wctx->disk->DeleteFile(rp.file);
-            wctx->disk->DeleteFile(sp.file);
-            return Status::OK();
-          }
-          MMDB_ASSIGN_OR_RETURN(std::vector<Row> r_rows,
-                                ReadAndDeletePartition(wctx, rs, rp));
-          MMDB_ASSIGN_OR_RETURN(std::vector<Row> s_rows,
-                                ReadAndDeletePartition(wctx, ss, sp));
-          Relation local(out.schema());
-          JoinRunStats local_stats;
-          MMDB_RETURN_IF_ERROR(JoinSpilledPair(
-              std::move(r_rows), std::move(s_rows), rs, ss, spec, wctx,
-              &local_stats, depth, &local));
-          pair_stats[static_cast<size_t>(i)] = local_stats;
-          partial[static_cast<size_t>(i)] = std::move(local);
-          return Status::OK();
-        }));
-    for (Relation& p : partial) {
-      for (Row& row : p.mutable_rows()) {
-        out.Add(std::move(row));
-      }
-    }
-    if (stats != nullptr) {
-      for (const JoinRunStats& ps : pair_stats) {
-        stats->recursion_depth =
-            std::max(stats->recursion_depth, ps.recursion_depth);
-        stats->forced_probes += ps.forced_probes;
-        stats->migrations += ps.migrations;
-      }
+  JoinHashTable resident(spec.left_column, ctx->clock);
+  for (size_t i = 0; i < r_pids.size(); ++i) {
+    const Row& row = r.rows()[i];
+    if (spilled[static_cast<size_t>(r_pids[i])]) {
+      MMDB_RETURN_IF_ERROR(r_spill->Append(r_pids[i], row));
+    } else {
+      ctx->clock->Move();
+      resident.Insert(row);
     }
   }
+  if (r_spill != nullptr) MMDB_RETURN_IF_ERROR(r_spill->FinishAll());
 
+  // ---- Phase 1c over S: resident partitions probe immediately, the rest
+  // spills.
+  for (const Row& row : s.rows()) {
+    ctx->clock->Hash();
+    const Value& key = row[static_cast<size_t>(spec.right_column)];
+    const int64_t p = partitioner.PartitionOf(key);
+    if (spilled[static_cast<size_t>(p)]) {
+      MMDB_RETURN_IF_ERROR(s_spill->Append(p, row));
+    } else {
+      resident.Probe(key, [&](const Row& r_row) {
+        exec_internal::EmitJoined(r_row, row, &out);
+      });
+    }
+  }
+  if (spilled_count == 0) {
+    if (stats != nullptr) stats->output_tuples = out.num_tuples();
+    return out;
+  }
+  MMDB_RETURN_IF_ERROR(s_spill->FinishAll());
+
+  // ---- Phase 2: the spilled pairs, in partition order.
+  const auto r_parts = r_spill->Release();
+  const auto s_parts = s_spill->Release();
+  for (int64_t i = 0; i < P; ++i) {
+    const auto& rp = r_parts[static_cast<size_t>(i)];
+    const auto& sp = s_parts[static_cast<size_t>(i)];
+    if (rp.records == 0 || sp.records == 0) {
+      ctx->disk->DeleteFile(rp.file);
+      ctx->disk->DeleteFile(sp.file);
+      continue;
+    }
+    MMDB_ASSIGN_OR_RETURN(std::vector<Row> r_rows,
+                          ReadAndDeletePartition(ctx, rs, rp));
+    MMDB_ASSIGN_OR_RETURN(std::vector<Row> s_rows,
+                          ReadAndDeletePartition(ctx, ss, sp));
+    MMDB_RETURN_IF_ERROR(JoinSpilledPair(std::move(r_rows), std::move(s_rows),
+                                         rs, ss, spec, ctx, stats, depth,
+                                         &out));
+  }
   if (stats != nullptr) stats->output_tuples = out.num_tuples();
   return out;
 }

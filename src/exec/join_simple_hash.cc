@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "exec/join.h"
-#include "exec/parallel.h"
 #include "exec/partitioner.h"
 #include "storage/heap_file.h"
 
@@ -55,146 +54,6 @@ class RowSource {
   std::vector<char> buf_;
 };
 
-/// The DOP > 1 simple hash. Per pass: the bucket hash of every remaining
-/// R/S tuple is charged by a morsel-parallel partition-id scan; the pass's
-/// hash table is built serially in input order (same Move charges as
-/// serial); in-pass S tuples probe the read-only table morsel-parallel with
-/// matches concatenated in morsel order (the serial emission order); passed-
-/// over tuples append to their spill file serially in input order, so the
-/// pass-transition files are byte-identical to the serial run's. Later
-/// passes materialize the passed-over files up front (same sequential read
-/// I/O as streaming them).
-StatusOr<Relation> SimpleHashJoinParallel(const Relation& r, const Relation& s,
-                                          const JoinSpec& spec,
-                                          ExecContext* ctx,
-                                          JoinRunStats* stats) {
-  const Schema& rs = r.schema();
-  const Schema& ss = s.schema();
-  Relation out(Schema::Concat(rs, ss));
-
-  const int64_t capacity =
-      std::max<int64_t>(1, ctx->TuplesInPages(rs, ctx->memory_pages));
-  const int64_t buckets = std::max<int64_t>(
-      1, (r.num_tuples() + capacity - 1) / capacity);
-  const double slice = std::min(
-      1.0, double(capacity) / double(std::max<int64_t>(1, r.num_tuples())));
-  auto bucket_of = [&](const Value& key) -> int64_t {
-    const uint64_t h = Mix64(HashValue(key) ^ 0x51CEDBEEFull);
-    const double x = double(h >> 11) * 0x1.0p-53;
-    return std::min<int64_t>(buckets - 1,
-                             static_cast<int64_t>(x / slice));
-  };
-
-  const std::vector<Row>* r_cur = &r.rows();
-  const std::vector<Row>* s_cur = &s.rows();
-  std::vector<Row> r_owned;
-  std::vector<Row> s_owned;
-
-  int64_t executed_passes = 0;
-  for (int64_t pass = 0; pass < buckets; ++pass) {
-    ++executed_passes;
-    const bool last_pass = pass == buckets - 1;
-
-    // Build phase: accept this pass's bucket, pass over the rest.
-    std::vector<int32_t> r_bids;
-    MMDB_RETURN_IF_ERROR(ComputePartitionIds(
-        ctx, *r_cur,
-        [&](const Row& row) {
-          return bucket_of(row[static_cast<size_t>(spec.left_column)]);
-        },
-        &r_bids));
-    JoinHashTable table(spec.left_column, ctx->clock);
-    std::unique_ptr<PartitionWriterSet> r_passed;
-    if (!last_pass) {
-      r_passed = std::make_unique<PartitionWriterSet>(
-          ctx, rs, 1, IoKind::kSequential, "simple_r_pass");
-    }
-    for (size_t i = 0; i < r_cur->size(); ++i) {
-      const Row& row = (*r_cur)[i];
-      if (r_bids[i] == pass) {
-        ctx->clock->Move();
-        table.Insert(row);
-      } else {
-        MMDB_CHECK_MSG(!last_pass, "tuple escaped every simple-hash pass");
-        MMDB_RETURN_IF_ERROR(r_passed->Append(0, row));
-      }
-    }
-
-    // Probe phase: in-pass tuples probe morsel-parallel, passed-over tuples
-    // spill serially in input order.
-    std::vector<int32_t> s_bids;
-    MMDB_RETURN_IF_ERROR(ComputePartitionIds(
-        ctx, *s_cur,
-        [&](const Row& row) {
-          return bucket_of(row[static_cast<size_t>(spec.right_column)]);
-        },
-        &s_bids));
-    std::unique_ptr<PartitionWriterSet> s_passed;
-    if (!last_pass) {
-      s_passed = std::make_unique<PartitionWriterSet>(
-          ctx, ss, 1, IoKind::kSequential, "simple_s_pass");
-    }
-    std::vector<int64_t> in_pass;
-    for (size_t i = 0; i < s_cur->size(); ++i) {
-      if (s_bids[i] == pass) {
-        in_pass.push_back(static_cast<int64_t>(i));
-      } else {
-        MMDB_RETURN_IF_ERROR(s_passed->Append(0, (*s_cur)[i]));
-      }
-    }
-    {
-      const std::vector<IndexRange> morsels =
-          MorselRanges(static_cast<int64_t>(in_pass.size()));
-      std::vector<std::vector<Row>> emitted(morsels.size());
-      MMDB_RETURN_IF_ERROR(ParallelFor(
-          ctx, static_cast<int64_t>(morsels.size()),
-          [&](ExecContext* wctx, int, int64_t m) {
-            std::vector<Row>& local = emitted[static_cast<size_t>(m)];
-            const IndexRange range = morsels[static_cast<size_t>(m)];
-            for (int64_t i = range.begin; i < range.end; ++i) {
-              const Row& row =
-                  (*s_cur)[static_cast<size_t>(
-                      in_pass[static_cast<size_t>(i)])];
-              table.ProbeWith(
-                  wctx->clock, row[static_cast<size_t>(spec.right_column)],
-                  [&](const Row& r_row) {
-                    local.push_back(ConcatRows(r_row, row));
-                  });
-            }
-            return Status::OK();
-          }));
-      for (std::vector<Row>& batch : emitted) {
-        for (Row& row : batch) {
-          out.Add(std::move(row));
-        }
-      }
-    }
-
-    if (last_pass) break;
-    MMDB_RETURN_IF_ERROR(r_passed->FinishAll());
-    MMDB_RETURN_IF_ERROR(s_passed->FinishAll());
-    auto r_files = r_passed->Release();
-    auto s_files = s_passed->Release();
-    if (r_files[0].records == 0 && s_files[0].records == 0) {
-      ctx->disk->DeleteFile(r_files[0].file);
-      ctx->disk->DeleteFile(s_files[0].file);
-      break;  // nothing passed over: done early
-    }
-    MMDB_ASSIGN_OR_RETURN(r_owned, ReadAndDeletePartition(ctx, rs,
-                                                          r_files[0]));
-    MMDB_ASSIGN_OR_RETURN(s_owned, ReadAndDeletePartition(ctx, ss,
-                                                          s_files[0]));
-    r_cur = &r_owned;
-    s_cur = &s_owned;
-  }
-
-  if (stats != nullptr) {
-    stats->output_tuples = out.num_tuples();
-    stats->passes = executed_passes;
-  }
-  return out;
-}
-
 }  // namespace
 
 /// §3.5: pass i builds an in-memory hash table for the slice of R whose
@@ -205,9 +64,6 @@ StatusOr<Relation> SimpleHashJoinParallel(const Relation& r, const Relation& s,
 StatusOr<Relation> SimpleHashJoin(const Relation& r, const Relation& s,
                                   const JoinSpec& spec, ExecContext* ctx,
                                   JoinRunStats* stats) {
-  if (ctx->dop > 1) {
-    return SimpleHashJoinParallel(r, s, spec, ctx, stats);
-  }
   const Schema& rs = r.schema();
   const Schema& ss = s.schema();
   Relation out(Schema::Concat(rs, ss));

@@ -58,15 +58,10 @@ PartitionWriterSet::PartitionWriterSet(ExecContext* ctx, const Schema& schema,
 }
 
 Status PartitionWriterSet::Append(int64_t p, const Row& row) {
-  return AppendTo(p, row, ctx_->clock, record_buf_.data());
-}
-
-Status PartitionWriterSet::AppendTo(int64_t p, const Row& row,
-                                    CostClock* clock, char* scratch) {
   MMDB_DCHECK(p >= 0 && p < static_cast<int64_t>(writers_.size()));
-  clock->Move();
-  MMDB_RETURN_IF_ERROR(SerializeRow(schema_, row, scratch));
-  return writers_[static_cast<size_t>(p)]->Append(scratch);
+  ctx_->clock->Move();
+  MMDB_RETURN_IF_ERROR(SerializeRow(schema_, row, record_buf_.data()));
+  return writers_[static_cast<size_t>(p)]->Append(record_buf_.data());
 }
 
 Status PartitionWriterSet::FinishAll() {
@@ -87,9 +82,8 @@ std::vector<PartitionWriterSet::PartitionFile> PartitionWriterSet::Release() {
     out.push_back(pf);
   }
   writers_.clear();
-  // Release() runs serially on the parent context, exactly once per
-  // partitioning op, so spill totals publish here (never per append) and
-  // stay deterministic at any DOP.
+  // Release() runs exactly once per partitioning op, so spill totals
+  // publish here, never per append.
   if (ctx_->metrics != nullptr) {
     int64_t parts = 0, pages = 0, records = 0;
     for (const PartitionFile& pf : out) {

@@ -65,14 +65,6 @@ class PartitionWriterSet {
   /// Serializes `row` into partition `p`'s buffer.
   Status Append(int64_t p, const Row& row);
 
-  /// Append charging an explicit `clock` and serializing via caller-owned
-  /// `scratch` (record_size() bytes). The parallel distribution step runs
-  /// one task per partition, so *distinct* partitions may be appended
-  /// concurrently; two threads must never append to the same partition.
-  Status AppendTo(int64_t p, const Row& row, CostClock* clock, char* scratch);
-
-  int32_t record_size() const { return schema_.record_size(); }
-
   /// Flushes all partial buffers; after this, Release() is valid.
   Status FinishAll();
 

@@ -14,19 +14,6 @@ struct IndexStats {
   int64_t page_faults = 0;
 
   void Reset() { *this = IndexStats{}; }
-
-  IndexStats& operator+=(const IndexStats& o) {
-    comparisons += o.comparisons;
-    node_visits += o.node_visits;
-    page_faults += o.page_faults;
-    return *this;
-  }
-
-  /// Parallel-accounting discipline (same as CostClock::MergeFrom): the
-  /// struct itself is not synchronized, so concurrent readers must keep a
-  /// private IndexStats and fold it into the shared instance after their
-  /// region completes. Totals are then independent of the work split.
-  void MergeFrom(const IndexStats& o) { *this += o; }
 };
 
 }  // namespace mmdb

@@ -7,7 +7,6 @@
 #include "common/check.h"
 #include "cost/join_cost.h"
 #include "exec/aggregate.h"
-#include "exec/parallel.h"
 #include "optimizer/optimizer.h"
 
 namespace mmdb {
@@ -20,25 +19,6 @@ struct CacheRun {
   ReuseCache* cache = nullptr;
   ReuseCache::Fingerprints fps;
   std::map<const PlanNode*, int> state;
-};
-
-/// Applies a plan node's DOP to the context while the node itself runs
-/// (children execute under their own nodes' settings). A node dop of 1
-/// leaves the context untouched, so directly-invoked operators keep
-/// whatever the caller configured.
-class ScopedDop {
- public:
-  ScopedDop(ExecContext* ctx, int dop) : ctx_(ctx), saved_(ctx->dop) {
-    if (dop > 1) ctx_->dop = dop;
-  }
-  ~ScopedDop() { ctx_->dop = saved_; }
-
-  ScopedDop(const ScopedDop&) = delete;
-  ScopedDop& operator=(const ScopedDop&) = delete;
-
- private:
-  ExecContext* ctx_;
-  int saved_;
 };
 
 /// One plan node's output inside ExecutePlan (DESIGN.md §14): a RowView
@@ -114,55 +94,37 @@ StatusOr<int> FindColumn(const std::vector<ColumnRef>& columns,
   return Status::NotFound("column " + ref.ToString() + " not in plan output");
 }
 
-/// The one filter driver: `in` is only read, in kMorselRows morsels through
-/// ParallelFor (inline at DOP 1), and the result is the survivors'
-/// selection — pointers to `in`'s source rows; nothing is copied.
-/// Per-morsel selections concatenate in morsel order, so the output order
-/// is the serial loop's at every DOP. Each row is charged one Comp per
-/// predicate evaluated with early exit (most selective first, §4); a
-/// morsel tallies its Comps and charges them once. The predicates are
-/// bound to source columns once, before the loop; `col_indexes` are view
-/// columns.
-StatusOr<std::vector<const Row*>> FilterRows(
-    const RowView& in, const std::vector<Predicate>& preds,
-    const std::vector<int>& col_indexes, ExecContext* ctx) {
+/// The one filter driver: `in` is only read, and the result is the
+/// survivors' selection in input order — pointers to `in`'s source rows;
+/// nothing is copied. Each row is charged one Comp per predicate evaluated
+/// with early exit (most selective first, §4); the loop tallies its Comps
+/// and charges them once. The predicates are bound to source columns once,
+/// before the loop; `col_indexes` are view columns.
+std::vector<const Row*> FilterRows(const RowView& in,
+                                   const std::vector<Predicate>& preds,
+                                   const std::vector<int>& col_indexes,
+                                   ExecContext* ctx) {
   std::vector<BoundPredicate> bound;
   bound.reserve(preds.size());
   for (size_t i = 0; i < preds.size(); ++i) {
     bound.emplace_back(preds[i], in.source_column(col_indexes[i]));
   }
-  const std::vector<IndexRange> morsels = MorselRanges(in.size());
-  std::vector<std::vector<const Row*>> kept(morsels.size());
-  MMDB_RETURN_IF_ERROR(ParallelFor(
-      ctx, static_cast<int64_t>(morsels.size()),
-      [&](ExecContext* wctx, int, int64_t m) {
-        const IndexRange range = morsels[static_cast<size_t>(m)];
-        std::vector<const Row*>& keep = kept[static_cast<size_t>(m)];
-        int64_t comps = 0;
-        for (int64_t r = range.begin; r < range.end; ++r) {
-          const Row& row = in.row(r);
-          bool pass = true;
-          for (const BoundPredicate& pred : bound) {
-            ++comps;
-            if (!pred.Matches(row)) {
-              pass = false;
-              break;
-            }
-          }
-          if (pass) keep.push_back(&row);
-        }
-        wctx->clock->Comp(comps);
-        return Status::OK();
-      }));
-  if (kept.size() == 1) return std::move(kept[0]);
-  size_t total = 0;
-  for (const std::vector<const Row*>& morsel : kept) total += morsel.size();
-  std::vector<const Row*> out;
-  out.reserve(total);
-  for (const std::vector<const Row*>& morsel : kept) {
-    out.insert(out.end(), morsel.begin(), morsel.end());
+  std::vector<const Row*> keep;
+  int64_t comps = 0;
+  for (int64_t r = 0; r < in.size(); ++r) {
+    const Row& row = in.row(r);
+    bool pass = true;
+    for (const BoundPredicate& pred : bound) {
+      ++comps;
+      if (!pred.Matches(row)) {
+        pass = false;
+        break;
+      }
+    }
+    if (pass) keep.push_back(&row);
   }
-  return out;
+  ctx->clock->Comp(comps);
+  return keep;
 }
 
 StatusOr<NodeResult> Owned(StatusOr<Relation> rel) {
@@ -218,7 +180,6 @@ StatusOr<NodeResult> ExecuteJoinNode(const PlanNode& plan,
           NodeResult probe,
           ExecuteRec(pnode, catalog, ctx, indexes, trace, reuse));
       reuse->state[&plan] = 2;
-      ScopedDop sd(ctx, plan.dop);
       return NodeResult::Owned(exec_internal::ProbeHashTable(
           cached->table, cached->schema, probe.view(), ppos, ctx));
     }
@@ -240,14 +201,12 @@ StatusOr<NodeResult> ExecuteJoinNode(const PlanNode& plan,
   const bool second_is_build = probe_first || plan.build_is_right;
   NodeResult& build = second_is_build ? second : first;
   NodeResult& probe = second_is_build ? first : second;
-  ScopedDop sd(ctx, plan.dop);
   const HybridSplit split = SolveHybridSplit(
       std::max<int64_t>(1, build.view().NumPages(ctx->page_size())),
       ctx->memory_pages, ctx->fudge);
-  if (hybrid && split.q >= 1.0 && (reuse != nullptr || ctx->dop <= 1)) {
-    // The in-memory hybrid (a cache miss at any DOP, else DOP 1): build
-    // the table once, probe the probe view in place; a miss then offers
-    // the table for admission.
+  if (hybrid && split.q >= 1.0) {
+    // The in-memory hybrid: build the table once, probe the probe view in
+    // place; a cache miss then offers the table for admission.
     const int64_t build_tuples = build.view().size();
     std::shared_ptr<CachedBuild> cb = BuildTable(std::move(build), bpos, ctx);
     const double build_cost = ctx->clock->Seconds() - build_t0;
@@ -264,8 +223,8 @@ StatusOr<NodeResult> ExecuteJoinNode(const PlanNode& plan,
     }
     return NodeResult::Owned(std::move(out));
   }
-  // A spilling build, a DOP > 1 join or another algorithm: ExecuteJoin on
-  // materialized inputs.
+  // A spilling build or another algorithm: ExecuteJoin on materialized
+  // inputs.
   Relation build_copy;
   Relation probe_copy;
   const Relation& build_rel = build.Rows(&build_copy);
@@ -298,10 +257,8 @@ StatusOr<NodeResult> ExecuteNode(const PlanNode& plan, const Catalog& catalog,
           int idx, entry->relation->schema().ColumnIndex(
                        plan.predicates[0].column));
       NodeResult table = NodeResult::Borrow(entry->relation);
-      MMDB_ASSIGN_OR_RETURN(
-          std::vector<const Row*> survivors,
+      table.mutable_view()->Select(
           FilterRows(table.view(), {plan.predicates[0]}, {idx}, ctx));
-      table.mutable_view()->Select(std::move(survivors));
       return table;
     }
     case PlanNode::Kind::kFilter: {
@@ -317,11 +274,9 @@ StatusOr<NodeResult> ExecuteNode(const PlanNode& plan, const Catalog& catalog,
                                 ColumnRef{p.table, p.column}));
         col_indexes.push_back(idx);
       }
-      ScopedDop sd(ctx, plan.dop);
       const int64_t rows_in = child.view().size();
-      MMDB_ASSIGN_OR_RETURN(
-          std::vector<const Row*> survivors,
-          FilterRows(child.view(), plan.predicates, col_indexes, ctx));
+      std::vector<const Row*> survivors =
+          FilterRows(child.view(), plan.predicates, col_indexes, ctx);
       const int64_t rows_out = static_cast<int64_t>(survivors.size());
       child.mutable_view()->Select(std::move(survivors));
       if (ctx->metrics != nullptr) {
@@ -365,9 +320,7 @@ void OfferResult(CacheRun& reuse, const std::string& fp,
 /// Trace-aware recursion step: with no trace this is just ExecuteNode;
 /// with a trace it brackets the node (children included — execution is
 /// depth-first, so the window spans the whole subtree) with cost-clock,
-/// disk and spill-counter snapshots. All snapshot reads happen at serial
-/// points: any parallel region inside the node has completed and merged
-/// its worker clocks/shards before the node returns.
+/// disk and spill-counter snapshots.
 StatusOr<NodeResult> ExecuteRec(const PlanNode& plan, const Catalog& catalog,
                                 ExecContext* ctx, IndexProvider* indexes,
                                 PlanRunTrace* trace, CacheRun* reuse) {

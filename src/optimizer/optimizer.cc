@@ -464,20 +464,6 @@ StatusOr<std::unique_ptr<PlanNode>> Optimizer::Optimize(
     project->child_left = std::move(root);
     root = std::move(project);
   }
-
-  // ---- Surface the requested DOP on the operators that exploit it.
-  if (options_.dop > 1) {
-    std::function<void(PlanNode*)> stamp = [&](PlanNode* node) {
-      if (node == nullptr) return;
-      if (node->kind == PlanNode::Kind::kJoin ||
-          node->kind == PlanNode::Kind::kFilter) {
-        node->dop = options_.dop;
-      }
-      stamp(node->child_left.get());
-      stamp(node->child_right.get());
-    };
-    stamp(root.get());
-  }
   return root;
 }
 

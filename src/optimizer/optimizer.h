@@ -21,9 +21,6 @@ struct OptimizerOptions {
   /// choose from" — consider only the hybrid hash join. When false the
   /// planner prices all four algorithms per join (the classical search).
   bool hash_only = false;
-  /// Degree of parallelism stamped onto the join and filter nodes of the
-  /// produced plan (DESIGN.md §8). 1 = serial plans, today's behavior.
-  int dop = 1;
   /// Unused: the executor has one execution path (DESIGN.md §14). Kept
   /// only because sql_e2e/sql_e2e.cc assigns it from
   /// Database::Options::vectorize; both fields go with that line.

@@ -55,7 +55,6 @@ std::string PlanNode::ToString(int indent, const Annotator& annotate) const {
       break;
     }
   }
-  if (dop > 1) out += " dop=" + std::to_string(dop);
   out += est;
   if (annotate) out += annotate(*this, indent);
   out += "\n";

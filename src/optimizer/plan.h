@@ -70,11 +70,6 @@ struct PlanNode {
   // kProject
   std::vector<ColumnRef> projection;
 
-  /// Degree of parallelism for this operator (kJoin / kFilter; DESIGN.md
-  /// §8). The executor scopes ExecContext::dop to this value while the
-  /// operator itself runs; 1 means serial.
-  int dop = 1;
-
   std::unique_ptr<PlanNode> child_left;
   std::unique_ptr<PlanNode> child_right;
 

@@ -87,9 +87,7 @@ class SqlScheduler {
   std::mutex mu_;
   std::condition_variable drained_cv_;
   std::function<void()> hook_;
-  /// Private pool (not ThreadPool::Shared()): statement latency must not
-  /// contend with parallel operator morsels, and drain must be able to
-  /// wait for exactly this queue.
+  /// The statement workers; drain waits for exactly this queue.
   std::unique_ptr<ThreadPool> pool_;
 };
 

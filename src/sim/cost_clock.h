@@ -64,10 +64,10 @@ class CostClock {
   const CostCounters& counters() const { return counters_; }
   const CostParams& params() const { return params_; }
 
-  /// Folds another clock's tallies into this one. The parallel operators
-  /// (DESIGN.md §8) give each worker a private clock and merge it here once
-  /// the parallel region completes — the clock itself stays lock-free, and
-  /// totals are independent of how work was split across workers.
+  /// Folds another clock's tallies into this one. A SQL statement charges
+  /// a private clock that is merged here when it finishes (DESIGN.md §8) —
+  /// the clock itself stays lock-free, and totals are independent of how
+  /// concurrent statements interleave.
   void MergeFrom(const CostClock& other) { counters_ += other.counters_; }
 
   /// Total simulated elapsed time in seconds under the machine model.

@@ -31,11 +31,10 @@ enum class IoKind { kSequential, kRandom };
 /// to validate the callers' declared access kinds.
 ///
 /// Thread-safety: every file operation (and the clock charge it performs)
-/// runs under one internal mutex, so the parallel operators of DESIGN.md §8
-/// may read/write/delete distinct files concurrently — this disk and its
-/// attached clock are the only state parallel workers share. Like a real
+/// runs under one internal mutex, so concurrent statements and the
+/// checkpointer may read/write/delete distinct files at once. Like a real
 /// single-spindle disk, transfers serialize. `stats()` must only be read
-/// with no transfer in flight (e.g. after a parallel region completes).
+/// with no transfer in flight.
 class SimulatedDisk {
  public:
   using FileId = int64_t;

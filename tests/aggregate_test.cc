@@ -4,6 +4,7 @@
 
 #include <map>
 
+#include "run_fingerprint.h"
 #include "storage/datagen.h"
 
 namespace mmdb {
@@ -207,6 +208,55 @@ TEST(HashAggregateTest, PaperClaimOnePassWhenResultFits) {
   ASSERT_TRUE(HashAggregate(input, FullSpec(), &one_pass.ctx).ok());
   ASSERT_TRUE(HashAggregate(input, FullSpec(), &partitioned.ctx).ok());
   EXPECT_LT(one_pass.clock.Seconds(), partitioned.clock.Seconds());
+}
+
+/// Golden runs: HashAggregate one-pass and partitioned, and ProjectDistinct
+/// in memory and spilling, on fixed seeded inputs. Each run's output
+/// sequence (the GROUP BY emission order), cost counters and disk
+/// transfers are pinned (RunFingerprint).
+TEST(AggregateGoldenTest, SequenceAndChargesArePinned) {
+  const Relation sales = SalesRelation(8000, 300, 3);
+  GenOptions opts;
+  opts.num_tuples = 20'000;
+  opts.tuple_width = 64;
+  opts.distribution = KeyDistribution::kUniform;
+  opts.key_range = 750;
+  opts.seed = 11;
+  const Relation keyed = MakeKeyedRelation(opts);
+
+  struct Case {
+    const char* name;
+    int64_t memory_pages;
+    bool distinct;
+  };
+  const Case cases[] = {
+      {"aggregate/one_pass", 1 << 16, false},
+      {"aggregate/partitioned", 2, false},
+      {"distinct/one_pass", 1 << 16, true},
+      {"distinct/spilling", 2, true},
+  };
+  const std::map<std::string, std::string> golden = {
+      {"aggregate/one_pass",
+       "rows=300 hash=e64c11194aa8a1e0 comps=7700 hashes=8000 moves=300 small_moves=0 swaps=0 seq_ios=0 rand_ios=0 reads=0 writes=0"},
+      {"aggregate/partitioned",
+       "rows=300 hash=585d5c13c112fbc8 comps=7700 hashes=40000 moves=32300 small_moves=0 swaps=0 seq_ios=204 rand_ios=204 reads=204 writes=204"},
+      {"distinct/one_pass",
+       "rows=750 hash=911f930d41e2abcf comps=19250 hashes=20000 moves=750 small_moves=0 swaps=0 seq_ios=0 rand_ios=0 reads=0 writes=0"},
+      {"distinct/spilling",
+       "rows=750 hash=b8ec61a4de618f8e comps=19250 hashes=100000 moves=80750 small_moves=0 swaps=0 seq_ios=1284 rand_ios=1284 reads=1284 writes=1284"},
+  };
+  for (const Case& c : cases) {
+    ExecEnv env(c.memory_pages);
+    AggStats stats;
+    auto out = c.distinct ? ProjectDistinct(keyed, {0}, &env.ctx, &stats)
+                          : HashAggregate(sales, FullSpec(), &env.ctx, &stats);
+    ASSERT_TRUE(out.ok()) << c.name;
+    EXPECT_EQ(stats.one_pass, c.memory_pages > 2) << c.name;
+    const std::string got = RunFingerprint(*out, env);
+    auto it = golden.find(c.name);
+    ASSERT_NE(it, golden.end()) << c.name;
+    EXPECT_EQ(got, it->second) << c.name;
+  }
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Differential suite for the bound filter predicate (DESIGN.md §14): random
 // conjunctions of every operator over INT64, DOUBLE and CHAR columns —
 // literals of the column's type and of every other type, kPrefix on
-// strings, ±0.0, INT64_MIN and INT64_MAX — run through a planned Filter at
-// DOP 1 and DOP 4. Both must keep exactly the rows a CompareValues-based
-// oracle keeps, in table order, and charge exactly its comparisons: one
-// per predicate evaluated, stopping at the first that fails.
+// strings, ±0.0, INT64_MIN and INT64_MAX — run through a planned Filter.
+// It must keep exactly the rows a CompareValues-based oracle keeps, in
+// table order, and charge exactly its comparisons: one per predicate
+// evaluated, stopping at the first that fails.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/parallel.h"
 #include "optimizer/executor.h"
 
 namespace mmdb {
@@ -98,8 +97,8 @@ Predicate RandomPredicate(std::mt19937_64& rng) {
   return p;
 }
 
-/// Filter(preds) over Scan(t), with the filter run at `dop`.
-std::unique_ptr<PlanNode> FilterPlan(std::vector<Predicate> preds, int dop) {
+/// Filter(preds) over Scan(t).
+std::unique_ptr<PlanNode> FilterPlan(std::vector<Predicate> preds) {
   auto scan = std::make_unique<PlanNode>();
   scan->kind = PlanNode::Kind::kScan;
   scan->table = "t";
@@ -107,16 +106,14 @@ std::unique_ptr<PlanNode> FilterPlan(std::vector<Predicate> preds, int dop) {
   auto filter = std::make_unique<PlanNode>();
   filter->kind = PlanNode::Kind::kFilter;
   filter->predicates = std::move(preds);
-  filter->dop = dop;
   filter->output_columns = scan->output_columns;
   filter->child_left = std::move(scan);
   return filter;
 }
 
-TEST(BoundPredicateDifferentialTest, MatchesCompareValuesOracleAtDop1And4) {
+TEST(BoundPredicateDifferentialTest, MatchesCompareValuesOracle) {
   std::mt19937_64 rng(20240611);
-  // Several morsels, so DOP 4 really splits the scan.
-  const Relation table = MakeTable(rng, 3 * kMorselRows + 123);
+  const Relation table = MakeTable(rng, 6267);
   Catalog catalog;
   ASSERT_TRUE(catalog.RegisterTable("t", &table).ok());
   int64_t kept_somewhere = 0;
@@ -141,18 +138,15 @@ TEST(BoundPredicateDifferentialTest, MatchesCompareValuesOracleAtDop1And4) {
     }
     kept_somewhere += want.empty() ? 0 : 1;
 
-    for (const int dop : {1, 4}) {
-      ExecEnv env;
-      auto out = ExecutePlan(*FilterPlan(preds, dop), catalog, &env.ctx);
-      ASSERT_TRUE(out.ok()) << out.status().ToString();
-      std::vector<std::string> got;
-      for (const Row& row : out->rows()) got.push_back(RowToString(row));
-      std::string what = "trial " + std::to_string(trial) + " dop " +
-                         std::to_string(dop) + ":";
-      for (const Predicate& p : preds) what += " " + p.ToString();
-      EXPECT_EQ(got, want) << what;
-      EXPECT_EQ(env.clock.counters().comparisons, want_comps) << what;
-    }
+    ExecEnv env;
+    auto out = ExecutePlan(*FilterPlan(preds), catalog, &env.ctx);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    std::vector<std::string> got;
+    for (const Row& row : out->rows()) got.push_back(RowToString(row));
+    std::string what = "trial " + std::to_string(trial) + ":";
+    for (const Predicate& p : preds) what += " " + p.ToString();
+    EXPECT_EQ(got, want) << what;
+    EXPECT_EQ(env.clock.counters().comparisons, want_comps) << what;
   }
   // The random conjunctions are not all empty.
   EXPECT_GT(kept_somewhere, 50);

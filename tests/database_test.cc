@@ -128,6 +128,54 @@ TEST_F(DatabaseTest, AutoIndexFollowsSection2Model) {
   EXPECT_EQ(picked->kind, IndexKind::kBTree);
 }
 
+// A B+-tree keys INT64 and CHAR columns only. On a DOUBLE column it is
+// refused before anything is built, even on an empty table: had it been
+// built, every later INSERT would fail in it after the row's key had
+// already gone into the table's other indexes.
+TEST_F(DatabaseTest, BTreeOnDoubleColumnIsRefusedAndInsertsStillWork) {
+  Database db;
+  ASSERT_TRUE(db.ExecuteSql("CREATE TABLE t (k INT64, x DOUBLE)").ok());
+  ASSERT_TRUE(db.CreateIndex("t", "k", Database::IndexType::kHash).ok());
+  EXPECT_EQ(db.CreateIndex("t", "x", Database::IndexType::kBTree).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(db.catalog().FindIndex("t", "x"), nullptr);
+  ASSERT_TRUE(db.ExecuteSql("INSERT INTO t VALUES (7, 1.5), (8, 2.5)").ok());
+  auto found = db.IndexLookupAll(
+      "t", Predicate{"t", "k", CmpOp::kEq, Value{int64_t{7}}}, nullptr);
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  ASSERT_EQ(found->num_tuples(), 1);
+  EXPECT_EQ(std::get<double>(found->rows()[0][1]), 1.5);
+  EXPECT_EQ(db.ExecuteSql("SELECT * FROM t")->relation.num_tuples(), 2);
+}
+
+TEST_F(DatabaseTest, AutoIndexOnDoubleColumnPicksAvl) {
+  Database::Options tiny;
+  tiny.buffer_pool_pages = 4;
+  Database poor(tiny);
+  Relation emp = MakeEmployeeRelation(2000, 64, 1);
+  ASSERT_TRUE(poor.CreateTable("emp", emp.schema()).ok());
+  ASSERT_TRUE(poor.BulkLoad("emp", emp).ok());
+  // The pool that makes the §2 model pick a B+-tree for emp_id...
+  ASSERT_TRUE(
+      poor.CreateIndex("emp", "emp_id", Database::IndexType::kAuto).ok());
+  const IndexInfo* picked = poor.catalog().FindIndex("emp", "emp_id");
+  ASSERT_NE(picked, nullptr);
+  EXPECT_EQ(picked->kind, IndexKind::kBTree);
+  // ...picks AVL for salary, which a B+-tree cannot key.
+  ASSERT_TRUE(
+      poor.CreateIndex("emp", "salary", Database::IndexType::kAuto).ok());
+  picked = poor.catalog().FindIndex("emp", "salary");
+  ASSERT_NE(picked, nullptr);
+  EXPECT_EQ(picked->kind, IndexKind::kAvl);
+  ASSERT_TRUE(
+      poor.ExecuteSql("INSERT INTO emp VALUES (5000, 'probe', 1, 12345.5, '')")
+          .ok());
+  auto found = poor.ExecuteSql("SELECT emp_id FROM emp WHERE salary = 12345.5");
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  ASSERT_EQ(found->relation.num_tuples(), 1);
+  EXPECT_EQ(std::get<int64_t>(found->relation.rows()[0][0]), 5000);
+}
+
 TEST_F(DatabaseTest, QueryJoinFilterProject) {
   Database::SqlResult result =
       Sql("SELECT emp.emp_id, dept.dname FROM emp, dept "

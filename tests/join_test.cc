@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 
+#include "run_fingerprint.h"
 #include "storage/datagen.h"
 
 namespace mmdb {
@@ -288,6 +289,98 @@ TEST(JoinTest, CostChargesScaleWithPasses) {
     ASSERT_TRUE(out.ok());
     EXPECT_LT(env.clock.Seconds(), prev);
     prev = env.clock.Seconds();
+  }
+}
+
+/// Golden runs: every join algorithm on fixed seeded inputs, at a grant
+/// that holds R's hash table, at one that spills, and on a skewed input at
+/// three pages (the hybrid recurses there). Each run's output sequence,
+/// cost counters and disk transfers are pinned (RunFingerprint), so a
+/// rewrite of a join must reproduce the rows, their order and every
+/// charge exactly.
+TEST(JoinGoldenTest, SequenceAndChargesArePinned) {
+  GenOptions r_opts;
+  r_opts.num_tuples = 700;
+  r_opts.tuple_width = 64;
+  r_opts.seed = 9;
+  GenOptions s_opts;
+  s_opts.num_tuples = 1400;
+  s_opts.tuple_width = 48;
+  s_opts.distribution = KeyDistribution::kUniform;
+  s_opts.key_range = 700;
+  s_opts.seed = 10;
+  const Relation r = MakeKeyedRelation(r_opts);
+  const Relation s = MakeKeyedRelation(s_opts);
+  const int64_t r_table_pages =
+      static_cast<int64_t>(double(r.NumPages(4096)) * 1.2);
+
+  Schema skew_schema({Column::Int64("key"), Column::Int64("tag"),
+                      Column::Char("pad", 48)});
+  Relation skew_r(skew_schema), skew_s(skew_schema);
+  for (int64_t i = 0; i < 3000; ++i) {
+    skew_r.Add({i % 7 == 0 ? int64_t{7} : i, i, std::string()});
+    skew_s.Add({i % 11 == 0 ? int64_t{7} : i, i, std::string()});
+  }
+
+  struct Case {
+    const char* name;
+    const Relation* r;
+    const Relation* s;
+    int64_t memory_pages;
+  };
+  const Case cases[] = {
+      {"in_memory", &r, &s, 2 * r_table_pages},
+      {"spilling", &r, &s, std::max<int64_t>(2, r_table_pages * 3 / 10)},
+      {"skew_3_pages", &skew_r, &skew_s, 3},
+  };
+  const JoinAlgorithm algorithms[] = {
+      JoinAlgorithm::kNestedLoop, JoinAlgorithm::kSortMerge,
+      JoinAlgorithm::kSimpleHash, JoinAlgorithm::kGraceHash,
+      JoinAlgorithm::kHybridHash};
+  const std::map<std::string, std::string> golden = {
+      {"nested-loop/in_memory",
+       "rows=1400 hash=bd2b519b012dde09 comps=980000 hashes=0 moves=0 small_moves=0 swaps=0 seq_ios=0 rand_ios=0 reads=0 writes=0"},
+      {"sort-merge/in_memory",
+       "rows=1400 hash=b3c15cedf5c391d0 comps=40891 hashes=0 moves=0 small_moves=0 swaps=18447 seq_ios=0 rand_ios=0 reads=0 writes=0"},
+      {"simple-hash/in_memory",
+       "rows=1400 hash=62f55ce0ddab934d comps=1400 hashes=2100 moves=700 small_moves=0 swaps=0 seq_ios=0 rand_ios=0 reads=0 writes=0"},
+      {"grace-hash/in_memory",
+       "rows=1400 hash=62f55ce0ddab934d comps=1400 hashes=2100 moves=700 small_moves=0 swaps=0 seq_ios=0 rand_ios=0 reads=0 writes=0"},
+      {"hybrid-hash/in_memory",
+       "rows=1400 hash=62f55ce0ddab934d comps=1400 hashes=2100 moves=700 small_moves=0 swaps=0 seq_ios=0 rand_ios=0 reads=0 writes=0"},
+      {"nested-loop/spilling",
+       "rows=1400 hash=bd2b519b012dde09 comps=980000 hashes=0 moves=0 small_moves=0 swaps=0 seq_ios=0 rand_ios=0 reads=0 writes=0"},
+      {"sort-merge/spilling",
+       "rows=1400 hash=fb91e4b52b22d28d comps=40633 hashes=0 moves=2100 small_moves=0 swaps=15951 seq_ios=31 rand_ios=31 reads=31 writes=31"},
+      {"simple-hash/spilling",
+       "rows=1400 hash=168c489d142e6d09 comps=1400 hashes=4575 moves=3175 small_moves=0 swaps=0 seq_ios=72 rand_ios=0 reads=36 writes=36"},
+      {"grace-hash/spilling",
+       "rows=1400 hash=51f4ba6ce4941882 comps=1400 hashes=4200 moves=2800 small_moves=0 swaps=0 seq_ios=30 rand_ios=30 reads=30 writes=30"},
+      {"hybrid-hash/spilling",
+       "rows=1400 hash=ebc437f5e9630cc2 comps=1400 hashes=4200 moves=3034 small_moves=0 swaps=0 seq_ios=33 rand_ios=33 reads=33 writes=33"},
+      {"nested-loop/skew_3_pages",
+       "rows=119883 hash=ef66bbb51492bca2 comps=9000000 hashes=0 moves=0 small_moves=0 swaps=0 seq_ios=0 rand_ios=0 reads=0 writes=0"},
+      {"sort-merge/skew_3_pages",
+       "rows=119883 hash=871744bb1d414d56 comps=103889 hashes=0 moves=9000 small_moves=0 swaps=38732 seq_ios=147 rand_ios=147 reads=147 writes=147"},
+      {"simple-hash/skew_3_pages",
+       "rows=119883 hash=a2f67f58e21726b5 comps=120272 hashes=58251 moves=55251 small_moves=0 swaps=0 seq_ios=1694 rand_ios=0 reads=847 writes=847"},
+      {"grace-hash/skew_3_pages",
+       "rows=119883 hash=04eb3d6db36a02f4 comps=120272 hashes=12000 moves=9000 small_moves=0 swaps=0 seq_ios=98 rand_ios=98 reads=98 writes=98"},
+      {"hybrid-hash/skew_3_pages",
+       "rows=119883 hash=c6993013689750d3 comps=120404 hashes=14880 moves=12761 small_moves=0 swaps=0 seq_ios=214 rand_ios=116 reads=165 writes=165"},
+  };
+  for (const Case& c : cases) {
+    for (JoinAlgorithm alg : algorithms) {
+      const std::string key =
+          std::string(JoinAlgorithmName(alg)) + "/" + c.name;
+      ExecEnv env(c.memory_pages);
+      auto out = ExecuteJoin(alg, *c.r, *c.s, JoinSpec{0, 0}, &env.ctx);
+      ASSERT_TRUE(out.ok()) << key;
+      const std::string got = RunFingerprint(*out, env);
+      auto it = golden.find(key);
+      ASSERT_NE(it, golden.end()) << key;
+      EXPECT_EQ(got, it->second) << key;
+    }
   }
 }
 

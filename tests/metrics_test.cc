@@ -223,12 +223,10 @@ TEST(MetricsRegistryTest, ToJsonEscapesQuotesAndBackslashes) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism at every DOP (DESIGN.md §8/§9): the per-worker metric shards
-// merge exactly like the worker cost clocks, so the merged totals must be
-// independent of the thread schedule — identical to the serial run at DOP
-// 2/4/8 and across reruns, both for the in-memory and the spilling paths.
+// Determinism (DESIGN.md §9): an operator's metrics and cost counters are
+// a function of its input and grant alone, identical across reruns, both
+// for the in-memory and the spilling paths.
 
-constexpr int kDops[] = {2, 4, 8};
 constexpr int kReruns = 2;
 
 void ExpectSnapshotsEqual(const MetricsRegistry::Snapshot& got,
@@ -239,7 +237,7 @@ void ExpectSnapshotsEqual(const MetricsRegistry::Snapshot& got,
       << label << "\n got: " << got.ToJson() << "\nwant: " << want.ToJson();
 }
 
-TEST(MetricsParallelTest, JoinMetricsIdenticalAtEveryDop) {
+TEST(MetricsDeterminismTest, JoinMetricsIdenticalAcrossReruns) {
   GenOptions r_opts;
   r_opts.num_tuples = 600;
   r_opts.tuple_width = 64;
@@ -252,7 +250,7 @@ TEST(MetricsParallelTest, JoinMetricsIdenticalAtEveryDop) {
   const Relation r = MakeKeyedRelation(r_opts);
   const Relation s = MakeKeyedRelation(s_opts);
   // Half-memory so hybrid hash really spills: exec.spill.* must stay
-  // deterministic even when parallel workers share the partition writers.
+  // deterministic too.
   const int64_t memory = std::max<int64_t>(
       2, static_cast<int64_t>(0.5 * double(r.NumPages(4096)) * 1.2));
 
@@ -260,31 +258,27 @@ TEST(MetricsParallelTest, JoinMetricsIdenticalAtEveryDop) {
                                        JoinAlgorithm::kGraceHash,
                                        JoinAlgorithm::kHybridHash};
   for (JoinAlgorithm alg : kAlgorithms) {
-    ExecEnv serial_env(memory);
-    auto serial = ExecuteJoin(alg, r, s, JoinSpec{0, 0}, &serial_env.ctx);
-    ASSERT_TRUE(serial.ok()) << JoinAlgorithmName(alg);
+    ExecEnv first_env(memory);
+    auto first = ExecuteJoin(alg, r, s, JoinSpec{0, 0}, &first_env.ctx);
+    ASSERT_TRUE(first.ok()) << JoinAlgorithmName(alg);
     const MetricsRegistry::Snapshot expected =
-        serial_env.metrics.TakeSnapshot();
-    const CostCounters expected_counters = serial_env.clock.counters();
+        first_env.metrics.TakeSnapshot();
+    const CostCounters expected_counters = first_env.clock.counters();
     EXPECT_GT(expected.counters.at("exec.join.runs"), 0);
 
-    for (int dop : kDops) {
-      for (int rerun = 0; rerun < kReruns; ++rerun) {
-        ExecEnv env(memory);
-        env.ctx.dop = dop;
-        auto out = ExecuteJoin(alg, r, s, JoinSpec{0, 0}, &env.ctx);
-        ASSERT_TRUE(out.ok()) << JoinAlgorithmName(alg) << " dop=" << dop;
-        const std::string label = std::string(JoinAlgorithmName(alg)) +
-                                  " dop=" + std::to_string(dop) +
-                                  " rerun=" + std::to_string(rerun);
-        ExpectSnapshotsEqual(env.metrics.TakeSnapshot(), expected, label);
-        EXPECT_EQ(env.clock.counters(), expected_counters) << label;
-      }
+    for (int rerun = 0; rerun < kReruns; ++rerun) {
+      ExecEnv env(memory);
+      auto out = ExecuteJoin(alg, r, s, JoinSpec{0, 0}, &env.ctx);
+      ASSERT_TRUE(out.ok()) << JoinAlgorithmName(alg);
+      const std::string label = std::string(JoinAlgorithmName(alg)) +
+                                " rerun=" + std::to_string(rerun);
+      ExpectSnapshotsEqual(env.metrics.TakeSnapshot(), expected, label);
+      EXPECT_EQ(env.clock.counters(), expected_counters) << label;
     }
   }
 }
 
-TEST(MetricsParallelTest, AggregateMetricsIdenticalAtEveryDop) {
+TEST(MetricsDeterminismTest, AggregateMetricsIdenticalAcrossReruns) {
   GenOptions opts;
   opts.num_tuples = 4000;
   opts.tuple_width = 48;
@@ -295,27 +289,23 @@ TEST(MetricsParallelTest, AggregateMetricsIdenticalAtEveryDop) {
   spec.group_by = {0};
   spec.aggregates = {{AggFn::kCount, 0, "cnt"}, {AggFn::kSum, 1, "sum"}};
 
-  ExecEnv serial_env(8);  // 8 pages => partitioned (spilling) path
-  auto serial = HashAggregate(input, spec, &serial_env.ctx);
-  ASSERT_TRUE(serial.ok());
-  const MetricsRegistry::Snapshot expected = serial_env.metrics.TakeSnapshot();
+  ExecEnv first_env(8);  // 8 pages => partitioned (spilling) path
+  auto first = HashAggregate(input, spec, &first_env.ctx);
+  ASSERT_TRUE(first.ok());
+  const MetricsRegistry::Snapshot expected = first_env.metrics.TakeSnapshot();
   EXPECT_EQ(expected.counters.at("exec.agg.input_tuples"), 4000);
   EXPECT_GT(expected.counters.at("exec.agg.spilled_partitions"), 0);
 
-  for (int dop : kDops) {
-    for (int rerun = 0; rerun < kReruns; ++rerun) {
-      ExecEnv env(8);
-      env.ctx.dop = dop;
-      auto out = HashAggregate(input, spec, &env.ctx);
-      ASSERT_TRUE(out.ok()) << "dop=" << dop;
-      ExpectSnapshotsEqual(
-          env.metrics.TakeSnapshot(), expected,
-          "dop=" + std::to_string(dop) + " rerun=" + std::to_string(rerun));
-    }
+  for (int rerun = 0; rerun < kReruns; ++rerun) {
+    ExecEnv env(8);
+    auto out = HashAggregate(input, spec, &env.ctx);
+    ASSERT_TRUE(out.ok());
+    ExpectSnapshotsEqual(env.metrics.TakeSnapshot(), expected,
+                         "rerun=" + std::to_string(rerun));
   }
 }
 
-TEST(MetricsParallelTest, NullMetricsPointerRecordsNothingAndStillRuns) {
+TEST(MetricsDeterminismTest, NullMetricsPointerRecordsNothingAndStillRuns) {
   GenOptions opts;
   opts.num_tuples = 300;
   opts.tuple_width = 32;
@@ -323,13 +313,10 @@ TEST(MetricsParallelTest, NullMetricsPointerRecordsNothingAndStillRuns) {
   const Relation r = MakeKeyedRelation(opts);
   ExecEnv env(1024);
   env.ctx.metrics = nullptr;  // observability off
-  for (int dop : {1, 4}) {
-    env.ctx.dop = dop;
-    auto out = ExecuteJoin(JoinAlgorithm::kHybridHash, r, r, JoinSpec{0, 0},
-                           &env.ctx);
-    ASSERT_TRUE(out.ok()) << "dop=" << dop;
-    EXPECT_EQ(out->num_tuples(), 300);
-  }
+  auto out = ExecuteJoin(JoinAlgorithm::kHybridHash, r, r, JoinSpec{0, 0},
+                         &env.ctx);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->num_tuples(), 300);
   EXPECT_EQ(env.metrics.Get("exec.join.runs"), 0);
 }
 

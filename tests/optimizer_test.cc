@@ -242,52 +242,5 @@ TEST_F(OptimizerTest, PlanToStringMentionsStructure) {
   EXPECT_NE(text.find("Scan(orders)"), std::string::npos);
 }
 
-TEST_F(OptimizerTest, DopIsStampedOnJoinsAndSurfacesInPlanText) {
-  OptimizerOptions opts = Opts();
-  opts.dop = 4;
-  Optimizer opt(&catalog_, opts);
-  Query q = StarQuery();
-  q.filters = {{"orders", "qty", CmpOp::kGe, Value{int64_t{5}}}};
-  auto plan = opt.Optimize(q);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_NE((*plan)->ToString().find("dop=4"), std::string::npos)
-      << (*plan)->ToString();
-  // Serial plans stay serial — no dop annotation.
-  Optimizer serial_opt(&catalog_, Opts());
-  auto serial_plan = serial_opt.Optimize(q);
-  ASSERT_TRUE(serial_plan.ok());
-  EXPECT_EQ((*serial_plan)->ToString().find("dop="), std::string::npos);
-}
-
-TEST_F(OptimizerTest, ParallelQueryMatchesSerialResultAndCosts) {
-  Query q = StarQuery();
-  q.filters = {{"orders", "qty", CmpOp::kGe, Value{int64_t{3}}}};
-  q.select_columns = {{"orders", "order_id"}, {"products", "price"}};
-
-  ExecEnv serial_env(64);
-  auto serial = RunQuery(q, catalog_, Opts(64), &serial_env.ctx);
-  ASSERT_TRUE(serial.ok());
-  std::multiset<std::string> expected;
-  for (const Row& row : serial->relation.rows()) {
-    expected.insert(RowToString(row));
-  }
-
-  for (int dop : {2, 4, 8}) {
-    OptimizerOptions opts = Opts(64);
-    opts.dop = dop;
-    ExecEnv env(64);
-    auto result = RunQuery(q, catalog_, opts, &env.ctx);
-    ASSERT_TRUE(result.ok()) << dop;
-    std::multiset<std::string> got;
-    for (const Row& row : result->relation.rows()) {
-      got.insert(RowToString(row));
-    }
-    EXPECT_EQ(got, expected) << dop;
-    EXPECT_EQ(env.clock.counters(), serial_env.clock.counters())
-        << "dop=" << dop << "\nserial: " << serial_env.clock.DebugString()
-        << "\nparallel: " << env.clock.DebugString();
-  }
-}
-
 }  // namespace
 }  // namespace mmdb

@@ -223,51 +223,6 @@ TEST(PartitionWriterSetTest, ZeroRowPartitionSetFinishesClean) {
   EXPECT_EQ(env.disk.TotalPages(), 0);
 }
 
-TEST(PartitionWriterSetTest, AppendToMatchesAppendChargesAndBytes) {
-  // AppendTo (the parallel spill entry point) with an explicit clock and
-  // scratch buffer must behave exactly like Append: same file contents,
-  // same move/I-O tallies.
-  GenOptions opts;
-  opts.num_tuples = 300;
-  opts.tuple_width = 80;
-  Relation rel = MakeKeyedRelation(opts);
-
-  ExecEnv a(64);
-  PartitionWriterSet wa(&a.ctx, rel.schema(), 2, IoKind::kRandom, "via_append");
-  for (const Row& row : rel.rows()) {
-    ASSERT_TRUE(wa.Append(CompareValues(row[0], Value{int64_t{150}}) >= 0 ? 1 : 0, row).ok());
-  }
-  ASSERT_TRUE(wa.FinishAll().ok());
-  auto fa = wa.Release();
-
-  ExecEnv b(64);
-  CostClock side_clock(b.clock.params());
-  PartitionWriterSet wb(&b.ctx, rel.schema(), 2, IoKind::kRandom, "via_to");
-  std::vector<char> scratch(static_cast<size_t>(wb.record_size()));
-  for (const Row& row : rel.rows()) {
-    ASSERT_TRUE(wb.AppendTo(CompareValues(row[0], Value{int64_t{150}}) >= 0 ? 1 : 0, row,
-                            &side_clock, scratch.data())
-                    .ok());
-  }
-  ASSERT_TRUE(wb.FinishAll().ok());
-  auto fb = wb.Release();
-  b.clock.MergeFrom(side_clock);  // the parallel region's merge step
-
-  EXPECT_EQ(a.clock.counters(), b.clock.counters());
-  for (int p = 0; p < 2; ++p) {
-    EXPECT_EQ(fa[size_t(p)].records, fb[size_t(p)].records);
-    EXPECT_EQ(fa[size_t(p)].pages, fb[size_t(p)].pages);
-    auto ra = ReadAndDeletePartition(&a.ctx, rel.schema(), fa[size_t(p)]);
-    auto rb = ReadAndDeletePartition(&b.ctx, rel.schema(), fb[size_t(p)]);
-    ASSERT_TRUE(ra.ok());
-    ASSERT_TRUE(rb.ok());
-    ASSERT_EQ(ra->size(), rb->size());
-    for (size_t i = 0; i < ra->size(); ++i) {
-      EXPECT_EQ(RowToString((*ra)[i]), RowToString((*rb)[i]));
-    }
-  }
-}
-
 TEST(PartitionWriterSetTest, ChargesMovePerTupleAndIoPerPage) {
   GenOptions opts;
   opts.num_tuples = 500;

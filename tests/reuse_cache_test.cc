@@ -129,16 +129,6 @@ TEST(ReuseCacheFingerprint, TableVersionsDiverge) {
   EXPECT_EQ(after, Fp(cache, *plan));
 }
 
-TEST(ReuseCacheFingerprint, DopDoesNotFingerprint) {
-  // The parallel and plan differential suites prove result bytes are
-  // identical at every DOP, so one entry serves them all.
-  ReuseCache cache;
-  auto a = Filter(Scan("r", "r"), "r", "key", CmpOp::kGt, Value{int64_t{3}});
-  auto b = Filter(Scan("r", "r"), "r", "key", CmpOp::kGt, Value{int64_t{3}});
-  b->dop = 4;
-  EXPECT_EQ(Fp(cache, *a), Fp(cache, *b));
-}
-
 TEST(ReuseCacheFingerprint, SwappedChildrenWithSwappedBuildSideCollide) {
   // join(r, s, build=right) and join(s, r, build=left) run the same build
   // and probe and emit identical bytes, so they share a fingerprint.
@@ -260,8 +250,7 @@ TEST(ReuseCacheBuilds, InstallLookupAndInvalidate) {
   ASSERT_NE(served, nullptr);
   EXPECT_EQ(served->rows, 16);
   int matches = 0;
-  served->table.ProbeWith(nullptr, Value{int64_t{5}},
-                          [&](const Row&) { ++matches; });
+  served->table.Match(Value{int64_t{5}}, [&](const Row&) { ++matches; });
   EXPECT_EQ(matches, 1);
   cache.InvalidateTable("r");
   EXPECT_FALSE(cache.HasBuild("scan(r@0)", 0));

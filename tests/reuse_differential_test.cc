@@ -1,9 +1,9 @@
 // Differential suite for the plan-fingerprint reuse cache (DESIGN.md §15):
 // with plan discounts off the cache is an invisible accelerator — cache-on
 // and cache-off runs must produce byte-identical rows in identical order,
-// at DOP 1/2/4, across repetitions, and across input mutations that force
-// invalidation. With discounts on the planner may legitimately reshape the
-// plan, so content (multiset) identity is the contract there. A final
+// across repetitions and across input mutations that force invalidation.
+// With discounts on the planner may legitimately reshape the plan, so
+// content (multiset) identity is the contract there. A final
 // concurrent test drives 8 reader threads through the cache while writers
 // invalidate — the TSan preset runs it.
 
@@ -94,16 +94,14 @@ TEST_P(ReuseCacheDifferentialTest, TransparentModeIsByteIdenticalAtEveryDop) {
 
     std::vector<std::string> base_rows;
     bool have_base = false;
-    for (const int dop : {1, 2, 4}) {
+    for (int visit = 0; visit < 3; ++visit) {
       OptimizerOptions opts;
       opts.memory_pages = 4096;
       opts.hash_only = true;
-      opts.dop = dop;
       opts.reuse_cache = &cache;
       opts.reuse_cost_discounts = false;  // transparent mode
       // Cache-off twin first, then cache-on (which both installs, on its
-      // first visit, and serves, on every later one — the fingerprints
-      // ignore dop, so later DOPs are pure warm serves).
+      // first visit, and serves, on every later one).
       ExecEnv off_env(4096);
       OptimizerOptions off_opts = opts;
       off_opts.reuse_cache = nullptr;
@@ -117,7 +115,7 @@ TEST_P(ReuseCacheDifferentialTest, TransparentModeIsByteIdenticalAtEveryDop) {
 
       const std::vector<std::string> off_rows = RowStrings(off->relation);
       const std::vector<std::string> on_rows = RowStrings(on->relation);
-      EXPECT_EQ(on_rows, off_rows) << "round=" << round << " dop=" << dop;
+      EXPECT_EQ(on_rows, off_rows) << "round=" << round << " visit=" << visit;
       if (!have_base) {
         base_rows = off_rows;
         have_base = true;

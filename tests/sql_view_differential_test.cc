@@ -2,14 +2,13 @@
 // Project pass row references, and the aggregate, DISTINCT and the
 // in-memory hybrid hash join read them in place. For SQL filter+project,
 // GROUP BY, DISTINCT and join statements, the view path must return the
-// bytes, in the order, that the materializing paths return: a DOP 2 plan
-// (whose joins run on materialized inputs), the reuse cache, and
-// HashAggregate / ExecuteJoin called directly on the materialized inputs —
-// the last with the same cost-clock totals and the same exec.* counters.
+// bytes, in the order, that the materializing paths return: the reuse
+// cache, and HashAggregate / ExecuteJoin called directly on the
+// materialized inputs — the last with the same cost-clock totals and the
+// same exec.* counters.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -28,11 +27,6 @@ std::vector<std::string> RowStrings(const Relation& rel) {
   out.reserve(static_cast<size_t>(rel.num_tuples()));
   for (const Row& row : rel.rows()) out.push_back(RowToString(row));
   return out;
-}
-
-std::vector<std::string> Sorted(std::vector<std::string> rows) {
-  std::sort(rows.begin(), rows.end());
-  return rows;
 }
 
 /// r(key, payload, pad) and s(key, payload, pad), s.key drawn from r's
@@ -141,16 +135,6 @@ TEST_P(SqlViewDifferentialTest, ViewPathMatchesEveryMaterializingPath) {
     const RunOutcome base = RunStatement(st, t.catalog, BaseOptions(), &base_env);
     ASSERT_FALSE(base.rows.empty());
 
-    // DOP 2: filters still narrow the view, but every join runs on
-    // materialized inputs through the parallel hybrid.
-    OptimizerOptions dop2 = BaseOptions();
-    dop2.dop = 2;
-    ExecEnv dop2_env(4096);
-    const RunOutcome par = RunStatement(st, t.catalog, dop2, &dop2_env);
-    EXPECT_EQ(par.rows, base.rows) << "dop=2";
-    EXPECT_EQ(par.counters, base.counters) << "dop=2";
-    EXPECT_EQ(par.metrics, base.metrics) << "dop=2";
-
     // Reuse cache, transparent: a cold run installs, a warm run serves.
     OptimizerOptions cached = BaseOptions();
     cached.reuse_cache = &cache;
@@ -174,14 +158,6 @@ TEST_P(SqlViewDifferentialTest, ViewPathMatchesEveryMaterializingPath) {
       EXPECT_EQ(RowStrings(*groups), base.rows);
       EXPECT_EQ(ref_env.clock.counters(), base.counters);
       EXPECT_EQ(ref_env.metrics.ToJson(), base.metrics);
-
-      // A DOP 2 aggregate takes the materializing fallback. Its parallel
-      // merge emits groups in its own order, so compare contents.
-      ExecEnv par_env(4096);
-      par_env.ctx.dop = 2;
-      const RunOutcome pagg = RunStatement(st, t.catalog, BaseOptions(), &par_env);
-      EXPECT_EQ(Sorted(pagg.rows), Sorted(base.rows)) << "aggregate dop=2";
-      EXPECT_EQ(pagg.counters, base.counters) << "aggregate dop=2";
     }
   }
 }

@@ -88,21 +88,6 @@ TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
   EXPECT_EQ(ran.load(), 30);
 }
 
-TEST(ThreadPoolTest, SharedPoolIsStableAndAmplySized) {
-  ThreadPool* a = ThreadPool::Shared();
-  ThreadPool* b = ThreadPool::Shared();
-  EXPECT_EQ(a, b);
-  // Never below 8 so DOP-8 gets real threads even on small machines.
-  EXPECT_GE(a->num_threads(), 8);
-  std::atomic<int> ran{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 16; ++i) {
-    futures.push_back(a->Submit([&] { ran.fetch_add(1); }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(ran.load(), 16);
-}
-
 TEST(ThreadPoolTest, ManyConcurrentSubmitters) {
   ThreadPool pool(4);
   std::atomic<int> ran{0};
