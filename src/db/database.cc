@@ -1,10 +1,10 @@
 #include "db/database.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <mutex>
 #include <shared_mutex>
+#include <string_view>
 
 #include "common/check.h"
 #include "cost/access_cost.h"
@@ -402,25 +402,32 @@ StatusOr<Relation> Database::IndexLookupAll(const std::string& table_name,
   if (index.type == IndexType::kHash) {
     return Status::FailedPrecondition("hash index cannot serve a prefix");
   }
-  Status status = Status::OK();
-  auto qualifies = [&](const Value& key) {
-    if (!prefix) return ValuesEqual(key, pred.literal);
-    if (TypeOf(key) != ValueType::kString) return false;
-    const std::string& s = std::get<std::string>(key);
-    const std::string& p = std::get<std::string>(pred.literal);
-    return s.size() >= p.size() && s.compare(0, p.size(), p) == 0;
+  // Whether `key` qualifies when both it and the literal are cut to their
+  // first `width` bytes. The B+-tree keys a CHAR column by its first
+  // key_width bytes, so its scan runs while that prefix qualifies, and each
+  // row's full value decides whether it is emitted.
+  auto qualifies = [&](const Value& key, size_t width) {
+    if (TypeOf(key) != ValueType::kString) {
+      return !prefix && ValuesEqual(key, pred.literal);
+    }
+    const std::string_view s =
+        std::string_view(std::get<std::string>(key)).substr(0, width);
+    const std::string_view p =
+        std::string_view(std::get<std::string>(pred.literal)).substr(0, width);
+    return prefix ? s.substr(0, p.size()) == p : s == p;
   };
+  const size_t scan_width = index.type == IndexType::kBTree
+                                ? size_t(index.key_width)
+                                : std::string_view::npos;
   const int col_index = index.column;
   MMDB_RETURN_IF_ERROR(IndexRangeScanLocked(
       table, index, pred.literal, [&](const Row& row) {
         clock->Comp();
-        if (!qualifies(row[size_t(col_index)])) return false;  // past range
-        if (status.ok()) {
-          out.Add(row);
-        }
-        return status.ok();
+        const Value& key = row[size_t(col_index)];
+        if (!qualifies(key, scan_width)) return false;  // past range
+        if (qualifies(key, std::string_view::npos)) out.Add(row);
+        return true;
       }));
-  MMDB_RETURN_IF_ERROR(status);
   return out;
 }
 
@@ -444,22 +451,6 @@ StatusOr<QueryResult> Database::ExecuteWith(const Query& query,
                   aggregate, agg_stats);
 }
 
-bool Database::IsWriteSql(const std::string& sql) {
-  size_t i = 0;
-  while (i < sql.size() &&
-         std::isspace(static_cast<unsigned char>(sql[i]))) {
-    ++i;
-  }
-  std::string kw;
-  while (i < sql.size() &&
-         std::isalpha(static_cast<unsigned char>(sql[i]))) {
-    kw.push_back(static_cast<char>(
-        std::toupper(static_cast<unsigned char>(sql[i]))));
-    ++i;
-  }
-  return kw == "CREATE" || kw == "INSERT" || kw == "UPDATE";
-}
-
 StatusOr<Database::SqlResult> Database::ExecuteSql(const std::string& sql) {
   TxnId durable_txn = kInvalidTxn;
   StatusOr<SqlResult> result = ExecuteSqlPreCommit(sql, &durable_txn);
@@ -470,43 +461,50 @@ StatusOr<Database::SqlResult> Database::ExecuteSql(const std::string& sql) {
 StatusOr<Database::SqlResult> Database::ExecuteSqlPreCommit(
     const std::string& sql, TxnId* durable_txn) {
   *durable_txn = kInvalidTxn;
-  if (IsWriteSql(sql)) {
-    // Parse under the SHARED latch (the parser only reads the catalog), so
-    // concurrent writers overlap their parse work and the exclusive
-    // section shrinks to the statement's actual apply. Name resolution is
-    // re-done under the exclusive latch, so a DDL racing in between can
-    // only turn this statement into a clean error, never corrupt it. The
-    // parse needs schemas and index sets, not statistics: after an INSERT
-    // it leaves the statistics rebuild to the next planning statement (a
-    // rebuild per INSERT made loading quadratic), and it holds catalog_mu_
-    // shared so a reader's rebuild cannot overlap it.
-    StatusOr<ParsedStatement> parsed = [&]() -> StatusOr<ParsedStatement> {
-      std::shared_lock<std::shared_mutex> shared(latch_);
-      RefreshCatalog(/*statistics=*/false);
-      std::shared_lock<std::shared_mutex> catalog_lock(catalog_mu_);
-      return ParseStatement(sql, catalog_);
-    }();
-    if (!parsed.ok()) return parsed.status();
-    std::unique_lock<std::shared_mutex> lock(latch_);
-    StatusOr<SqlResult> result = ExecuteSqlWriteLocked(std::move(*parsed));
-    // §5.2 pre-commit at statement granularity: with the transactional
-    // plane enabled, a successful write statement appends a commit record
-    // while still holding the latch — log order therefore matches latch
-    // order, so a later statement that read this one's effects commits
-    // after it — and leaves the durability wait to the caller. Concurrent
-    // sessions' waits then land in the same group-commit flush, the
-    // paper's mechanism for beating one-log-write-per-commit.
-    if (result.ok() && txn_enabled_ && wal_ != nullptr) {
-      LogRecord rec;
-      rec.type = LogRecordType::kCommit;
-      rec.txn_id = next_sql_stmt_txn_.fetch_add(1, std::memory_order_relaxed);
-      wal_->AppendCommit(rec, {});
-      *durable_txn = rec.txn_id;
-    }
-    return result;
+  MMDB_ASSIGN_OR_RETURN(ParsedStatement stmt, PrepareSql(sql));
+  return ExecutePrepared(std::move(stmt), durable_txn);
+}
+
+StatusOr<ParsedStatement> Database::PrepareSql(const std::string& sql) {
+  // Parse under the SHARED latch (the parser only reads the catalog), so
+  // concurrent writers overlap their parse work and the exclusive section
+  // shrinks to the statement's actual apply. Name resolution is re-done
+  // under the execute step's latch, and tables are never dropped, so a DDL
+  // racing in between can only turn this statement into a clean error,
+  // never corrupt it. The parse needs schemas and index sets, not
+  // statistics: after an INSERT it leaves the statistics rebuild to the
+  // next planning statement (a rebuild per INSERT made loading quadratic),
+  // and it holds catalog_mu_ shared so a reader's rebuild cannot overlap it.
+  std::shared_lock<std::shared_mutex> shared(latch_);
+  RefreshCatalog(/*statistics=*/false);
+  std::shared_lock<std::shared_mutex> catalog_lock(catalog_mu_);
+  return ParseStatement(sql, catalog_);
+}
+
+StatusOr<Database::SqlResult> Database::ExecutePrepared(ParsedStatement stmt,
+                                                        TxnId* durable_txn) {
+  *durable_txn = kInvalidTxn;
+  if (!stmt.is_write()) {
+    std::shared_lock<std::shared_mutex> lock(latch_);
+    return ExecuteSqlReadLocked(stmt);
   }
-  std::shared_lock<std::shared_mutex> lock(latch_);
-  return ExecuteSqlReadLocked(sql);
+  std::unique_lock<std::shared_mutex> lock(latch_);
+  StatusOr<SqlResult> result = ExecuteSqlWriteLocked(std::move(stmt));
+  // §5.2 pre-commit at statement granularity: with the transactional
+  // plane enabled, a successful write statement appends a commit record
+  // while still holding the latch — log order therefore matches latch
+  // order, so a later statement that read this one's effects commits
+  // after it — and leaves the durability wait to the caller. Concurrent
+  // sessions' waits then land in the same group-commit flush, the
+  // paper's mechanism for beating one-log-write-per-commit.
+  if (result.ok() && txn_enabled_ && wal_ != nullptr) {
+    LogRecord rec;
+    rec.type = LogRecordType::kCommit;
+    rec.txn_id = next_sql_stmt_txn_.fetch_add(1, std::memory_order_relaxed);
+    wal_->AppendCommit(rec, {});
+    *durable_txn = rec.txn_id;
+  }
+  return result;
 }
 
 void Database::WaitSqlDurable(TxnId txn) {
@@ -531,8 +529,7 @@ bool Database::RowLockEligible(
 }
 
 StatusOr<Database::SqlResult> Database::ExecuteSqlReadLocked(
-    const std::string& sql) {
-  MMDB_ASSIGN_OR_RETURN(ParsedStatement stmt, ParseStatement(sql, catalog()));
+    const ParsedStatement& stmt) {
   // Statement-local context: each concurrent reader charges a private
   // clock and metrics shard, merged when the statement finishes. Addition
   // commutes, so N statements produce the same totals in any interleaving
@@ -595,6 +592,11 @@ StatusOr<Database::SqlResult> Database::ExecuteSqlReadLocked(
       }
       return result;
     }
+    case ParsedStatement::Kind::kBegin:
+    case ParsedStatement::Kind::kCommit:
+    case ParsedStatement::Kind::kRollback:
+      return Status::InvalidArgument(
+          "BEGIN, COMMIT and ROLLBACK need a server session");
     case ParsedStatement::Kind::kCreateTable:
     case ParsedStatement::Kind::kInsert:
     case ParsedStatement::Kind::kUpdate:
@@ -638,6 +640,9 @@ StatusOr<Database::SqlResult> Database::ExecuteSqlWriteLocked(
     case ParsedStatement::Kind::kSelect:
     case ParsedStatement::Kind::kExplain:
     case ParsedStatement::Kind::kExplainAnalyze:
+    case ParsedStatement::Kind::kBegin:
+    case ParsedStatement::Kind::kCommit:
+    case ParsedStatement::Kind::kRollback:
       return Status::Internal("statement classification mismatch: read "
                               "statement on the write path");
   }

@@ -12,6 +12,7 @@
 #include "backup/hot_backup.h"
 #include "cache/reuse_cache.h"
 #include "cost/access_cost.h"
+#include "db/query_parser.h"
 #include "exec/aggregate.h"
 #include "exec/exec_context.h"
 #include "index/avl_tree.h"
@@ -144,9 +145,23 @@ class Database : public IndexProvider {
   /// kInvalidTxn when there is nothing to wait for (reads; txn plane off).
   /// The server layer releases its table locks between the two calls so
   /// writers overlap their group-commit flushes instead of serializing
-  /// lock-held durability waits.
+  /// lock-held durability waits. PrepareSql followed by ExecutePrepared.
   StatusOr<SqlResult> ExecuteSqlPreCommit(const std::string& sql,
                                           TxnId* durable_txn);
+
+  /// The parse half of ExecuteSqlPreCommit, run under the shared latch
+  /// against the catalog's schemas and index sets. The server takes a
+  /// statement's locks from the result before executing it (DESIGN.md
+  /// §10), so the statement is parsed once.
+  StatusOr<ParsedStatement> PrepareSql(const std::string& sql);
+
+  /// The execute half: a write statement (ParsedStatement::is_write) runs
+  /// under the exclusive latch and appends its commit record as
+  /// ExecuteSqlPreCommit describes; any other statement runs under the
+  /// shared latch. BEGIN / COMMIT / ROLLBACK are refused with
+  /// kInvalidArgument: transactions are a server session's.
+  StatusOr<SqlResult> ExecutePrepared(ParsedStatement stmt,
+                                      TxnId* durable_txn);
 
   /// Blocks until `txn`'s commit record is durable. No-op for kInvalidTxn.
   void WaitSqlDurable(TxnId txn);
@@ -308,15 +323,11 @@ class Database : public IndexProvider {
   void RefreshCatalog(bool statistics);
   AccessModelParams ModelFor(const TableHolder& table, int column) const;
 
-  /// True when `sql`'s first keyword is CREATE / INSERT / UPDATE — decides
-  /// which latch mode ExecuteSql takes (must agree with the parser's
-  /// statement dispatch).
-  static bool IsWriteSql(const std::string& sql);
-  StatusOr<SqlResult> ExecuteSqlReadLocked(const std::string& sql);
+  StatusOr<SqlResult> ExecuteSqlReadLocked(const ParsedStatement& stmt);
   /// Applies a parsed write statement; INSERT moves its rows out of
   /// `stmt`.
-  StatusOr<SqlResult> ExecuteSqlWriteLocked(struct ParsedStatement&& stmt);
-  Status ExecuteUpdateLocked(const struct ParsedStatement& stmt,
+  StatusOr<SqlResult> ExecuteSqlWriteLocked(ParsedStatement&& stmt);
+  Status ExecuteUpdateLocked(const ParsedStatement& stmt,
                              int64_t* rows_affected);
   /// The planner settings every SQL statement plans with.
   OptimizerOptions PlannerOptions() const;

@@ -191,6 +191,11 @@ class Parser {
     if (kw == "CREATE") return ParseCreateTable();
     if (kw == "INSERT") return ParseInsert();
     if (kw == "UPDATE") return ParseUpdate();
+    if (kw == "BEGIN") return ParseControl(ParsedStatement::Kind::kBegin);
+    if (kw == "COMMIT") return ParseControl(ParsedStatement::Kind::kCommit);
+    if (kw == "ROLLBACK" || kw == "ABORT") {
+      return ParseControl(ParsedStatement::Kind::kRollback);
+    }
     return lexer_.Error("unknown statement '" + first.text + "'");
   }
 
@@ -223,6 +228,15 @@ class Parser {
   Status ExpectSymbol(const char* sym) {
     if (!ConsumeSymbol(sym)) {
       return lexer_.Error(std::string("expected '") + sym + "'");
+    }
+    return Status::OK();
+  }
+
+  /// The statement ends here, or at a ';'.
+  Status ExpectEnd() {
+    if (lexer_.Peek().type != TokenType::kEnd && !ConsumeSymbol(";")) {
+      return lexer_.Error("unexpected trailing input '" + lexer_.Peek().text +
+                          "'");
     }
     return Status::OK();
   }
@@ -372,12 +386,7 @@ class Parser {
         group_by.push_back(std::move(ref));
       } while (ConsumeSymbol(","));
     }
-    if (lexer_.Peek().type != TokenType::kEnd &&
-        !(lexer_.Peek().type == TokenType::kSymbol &&
-          lexer_.Peek().text == ";")) {
-      return lexer_.Error("unexpected trailing input '" +
-                          lexer_.Peek().text + "'");
-    }
+    MMDB_RETURN_IF_ERROR(ExpectEnd());
 
     // Resolve the select list.
     const bool has_agg =
@@ -578,6 +587,15 @@ class Parser {
     return Status::OK();
   }
 
+  /// BEGIN / COMMIT / ROLLBACK / ABORT, the keyword alone.
+  StatusOr<ParsedStatement> ParseControl(ParsedStatement::Kind kind) {
+    lexer_.Take();
+    MMDB_RETURN_IF_ERROR(ExpectEnd());
+    ParsedStatement stmt;
+    stmt.kind = kind;
+    return stmt;
+  }
+
   StatusOr<ParsedStatement> ParseUpdate() {
     ParsedStatement stmt;
     stmt.kind = ParsedStatement::Kind::kUpdate;
@@ -621,12 +639,7 @@ class Parser {
             "UPDATE supports column-vs-literal restrictions only");
       }
     }
-    if (lexer_.Peek().type != TokenType::kEnd &&
-        !(lexer_.Peek().type == TokenType::kSymbol &&
-          lexer_.Peek().text == ";")) {
-      return lexer_.Error("unexpected trailing input '" +
-                          lexer_.Peek().text + "'");
-    }
+    MMDB_RETURN_IF_ERROR(ExpectEnd());
     return stmt;
   }
 

@@ -21,6 +21,7 @@ namespace mmdb {
 ///     [WHERE a.x = b.y AND c op literal AND name LIKE 'j%' ...]
 ///     [GROUP BY cols]
 ///   EXPLAIN [ANALYZE] SELECT ...
+///   BEGIN | COMMIT | ROLLBACK | ABORT   (transaction control: a Session's)
 ///
 /// Restrictions (by design — see README "Status"): conjunctive predicates
 /// only, equi-joins only, LIKE with a trailing '%' only (the paper's "J*"
@@ -33,8 +34,18 @@ struct ParsedStatement {
     kUpdate,
     kExplain,
     kExplainAnalyze,  ///< run the query, annotate the plan with run stats
+    kBegin,
+    kCommit,
+    kRollback,  ///< ROLLBACK or ABORT
   };
   Kind kind = Kind::kSelect;
+
+  /// CREATE TABLE, INSERT and UPDATE: the kinds that change the database,
+  /// so they run under the exclusive latch and take X table locks.
+  bool is_write() const {
+    return kind == Kind::kCreateTable || kind == Kind::kInsert ||
+           kind == Kind::kUpdate;
+  }
 
   // kSelect / kExplain / kExplainAnalyze; kUpdate reuses query.tables (the
   // one target table) and query.filters (the WHERE restrictions).

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <memory>
 #include <utility>
 
@@ -11,183 +9,6 @@
 #include "txn/mvcc.h"
 
 namespace mmdb {
-
-namespace {
-
-/// First bare word of `sql`, uppercased ("SELECT", "BEGIN", ...).
-std::string FirstKeyword(const std::string& sql) {
-  size_t i = 0;
-  while (i < sql.size() && std::isspace(static_cast<unsigned char>(sql[i]))) {
-    ++i;
-  }
-  std::string kw;
-  while (i < sql.size() && std::isalpha(static_cast<unsigned char>(sql[i]))) {
-    kw.push_back(static_cast<char>(
-        std::toupper(static_cast<unsigned char>(sql[i]))));
-    ++i;
-  }
-  return kw;
-}
-
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-
-/// Lightweight token scan shared by ReferencedTables and
-/// TryParsePointUpdate: identifiers/numbers come out whole, string
-/// literals collapse to "'", other non-space characters come out single.
-std::vector<std::string> Tokenize(const std::string& sql) {
-  std::vector<std::string> tokens;
-  size_t i = 0;
-  while (i < sql.size()) {
-    const char c = sql[i];
-    if (c == '\'') {  // string literal: skip to the closing quote
-      ++i;
-      while (i < sql.size() && sql[i] != '\'') ++i;
-      if (i < sql.size()) ++i;
-      tokens.push_back("'");
-      continue;
-    }
-    if (IsIdentChar(c)) {
-      std::string tok;
-      while (i < sql.size() && IsIdentChar(sql[i])) tok.push_back(sql[i++]);
-      tokens.push_back(std::move(tok));
-      continue;
-    }
-    if (!std::isspace(static_cast<unsigned char>(c))) {
-      tokens.push_back(std::string(1, c));
-    }
-    ++i;
-  }
-  return tokens;
-}
-
-std::string Upper(const std::string& s) {
-  std::string u = s;
-  std::transform(u.begin(), u.end(), u.begin(), [](unsigned char ch) {
-    return static_cast<char>(std::toupper(ch));
-  });
-  return u;
-}
-
-/// The table names a statement references, by a lightweight scan of the
-/// dialect's fixed shapes: identifiers after FROM (comma-separated list),
-/// after INSERT ... INTO, after UPDATE, and after CREATE TABLE. String
-/// literals are skipped so a quoted FROM cannot confuse the scan. This is
-/// the *lock* footprint only — the parser remains the arbiter of validity.
-std::vector<std::string> ReferencedTables(const std::string& sql) {
-  std::vector<std::string> tables;
-  const std::vector<std::string> tokens = Tokenize(sql);
-  auto upper = [](const std::string& s) { return Upper(s); };
-  for (size_t t = 0; t < tokens.size(); ++t) {
-    const std::string kw = upper(tokens[t]);
-    if (kw == "FROM") {
-      // FROM a, b, c — identifiers separated by commas.
-      size_t j = t + 1;
-      while (j < tokens.size() && IsIdentChar(tokens[j][0])) {
-        tables.push_back(tokens[j]);
-        if (j + 1 < tokens.size() && tokens[j + 1] == ",") {
-          j += 2;
-        } else {
-          break;
-        }
-      }
-    } else if ((kw == "INTO" || kw == "UPDATE") && t + 1 < tokens.size() &&
-               IsIdentChar(tokens[t + 1][0])) {
-      tables.push_back(tokens[t + 1]);
-    } else if (kw == "TABLE" && t > 0 && upper(tokens[t - 1]) == "CREATE" &&
-               t + 1 < tokens.size() && IsIdentChar(tokens[t + 1][0])) {
-      tables.push_back(tokens[t + 1]);
-    }
-  }
-  std::sort(tables.begin(), tables.end());
-  tables.erase(std::unique(tables.begin(), tables.end()), tables.end());
-  return tables;
-}
-
-/// Recognized by TryParsePointUpdate:
-///   UPDATE t SET c1 = v1 [, c2 = v2]* WHERE key_col = <int literal>
-/// with nothing after the literal (no AND/OR, no extra predicate).
-struct PointUpdateShape {
-  std::string table;
-  std::string where_column;
-  /// The key literal rendered canonically ("05" -> "5") so every spelling
-  /// of the same key maps to the same row-lock id.
-  std::string canonical_key;
-  std::vector<std::string> set_columns;
-};
-
-bool IsAllDigits(const std::string& tok) {
-  if (tok.empty()) return false;
-  return std::all_of(tok.begin(), tok.end(), [](unsigned char c) {
-    return std::isdigit(c) != 0;
-  });
-}
-
-/// Conservative shape detection for the row-granularity lock fast path:
-/// only an integer-literal equality on a single predicate qualifies
-/// (integers have one canonical rendering; anything fancier keeps the
-/// coarse table lock). The parser remains the arbiter of validity — a
-/// false positive here merely over- or differently-locks a statement that
-/// then fails to parse.
-bool TryParsePointUpdate(const std::string& sql, PointUpdateShape* shape) {
-  const std::vector<std::string> tokens = Tokenize(sql);
-  size_t t = 0;
-  auto at = [&](size_t i) -> const std::string& {
-    static const std::string kEnd;
-    return i < tokens.size() ? tokens[i] : kEnd;
-  };
-  if (Upper(at(t)) != "UPDATE" || !IsIdentChar(at(t + 1).empty() ? ' ' : at(t + 1)[0])) {
-    return false;
-  }
-  shape->table = at(t + 1);
-  t += 2;
-  if (Upper(at(t)) != "SET") return false;
-  ++t;
-  // SET clauses: ident "=" <value tokens> { "," ident "=" <value tokens> }
-  while (true) {
-    const std::string& col = at(t);
-    if (col.empty() || !IsIdentChar(col[0])) return false;
-    if (at(t + 1) != "=") return false;
-    shape->set_columns.push_back(col);
-    t += 2;
-    // Swallow the value: tokens up to the next "," or WHERE.
-    size_t value_tokens = 0;
-    while (t < tokens.size() && at(t) != "," && Upper(at(t)) != "WHERE") {
-      ++t;
-      ++value_tokens;
-    }
-    if (value_tokens == 0) return false;
-    if (at(t) == ",") {
-      ++t;
-      continue;
-    }
-    break;
-  }
-  if (Upper(at(t)) != "WHERE") return false;
-  ++t;
-  const std::string& where_col = at(t);
-  if (where_col.empty() || !IsIdentChar(where_col[0])) return false;
-  if (at(t + 1) != "=") return false;
-  t += 2;
-  bool negative = false;
-  if (at(t) == "-") {
-    negative = true;
-    ++t;
-  }
-  const std::string& digits = at(t);
-  if (!IsAllDigits(digits)) return false;
-  if (t + 1 != tokens.size()) return false;  // anything else: not a point
-  errno = 0;
-  char* end = nullptr;
-  const long long key = std::strtoll(digits.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  shape->where_column = where_col;
-  shape->canonical_key = std::to_string(negative ? -key : key);
-  return true;
-}
-
-}  // namespace
 
 Session::Session(Server* server, int64_t id, SessionOptions options)
     : server_(server), id_(id), options_(options) {
@@ -439,68 +260,83 @@ Status Session::UpdateRecord(int64_t record_id, const std::string& value) {
   return status;
 }
 
-Status Session::LockTablesLocked(const std::string& sql, bool is_write) {
+Status Session::LockTablesLocked(const ParsedStatement& stmt) {
+  const bool is_write = stmt.is_write();
   // Snapshot readers take no table locks at all.
   if (!is_write && options_.isolation == IsolationLevel::kSnapshot) {
     return Status::OK();
   }
-  // Row-granularity fast path (DESIGN.md §11): a point UPDATE takes
-  // intention-exclusive on the table plus X on the key's row-lock id, so
-  // point writers on distinct keys stop serializing on a table X lock.
-  // Fixed acquisition order (table, then row) keeps single statements
-  // deadlock-free among themselves.
-  if (is_write && server_->options().row_locks) {
-    PointUpdateShape shape;
-    if (TryParsePointUpdate(sql, &shape) &&
-        server_->database()->RowLockEligible(shape.table, shape.where_column,
-                                             shape.set_columns)) {
-      std::vector<TxnId> deps;
-      Status status = server_->table_locks()->Acquire(
-          id_, Server::TableLockId(shape.table),
-          LockMode::kIntentionExclusive, &deps);
-      if (!status.ok()) return status;
-      holds_table_locks_ = true;
-      status = server_->table_locks()->Acquire(
-          id_, Server::RowLockId(shape.table, shape.canonical_key),
-          LockMode::kExclusive, &deps);
-      if (!status.ok()) return status;
+  LockManager* locks = server_->table_locks();
+  auto acquire = [&](LockId lock_id, LockMode mode) {
+    std::vector<TxnId> deps;
+    Status status = locks->Acquire(id_, lock_id, mode, &deps);
+    if (status.ok()) holds_table_locks_ = true;
+    return status;
+  };
+  // Row-granularity fast path (DESIGN.md §11): an UPDATE whose one filter
+  // is `key = <INT64 literal>` takes intention-exclusive on the table plus
+  // X on the key's row-lock id, so point writers on distinct keys stop
+  // serializing on a table X lock. Fixed acquisition order (table, then
+  // row) keeps single statements deadlock-free among themselves.
+  if (stmt.kind == ParsedStatement::Kind::kUpdate &&
+      server_->options().row_locks && stmt.query.filters.size() == 1 &&
+      stmt.query.filters[0].op == CmpOp::kEq) {
+    const Predicate& filter = stmt.query.filters[0];
+    const int64_t* key = std::get_if<int64_t>(&filter.literal);
+    std::vector<std::string> set_columns;
+    for (const ParsedStatement::SetClause& set : stmt.set_clauses) {
+      set_columns.push_back(set.column);
+    }
+    if (key != nullptr &&
+        server_->database()->RowLockEligible(stmt.table_name, filter.column,
+                                             set_columns)) {
+      MMDB_RETURN_IF_ERROR(acquire(Server::TableLockId(stmt.table_name),
+                                   LockMode::kIntentionExclusive));
+      MMDB_RETURN_IF_ERROR(
+          acquire(Server::RowLockId(stmt.table_name, std::to_string(*key)),
+                  LockMode::kExclusive));
       metrics_.Add("session.row_lock_statements", 1);
       return Status::OK();
     }
   }
+  std::vector<std::string> tables = stmt.query.tables;
+  if (!stmt.table_name.empty()) tables.push_back(stmt.table_name);
+  std::sort(tables.begin(), tables.end());
+  tables.erase(std::unique(tables.begin(), tables.end()), tables.end());
   const LockMode mode = is_write ? LockMode::kExclusive : LockMode::kShared;
-  for (const std::string& table : ReferencedTables(sql)) {
-    std::vector<TxnId> deps;
-    Status status = server_->table_locks()->Acquire(
-        id_, Server::TableLockId(table), mode, &deps);
-    if (!status.ok()) return status;
-    holds_table_locks_ = true;
+  for (const std::string& table : tables) {
+    MMDB_RETURN_IF_ERROR(acquire(Server::TableLockId(table), mode));
   }
   return Status::OK();
 }
 
 StatusOr<Database::SqlResult> Session::RunStatement(const std::string& sql) {
   std::lock_guard<std::mutex> lock(stmt_mu_);
-  const std::string kw = FirstKeyword(sql);
+  Database* db = server_->database();
+  StatusOr<ParsedStatement> stmt = db->PrepareSql(sql);
+  if (!stmt.ok()) {
+    metrics_.Add("session.statements", 1);
+    metrics_.Add("session.errors", 1);
+    return stmt.status();
+  }
   Database::SqlResult control;
-  if (kw == "BEGIN") {
+  if (stmt->kind == ParsedStatement::Kind::kBegin) {
     MMDB_RETURN_IF_ERROR(BeginLocked());
     return control;
   }
-  if (kw == "COMMIT") {
+  if (stmt->kind == ParsedStatement::Kind::kCommit) {
     MMDB_RETURN_IF_ERROR(CommitLocked());
     return control;
   }
-  if (kw == "ROLLBACK" || kw == "ABORT") {
+  if (stmt->kind == ParsedStatement::Kind::kRollback) {
     MMDB_RETURN_IF_ERROR(RollbackLocked());
     return control;
   }
-  const bool is_write = kw == "CREATE" || kw == "INSERT" || kw == "UPDATE";
-  if (is_write && options_.read_only) {
+  if (stmt->is_write() && options_.read_only) {
     metrics_.Add("session.readonly_rejections", 1);
     return Status::FailedPrecondition("session is read-only");
   }
-  Status locked = LockTablesLocked(sql, is_write);
+  Status locked = LockTablesLocked(*stmt);
   if (!locked.ok()) {
     metrics_.Add("session.errors", 1);
     if (locked.code() == StatusCode::kDeadlock) {
@@ -511,14 +347,13 @@ StatusOr<Database::SqlResult> Session::RunStatement(const std::string& sql) {
     }
     return locked;
   }
-  std::string to_run = sql;
-  if (trace_plans_.load(std::memory_order_relaxed) && kw == "SELECT") {
-    to_run = "EXPLAIN ANALYZE " + sql;
+  if (trace_plans_.load(std::memory_order_relaxed) &&
+      stmt->kind == ParsedStatement::Kind::kSelect) {
+    stmt->kind = ParsedStatement::Kind::kExplainAnalyze;
   }
-  Database* db = server_->database();
   TxnId durable_txn = kInvalidTxn;
   StatusOr<Database::SqlResult> result =
-      db->ExecuteSqlPreCommit(to_run, &durable_txn);
+      db->ExecutePrepared(std::move(*stmt), &durable_txn);
   metrics_.Add("session.statements", 1);
   if (!result.ok()) {
     metrics_.Add("session.errors", 1);

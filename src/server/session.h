@@ -145,12 +145,12 @@ class Session {
   Status RollbackLocked();
   /// Lazily begins the record-plane transaction for the current scope.
   StatusOr<TxnId> RecordTxnLocked();
-  /// Table 2PL for one statement: locks every referenced table (sorted, so
-  /// single statements cannot deadlock each other), X for writes, S for
-  /// serializable reads, nothing for snapshot reads. Point updates take
-  /// table IX + row X instead when Server::Options::row_locks is on
-  /// (DESIGN.md §11).
-  Status LockTablesLocked(const std::string& sql, bool is_write);
+  /// Table 2PL for one parsed statement: locks every table it names
+  /// (sorted, so single statements cannot deadlock each other), X for
+  /// writes, S for serializable reads, nothing for snapshot reads. Point
+  /// updates take table IX + row X instead when Server::Options::row_locks
+  /// is on (DESIGN.md §11).
+  Status LockTablesLocked(const ParsedStatement& stmt);
 
   Server* server_;
   const int64_t id_;

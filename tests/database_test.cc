@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -146,6 +147,48 @@ TEST_F(DatabaseTest, BTreeOnDoubleColumnIsRefusedAndInsertsStillWork) {
   ASSERT_EQ(found->num_tuples(), 1);
   EXPECT_EQ(std::get<double>(found->rows()[0][1]), 1.5);
   EXPECT_EQ(db.ExecuteSql("SELECT * FROM t")->relation.num_tuples(), 2);
+}
+
+// The B+-tree keys a CHAR column by its first 32 bytes. On a CHAR(48)
+// column, 1500 rows share the probe's first 32 bytes and are inserted
+// before it, so an ordered scan that stopped at the first row whose full
+// value does not match returned nothing. Every access path must find the
+// one matching row, for equality and for a prefix longer than the key.
+TEST_F(DatabaseTest, WideCharKeysFindEveryRowOnEveryAccessPath) {
+  const std::string shared(32, 'a');
+  const std::string probe = shared + "y";
+  const struct {
+    const char* plan;  ///< the access path the plan must show
+    std::optional<Database::IndexType> index;
+  } paths[] = {{"IndexScan[btree]", Database::IndexType::kBTree},
+               {"IndexScan[avl]", Database::IndexType::kAvl},
+               {"IndexScan[hash]", Database::IndexType::kHash},
+               {"Scan(t)", std::nullopt}};
+  for (const auto& path : paths) {
+    SCOPED_TRACE(path.plan);
+    Database db;
+    ASSERT_TRUE(db.ExecuteSql("CREATE TABLE t (id INT64, name CHAR(48))").ok());
+    Relation rows((*db.GetTable("t"))->schema());
+    for (int64_t id = 0; id < 2999; ++id) {
+      rows.Add({id, id % 2 == 0 ? shared + "x" : "n" + std::to_string(id)});
+    }
+    rows.Add({int64_t{2999}, probe});
+    ASSERT_TRUE(db.BulkLoad("t", std::move(rows)).ok());
+    if (path.index) ASSERT_TRUE(db.CreateIndex("t", "name", *path.index).ok());
+
+    auto eq = db.ExecuteSql("SELECT id FROM t WHERE name = '" + probe + "'");
+    ASSERT_TRUE(eq.ok()) << eq.status().ToString();
+    EXPECT_NE(eq->plan_text.find(path.plan), std::string::npos)
+        << eq->plan_text;
+    ASSERT_EQ(eq->relation.num_tuples(), 1);
+    EXPECT_EQ(std::get<int64_t>(eq->relation.rows()[0][0]), 2999);
+
+    auto like = db.ExecuteSql("SELECT id FROM t WHERE name LIKE '" + probe +
+                              "%'");
+    ASSERT_TRUE(like.ok()) << like.status().ToString();
+    ASSERT_EQ(like->relation.num_tuples(), 1) << like->plan_text;
+    EXPECT_EQ(std::get<int64_t>(like->relation.rows()[0][0]), 2999);
+  }
 }
 
 TEST_F(DatabaseTest, AutoIndexOnDoubleColumnPicksAvl) {

@@ -227,6 +227,30 @@ TEST_F(SqlTest, KeywordsAreCaseInsensitive) {
   EXPECT_EQ(r.relation.num_tuples(), 1);
 }
 
+// Transaction control parses, so a session can tell it from a statement by
+// the one parse; a bare Database refuses it as it refused the unknown
+// keyword before.
+TEST_F(SqlTest, TransactionControlParsesAndDatabaseRefusesIt) {
+  const std::pair<const char*, ParsedStatement::Kind> cases[] = {
+      {"BEGIN", ParsedStatement::Kind::kBegin},
+      {"begin;", ParsedStatement::Kind::kBegin},
+      {"COMMIT", ParsedStatement::Kind::kCommit},
+      {"ROLLBACK", ParsedStatement::Kind::kRollback},
+      {"abort", ParsedStatement::Kind::kRollback},
+  };
+  for (const auto& [sql, kind] : cases) {
+    auto parsed = db_.PrepareSql(sql);
+    ASSERT_TRUE(parsed.ok()) << sql << ": " << parsed.status().ToString();
+    EXPECT_EQ(parsed->kind, kind) << sql;
+    EXPECT_FALSE(parsed->is_write()) << sql;
+    EXPECT_EQ(db_.ExecuteSql(sql).status().code(),
+              StatusCode::kInvalidArgument)
+        << sql;
+  }
+  EXPECT_FALSE(db_.PrepareSql("BEGIN TRANSACTION").ok());
+  EXPECT_FALSE(db_.PrepareSql("COMMITTED").ok());
+}
+
 TEST_F(SqlTest, StarAggregateOverJoin) {
   auto r = Exec(
       "SELECT dname, COUNT(*) FROM emp, dept "

@@ -578,6 +578,128 @@ TEST(ShutdownTest, DrainFinishesInFlightBeforeStoppingServices) {
   EXPECT_EQ(server.scheduler()->admitted_in_flight(), 0);
 }
 
+// A session takes its locks from the parsed statement (DESIGN.md §10), so
+// the footprint is what the statement touches however it is spelled.
+
+/// Waits until `pending` finishes or the server's table-lock waits pass
+/// `waits_before`, whichever comes first; true when it finished first.
+bool FinishedWithoutWaiting(Server* server,
+                            std::future<StatusOr<SqlResult>>* pending,
+                            int64_t waits_before) {
+  while (server->table_locks()->stats().waits == waits_before) {
+    if (pending->wait_for(std::chrono::milliseconds(1)) ==
+        std::future_status::ready) {
+      return true;
+    }
+  }
+  return false;
+}
+
+double Balance(Session* session, int id) {
+  auto read = session->ExecuteSql("SELECT balance FROM acct WHERE id = " +
+                                  std::to_string(id));
+  EXPECT_TRUE(read.ok()) << read.status().ToString();
+  if (!read.ok() || read->relation.num_tuples() != 1) return -1;
+  return std::get<double>(read->relation.rows()[0][0]);
+}
+
+TEST(SessionLockFootprintTest, UppercaseTableSharesTheLockId) {
+  Database db;
+  Seed(&db, 10);
+  Server server(&db);
+  auto a = server.OpenSession();
+  auto b = server.OpenSession();
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+
+  ASSERT_TRUE((*a)->Begin().ok());
+  EXPECT_EQ(Balance(*a, 3), 103.0);
+  const int64_t waits = server.table_locks()->stats().waits;
+  auto write =
+      (*b)->SubmitSql("UPDATE ACCT SET balance = 999 WHERE id = 3");
+  // ACCT is acct: the writer waits for the reader's S lock...
+  ASSERT_FALSE(FinishedWithoutWaiting(&server, &write, waits));
+  // ...so the reader's transaction reads the same value twice.
+  EXPECT_EQ(Balance(*a, 3), 103.0);
+  ASSERT_TRUE((*a)->Commit().ok());
+  auto written = write.get();
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  EXPECT_EQ(written->rows_affected, 1);
+  EXPECT_EQ(Balance(*a, 3), 999.0);
+}
+
+TEST(SessionLockFootprintTest, KeyReassignmentTakesTheTableLock) {
+  Database db;
+  Seed(&db, 10);
+  Server server(&db);
+  auto a = server.OpenSession();
+  auto b = server.OpenSession();
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+
+  ASSERT_TRUE((*a)->Begin().ok());
+  ASSERT_TRUE(
+      (*a)->ExecuteSql("UPDATE acct SET ID = 7 WHERE id = 3").ok());
+  EXPECT_EQ((*a)->metrics()->Get("session.row_lock_statements"), 0);
+  // A point update on another key takes table IX, which waits for the
+  // key-moving statement's table X lock.
+  const int64_t waits = server.table_locks()->stats().waits;
+  auto other =
+      (*b)->SubmitSql("UPDATE acct SET balance = 1.0 WHERE id = 5");
+  ASSERT_FALSE(FinishedWithoutWaiting(&server, &other, waits));
+  ASSERT_TRUE((*a)->Commit().ok());
+  EXPECT_TRUE(other.get().ok());
+  EXPECT_EQ((*b)->metrics()->Get("session.row_lock_statements"), 1);
+}
+
+TEST(SessionLockFootprintTest, SpellingsOfAPointUpdateTakeTheRowPath) {
+  Database db;
+  Seed(&db, 10);
+  Server server(&db);
+  auto session = server.OpenSession();
+  ASSERT_TRUE(session.ok());
+  const char* spellings[] = {
+      "UPDATE acct SET balance = 1.0 WHERE id = 3",
+      "UPDATE acct SET balance = 2.0 WHERE ID = 3",
+      "UPDATE acct SET balance = 3.0 WHERE acct.id = 3",
+      "UPDATE acct SET balance = 4.0 WHERE id = 3;",
+      "update Acct set BALANCE = 5.0 where Id = 03",
+  };
+  int64_t expected = 0;
+  for (const char* sql : spellings) {
+    auto result = (*session)->ExecuteSql(sql);
+    ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    EXPECT_EQ(result->rows_affected, 1) << sql;
+    EXPECT_EQ((*session)->metrics()->Get("session.row_lock_statements"),
+              ++expected)
+        << sql;
+  }
+  EXPECT_EQ(Balance(*session, 3), 5.0);
+}
+
+TEST(SessionLockFootprintTest, ParseErrorTakesNoLock) {
+  Database db;
+  Seed(&db, 10);
+  Server server(&db);
+  auto session = server.OpenSession();
+  ASSERT_TRUE(session.ok());
+  MetricsRegistry* metrics = (*session)->metrics();
+
+  ASSERT_TRUE((*session)->Begin().ok());
+  const int64_t acquisitions = server.table_locks()->stats().acquisitions;
+  for (const char* sql : {"SELECT nonsense FROM acct",
+                          "UPDATE acct SET balance = 'x' WHERE id = 3",
+                          "INSERT INTO acct VALUES (1, 'o', )"}) {
+    auto result = (*session)->ExecuteSql(sql);
+    EXPECT_FALSE(result.ok()) << sql;
+  }
+  EXPECT_EQ(server.table_locks()->stats().acquisitions, acquisitions);
+  EXPECT_EQ(server.table_locks()->NumLocks(), 0);
+  EXPECT_EQ(metrics->Get("session.statements"), 3);
+  EXPECT_EQ(metrics->Get("session.errors"), 3);
+  ASSERT_TRUE((*session)->Commit().ok());
+}
+
 TEST(MetricsTest, ServerFamiliesAppearInDatabaseJson) {
   Database db;
   Seed(&db, 5);

@@ -1,11 +1,15 @@
 // Randomized end-to-end check of the whole query stack: random tables,
 // random conjunctive queries, rendered to SQL and executed through the
 // parser, optimizer and executor, must agree exactly with a brute-force
-// cross-product oracle over the same Query struct.
+// cross-product oracle over the same Query struct, with no index and with
+// each index kind on every column.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <set>
+#include <utility>
 
 #include "db/database.h"
 
@@ -129,35 +133,58 @@ TEST_P(SqlFuzzTest, EngineParserAndOracleAgree) {
   const FuzzCase param = GetParam();
   Random rng(param.seed);
 
-  // --- Random schema + data: three small tables sharing an int domain.
-  Database::Options dbopts;
-  dbopts.memory_pages = 8;  // force spilling joins now and then
-  Database db(dbopts);
+  // --- Random schema + data: three small tables sharing an int domain. A
+  // CHAR(48) column holds values with long shared prefixes, because the
+  // B+-tree keys only a CHAR column's first 32 bytes.
   const char* names[] = {"t0", "t1", "t2"};
   const char* stems[] = {"ada", "bob", "cyd", "dee", "eve"};
+  auto wide_head = [&] { return std::string(28 + 2 * rng.Uniform(4), 'p'); };
   std::vector<Schema> schemas;
+  std::vector<Relation> data;
   for (int t = 0; t < 3; ++t) {
-    std::vector<Column> cols = {Column::Int64("k")};
-    cols.push_back(Column::Int64("n" + std::to_string(t)));
-    cols.push_back(Column::Double("d" + std::to_string(t)));
-    cols.push_back(Column::Char("s" + std::to_string(t), 8));
-    Schema schema(std::move(cols));
-    ASSERT_TRUE(db.CreateTable(names[t], schema).ok());
+    Schema schema({Column::Int64("k"), Column::Int64("n" + std::to_string(t)),
+                   Column::Double("d" + std::to_string(t)),
+                   Column::Char("s" + std::to_string(t), 8),
+                   Column::Char("w" + std::to_string(t), 48)});
     Relation rows(schema);
     const int64_t num_rows = 20 + int64_t(rng.Uniform(60));
     for (int64_t i = 0; i < num_rows; ++i) {
       rows.Add({static_cast<int64_t>(rng.Uniform(12)),
                 static_cast<int64_t>(rng.Uniform(30)),
                 double(rng.Uniform(100)) / 4.0,
-                std::string(stems[rng.Uniform(5)])});
+                std::string(stems[rng.Uniform(5)]),
+                wide_head() + stems[rng.Uniform(5)]});
     }
-    ASSERT_TRUE(db.BulkLoad(names[t], std::move(rows)).ok());
-    schemas.push_back(schema);
+    schemas.push_back(std::move(schema));
+    data.push_back(std::move(rows));
   }
-  // Indexes so the planner's IndexScan path is fuzzed too.
-  ASSERT_TRUE(db.CreateIndex("t0", "k", Database::IndexType::kHash).ok());
-  ASSERT_TRUE(db.CreateIndex("t1", "n1", Database::IndexType::kBTree).ok());
-  ASSERT_TRUE(db.CreateIndex("t2", "s2", Database::IndexType::kAvl).ok());
+
+  // --- The same data behind each access path: no index at all, then a
+  // hash, an AVL or a B+-tree index on every column that kind can key.
+  const std::pair<const char*, std::optional<Database::IndexType>> paths[] = {
+      {"no index", std::nullopt},
+      {"hash", Database::IndexType::kHash},
+      {"avl", Database::IndexType::kAvl},
+      {"btree", Database::IndexType::kBTree}};
+  Database::Options dbopts;
+  dbopts.memory_pages = 8;  // force spilling joins now and then
+  std::vector<std::unique_ptr<Database>> dbs;
+  for (const auto& [path, kind] : paths) {
+    dbs.push_back(std::make_unique<Database>(dbopts));
+    Database& db = *dbs.back();
+    for (int t = 0; t < 3; ++t) {
+      ASSERT_TRUE(db.CreateTable(names[t], schemas[size_t(t)]).ok());
+      ASSERT_TRUE(db.BulkLoad(names[t], data[size_t(t)]).ok());
+      if (!kind) continue;
+      for (const Column& col : schemas[size_t(t)].columns()) {
+        if (*kind == Database::IndexType::kBTree &&
+            col.type == ValueType::kDouble) {
+          continue;  // the B+-tree keys INT64 and CHAR only
+        }
+        ASSERT_TRUE(db.CreateIndex(names[t], col.name, *kind).ok()) << path;
+      }
+    }
+  }
 
   for (int iteration = 0; iteration < param.queries; ++iteration) {
     // --- Random query over 1-3 tables.
@@ -173,7 +200,7 @@ TEST_P(SqlFuzzTest, EngineParserAndOracleAgree) {
     const int num_filters = int(rng.Uniform(3));
     for (int f = 0; f < num_filters; ++f) {
       const int t = int(rng.Uniform(uint64_t(num_tables)));
-      const int c = int(rng.Uniform(4));
+      const int c = int(rng.Uniform(5));
       const Column& col = schemas[size_t(t)].column(c);
       Predicate p;
       p.table = names[t];
@@ -187,15 +214,17 @@ TEST_P(SqlFuzzTest, EngineParserAndOracleAgree) {
           p.op = rng.Bernoulli(0.5) ? CmpOp::kLt : CmpOp::kGe;
           p.literal = Value{double(rng.Uniform(100)) / 4.0};
           break;
-        case ValueType::kString:
+        case ValueType::kString: {
+          const std::string head = col.width > 32 ? wide_head() : "";
           if (rng.Bernoulli(0.5)) {
             p.op = CmpOp::kEq;
-            p.literal = Value{std::string(stems[rng.Uniform(5)])};
+            p.literal = Value{head + stems[rng.Uniform(5)]};
           } else {
             p.op = CmpOp::kPrefix;
-            p.literal = Value{std::string(1, "abcde"[rng.Uniform(5)])};
+            p.literal = Value{head + "abcde"[rng.Uniform(5)]};
           }
           break;
+        }
       }
       q.filters.push_back(std::move(p));
     }
@@ -203,19 +232,22 @@ TEST_P(SqlFuzzTest, EngineParserAndOracleAgree) {
     const int num_select = 1 + int(rng.Uniform(3));
     for (int sidx = 0; sidx < num_select; ++sidx) {
       const int t = int(rng.Uniform(uint64_t(num_tables)));
-      const int c = int(rng.Uniform(4));
+      const int c = int(rng.Uniform(5));
       q.select_columns.push_back(
           ColumnRef{names[t], schemas[size_t(t)].column(c).name});
     }
 
-    const std::multiset<std::string> expected = Oracle(db, q);
-
-    auto via_sql = db.ExecuteSql(ToSql(q));
-    ASSERT_TRUE(via_sql.ok()) << ToSql(q) << " -> "
-                              << via_sql.status().ToString();
-    EXPECT_EQ(Canonical(via_sql->relation), expected)
-        << "query " << iteration << ":\n" << ToSql(q) << "\nplan:\n"
-        << via_sql->plan_text;
+    // Every access path must return the oracle's multiset, so they all
+    // agree with one another too.
+    const std::multiset<std::string> expected = Oracle(*dbs[0], q);
+    const std::string sql = ToSql(q);
+    for (size_t d = 0; d < dbs.size(); ++d) {
+      auto via_sql = dbs[d]->ExecuteSql(sql);
+      ASSERT_TRUE(via_sql.ok()) << sql << " -> " << via_sql.status().ToString();
+      EXPECT_EQ(Canonical(via_sql->relation), expected)
+          << "query " << iteration << " (" << paths[d].first << "):\n"
+          << sql << "\nplan:\n" << via_sql->plan_text;
+    }
   }
 }
 
