@@ -108,8 +108,8 @@ void BM_HashPartition(benchmark::State& state) {
   HashPartitioner partitioner(parts);
   Random rng(2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        partitioner.PartitionOf(Value{int64_t(rng.NextUint64() >> 1)}));
+    benchmark::DoNotOptimize(partitioner.PartitionOf(
+        HashValue(Value{int64_t(rng.NextUint64() >> 1)})));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -125,10 +125,9 @@ void BM_ReplacementSelection(benchmark::State& state) {
     SortStats stats;
     auto stream = SortRelation(input, 0, &env.ctx, &stats);
     benchmark::DoNotOptimize(stats.runs);
-    Row row;
     while (true) {
-      auto more = (*stream)->Next(&row);
-      if (!more.ok() || !*more) break;
+      auto rec = (*stream)->Next();
+      if (!rec.ok() || *rec == nullptr) break;
     }
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -1,5 +1,7 @@
 #include "cache/reuse_cache.h"
 
+#include <functional>
+
 #include <algorithm>
 #include <cstdio>
 #include <limits>
@@ -236,34 +238,24 @@ std::shared_ptr<const Relation> ReuseCache::LookupResult(
 bool ReuseCache::InstallResult(const std::string& fp,
                                const std::vector<std::string>& tables,
                                const Relation& result, double cost_seconds) {
-  return InstallResult(
-      fp, tables, cost_seconds,
-      [&result] { return ApproxRelationBytes(result); },
-      [&result] { return result; });
+  return InstallResult(fp, tables, RowView(&result), cost_seconds);
 }
 
 bool ReuseCache::InstallResult(const std::string& fp,
                                const std::vector<std::string>& tables,
-                               double cost_seconds,
-                               const std::function<int64_t()>& bytes_floor,
-                               const std::function<Relation()>& materialize) {
+                               const RowView& view, double cost_seconds) {
   {
-    // Zero bytes pass every size cap, so this decides only cache-off and
-    // the cost floor — before the result's bytes are counted.
+    // Decide before paying for the copy, on the bytes the copy allocates.
     std::lock_guard<std::mutex> lock(mu_);
-    if (RefusedLocked(0, cost_seconds)) return false;
-  }
-  const int64_t floor_bytes = bytes_floor();
-  {
-    // AdmitLocked would refuse any result at least this large, so decide
-    // before paying for the copy.
-    std::lock_guard<std::mutex> lock(mu_);
-    if (RefusedLocked(floor_bytes, cost_seconds)) return false;
+    if (RefusedLocked(Relation::ReservedBytes(view.schema(), view.size()),
+                      cost_seconds)) {
+      return false;
+    }
   }
   Entry entry;
-  entry.result = std::make_shared<const Relation>(materialize());
+  entry.result = std::make_shared<const Relation>(view.Materialize());
   entry.tables = tables;
-  entry.bytes = ApproxRelationBytes(*entry.result);
+  entry.bytes = entry.result->allocated_bytes();
   entry.cost_seconds = cost_seconds;
   std::lock_guard<std::mutex> lock(mu_);
   return AdmitLocked(fp, std::move(entry));
@@ -298,11 +290,8 @@ bool ReuseCache::InstallBuild(const std::string& build_fp, int key_column,
                               std::shared_ptr<const CachedBuild> build,
                               double cost_seconds) {
   Entry entry;
-  // A chained hash table costs more than the raw rows; 1.5x approximates
-  // the bucket-vector overhead without walking the buckets.
-  entry.bytes = static_cast<int64_t>(
-      1.5 * double(build->rows) *
-      double(std::max<int64_t>(32, build->schema.record_size())));
+  entry.bytes =
+      build->records.allocated_bytes() + build->table.allocated_bytes();
   entry.build = std::move(build);
   entry.tables = tables;
   entry.cost_seconds = cost_seconds;
@@ -420,37 +409,6 @@ std::string ReuseCache::DebugString() const {
       static_cast<long long>(s.invalidations),
       static_cast<long long>(s.invalidated_entries));
   return buf;
-}
-
-int64_t ReuseCache::ApproxRelationBytes(const Relation& rel) {
-  int64_t bytes = static_cast<int64_t>(sizeof(Relation));
-  for (const Row& row : rel.rows()) {
-    bytes += static_cast<int64_t>(sizeof(Row)) +
-             static_cast<int64_t>(row.size() * sizeof(Value));
-    for (const Value& v : row) {
-      if (TypeOf(v) == ValueType::kString) {
-        bytes += static_cast<int64_t>(std::get<std::string>(v).capacity());
-      }
-    }
-  }
-  return bytes;
-}
-
-int64_t ReuseCache::MinViewBytes(const RowView& view) {
-  const Schema& schema = view.schema();
-  int64_t bytes = static_cast<int64_t>(sizeof(Relation)) +
-                  view.size() * static_cast<int64_t>(
-                                    sizeof(Row) + schema.num_columns() *
-                                                      sizeof(Value));
-  for (int c = 0; c < schema.num_columns(); ++c) {
-    if (schema.column(c).type != ValueType::kString) continue;
-    const size_t src = view.source_column(c);
-    for (int64_t i = 0; i < view.size(); ++i) {
-      bytes += static_cast<int64_t>(
-          std::get<std::string>(view.row(i)[src]).size());
-    }
-  }
-  return bytes;
 }
 
 }  // namespace mmdb

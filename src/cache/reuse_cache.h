@@ -2,7 +2,6 @@
 #define MMDB_CACHE_REUSE_CACHE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -20,20 +19,25 @@
 namespace mmdb {
 
 /// A materialized join-build hash table held by the reuse cache: the build
-/// side of an in-memory hybrid hash join, keyed on `key_column` of
-/// `schema`, with its rows inserted in build-input order (the order
+/// side of an in-memory hybrid hash join, its records keyed on
+/// `key_column` and inserted in build-input order (the order
 /// exec_internal::ProbeHashTable relies on for byte-identical emission).
-/// The embedded JoinHashTable carries no clock: a serving probe
+/// The embedded JoinHashTable addresses `records`; a serving probe
 /// (ProbeHashTable) charges the Comps Match reports to the statement's own
 /// clock.
 struct CachedBuild {
-  CachedBuild(int key, Schema build_schema)
-      : table(key, nullptr), schema(std::move(build_schema)), key_column(key) {}
+  CachedBuild(Relation build, int key)
+      : records(std::move(build)),
+        table(records.schema(), key),
+        key_column(key) {
+    for (int64_t i = 0; i < records.num_tuples(); ++i) {
+      table.Insert(records.record(i));
+    }
+  }
 
+  Relation records;
   exec_internal::JoinHashTable table;
-  Schema schema;
   int key_column = 0;
-  int64_t rows = 0;
 };
 
 /// Intermediate-reuse cache (Dursun et al., *Revisiting Reuse in Main
@@ -147,17 +151,11 @@ class ReuseCache {
   bool InstallResult(const std::string& fp,
                      const std::vector<std::string>& tables,
                      const Relation& result, double cost_seconds);
-  /// The same admission for a result the caller materializes on demand,
-  /// cheapest refusal first: the cost floor is judged before `bytes_floor`
-  /// runs, the size caps on what it returns — a lower bound of the
-  /// result's ApproxRelationBytes (MinViewBytes) — and `materialize` runs
-  /// only when neither refuses. Counts rejections and installs exactly as
-  /// the overload above.
+  /// The same admission for the rows of `view`, which are copied only
+  /// when neither the cost floor nor a size cap refuses them.
   bool InstallResult(const std::string& fp,
                      const std::vector<std::string>& tables,
-                     double cost_seconds,
-                     const std::function<int64_t()>& bytes_floor,
-                     const std::function<Relation()>& materialize);
+                     const RowView& view, double cost_seconds);
 
   // ---- Build entries ---------------------------------------------------
   static std::string BuildKey(const std::string& build_fp, int key_column);
@@ -173,13 +171,6 @@ class ReuseCache {
   MetricsRegistry* metrics() const { return counters_.registry(); }
   /// Human-readable dump for the REPL's \cache command.
   std::string DebugString() const;
-
-  /// Approximate resident bytes of a materialized relation (variant slots
-  /// plus string payloads plus per-row vector overhead).
-  static int64_t ApproxRelationBytes(const Relation& rel);
-  /// A lower bound of ApproxRelationBytes(view.Materialize()), computed
-  /// without copying (string payloads count their size, not capacity).
-  static int64_t MinViewBytes(const RowView& view);
 
  private:
   struct Entry {

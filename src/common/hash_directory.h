@@ -44,6 +44,11 @@ class HashDirectory {
     }
   }
 
+  /// Heap bytes of the slot array.
+  int64_t allocated_bytes() const {
+    return static_cast<int64_t>(slots_.capacity() * sizeof(Slot));
+  }
+
  private:
   struct Slot {
     uint64_t hash = 0;

@@ -87,41 +87,37 @@ Status Database::CreateTableLocked(const std::string& name, Schema schema) {
   return Status::OK();
 }
 
-Status Database::Insert(const std::string& name, Row row) {
+Status Database::InsertRecords(const std::string& name, const Relation& rows) {
   auto it = tables_.find(name);
   if (it == tables_.end()) return Status::NotFound("table " + name);
   TableHolder& table = it->second;
-  const Schema& schema = table.relation.schema();
-  if (static_cast<int>(row.size()) != schema.num_columns()) {
-    return Status::InvalidArgument("row arity mismatch");
+  if (!(rows.schema() == table.relation.schema())) {
+    return Status::InvalidArgument("schema mismatch in insert into " + name);
   }
-  for (int c = 0; c < schema.num_columns(); ++c) {
-    if (TypeOf(row[static_cast<size_t>(c)]) != schema.column(c).type) {
-      return Status::InvalidArgument("type mismatch in column " +
-                                     schema.column(c).name);
+  const int64_t before = table.relation.num_tuples();
+  Status status = Status::OK();
+  for (int64_t i = 0; i < rows.num_tuples() && status.ok(); ++i) {
+    const char* rec = rows.record(i);
+    const int64_t ordinal = table.relation.num_tuples();
+    for (auto& entry : table.indexes) {
+      const Field key = Field::Of(rows.schema(), entry.second.column);
+      status = AddToIndex(&entry.second, key.Read(rec), ordinal);
+      if (!status.ok()) break;
     }
+    if (status.ok()) table.relation.Append(rec);
   }
-  const int64_t ordinal = table.relation.num_tuples();
-  for (auto& entry : table.indexes) {
-    MMDB_RETURN_IF_ERROR(AddToIndex(&entry.second, row, ordinal));
+  // Records appended before a failing index insert stay in the table, so
+  // even a failed insert may have changed it.
+  if (table.relation.num_tuples() > before) {
+    MarkStatisticsStale();
+    if (reuse_cache_ != nullptr) reuse_cache_->InvalidateTable(name);
   }
-  table.relation.Add(std::move(row));
-  MarkStatisticsStale();
-  if (reuse_cache_ != nullptr) reuse_cache_->InvalidateTable(name);
-  return Status::OK();
+  return status;
 }
 
-Status Database::BulkLoad(const std::string& name, Relation relation) {
+Status Database::BulkLoad(const std::string& name, const Relation& relation) {
   std::unique_lock<std::shared_mutex> lock(latch_);
-  auto it = tables_.find(name);
-  if (it == tables_.end()) return Status::NotFound("table " + name);
-  if (!(relation.schema() == it->second.relation.schema())) {
-    return Status::InvalidArgument("schema mismatch in bulk load");
-  }
-  for (Row& row : relation.mutable_rows()) {
-    MMDB_RETURN_IF_ERROR(Insert(name, std::move(row)));
-  }
-  return Status::OK();
+  return InsertRecords(name, relation);
 }
 
 StatusOr<const Relation*> Database::GetTable(const std::string& name) const {
@@ -195,17 +191,17 @@ Status Database::BuildIndex(TableHolder* table, const std::string& table_name,
     case IndexType::kAuto:
       return Status::Internal("kAuto must be resolved by caller");
   }
-  int64_t ordinal = 0;
-  for (const Row& row : table->relation.rows()) {
-    MMDB_RETURN_IF_ERROR(AddToIndex(&index, row, ordinal++));
+  const Field key = Field::Of(table->relation.schema(), col);
+  for (int64_t i = 0; i < table->relation.num_tuples(); ++i) {
+    MMDB_RETURN_IF_ERROR(
+        AddToIndex(&index, key.Read(table->relation.record(i)), i));
   }
   table->indexes[column] = std::move(index);
   return Status::OK();
 }
 
-Status Database::AddToIndex(IndexHolder* index, const Row& row,
+Status Database::AddToIndex(IndexHolder* index, const Value& key,
                             int64_t ordinal) {
-  const Value& key = row[static_cast<size_t>(index->column)];
   switch (index->type) {
     case IndexType::kAvl:
       index->avl->Insert(key, ordinal);
@@ -242,47 +238,31 @@ Status Database::CreateIndex(const std::string& table_name,
   return Status::OK();
 }
 
-StatusOr<Row> Database::RowByOrdinal(const TableHolder& table,
-                                     int64_t ordinal) const {
-  if (ordinal < 0 || ordinal >= table.relation.num_tuples()) {
-    return Status::Internal("index payload out of range");
-  }
-  return table.relation.rows()[static_cast<size_t>(ordinal)];
-}
-
 Status Database::IndexRangeScanLocked(
     const TableHolder& table, IndexHolder& index, const Value& low,
-    const std::function<bool(const Row&)>& fn) {
-  switch (index.type) {
-    case IndexType::kAvl: {
-      Status status = Status::OK();
-      index.avl->ScanFrom(
-          low,
-          [&](const Value&, int64_t ordinal) {
-            StatusOr<Row> row = RowByOrdinal(table, ordinal);
-            if (!row.ok()) {
-              status = row.status();
-              return false;
-            }
-            return fn(*row);
-          });
-      return status;
+    const std::function<bool(int64_t)>& fn) {
+  Status status = Status::OK();
+  // An index payload names a record of the table.
+  auto visit = [&](int64_t ordinal) {
+    if (ordinal < 0 || ordinal >= table.relation.num_tuples()) {
+      status = Status::Internal("index payload out of range");
+      return false;
     }
+    return fn(ordinal);
+  };
+  switch (index.type) {
+    case IndexType::kAvl:
+      index.avl->ScanFrom(
+          low, [&](const Value&, int64_t ordinal) { return visit(ordinal); });
+      return status;
     case IndexType::kBTree: {
       char kbuf[kMaxBTreeKeyWidth];
       MMDB_RETURN_IF_ERROR(EncodeBTreeKey(low, index.key_width, kbuf));
-      Status status = Status::OK();
       MMDB_RETURN_IF_ERROR(index.btree->ScanFrom(
-          kbuf,
-          [&](const char*, const char* payload) {
+          kbuf, [&](const char*, const char* payload) {
             int64_t ordinal;
             std::memcpy(&ordinal, payload, sizeof(ordinal));
-            StatusOr<Row> row = RowByOrdinal(table, ordinal);
-            if (!row.ok()) {
-              status = row.status();
-              return false;
-            }
-            return fn(*row);
+            return visit(ordinal);
           }));
       return status;
     }
@@ -357,9 +337,12 @@ StatusOr<Relation> Database::IndexLookupAll(const std::string& table_name,
   CostClock* clock =
       ctx != nullptr && ctx->clock != nullptr ? ctx->clock : &clock_;
   Relation out(table.relation.schema());
+  out.Reserve(1);  // most lookups find one row
   auto emit = [&](int64_t ordinal) -> Status {
-    MMDB_ASSIGN_OR_RETURN(Row row, RowByOrdinal(table, ordinal));
-    out.Add(std::move(row));
+    if (ordinal < 0 || ordinal >= table.relation.num_tuples()) {
+      return Status::Internal("index payload out of range");
+    }
+    out.Append(table.relation.record(ordinal));
     return Status::OK();
   };
 
@@ -419,13 +402,14 @@ StatusOr<Relation> Database::IndexLookupAll(const std::string& table_name,
   const size_t scan_width = index.type == IndexType::kBTree
                                 ? size_t(index.key_width)
                                 : std::string_view::npos;
-  const int col_index = index.column;
+  const Field key_field = Field::Of(table.relation.schema(), index.column);
   MMDB_RETURN_IF_ERROR(IndexRangeScanLocked(
-      table, index, pred.literal, [&](const Row& row) {
+      table, index, pred.literal, [&](int64_t ordinal) {
         clock->Comp();
-        const Value& key = row[size_t(col_index)];
+        const char* rec = table.relation.record(ordinal);
+        const Value key = key_field.Read(rec);
         if (!qualifies(key, scan_width)) return false;  // past range
-        if (qualifies(key, std::string_view::npos)) out.Add(row);
+        if (qualifies(key, std::string_view::npos)) out.Append(rec);
         return true;
       }));
   return out;
@@ -615,22 +599,8 @@ StatusOr<Database::SqlResult> Database::ExecuteSqlWriteLocked(
       return result;
     }
     case ParsedStatement::Kind::kInsert: {
-      MMDB_ASSIGN_OR_RETURN(const Relation* table, GetTable(stmt.table_name));
-      const Schema& schema = table->schema();
-      for (Row& row : stmt.rows) {
-        // Numeric coercion: integer literals into DOUBLE columns.
-        if (static_cast<int>(row.size()) == schema.num_columns()) {
-          for (int c = 0; c < schema.num_columns(); ++c) {
-            if (schema.column(c).type == ValueType::kDouble &&
-                std::holds_alternative<int64_t>(row[size_t(c)])) {
-              row[size_t(c)] =
-                  Value{double(std::get<int64_t>(row[size_t(c)]))};
-            }
-          }
-        }
-        MMDB_RETURN_IF_ERROR(Insert(stmt.table_name, std::move(row)));
-        ++result.rows_affected;
-      }
+      MMDB_RETURN_IF_ERROR(InsertRecords(stmt.table_name, stmt.rows));
+      result.rows_affected = stmt.rows.num_tuples();
       return result;
     }
     case ParsedStatement::Kind::kUpdate: {
@@ -655,17 +625,28 @@ Status Database::ExecuteUpdateLocked(const ParsedStatement& stmt,
   if (it == tables_.end()) return Status::NotFound("table " + stmt.table_name);
   TableHolder& table = it->second;
   const Schema& schema = table.relation.schema();
-  std::vector<std::pair<int, const Value*>> sets;
+  // Each assignment as the field bytes it writes, encoded (and checked
+  // against the column: type and CHAR width) before any record changes.
+  struct Set {
+    int column;
+    int32_t offset;
+    std::vector<char> bytes;
+  };
+  std::vector<Set> sets;
   sets.reserve(stmt.set_clauses.size());
   for (const ParsedStatement::SetClause& sc : stmt.set_clauses) {
     MMDB_ASSIGN_OR_RETURN(int idx, schema.ColumnIndex(sc.column));
-    sets.emplace_back(idx, &sc.value);
+    Set set{idx, schema.offset(idx),
+            std::vector<char>(static_cast<size_t>(schema.column(idx).width))};
+    MMDB_RETURN_IF_ERROR(
+        WriteField(schema.column(idx), sc.value, set.bytes.data()));
+    sets.push_back(std::move(set));
   }
   std::vector<BoundPredicate> filters;
   filters.reserve(stmt.query.filters.size());
   for (const Predicate& p : stmt.query.filters) {
     MMDB_ASSIGN_OR_RETURN(int idx, schema.ColumnIndex(p.column));
-    filters.emplace_back(p, static_cast<size_t>(idx));
+    filters.emplace_back(p, schema, idx);
   }
   // Point-update fast path (DESIGN.md §11): a single equality predicate on
   // an indexed column resolves its target ordinals through the index
@@ -679,8 +660,7 @@ Status Database::ExecuteUpdateLocked(const ParsedStatement& stmt,
     auto idx_it = table.indexes.find(pred.column);
     if (idx_it != table.indexes.end()) {
       IndexHolder& index = idx_it->second;
-      if (TypeOf(pred.literal) ==
-              schema.column(static_cast<int>(filters[0].column())).type &&
+      if (TypeOf(pred.literal) == schema.column(index.column).type &&
           (index.type == IndexType::kHash || index.type == IndexType::kAvl)) {
         std::lock_guard<std::mutex> index_latch(*index.latch);
         if (index.type == IndexType::kHash) {
@@ -703,40 +683,35 @@ Status Database::ExecuteUpdateLocked(const ParsedStatement& stmt,
   // Charge a local clock and merge through the disk (whose mutex already
   // serializes global-clock charges against the checkpointer's I/O).
   CostClock local_clock(options_.cost_params);
+  // Writes the assignments into record `ord`, in place.
+  auto apply = [&](int64_t ord) {
+    char* rec = table.relation.mutable_record(ord);
+    for (const Set& set : sets) {
+      local_clock.Move();
+      std::memcpy(rec + set.offset, set.bytes.data(), set.bytes.size());
+    }
+  };
   int64_t matched = 0;
   if (fast_path) {
-    std::vector<Row>& rows = table.relation.mutable_rows();
     for (int64_t ord : ordinals) {
-      if (ord < 0 || ord >= static_cast<int64_t>(rows.size())) continue;
-      Row& row = rows[static_cast<size_t>(ord)];
+      if (ord < 0 || ord >= table.relation.num_tuples()) continue;
       local_clock.Comp();
-      // Re-verify against the live row: one comparison buys immunity to
+      // Re-verify against the live record: one comparison buys immunity to
       // any future index-staleness bug on this write path.
-      if (!filters[0].Matches(row)) continue;
-      for (const std::pair<int, const Value*>& set : sets) {
-        local_clock.Move();
-        row[static_cast<size_t>(set.first)] = *set.second;
-      }
+      if (!filters[0].Matches(table.relation.record(ord))) continue;
+      apply(ord);
       ++matched;
     }
     metrics_.Add("sql.update.index_fast_path", 1);
   } else {
-    for (Row& row : table.relation.mutable_rows()) {
-      bool match = true;
-      for (const BoundPredicate& filter : filters) {
-        local_clock.Comp();
-        if (!filter.Matches(row)) {
-          match = false;
-          break;
-        }
-      }
-      if (!match) continue;
-      for (const std::pair<int, const Value*>& set : sets) {
-        local_clock.Move();
-        row[static_cast<size_t>(set.first)] = *set.second;
-      }
+    int64_t comps = 0;
+    for (int64_t ord :
+         SelectConjunction(table.relation, nullptr,
+                           table.relation.num_tuples(), filters, &comps)) {
+      apply(ord);
       ++matched;
     }
+    local_clock.Comp(comps);
   }
   disk_.MergeClock(local_clock);
   // Rebuild any index whose key column was assigned: the §2 structures
@@ -744,8 +719,8 @@ Status Database::ExecuteUpdateLocked(const ParsedStatement& stmt,
   // enough that a rebuild is the simplest correct maintenance.
   std::vector<std::pair<std::string, IndexType>> rebuilds;
   for (const auto& entry : table.indexes) {
-    for (const std::pair<int, const Value*>& set : sets) {
-      if (entry.second.column == set.first) {
+    for (const Set& set : sets) {
+      if (entry.second.column == set.column) {
         rebuilds.emplace_back(entry.first, entry.second.type);
         break;
       }

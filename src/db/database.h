@@ -93,7 +93,7 @@ class Database : public IndexProvider {
   Status CreateTable(const std::string& name, Schema schema);
   /// Appends every row of `relation`, whose schema must match the table's:
   /// the bulk form of SQL INSERT.
-  Status BulkLoad(const std::string& name, Relation relation);
+  Status BulkLoad(const std::string& name, const Relation& relation);
   StatusOr<const Relation*> GetTable(const std::string& name) const;
 
   // ---- Indexes (§2) ----------------------------------------------------
@@ -295,20 +295,19 @@ class Database : public IndexProvider {
   // Bodies of the DDL / data calls and of SQL writes; the caller holds
   // latch_ exclusively.
   Status CreateTableLocked(const std::string& name, Schema schema);
-  /// Appends one row and maintains the table's indexes: the body of SQL
-  /// INSERT and of BulkLoad.
-  Status Insert(const std::string& name, Row row);
+  /// Appends every record of `rows`, whose schema must be the table's, and
+  /// maintains the table's indexes: the body of SQL INSERT and of
+  /// BulkLoad.
+  Status InsertRecords(const std::string& name, const Relation& rows);
   /// Which index type CreateIndex(kAuto) picks right now.
   StatusOr<IndexType> PickIndexType(const std::string& table,
                                     const std::string& column) const;
   Status BuildIndex(TableHolder* table, const std::string& table_name,
                     const std::string& column, IndexType type);
-  /// Adds `row`'s key to `index` under `ordinal`: the one write path into
-  /// every index type, shared by Insert and BuildIndex.
-  static Status AddToIndex(IndexHolder* index, const Row& row,
+  /// Adds `key` to `index` under `ordinal`: the one write path into every
+  /// index type, shared by InsertRecords and BuildIndex.
+  static Status AddToIndex(IndexHolder* index, const Value& key,
                            int64_t ordinal);
-
-  StatusOr<Row> RowByOrdinal(const TableHolder& table, int64_t ordinal) const;
   /// A schema or index set changed: the next catalog use rebuilds.
   void InvalidateCatalog() {
     catalog_dirty_.store(true, std::memory_order_release);
@@ -338,12 +337,12 @@ class Database : public IndexProvider {
                                     PlanRunTrace* trace,
                                     const AggregateSpec* aggregate,
                                     AggStats* agg_stats);
-  /// IndexLookupAll's ordered scan (AVL / B+-tree) of the rows whose key
-  /// is >= low, in key order until `fn` returns false; caller holds the
-  /// index latch.
+  /// IndexLookupAll's ordered scan (AVL / B+-tree) of the records whose
+  /// key is >= low, in key order until `fn(ordinal)` returns false; caller
+  /// holds the index latch.
   Status IndexRangeScanLocked(const TableHolder& table, IndexHolder& index,
                               const Value& low,
-                              const std::function<bool(const Row&)>& fn);
+                              const std::function<bool(int64_t)>& fn);
 
   /// Builds a fresh lock table, version chains (when versioning is on) and
   /// transaction manager that numbers transactions from `first_txn_id`.

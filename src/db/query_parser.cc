@@ -253,12 +253,27 @@ class Parser {
     return text;
   }
 
+  /// table.column, checked: `table` must be one of the statement's
+  /// `tables` and have the column.
+  StatusOr<ColumnRef> Qualified(const std::string& table,
+                                const std::string& column,
+                                const std::vector<std::string>& tables) {
+    if (std::find(tables.begin(), tables.end(), table) == tables.end()) {
+      return Status::InvalidArgument("table '" + table +
+                                     "' is not named by the statement");
+    }
+    MMDB_ASSIGN_OR_RETURN(const TableEntry* entry, catalog_.Lookup(table));
+    MMDB_RETURN_IF_ERROR(
+        entry->relation->schema().ColumnIndex(column).status());
+    return ColumnRef{table, column};
+  }
+
   /// table.column, or unqualified column resolved over the FROM tables.
   StatusOr<ColumnRef> ParseColumnRef(const std::vector<std::string>& tables) {
     MMDB_ASSIGN_OR_RETURN(std::string first, ExpectIdent("a column"));
     if (ConsumeSymbol(".")) {
       MMDB_ASSIGN_OR_RETURN(std::string column, ExpectIdent("a column name"));
-      return ColumnRef{first, column};
+      return Qualified(first, column, tables);
     }
     // Unqualified: must match exactly one FROM table.
     std::string owner;
@@ -490,7 +505,9 @@ class Parser {
   template <typename ItemT>
   StatusOr<ColumnRef> ResolveItemRef(const ItemT& item,
                                      const ParsedStatement& stmt) {
-    if (!item.second.empty()) return ColumnRef{item.first, item.second};
+    if (!item.second.empty()) {
+      return Qualified(item.first, item.second, stmt.query.tables);
+    }
     // Unqualified.
     std::string owner;
     for (const std::string& t : stmt.query.tables) {
@@ -675,6 +692,7 @@ class Parser {
       }
     } while (ConsumeSymbol(","));
     MMDB_RETURN_IF_ERROR(ExpectSymbol(")"));
+    MMDB_RETURN_IF_ERROR(ExpectEnd());
     stmt.schema = Schema(std::move(columns));
     return stmt;
   }
@@ -685,22 +703,35 @@ class Parser {
     MMDB_RETURN_IF_ERROR(ExpectKeyword("INSERT"));
     MMDB_RETURN_IF_ERROR(ExpectKeyword("INTO"));
     MMDB_ASSIGN_OR_RETURN(stmt.table_name, ExpectIdent("a table name"));
+    MMDB_ASSIGN_OR_RETURN(const TableEntry* entry,
+                          catalog_.Lookup(stmt.table_name));
+    const Schema& schema = entry->relation->schema();
+    stmt.rows = Relation(schema);
+    stmt.rows.Reserve(1);  // most INSERTs carry one row
     MMDB_RETURN_IF_ERROR(ExpectKeyword("VALUES"));
-    // Each row is parsed into `values` and then moved into a row of its
-    // exact width: the rows are moved on into the table, and one allocation
-    // of the right size beats a push_back-grown vector's spare capacity.
+    // Each row is parsed into `values`, coerced (integer literals into
+    // DOUBLE columns) and serialized into a record, which checks its
+    // arity, types and CHAR widths before anything is applied.
+    std::vector<char> rec(static_cast<size_t>(schema.record_size()));
     Row values;
     do {
       MMDB_RETURN_IF_ERROR(ExpectSymbol("("));
       values.clear();
       do {
         MMDB_ASSIGN_OR_RETURN(Value v, ParseLiteral());
+        const size_t c = values.size();
+        if (c < size_t(schema.num_columns()) &&
+            schema.column(int(c)).type == ValueType::kDouble &&
+            std::holds_alternative<int64_t>(v)) {
+          v = Value{double(std::get<int64_t>(v))};
+        }
         values.push_back(std::move(v));
       } while (ConsumeSymbol(","));
       MMDB_RETURN_IF_ERROR(ExpectSymbol(")"));
-      stmt.rows.emplace_back(std::make_move_iterator(values.begin()),
-                             std::make_move_iterator(values.end()));
+      MMDB_RETURN_IF_ERROR(SerializeRow(schema, values, rec.data()));
+      stmt.rows.Append(rec.data());
     } while (ConsumeSymbol(","));
+    MMDB_RETURN_IF_ERROR(ExpectEnd());
     return stmt;
   }
 

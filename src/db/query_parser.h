@@ -60,8 +60,9 @@ struct ParsedStatement {
   std::string table_name;
   Schema schema;
 
-  // kInsert
-  std::vector<Row> rows;
+  // kInsert: the VALUES rows as records of the target table, literals
+  // coerced to (and checked against) the columns at parse time.
+  Relation rows;
 
   // kUpdate: column = literal assignments, literals coerced to the
   // column's declared type at parse time.
@@ -73,9 +74,10 @@ struct ParsedStatement {
 };
 
 /// Parses one statement. Column references are resolved against `catalog`
-/// (unqualified names must be unambiguous across the FROM tables); CREATE
-/// TABLE and INSERT do not consult it beyond existence checks the caller
-/// performs on execution.
+/// (unqualified names must be unambiguous across the FROM tables, and a
+/// qualified one must name a FROM table and one of its columns); INSERT
+/// reads the target table's schema from it. CREATE TABLE does not consult
+/// it.
 StatusOr<ParsedStatement> ParseStatement(const std::string& sql,
                                          const Catalog& catalog);
 

@@ -1,6 +1,7 @@
 #include "exec/aggregate.h"
 
 #include <algorithm>
+#include <cstring>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -13,84 +14,94 @@ namespace mmdb {
 
 namespace {
 
+/// An AggregateSpec over the columns of view `in`, resolved to the fields
+/// of its source records that its group-by columns and aggregates read.
+struct BoundSpec {
+  struct Agg {
+    AggFn fn;
+    Field field;  ///< unused by COUNT
+  };
+
+  BoundSpec(const RowView& in, const AggregateSpec& spec) {
+    auto field = [&in](int c) {
+      return Field::Of(in.source()->schema(), in.source_column(c));
+    };
+    for (int c : spec.group_by) group.push_back(field(c));
+    for (const AggregateSpec::Aggregate& a : spec.aggregates) {
+      aggs.push_back(
+          Agg{a.fn, a.fn == AggFn::kCount ? Field{} : field(a.column)});
+    }
+  }
+
+  std::vector<Field> group;
+  std::vector<Agg> aggs;
+};
+
 /// Running state of one aggregate over one group, kept only as its AggFn
 /// needs: COUNT and AVG count rows, SUM and AVG add, MIN and MAX keep the
-/// extreme value.
+/// record holding the extreme value (records stay put while grouped).
 struct AggState {
   int64_t count = 0;
   double sum = 0;
-  Value extreme;
-  bool seen = false;
+  const char* extreme = nullptr;
 
-  void Update(AggFn fn, const Row& row, int column) {
-    if (fn == AggFn::kCount) {
-      ++count;
-      return;
-    }
-    const Value& v = row[static_cast<size_t>(column)];
-    switch (fn) {
+  void Update(const BoundSpec::Agg& agg, const char* rec) {
+    switch (agg.fn) {
+      case AggFn::kCount:
+        ++count;
+        return;
       case AggFn::kAvg:
         ++count;
         [[fallthrough]];
       case AggFn::kSum:
-        if (const int64_t* i = std::get_if<int64_t>(&v)) {
-          sum += double(*i);
-        } else if (const double* d = std::get_if<double>(&v)) {
-          sum += *d;
-        }
+        sum += agg.field.type == ValueType::kInt64
+                   ? double(agg.field.Int(rec))
+                   : agg.field.Double(rec);
         return;
       case AggFn::kMin:
-      case AggFn::kMax:
-        Extend(fn, v);
+      case AggFn::kMax: {
+        if (extreme == nullptr) {
+          extreme = rec;
+          return;
+        }
+        const int c = CompareFields(agg.field, rec, agg.field, extreme);
+        if (agg.fn == AggFn::kMin ? c < 0 : c > 0) extreme = rec;
         return;
-      case AggFn::kCount:
-        return;
+      }
     }
-  }
-
- private:
-  /// MIN or MAX over one more value.
-  void Extend(AggFn fn, const Value& v) {
-    if (!seen) {
-      extreme = v;
-      seen = true;
-      return;
-    }
-    const int c = CompareValues(v, extreme);
-    if (fn == AggFn::kMin ? c < 0 : c > 0) extreme = v;
   }
 };
 
-uint64_t HashGroupKey(const Row& row, const std::vector<int>& cols) {
+uint64_t HashGroupKey(const char* rec, const std::vector<Field>& group) {
   uint64_t h = 0x9E3779B97F4A7C15ull;
-  for (int c : cols) {
-    h = HashCombine(h, HashValue(row[static_cast<size_t>(c)]));
-  }
+  for (const Field& f : group) h = HashCombine(h, f.Hash(rec));
   return h;
 }
 
-bool GroupKeyEquals(const Row& row, const std::vector<int>& cols,
-                    const Row& key) {
-  for (size_t i = 0; i < cols.size(); ++i) {
-    if (!ValuesEqual(row[static_cast<size_t>(cols[i])], key[i])) return false;
+bool GroupKeyEquals(const char* rec, const char* key,
+                    const std::vector<Field>& group) {
+  for (const Field& f : group) {
+    if (CompareFields(f, rec, f, key) != 0) return false;
   }
   return true;
 }
 
 /// The groups of one aggregation, stored in first-seen order and found by
-/// group-key hash through a flat HashDirectory. A group is its key row and
-/// one AggState per aggregate, kept in one flat vector. The groups of one
-/// hash chain in insertion order, and a lookup charges one Comp per group
-/// of its hash scanned: the per-hash bucket scan of §3.9's hash table.
+/// group-key hash through a flat HashDirectory. A group is the first
+/// record it met (its key) and one AggState per aggregate, kept in one
+/// flat vector; the records must stay put until the groups are emitted.
+/// The groups of one hash chain in insertion order, and a lookup charges
+/// one Comp per group of its hash scanned: the per-hash bucket scan of
+/// §3.9's hash table.
 class GroupTable {
  public:
-  explicit GroupTable(size_t num_aggs) : num_aggs_(num_aggs) {}
+  explicit GroupTable(const BoundSpec& spec) : spec_(spec) {}
 
-  /// Folds `row` into its group under `spec`, adding the group when new.
-  /// Adds the groups scanned to `*comps`; returns whether a group was
-  /// added. The caller charges the row's Hash.
-  bool Fold(const Row& row, const AggregateSpec& spec, int64_t* comps) {
-    const uint64_t h = HashGroupKey(row, spec.group_by);
+  /// Folds `rec` into its group, adding the group when new. Adds the
+  /// groups scanned to `*comps`; returns whether a group was added. The
+  /// caller charges the row's Hash.
+  bool Fold(const char* rec, int64_t* comps) {
+    const uint64_t h = HashGroupKey(rec, spec_.group);
     const uint32_t id = directory_.FindOrAdd(h);
     if (id == heads_.size()) {
       heads_.push_back(HashDirectory::kNone);
@@ -99,27 +110,23 @@ class GroupTable {
     uint32_t* link = &heads_[id];
     for (; *link != HashDirectory::kNone; link = &next_[*link]) {
       ++*comps;
-      if (GroupKeyEquals(row, spec.group_by, keys_[*link])) break;
+      if (GroupKeyEquals(rec, keys_[*link], spec_.group)) break;
     }
     const bool added = *link == HashDirectory::kNone;
     if (added) {
       *link = static_cast<uint32_t>(keys_.size());
-      Row key;
-      key.reserve(spec.group_by.size());
-      for (int c : spec.group_by) key.push_back(row[static_cast<size_t>(c)]);
-      keys_.push_back(std::move(key));
+      keys_.push_back(rec);
       next_.push_back(HashDirectory::kNone);
-      states_.resize(states_.size() + num_aggs_);
+      states_.resize(states_.size() + spec_.aggs.size());
     }
     AggState* states = aggs(*link);
-    for (size_t i = 0; i < num_aggs_; ++i) {
-      const AggregateSpec::Aggregate& agg = spec.aggregates[i];
-      states[i].Update(agg.fn, row, agg.column);
+    for (size_t i = 0; i < spec_.aggs.size(); ++i) {
+      states[i].Update(spec_.aggs[i], rec);
     }
     return added;
   }
 
-  /// Calls fn(key, aggs) for every group in emission order: the
+  /// Calls fn(key record, aggs) for every group in emission order: the
   /// order in which a std::unordered_map<uint64_t, bucket> iterates after
   /// meeting the hashes in first-seen order, each bucket in insertion
   /// order. Only the distinct hashes enter the map, so emission costs a
@@ -140,15 +147,17 @@ class GroupTable {
 
  private:
   /// The AggStates of group `g`, one per aggregate.
-  AggState* aggs(uint32_t g) { return states_.data() + g * num_aggs_; }
+  AggState* aggs(uint32_t g) {
+    return states_.data() + g * spec_.aggs.size();
+  }
 
-  size_t num_aggs_;
+  const BoundSpec& spec_;
   HashDirectory directory_;
-  std::vector<uint32_t> heads_;   // first group, by directory id
-  std::vector<uint64_t> hashes_;  // the hash, by directory id
-  std::vector<Row> keys_;         // by group
-  std::vector<uint32_t> next_;    // next group of the same hash, by group
-  std::vector<AggState> states_;  // num_aggs_ per group
+  std::vector<uint32_t> heads_;     // first group, by directory id
+  std::vector<uint64_t> hashes_;    // the hash, by directory id
+  std::vector<const char*> keys_;   // first record, by group
+  std::vector<uint32_t> next_;      // next group of the same hash, by group
+  std::vector<AggState> states_;    // one per aggregate per group
 };
 
 /// Result schema of an aggregation: the group-by columns followed by one
@@ -208,49 +217,61 @@ Status ValidateAggregateSpec(const Schema& input_schema,
   return Status::OK();
 }
 
-void EmitGroup(const Row& key, const AggState* aggs,
-               const AggregateSpec& spec, Relation* out) {
-  Row row = key;
-  for (size_t i = 0; i < spec.aggregates.size(); ++i) {
+/// Appends one group's result record to `out`: the key's group-by fields,
+/// then each aggregate.
+void EmitGroup(const char* key, const AggState* aggs, const BoundSpec& spec,
+               Relation* out) {
+  const Schema& schema = out->schema();
+  char* dst = out->AppendRecord();
+  int c = 0;
+  for (const Field& f : spec.group) {
+    std::memcpy(dst + schema.offset(c++), key + f.offset,
+                static_cast<size_t>(f.width));
+  }
+  for (size_t i = 0; i < spec.aggs.size(); ++i, ++c) {
     const AggState& st = aggs[i];
-    switch (spec.aggregates[i].fn) {
+    char* field = dst + schema.offset(c);
+    switch (spec.aggs[i].fn) {
       case AggFn::kCount:
-        row.emplace_back(st.count);
+        std::memcpy(field, &st.count, sizeof(st.count));
         break;
       case AggFn::kSum:
-        row.emplace_back(st.sum);
+        std::memcpy(field, &st.sum, sizeof(st.sum));
         break;
-      case AggFn::kAvg:
-        row.emplace_back(st.count == 0 ? 0.0 : st.sum / double(st.count));
+      case AggFn::kAvg: {
+        const double avg = st.count == 0 ? 0.0 : st.sum / double(st.count);
+        std::memcpy(field, &avg, sizeof(avg));
         break;
+      }
       case AggFn::kMin:
-      case AggFn::kMax:
-        row.push_back(st.extreme);
+      case AggFn::kMax: {
+        const Field& f = spec.aggs[i].field;
+        std::memcpy(field, st.extreme + f.offset, static_cast<size_t>(f.width));
         break;
+      }
     }
   }
-  out->Add(std::move(row));
 }
 
-/// One-pass hash aggregation of `n` rows into `out`; `row_at(i)` yields
-/// row i, whose columns `spec` indexes. Reading through the accessor lets
-/// a row-reference view aggregate its source rows in place. Charges one
+/// One-pass hash aggregation of `n` records into `out`; `rec_at(i)` yields
+/// record i, in the format `spec` was bound to. Reading through the
+/// accessor lets a view aggregate its source records in place. Charges one
 /// Hash per row, one Comp per group scanned and one Move per group, all
 /// tallied and charged once.
-template <typename RowAt>
-void AggregateInMemory(int64_t n, const RowAt& row_at,
-                       const AggregateSpec& spec, ExecContext* ctx,
-                       Relation* out, int64_t* num_groups) {
-  GroupTable table(spec.aggregates.size());
+template <typename RecAt>
+void AggregateInMemory(int64_t n, const RecAt& rec_at, const BoundSpec& spec,
+                       ExecContext* ctx, Relation* out, int64_t* num_groups) {
+  GroupTable table(spec);
   int64_t comps = 0;
   int64_t groups = 0;
   for (int64_t r = 0; r < n; ++r) {
-    if (table.Fold(row_at(r), spec, &comps)) ++groups;
+    if (table.Fold(rec_at(r), &comps)) ++groups;
   }
   ctx->clock->Hash(n);
   ctx->clock->Comp(comps);
   ctx->clock->Move(groups);
-  table.ForEach([&](const Row& key, const AggState* aggs) {
+  out->Reserve(groups);
+  table.ForEach([&](const char* key, const AggState* aggs) {
     EmitGroup(key, aggs, spec, out);
   });
   *num_groups += groups;
@@ -261,20 +282,18 @@ void AggregateInMemory(int64_t n, const RowAt& row_at,
 /// partition they read back from a spill file and pass it as `owned`
 /// (== &rows), which is released once it has been re-partitioned, so a
 /// recursion holds one level's rows at a time.
-Status AggregateRec(const std::vector<Row>& rows, std::vector<Row>* owned,
-                    const Schema& in_schema, const AggregateSpec& spec,
-                    ExecContext* ctx, int depth, Relation* out,
-                    AggStats* stats) {
+Status AggregateRec(const Relation& rows, Relation* owned,
+                    const BoundSpec& spec, ExecContext* ctx, int depth,
+                    Relation* out, AggStats* stats) {
+  const Schema& in_schema = rows.schema();
   const int64_t capacity =
       std::max<int64_t>(1, ctx->TuplesInPages(in_schema, ctx->memory_pages));
-  const int64_t n = static_cast<int64_t>(rows.size());
+  const int64_t n = rows.num_tuples();
   if (n <= capacity || depth >= 4) {
     int64_t groups = 0;
     AggregateInMemory(
-        n, [&rows](int64_t i) -> const Row& {
-          return rows[static_cast<size_t>(i)];
-        },
-        spec, ctx, out, &groups);
+        n, [&rows](int64_t i) { return rows.record(i); }, spec, ctx, out,
+        &groups);
     if (stats != nullptr) stats->groups += groups;
     return Status::OK();
   }
@@ -285,30 +304,27 @@ Status AggregateRec(const std::vector<Row>& rows, std::vector<Row>* owned,
   PartitionWriterSet writers(ctx, in_schema, b,
                              b <= 1 ? IoKind::kSequential : IoKind::kRandom,
                              "agg_part");
-  HashPartitioner partitioner(b, static_cast<uint32_t>(depth + 17));
-  for (const Row& row : rows) {
+  for (int64_t i = 0; i < n; ++i) {
+    const char* rec = rows.record(i);
     ctx->clock->Hash();
     // Partition on the combined group key hash.
-    const uint64_t h = HashGroupKey(row, spec.group_by);
+    const uint64_t h = HashGroupKey(rec, spec.group);
     const int64_t p =
         static_cast<int64_t>(Mix64(h ^ (0xABCDull * (depth + 1))) %
                              static_cast<uint64_t>(b));
-    MMDB_RETURN_IF_ERROR(writers.Append(p, row));
+    MMDB_RETURN_IF_ERROR(writers.Append(p, rec));
   }
-  if (owned != nullptr) {
-    owned->clear();
-    owned->shrink_to_fit();
-  }
+  if (owned != nullptr) *owned = Relation(in_schema);
   MMDB_RETURN_IF_ERROR(writers.FinishAll());
   for (const auto& pf : writers.Release()) {
     if (pf.records == 0) {
       ctx->disk->DeleteFile(pf.file);
       continue;
     }
-    MMDB_ASSIGN_OR_RETURN(std::vector<Row> part,
+    MMDB_ASSIGN_OR_RETURN(Relation part,
                           ReadAndDeletePartition(ctx, in_schema, pf));
-    MMDB_RETURN_IF_ERROR(AggregateRec(part, &part, in_schema, spec, ctx,
-                                      depth + 1, out, stats));
+    MMDB_RETURN_IF_ERROR(
+        AggregateRec(part, &part, spec, ctx, depth + 1, out, stats));
   }
   return Status::OK();
 }
@@ -344,11 +360,6 @@ StatusOr<Relation> AggregateView(const RowView& input,
   const int64_t capacity = std::max<int64_t>(
       1, ctx->TuplesInPages(input.schema(), ctx->memory_pages));
   const bool one_pass = input.size() <= capacity;
-  // A partitioned run reads row-major rows: the view's source when the
-  // view is all of it, else a copy, taken before the run starts.
-  Relation copy;
-  if (!one_pass && !input.identity()) copy = input.Materialize();
-  const Relation& rows = input.identity() ? *input.source() : copy;
   Relation out(AggregateOutputSchema(input.schema(), spec));
   AggStats local;
   AggStats* st = stats != nullptr ? stats : &local;
@@ -356,23 +367,19 @@ StatusOr<Relation> AggregateView(const RowView& input,
   st->one_pass = one_pass;
   const double seconds_before = ctx->clock->Seconds();
   if (one_pass) {
-    // Grouped in place: the spec's columns translated to source columns.
-    AggregateSpec source_spec = spec;
-    for (int& c : source_spec.group_by) {
-      c = static_cast<int>(input.source_column(c));
-    }
-    for (AggregateSpec::Aggregate& a : source_spec.aggregates) {
-      if (a.fn != AggFn::kCount) {
-        a.column = static_cast<int>(input.source_column(a.column));
-      }
-    }
+    // Grouped in place, reading the view's source records.
     AggregateInMemory(
-        input.size(),
-        [&input](int64_t i) -> const Row& { return input.row(i); },
-        source_spec, ctx, &out, &st->groups);
+        input.size(), [&input](int64_t i) { return input.record(i); },
+        BoundSpec(input, spec), ctx, &out, &st->groups);
   } else {
-    MMDB_RETURN_IF_ERROR(AggregateRec(rows.rows(), nullptr, rows.schema(),
-                                      spec, ctx, 0, &out, st));
+    // A partitioned run reads whole records: the view's source when the
+    // view is all of it, else a copy.
+    Relation copy;
+    if (!input.identity()) copy = input.Materialize();
+    const Relation& rows = input.identity() ? *input.source() : copy;
+    MMDB_RETURN_IF_ERROR(AggregateRec(rows, nullptr,
+                                      BoundSpec(RowView(&rows), spec), ctx, 0,
+                                      &out, st));
   }
   FinishAggregateRun(ctx, input.size(), seconds_before, st);
   return out;

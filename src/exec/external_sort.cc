@@ -1,6 +1,8 @@
 #include "exec/external_sort.h"
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
 
 #include "common/check.h"
 #include "storage/heap_file.h"
@@ -9,107 +11,88 @@ namespace mmdb {
 
 namespace {
 
-/// One sorted run: either spilled to a disk file or held in memory (the
-/// single-run case of a fully memory-resident sort).
+/// One sorted run: spilled to a disk file, or held in memory as the
+/// input's records in order (the single run of a memory-resident sort).
 struct SortRun {
   SimulatedDisk::FileId file = SimulatedDisk::kInvalidFile;
-  int64_t records = 0;
   int64_t pages = 0;
-  std::vector<Row> rows;  // used iff file == kInvalidFile
+  std::vector<const char*> in_memory;  // used iff file == kInvalidFile
 };
 
 struct HeapItem {
   int64_t run_id;
-  Row row;
+  const char* rec;
 };
+
+using ItemHeap = CountingHeap<
+    HeapItem, std::function<bool(const HeapItem&, const HeapItem&)>>;
 
 class MemoryStream : public SortedStream {
  public:
-  explicit MemoryStream(std::vector<Row> rows) : rows_(std::move(rows)) {}
-  StatusOr<bool> Next(Row* out) override {
-    if (pos_ >= rows_.size()) return false;
-    *out = std::move(rows_[pos_++]);
-    return true;
+  explicit MemoryStream(std::vector<const char*> records)
+      : records_(std::move(records)) {}
+  StatusOr<const char*> Next() override {
+    return pos_ < records_.size() ? records_[pos_++] : nullptr;
   }
 
  private:
-  std::vector<Row> rows_;
+  std::vector<const char*> records_;
   size_t pos_ = 0;
 };
 
-/// K-way merge over disk runs; deletes the run files when destroyed.
+/// K-way merge over disk runs; deletes the run files when destroyed. Each
+/// run has one record buffer, which holds its record in the heap.
 class MergeStream : public SortedStream {
  public:
   MergeStream(ExecContext* ctx, const Schema& schema, int key_column,
               std::vector<SortRun> runs)
       : ctx_(ctx),
-        schema_(schema),
-        key_column_(key_column),
+        record_size_(static_cast<size_t>(schema.record_size())),
         runs_(std::move(runs)),
+        bufs_(runs_.size() * record_size_),
+        out_(record_size_),
         heap_(
-            [this](const HeapItem& a, const HeapItem& b) {
-              return CompareRowsOn(a.row, b.row, key_column_) < 0;
+            [key = Field::Of(schema, key_column)](const HeapItem& a,
+                                                  const HeapItem& b) {
+              return CompareFields(key, a.rec, key, b.rec) < 0;
             },
             ctx->clock) {
-    record_buf_.resize(static_cast<size_t>(schema_.record_size()));
     for (size_t i = 0; i < runs_.size(); ++i) {
-      if (runs_[i].file != SimulatedDisk::kInvalidFile) {
-        // Merge reads hop between runs: random I/O (§3.4 cost formula).
-        readers_.push_back(std::make_unique<PagedRecordReader>(
-            ctx_->disk, runs_[i].file, schema_.record_size(),
-            IoKind::kRandom));
-      } else {
-        readers_.push_back(nullptr);
-      }
-      mem_pos_.push_back(0);
-      Row row;
-      if (Advance(i, &row)) {
-        heap_.Push(HeapItem{static_cast<int64_t>(i), std::move(row)});
-      }
+      // Merge reads hop between runs: random I/O (§3.4 cost formula).
+      readers_.push_back(std::make_unique<PagedRecordReader>(
+          ctx_->disk, runs_[i].file, schema.record_size(), IoKind::kRandom));
+      Advance(i);
     }
   }
 
   ~MergeStream() override {
-    for (const SortRun& run : runs_) {
-      if (run.file != SimulatedDisk::kInvalidFile) {
-        ctx_->disk->DeleteFile(run.file);
-      }
-    }
+    for (const SortRun& run : runs_) ctx_->disk->DeleteFile(run.file);
   }
 
-  StatusOr<bool> Next(Row* out) override {
-    if (heap_.empty()) return false;
-    HeapItem item = heap_.Pop();
-    *out = std::move(item.row);
-    Row next;
-    if (Advance(static_cast<size_t>(item.run_id), &next)) {
-      heap_.Push(HeapItem{item.run_id, std::move(next)});
-    }
-    return true;
+  StatusOr<const char*> Next() override {
+    if (heap_.empty()) return nullptr;
+    const HeapItem item = heap_.Pop();
+    std::memcpy(out_.data(), item.rec, record_size_);
+    Advance(static_cast<size_t>(item.run_id));
+    return static_cast<const char*>(out_.data());
   }
 
  private:
-  bool Advance(size_t run_idx, Row* out) {
-    SortRun& run = runs_[run_idx];
-    if (run.file != SimulatedDisk::kInvalidFile) {
-      if (!readers_[run_idx]->Next(record_buf_.data())) return false;
-      *out = DeserializeRow(schema_, record_buf_.data());
-      return true;
+  /// Reads run `i`'s next record into its buffer and queues it.
+  void Advance(size_t i) {
+    char* buf = bufs_.data() + i * record_size_;
+    if (readers_[i]->Next(buf)) {
+      heap_.Push(HeapItem{static_cast<int64_t>(i), buf});
     }
-    if (mem_pos_[run_idx] >= run.rows.size()) return false;
-    *out = std::move(run.rows[mem_pos_[run_idx]++]);
-    return true;
   }
 
   ExecContext* ctx_;
-  Schema schema_;
-  int key_column_;
+  size_t record_size_;
   std::vector<SortRun> runs_;
   std::vector<std::unique_ptr<PagedRecordReader>> readers_;
-  std::vector<size_t> mem_pos_;
-  std::vector<char> record_buf_;
-  CountingHeap<HeapItem, std::function<bool(const HeapItem&, const HeapItem&)>>
-      heap_;
+  std::vector<char> bufs_;
+  std::vector<char> out_;
+  ItemHeap heap_;
 };
 
 /// Replacement selection (§3.4 step 1): one pass over the input through a
@@ -120,22 +103,23 @@ StatusOr<std::vector<SortRun>> FormRuns(const Relation& input, int key_column,
   const int64_t capacity =
       std::max<int64_t>(2, ctx->TuplesInPages(schema, ctx->memory_pages));
 
-  CountingHeap<HeapItem, std::function<bool(const HeapItem&, const HeapItem&)>>
-      heap(
-          [key_column](const HeapItem& a, const HeapItem& b) {
-            if (a.run_id != b.run_id) return a.run_id < b.run_id;
-            return CompareRowsOn(a.row, b.row, key_column) < 0;
-          },
-          ctx->clock);
+  const Field key = Field::Of(schema, key_column);
+  ItemHeap heap(
+      [key](const HeapItem& a, const HeapItem& b) {
+        if (a.run_id != b.run_id) return a.run_id < b.run_id;
+        return CompareFields(key, a.rec, key, b.rec) < 0;
+      },
+      ctx->clock);
 
   // Entirely in memory: one run, no spill, no I/O.
   if (input.num_tuples() <= capacity) {
     *in_memory = true;
-    for (const Row& row : input.rows()) heap.Push(HeapItem{0, row});
+    for (int64_t i = 0; i < input.num_tuples(); ++i) {
+      heap.Push(HeapItem{0, input.record(i)});
+    }
     SortRun run;
-    run.records = input.num_tuples();
-    run.rows.reserve(static_cast<size_t>(input.num_tuples()));
-    while (!heap.empty()) run.rows.push_back(heap.Pop().row);
+    run.in_memory.reserve(static_cast<size_t>(input.num_tuples()));
+    while (!heap.empty()) run.in_memory.push_back(heap.Pop().rec);
     std::vector<SortRun> runs;
     runs.push_back(std::move(run));
     return runs;
@@ -143,12 +127,10 @@ StatusOr<std::vector<SortRun>> FormRuns(const Relation& input, int key_column,
 
   *in_memory = false;
   std::vector<SortRun> runs;
-  std::vector<char> record_buf(static_cast<size_t>(schema.record_size()));
 
   int64_t pos = 0;
-  const auto& rows = input.rows();
   while (pos < capacity && pos < input.num_tuples()) {
-    heap.Push(HeapItem{0, rows[static_cast<size_t>(pos)]});
+    heap.Push(HeapItem{0, input.record(pos)});
     ++pos;
   }
 
@@ -162,7 +144,6 @@ StatusOr<std::vector<SortRun>> FormRuns(const Relation& input, int key_column,
   auto close_writer = [&]() -> Status {
     MMDB_RETURN_IF_ERROR(writer->Finish());
     SortRun run;
-    run.records = writer->records_written();
     run.pages = writer->pages_written();
     run.file = writer->ReleaseFile();
     runs.push_back(std::move(run));
@@ -171,32 +152,22 @@ StatusOr<std::vector<SortRun>> FormRuns(const Relation& input, int key_column,
   };
   open_writer();
 
-  Row last_emitted;
-  bool have_last = false;
   while (!heap.empty()) {
     HeapItem item = heap.Pop();
     if (item.run_id != current_run) {
       MMDB_RETURN_IF_ERROR(close_writer());
       open_writer();
       current_run = item.run_id;
-      have_last = false;
     }
     // Move the tuple into the run's output buffer.
     ctx->clock->Move();
-    MMDB_RETURN_IF_ERROR(
-        SerializeRow(schema, item.row, record_buf.data()));
-    MMDB_RETURN_IF_ERROR(writer->Append(record_buf.data()));
-    last_emitted = std::move(item.row);
-    have_last = true;
+    MMDB_RETURN_IF_ERROR(writer->Append(item.rec));
 
     if (pos < input.num_tuples()) {
-      const Row& next = rows[static_cast<size_t>(pos)];
-      ++pos;
+      const char* next = input.record(pos++);
       // A new tuple smaller than the last output cannot join this run.
-      int64_t run_id = current_run;
-      if (have_last && CompareRowsOn(next, last_emitted, key_column) < 0) {
-        run_id = current_run + 1;
-      }
+      const int64_t run_id =
+          current_run + (CompareFields(key, next, key, item.rec) < 0 ? 1 : 0);
       if (ctx->clock != nullptr) ctx->clock->Comp();  // the fence test
       heap.Push(HeapItem{run_id, next});
     }
@@ -211,7 +182,6 @@ StatusOr<std::vector<SortRun>> MergeLevel(std::vector<SortRun> runs,
                                           int64_t fan_in, const Schema& schema,
                                           int key_column, ExecContext* ctx) {
   std::vector<SortRun> out;
-  std::vector<char> record_buf(static_cast<size_t>(schema.record_size()));
   for (size_t start = 0; start < runs.size();
        start += static_cast<size_t>(fan_in)) {
     size_t end = std::min(runs.size(), start + static_cast<size_t>(fan_in));
@@ -220,17 +190,14 @@ StatusOr<std::vector<SortRun>> MergeLevel(std::vector<SortRun> runs,
     MergeStream merge(ctx, schema, key_column, std::move(group));
     PagedRecordWriter writer(ctx->disk, schema.record_size(),
                              IoKind::kSequential, "sort_merge_level");
-    Row row;
     while (true) {
-      MMDB_ASSIGN_OR_RETURN(bool more, merge.Next(&row));
-      if (!more) break;
+      MMDB_ASSIGN_OR_RETURN(const char* rec, merge.Next());
+      if (rec == nullptr) break;
       ctx->clock->Move();
-      MMDB_RETURN_IF_ERROR(SerializeRow(schema, row, record_buf.data()));
-      MMDB_RETURN_IF_ERROR(writer.Append(record_buf.data()));
+      MMDB_RETURN_IF_ERROR(writer.Append(rec));
     }
     MMDB_RETURN_IF_ERROR(writer.Finish());
     SortRun merged;
-    merged.records = writer.records_written();
     merged.pages = writer.pages_written();
     merged.file = writer.ReleaseFile();
     out.push_back(std::move(merged));
@@ -276,7 +243,7 @@ StatusOr<std::unique_ptr<SortedStream>> SortRelation(const Relation& input,
   if (in_memory) {
     publish();
     return std::unique_ptr<SortedStream>(
-        new MemoryStream(std::move(runs.front().rows)));
+        new MemoryStream(std::move(runs.front().in_memory)));
   }
   // Cascade intermediate merges while more runs exist than merge buffers.
   while (static_cast<int64_t>(runs.size()) > ctx->memory_pages) {

@@ -10,11 +10,13 @@
 
 namespace mmdb {
 
-/// A stream of rows in non-decreasing key order.
+/// A stream of records in non-decreasing key order.
 class SortedStream {
  public:
   virtual ~SortedStream() = default;
-  virtual StatusOr<bool> Next(Row* out) = 0;
+  /// The next record, or null at the end. It stays valid until the next
+  /// call.
+  virtual StatusOr<const char*> Next() = 0;
 };
 
 /// Diagnostics from one sort.
@@ -33,7 +35,8 @@ struct SortStats {
 ///
 /// All comparisons/swaps in the priority queues, tuple moves into output
 /// buffers, and run I/O (IOseq writes, IOrand merge reads) are charged to
-/// ctx->clock.
+/// ctx->clock. Records are copied, never deserialized; an in-memory sort
+/// streams `input`'s records in place, so `input` must outlive the stream.
 StatusOr<std::unique_ptr<SortedStream>> SortRelation(const Relation& input,
                                                      int key_column,
                                                      ExecContext* ctx,

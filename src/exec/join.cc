@@ -22,47 +22,34 @@ std::string_view JoinAlgorithmName(JoinAlgorithm a) {
 
 namespace exec_internal {
 
-void JoinHashTable::Insert(Row row) {
-  const uint32_t b =
-      directory_.FindOrAdd(HashValue(row[static_cast<size_t>(key_column_)]));
+void JoinHashTable::Insert(const char* rec) {
+  const uint32_t b = directory_.FindOrAdd(key_.Hash(rec));
   if (b == buckets_.size()) buckets_.emplace_back();
-  buckets_[b].push_back(std::move(row));
+  buckets_[b].push_back(rec);
   ++size_;
 }
 
-void EmitJoined(const Row& r_row, const Row& s_row, Relation* out) {
-  out->Add(ConcatRows(r_row, s_row));
-}
-
-namespace {
-
-/// Emits build row ++ probe view row `i` into `out`.
-void EmitJoinedView(const Row& r_row, const RowView& probe, int64_t i,
-                    Relation* out) {
-  const Row& s_row = probe.row(i);
-  if (probe.identity()) {
-    EmitJoined(r_row, s_row, out);
-    return;
+int64_t JoinHashTable::allocated_bytes() const {
+  size_t bytes = buckets_.capacity() * sizeof(buckets_[0]);
+  for (const std::vector<const char*>& bucket : buckets_) {
+    bytes += bucket.capacity() * sizeof(bucket[0]);
   }
-  const int ncols = probe.schema().num_columns();
-  Row row;
-  row.reserve(r_row.size() + static_cast<size_t>(ncols));
-  row.insert(row.end(), r_row.begin(), r_row.end());
-  for (int c = 0; c < ncols; ++c) row.push_back(s_row[probe.source_column(c)]);
-  out->Add(std::move(row));
+  return directory_.allocated_bytes() + static_cast<int64_t>(bytes);
 }
-
-}  // namespace
 
 Relation ProbeHashTable(const JoinHashTable& table, const Schema& build_schema,
                         const RowView& probe, int probe_key, ExecContext* ctx) {
   Relation out(Schema::Concat(build_schema, probe.schema()));
-  const size_t key = probe.source_column(probe_key);
+  const Field key =
+      Field::Of(probe.source()->schema(), probe.source_column(probe_key));
+  const int32_t build_size = build_schema.record_size();
   const int64_t n = probe.size();
   int64_t comps = 0;
   for (int64_t i = 0; i < n; ++i) {
-    comps += table.Match(probe.row(i)[key], [&](const Row& r_row) {
-      EmitJoinedView(r_row, probe, i, &out);
+    comps += table.Match(key, probe.record(i), [&](const char* r_rec) {
+      char* dst = out.AppendRecord();
+      std::memcpy(dst, r_rec, static_cast<size_t>(build_size));
+      probe.CopyTo(i, dst + build_size);
     });
   }
   ctx->clock->Hash(n);
@@ -91,12 +78,16 @@ void PublishJoinRun(ExecContext* ctx, int64_t build_tuples,
 StatusOr<Relation> NestedLoopJoin(const Relation& r, const Relation& s,
                                   const JoinSpec& spec, ExecContext* ctx) {
   Relation out(Schema::Concat(r.schema(), s.schema()));
-  for (const Row& rr : r.rows()) {
-    const Value& rkey = rr[static_cast<size_t>(spec.left_column)];
-    for (const Row& sr : s.rows()) {
+  const Field rkey = Field::Of(r.schema(), spec.left_column);
+  const Field skey = Field::Of(s.schema(), spec.right_column);
+  const int32_t r_size = r.schema().record_size();
+  for (int64_t i = 0; i < r.num_tuples(); ++i) {
+    const char* rr = r.record(i);
+    for (int64_t j = 0; j < s.num_tuples(); ++j) {
+      const char* sr = s.record(j);
       if (ctx != nullptr && ctx->clock != nullptr) ctx->clock->Comp();
-      if (ValuesEqual(rkey, sr[static_cast<size_t>(spec.right_column)])) {
-        exec_internal::EmitJoined(rr, sr, &out);
+      if (CompareFields(rkey, rr, skey, sr) == 0) {
+        exec_internal::EmitJoined(rr, r_size, sr, &out);
       }
     }
   }

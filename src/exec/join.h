@@ -1,6 +1,7 @@
 #ifndef MMDB_EXEC_JOIN_H_
 #define MMDB_EXEC_JOIN_H_
 
+#include <cstring>
 #include <string_view>
 #include <vector>
 
@@ -76,63 +77,90 @@ StatusOr<Relation> ExecuteJoin(JoinAlgorithm algorithm, const Relation& r,
 
 namespace exec_internal {
 
-/// In-memory hash table keyed on one column: one bucket per distinct key
-/// hash, holding its rows in insertion order, found through a flat
-/// HashDirectory. Charging convention: the *caller* charges Hash/Move on
-/// insert (the partitioning hash and the table hash are the same
-/// conceptual hash in the paper's formulas); a probe charges the key
-/// comparisons it performs (~F per probe on average, matching the
-/// ||S||·F·comp term).
+/// In-memory hash table keyed on one field of fixed-width records: one
+/// bucket per distinct key hash, holding its records in insertion order,
+/// found through a flat HashDirectory. The table stores record addresses,
+/// so the records must stay put while it is used (a Relation's never
+/// move). The table charges nothing; its callers charge the paper's
+/// costs: Hash and Move on insert (the partitioning hash and the table
+/// hash are the same conceptual hash in the paper's formulas), a Hash per
+/// probe, and the key comparisons Match reports (~F per probe on average,
+/// matching the ||S||·F·comp term).
 class JoinHashTable {
  public:
-  JoinHashTable(int key_column, CostClock* clock)
-      : key_column_(key_column), clock_(clock) {}
+  JoinHashTable(const Schema& schema, int key_column)
+      : key_(Field::Of(schema, key_column)) {}
 
-  /// Stores a row; charges nothing (see class comment).
-  void Insert(Row row);
+  /// Stores the record at `rec`.
+  void Insert(const char* rec);
 
-  /// Calls `fn` for every stored row whose key equals `key`. The caller
-  /// must already have charged the probe's Hash (usually shared with
-  /// partitioning).
+  /// Calls `fn(record)` for every stored record whose key equals field
+  /// `key` of `probe`, in insertion order, and returns the Comps the probe
+  /// costs: one per bucket entry scanned, or one for a miss.
   template <typename Fn>
-  void Probe(const Value& key, Fn&& fn) const {
-    const int64_t comps = Match(key, std::forward<Fn>(fn));
-    if (clock_ != nullptr) clock_->Comp(comps);
-  }
-
-  /// Calls `fn` for every stored row whose key equals `key`, in insertion
-  /// order, and returns the Comps the probe costs without charging them:
-  /// one per bucket entry scanned, or one for a miss.
-  template <typename Fn>
-  int64_t Match(const Value& key, Fn&& fn) const {
-    const uint32_t b = directory_.Find(HashValue(key));
+  int64_t Match(const Field& key, const char* probe, Fn&& fn) const {
+    const uint32_t b = directory_.Find(key.Hash(probe));
     if (b == HashDirectory::kNone) return 1;  // the miss still compares
-    const std::vector<Row>& bucket = buckets_[b];
-    for (const Row& row : bucket) {
-      if (ValuesEqual(row[static_cast<size_t>(key_column_)], key)) fn(row);
+    const std::vector<const char*>& bucket = buckets_[b];
+    for (const char* rec : bucket) {
+      if (CompareFields(key_, rec, key, probe) == 0) fn(rec);
     }
     return static_cast<int64_t>(bucket.size());
   }
 
-  int key_column() const { return key_column_; }
   int64_t size() const { return size_; }
+  /// Heap bytes of the directory and the buckets (not the records).
+  int64_t allocated_bytes() const;
 
  private:
-  int key_column_;
-  CostClock* clock_;
+  Field key_;
   HashDirectory directory_;
-  std::vector<std::vector<Row>> buckets_;  // by directory id
+  std::vector<std::vector<const char*>> buckets_;  // by directory id
   int64_t size_ = 0;
 };
 
-/// Emits the joined tuple r ++ s into `out`.
-void EmitJoined(const Row& r_row, const Row& s_row, Relation* out);
+/// Appends the joined record r ++ s to `out`, whose schema is
+/// Schema::Concat of r's (records of `r_size` bytes) and s's.
+inline void EmitJoined(const char* r_rec, int32_t r_size, const char* s_rec,
+                       Relation* out) {
+  char* dst = out->AppendRecord();
+  std::memcpy(dst, r_rec, static_cast<size_t>(r_size));
+  std::memcpy(dst + r_size, s_rec,
+              static_cast<size_t>(out->schema().record_size() - r_size));
+}
+
+/// The in-memory hash join of the paper's formulas: builds a table over
+/// every record of `r` on `r_key` (one Hash and one Move each), then
+/// probes it with each record `next_s()` yields until null (one Hash each,
+/// plus the probe's Comps), appending r ++ s to `out`.
+template <typename NextS>
+void BuildAndProbe(const Relation& r, int r_key, const Field& s_key,
+                   NextS&& next_s, ExecContext* ctx, Relation* out) {
+  JoinHashTable table(r.schema(), r_key);
+  for (int64_t i = 0; i < r.num_tuples(); ++i) table.Insert(r.record(i));
+  ctx->clock->Hash(r.num_tuples());
+  ctx->clock->Move(r.num_tuples());
+  const int32_t r_size = r.schema().record_size();
+  while (const char* s_rec = next_s()) {
+    ctx->clock->Hash();
+    ctx->clock->Comp(table.Match(s_key, s_rec, [&](const char* r_rec) {
+      EmitJoined(r_rec, r_size, s_rec, out);
+    }));
+  }
+}
+
+/// BuildAndProbe's `next_s` over the records of `s`.
+inline auto RecordsOf(const Relation& s) {
+  return [&s, i = int64_t{0}]() mutable {
+    return i < s.num_tuples() ? s.record(i++) : nullptr;
+  };
+}
 
 /// The in-memory hash join's probe, shared by the plan executor's hybrid
 /// join and its CachedBuild serve (DESIGN.md §14, §15): probes a complete
-/// build `table` (rows of `build_schema`) with every row of `probe`, read
-/// in place, and returns build row ++ probe row for each match in probe
-/// input order, bucket-scan order within a key. Charges the
+/// build `table` (records of `build_schema`) with every row of `probe`,
+/// read in place, and returns build row ++ probe row for each match in
+/// probe input order, bucket-scan order within a key. Charges the
 /// single-partition hybrid's probe side: one Hash per probe tuple, one
 /// Comp per bucket entry scanned or per miss.
 Relation ProbeHashTable(const JoinHashTable& table, const Schema& build_schema,

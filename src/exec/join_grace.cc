@@ -8,7 +8,8 @@
 
 namespace mmdb {
 
-using exec_internal::JoinHashTable;
+using exec_internal::BuildAndProbe;
+using exec_internal::RecordsOf;
 
 /// §3.6 GRACE hash join. Phase 1 partitions both relations completely into
 /// B compatible subsets (one output-buffer page each, random flushes);
@@ -22,6 +23,8 @@ StatusOr<Relation> GraceHashJoin(const Relation& r, const Relation& s,
   const Schema& rs = r.schema();
   const Schema& ss = s.schema();
   Relation out(Schema::Concat(rs, ss));
+  const Field rkey = Field::Of(rs, spec.left_column);
+  const Field skey = Field::Of(ss, spec.right_column);
 
   const int64_t r_pages = r.NumPages(ctx->page_size());
   const double rf = double(r_pages) * ctx->fudge;
@@ -29,19 +32,7 @@ StatusOr<Relation> GraceHashJoin(const Relation& r, const Relation& s,
   // Degenerate case: R's hash table fits outright; behave exactly like the
   // in-memory simple hash (the paper's curves coincide at ratio >= 1).
   if (double(ctx->memory_pages) >= rf) {
-    JoinHashTable table(spec.left_column, ctx->clock);
-    for (const Row& row : r.rows()) {
-      ctx->clock->Hash();
-      ctx->clock->Move();
-      table.Insert(row);
-    }
-    for (const Row& row : s.rows()) {
-      ctx->clock->Hash();
-      table.Probe(row[static_cast<size_t>(spec.right_column)],
-                  [&](const Row& r_row) {
-                    exec_internal::EmitJoined(r_row, row, &out);
-                  });
-    }
+    BuildAndProbe(r, spec.left_column, skey, RecordsOf(s), ctx, &out);
     if (stats != nullptr) {
       stats->output_tuples = out.num_tuples();
       stats->partitions = 1;
@@ -64,17 +55,19 @@ StatusOr<Relation> GraceHashJoin(const Relation& r, const Relation& s,
                                "grace_r");
   PartitionWriterSet s_writers(ctx, ss, num_partitions, IoKind::kRandom,
                                "grace_s");
-  for (const Row& row : r.rows()) {
+  for (int64_t i = 0; i < r.num_tuples(); ++i) {
+    const char* rec = r.record(i);
     ctx->clock->Hash();
-    const Value& key = row[static_cast<size_t>(spec.left_column)];
-    MMDB_RETURN_IF_ERROR(r_writers.Append(partitioner.PartitionOf(key), row));
+    MMDB_RETURN_IF_ERROR(
+        r_writers.Append(partitioner.PartitionOf(rkey.Hash(rec)), rec));
   }
   MMDB_RETURN_IF_ERROR(r_writers.FinishAll());
 
-  for (const Row& row : s.rows()) {
+  for (int64_t i = 0; i < s.num_tuples(); ++i) {
+    const char* rec = s.record(i);
     ctx->clock->Hash();
-    const Value& key = row[static_cast<size_t>(spec.right_column)];
-    MMDB_RETURN_IF_ERROR(s_writers.Append(partitioner.PartitionOf(key), row));
+    MMDB_RETURN_IF_ERROR(
+        s_writers.Append(partitioner.PartitionOf(skey.Hash(rec)), rec));
   }
   MMDB_RETURN_IF_ERROR(s_writers.FinishAll());
 
@@ -91,24 +84,13 @@ StatusOr<Relation> GraceHashJoin(const Relation& r, const Relation& s,
       ctx->disk->DeleteFile(sp.file);
       continue;
     }
-    MMDB_ASSIGN_OR_RETURN(std::vector<Row> r_rows,
-                          ReadAndDeletePartition(ctx, rs, rp));
-    JoinHashTable table(spec.left_column, ctx->clock);
-    for (Row& row : r_rows) {
-      ctx->clock->Hash();
-      ctx->clock->Move();
-      table.Insert(std::move(row));
-    }
+    MMDB_ASSIGN_OR_RETURN(Relation r_rows, ReadAndDeletePartition(ctx, rs, rp));
     PagedRecordReader s_reader(ctx->disk, sp.file, ss.record_size(),
                                IoKind::kSequential);
-    while (s_reader.Next(buf.data())) {
-      Row row = DeserializeRow(ss, buf.data());
-      ctx->clock->Hash();
-      table.Probe(row[static_cast<size_t>(spec.right_column)],
-                  [&](const Row& r_row) {
-                    exec_internal::EmitJoined(r_row, row, &out);
-                  });
-    }
+    BuildAndProbe(
+        r_rows, spec.left_column, skey,
+        [&] { return s_reader.Next(buf.data()) ? buf.data() : nullptr; }, ctx,
+        &out);
     ctx->disk->DeleteFile(sp.file);
   }
 

@@ -30,21 +30,23 @@ StatusOr<Relation> HybridHashJoinImpl(const Relation& r, const Relation& s,
 /// fruitlessly until the depth cap. Detect that up front and force the
 /// in-memory probe instead: one oversized build beats max_recursion_depth
 /// wasted passes over the same bytes.
-Status JoinSpilledPair(std::vector<Row> r_rows, std::vector<Row> s_rows,
-                       const Schema& rs, const Schema& ss,
+Status JoinSpilledPair(const Relation& r_rows, const Relation& s_rows,
                        const JoinSpec& spec, ExecContext* ctx,
                        JoinRunStats* stats, int depth, Relation* out) {
+  const Schema& rs = r_rows.schema();
+  const Schema& ss = s_rows.schema();
   const int64_t capacity =
       std::max<int64_t>(1, ctx->TuplesInPages(rs, ctx->memory_pages));
-  const size_t left_col = static_cast<size_t>(spec.left_column);
-  bool resolve_in_memory = static_cast<int64_t>(r_rows.size()) <= capacity ||
-                           depth >= ctx->max_recursion_depth;
+  const Field rkey = Field::Of(rs, spec.left_column);
+  const Field skey = Field::Of(ss, spec.right_column);
+  const int64_t n = r_rows.num_tuples();
+  bool resolve_in_memory = n <= capacity || depth >= ctx->max_recursion_depth;
   if (!resolve_in_memory) {
-    const Value& k0 = r_rows[0][left_col];
+    const char* k0 = r_rows.record(0);
     bool single_key = true;
-    for (size_t i = 1; i < r_rows.size(); ++i) {
+    for (int64_t i = 1; i < n; ++i) {
       ctx->clock->Comp();
-      if (!ValuesEqual(r_rows[i][left_col], k0)) {
+      if (CompareFields(rkey, r_rows.record(i), rkey, k0) != 0) {
         single_key = false;
         break;
       }
@@ -55,37 +57,22 @@ Status JoinSpilledPair(std::vector<Row> r_rows, std::vector<Row> s_rows,
     }
   }
   if (resolve_in_memory) {
-    JoinHashTable table(spec.left_column, ctx->clock);
-    for (Row& row : r_rows) {
-      ctx->clock->Hash();
-      ctx->clock->Move();
-      table.Insert(std::move(row));
-    }
-    for (const Row& row : s_rows) {
-      ctx->clock->Hash();
-      table.Probe(row[static_cast<size_t>(spec.right_column)],
-                  [&](const Row& r_row) {
-                    exec_internal::EmitJoined(r_row, row, out);
-                  });
-    }
+    exec_internal::BuildAndProbe(r_rows, spec.left_column, skey,
+                                 exec_internal::RecordsOf(s_rows), ctx, out);
     return Status::OK();
   }
   // Recursive application with a fresh hash function (level = depth + 1).
-  Relation r_rel(rs, std::move(r_rows));
-  Relation s_rel(ss, std::move(s_rows));
   JoinRunStats child_stats;
-  MMDB_ASSIGN_OR_RETURN(
-      Relation child,
-      HybridHashJoinImpl(r_rel, s_rel, spec, ctx, &child_stats, depth + 1));
+  MMDB_ASSIGN_OR_RETURN(Relation child,
+                        HybridHashJoinImpl(r_rows, s_rows, spec, ctx,
+                                           &child_stats, depth + 1));
   if (stats != nullptr) {
     stats->recursion_depth =
         std::max(stats->recursion_depth, child_stats.recursion_depth);
     stats->forced_probes += child_stats.forced_probes;
     stats->migrations += child_stats.migrations;
   }
-  for (Row& row : child.mutable_rows()) {
-    out->Add(std::move(row));
-  }
+  for (int64_t i = 0; i < child.num_tuples(); ++i) out->Append(child.record(i));
   return Status::OK();
 }
 
@@ -123,11 +110,13 @@ StatusOr<Relation> HybridHashJoinImpl(const Relation& r, const Relation& s,
   HashPartitioner partitioner(P, static_cast<uint32_t>(depth));
 
   // ---- Phase 1a: partition ids for R (the partitioning hash).
+  const Field rkey = Field::Of(rs, spec.left_column);
+  const Field skey = Field::Of(ss, spec.right_column);
   std::vector<int32_t> r_pids;
-  r_pids.reserve(r.rows().size());
-  for (const Row& row : r.rows()) {
-    r_pids.push_back(static_cast<int32_t>(partitioner.PartitionOf(
-        row[static_cast<size_t>(spec.left_column)])));
+  r_pids.reserve(static_cast<size_t>(r.num_tuples()));
+  for (int64_t i = 0; i < r.num_tuples(); ++i) {
+    r_pids.push_back(static_cast<int32_t>(
+        partitioner.PartitionOf(rkey.Hash(r.record(i)))));
   }
   ctx->clock->Hash(static_cast<int64_t>(r_pids.size()));
 
@@ -194,30 +183,30 @@ StatusOr<Relation> HybridHashJoinImpl(const Relation& r, const Relation& s,
     s_spill = std::make_unique<PartitionWriterSet>(ctx, ss, P, spill_kind,
                                                    "hybrid_s");
   }
-  JoinHashTable resident(spec.left_column, ctx->clock);
+  JoinHashTable resident(rs, spec.left_column);
   for (size_t i = 0; i < r_pids.size(); ++i) {
-    const Row& row = r.rows()[i];
+    const char* rec = r.record(static_cast<int64_t>(i));
     if (spilled[static_cast<size_t>(r_pids[i])]) {
-      MMDB_RETURN_IF_ERROR(r_spill->Append(r_pids[i], row));
+      MMDB_RETURN_IF_ERROR(r_spill->Append(r_pids[i], rec));
     } else {
       ctx->clock->Move();
-      resident.Insert(row);
+      resident.Insert(rec);
     }
   }
   if (r_spill != nullptr) MMDB_RETURN_IF_ERROR(r_spill->FinishAll());
 
   // ---- Phase 1c over S: resident partitions probe immediately, the rest
   // spills.
-  for (const Row& row : s.rows()) {
+  for (int64_t i = 0; i < s.num_tuples(); ++i) {
+    const char* s_rec = s.record(i);
     ctx->clock->Hash();
-    const Value& key = row[static_cast<size_t>(spec.right_column)];
-    const int64_t p = partitioner.PartitionOf(key);
+    const int64_t p = partitioner.PartitionOf(skey.Hash(s_rec));
     if (spilled[static_cast<size_t>(p)]) {
-      MMDB_RETURN_IF_ERROR(s_spill->Append(p, row));
+      MMDB_RETURN_IF_ERROR(s_spill->Append(p, s_rec));
     } else {
-      resident.Probe(key, [&](const Row& r_row) {
-        exec_internal::EmitJoined(r_row, row, &out);
-      });
+      ctx->clock->Comp(resident.Match(skey, s_rec, [&](const char* r_rec) {
+        exec_internal::EmitJoined(r_rec, rs.record_size(), s_rec, &out);
+      }));
     }
   }
   if (spilled_count == 0) {
@@ -237,13 +226,10 @@ StatusOr<Relation> HybridHashJoinImpl(const Relation& r, const Relation& s,
       ctx->disk->DeleteFile(sp.file);
       continue;
     }
-    MMDB_ASSIGN_OR_RETURN(std::vector<Row> r_rows,
-                          ReadAndDeletePartition(ctx, rs, rp));
-    MMDB_ASSIGN_OR_RETURN(std::vector<Row> s_rows,
-                          ReadAndDeletePartition(ctx, ss, sp));
-    MMDB_RETURN_IF_ERROR(JoinSpilledPair(std::move(r_rows), std::move(s_rows),
-                                         rs, ss, spec, ctx, stats, depth,
-                                         &out));
+    MMDB_ASSIGN_OR_RETURN(Relation r_rows, ReadAndDeletePartition(ctx, rs, rp));
+    MMDB_ASSIGN_OR_RETURN(Relation s_rows, ReadAndDeletePartition(ctx, ss, sp));
+    MMDB_RETURN_IF_ERROR(
+        JoinSpilledPair(r_rows, s_rows, spec, ctx, stats, depth, &out));
   }
   if (stats != nullptr) stats->output_tuples = out.num_tuples();
   return out;

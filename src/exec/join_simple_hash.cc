@@ -11,15 +11,15 @@ namespace {
 
 using exec_internal::JoinHashTable;
 
-/// Streams rows either from a memory-resident relation (pass 1) or from a
-/// passed-over spill file (later passes).
+/// Streams records either from a memory-resident relation (pass 1) or
+/// from a passed-over spill file (later passes). A record returned by
+/// Next() is valid until the next call.
 class RowSource {
  public:
   RowSource(const Relation* rel) : rel_(rel) {}
   RowSource(ExecContext* ctx, const Schema* schema,
             PartitionWriterSet::PartitionFile pf)
       : ctx_(ctx),
-        schema_(schema),
         pf_(pf),
         reader_(std::make_unique<PagedRecordReader>(
             ctx->disk, pf.file, schema->record_size(), IoKind::kSequential)),
@@ -29,26 +29,17 @@ class RowSource {
     if (reader_ != nullptr) ctx_->disk->DeleteFile(pf_.file);
   }
 
-  bool Next(Row* out) {
+  const char* Next() {
     if (rel_ != nullptr) {
-      if (pos_ >= rel_->num_tuples()) return false;
-      *out = rel_->rows()[static_cast<size_t>(pos_++)];
-      return true;
+      return pos_ < rel_->num_tuples() ? rel_->record(pos_++) : nullptr;
     }
-    if (!reader_->Next(buf_.data())) return false;
-    *out = DeserializeRow(*schema_, buf_.data());
-    return true;
-  }
-
-  int64_t records() const {
-    return rel_ != nullptr ? rel_->num_tuples() : pf_.records;
+    return reader_->Next(buf_.data()) ? buf_.data() : nullptr;
   }
 
  private:
   const Relation* rel_ = nullptr;
   int64_t pos_ = 0;
   ExecContext* ctx_ = nullptr;
-  const Schema* schema_ = nullptr;
   PartitionWriterSet::PartitionFile pf_{};
   std::unique_ptr<PagedRecordReader> reader_;
   std::vector<char> buf_;
@@ -80,8 +71,10 @@ StatusOr<Relation> SimpleHashJoin(const Relation& r, const Relation& s,
   // the paper's cost formula allows.
   const double slice = std::min(
       1.0, double(capacity) / double(std::max<int64_t>(1, r.num_tuples())));
-  auto bucket_of = [&](const Value& key) -> int64_t {
-    const uint64_t h = Mix64(HashValue(key) ^ 0x51CEDBEEFull);
+  const Field rkey = Field::Of(rs, spec.left_column);
+  const Field skey = Field::Of(ss, spec.right_column);
+  auto bucket_of = [&](uint64_t key_hash) -> int64_t {
+    const uint64_t h = Mix64(key_hash ^ 0x51CEDBEEFull);
     const double x = double(h >> 11) * 0x1.0p-53;
     return std::min<int64_t>(buckets - 1,
                              static_cast<int64_t>(x / slice));
@@ -95,23 +88,25 @@ StatusOr<Relation> SimpleHashJoin(const Relation& r, const Relation& s,
     ++executed_passes;
     const bool last_pass = pass == buckets - 1;
 
-    // Build phase: accept this pass's bucket, pass over the rest.
-    JoinHashTable table(spec.left_column, ctx->clock);
+    // Build phase: accept this pass's bucket, pass over the rest. The
+    // accepted records are copied into `held`, where they stay put for
+    // the table.
+    JoinHashTable table(rs, spec.left_column);
+    Relation held(rs);
     std::unique_ptr<PartitionWriterSet> r_passed;
     if (!last_pass) {
       r_passed = std::make_unique<PartitionWriterSet>(
           ctx, rs, 1, IoKind::kSequential, "simple_r_pass");
     }
-    Row row;
-    while (r_source->Next(&row)) {
+    while (const char* rec = r_source->Next()) {
       ctx->clock->Hash();
-      const Value& key = row[static_cast<size_t>(spec.left_column)];
-      if (bucket_of(key) == pass) {
+      if (bucket_of(rkey.Hash(rec)) == pass) {
         ctx->clock->Move();
-        table.Insert(std::move(row));
+        held.Append(rec);
+        table.Insert(held.record(held.num_tuples() - 1));
       } else {
         MMDB_CHECK_MSG(!last_pass, "tuple escaped every simple-hash pass");
-        MMDB_RETURN_IF_ERROR(r_passed->Append(0, row));
+        MMDB_RETURN_IF_ERROR(r_passed->Append(0, rec));
       }
     }
 
@@ -121,15 +116,14 @@ StatusOr<Relation> SimpleHashJoin(const Relation& r, const Relation& s,
       s_passed = std::make_unique<PartitionWriterSet>(
           ctx, ss, 1, IoKind::kSequential, "simple_s_pass");
     }
-    while (s_source->Next(&row)) {
+    while (const char* s_rec = s_source->Next()) {
       ctx->clock->Hash();
-      const Value& key = row[static_cast<size_t>(spec.right_column)];
-      if (bucket_of(key) == pass) {
-        table.Probe(key, [&](const Row& r_row) {
-          exec_internal::EmitJoined(r_row, row, &out);
-        });
+      if (bucket_of(skey.Hash(s_rec)) == pass) {
+        ctx->clock->Comp(table.Match(skey, s_rec, [&](const char* r_rec) {
+          exec_internal::EmitJoined(r_rec, rs.record_size(), s_rec, &out);
+        }));
       } else {
-        MMDB_RETURN_IF_ERROR(s_passed->Append(0, row));
+        MMDB_RETURN_IF_ERROR(s_passed->Append(0, s_rec));
       }
     }
 

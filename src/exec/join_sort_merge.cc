@@ -1,3 +1,5 @@
+#include <cstring>
+
 #include "common/check.h"
 #include "exec/external_sort.h"
 #include "exec/join.h"
@@ -19,43 +21,45 @@ StatusOr<Relation> SortMergeJoin(const Relation& r, const Relation& s,
   MMDB_ASSIGN_OR_RETURN(auto s_stream,
                         SortRelation(s, spec.right_column, ctx, &s_sort));
 
-  Relation out(Schema::Concat(r.schema(), s.schema()));
+  const Schema& rs = r.schema();
+  const Schema& ss = s.schema();
+  Relation out(Schema::Concat(rs, ss));
+  const Field rkey = Field::Of(rs, spec.left_column);
+  const Field skey = Field::Of(ss, spec.right_column);
+  const size_t s_size = static_cast<size_t>(ss.record_size());
 
-  Row r_row, s_row;
-  MMDB_ASSIGN_OR_RETURN(bool r_ok, r_stream->Next(&r_row));
-  MMDB_ASSIGN_OR_RETURN(bool s_ok, s_stream->Next(&s_row));
+  MMDB_ASSIGN_OR_RETURN(const char* r_rec, r_stream->Next());
+  MMDB_ASSIGN_OR_RETURN(const char* s_rec, s_stream->Next());
+  // The current key group: its first R record and its S records, copied
+  // (a stream's record lasts until its next call).
+  std::vector<char> key(static_cast<size_t>(rs.record_size()));
+  std::vector<char> s_group;
 
-  auto r_key = [&]() -> const Value& {
-    return r_row[static_cast<size_t>(spec.left_column)];
-  };
-  auto s_key = [&]() -> const Value& {
-    return s_row[static_cast<size_t>(spec.right_column)];
-  };
-
-  while (r_ok && s_ok) {
+  while (r_rec != nullptr && s_rec != nullptr) {
     ctx->clock->Comp();
-    const int cmp = CompareValues(r_key(), s_key());
+    const int cmp = CompareFields(rkey, r_rec, skey, s_rec);
     if (cmp < 0) {
-      MMDB_ASSIGN_OR_RETURN(r_ok, r_stream->Next(&r_row));
+      MMDB_ASSIGN_OR_RETURN(r_rec, r_stream->Next());
     } else if (cmp > 0) {
-      MMDB_ASSIGN_OR_RETURN(s_ok, s_stream->Next(&s_row));
+      MMDB_ASSIGN_OR_RETURN(s_rec, s_stream->Next());
     } else {
       // Key group: collect all equal S tuples, then stream the R side.
-      const Value key = r_key();
-      std::vector<Row> s_group;
-      while (s_ok) {
+      std::memcpy(key.data(), r_rec, key.size());
+      s_group.clear();
+      while (s_rec != nullptr) {
         ctx->clock->Comp();
-        if (CompareValues(s_key(), key) != 0) break;
-        s_group.push_back(std::move(s_row));
-        MMDB_ASSIGN_OR_RETURN(s_ok, s_stream->Next(&s_row));
+        if (CompareFields(skey, s_rec, rkey, key.data()) != 0) break;
+        s_group.insert(s_group.end(), s_rec, s_rec + s_size);
+        MMDB_ASSIGN_OR_RETURN(s_rec, s_stream->Next());
       }
-      while (r_ok) {
+      while (r_rec != nullptr) {
         ctx->clock->Comp();
-        if (CompareValues(r_key(), key) != 0) break;
-        for (const Row& sg : s_group) {
-          exec_internal::EmitJoined(r_row, sg, &out);
+        if (CompareFields(rkey, r_rec, rkey, key.data()) != 0) break;
+        for (size_t off = 0; off < s_group.size(); off += s_size) {
+          exec_internal::EmitJoined(r_rec, rs.record_size(),
+                                    s_group.data() + off, &out);
         }
-        MMDB_ASSIGN_OR_RETURN(r_ok, r_stream->Next(&r_row));
+        MMDB_ASSIGN_OR_RETURN(r_rec, r_stream->Next());
       }
     }
   }

@@ -22,8 +22,8 @@ HashPartitioner HashPartitioner::Hybrid(double q0, int64_t spilled,
   return HashPartitioner(spilled + 1, q0, level);
 }
 
-int64_t HashPartitioner::PartitionOf(const Value& key) const {
-  const uint64_t h = Mix64(HashValue(key) ^ salt_);
+int64_t HashPartitioner::PartitionOf(uint64_t hash) const {
+  const uint64_t h = Mix64(hash ^ salt_);
   // One mapping for both shapes: project the hash onto [0,1) and carve the
   // unit interval. The uniform split is exactly the hybrid split with
   // q0 = 0, so the two constructors can never disagree for the same key
@@ -46,9 +46,7 @@ int64_t HashPartitioner::PartitionOf(const Value& key) const {
 PartitionWriterSet::PartitionWriterSet(ExecContext* ctx, const Schema& schema,
                                        int64_t num_partitions, IoKind kind,
                                        const std::string& name_prefix)
-    : ctx_(ctx),
-      schema_(schema),
-      record_buf_(static_cast<size_t>(schema.record_size())) {
+    : ctx_(ctx) {
   writers_.reserve(static_cast<size_t>(num_partitions));
   for (int64_t i = 0; i < num_partitions; ++i) {
     writers_.push_back(std::make_unique<PagedRecordWriter>(
@@ -57,11 +55,10 @@ PartitionWriterSet::PartitionWriterSet(ExecContext* ctx, const Schema& schema,
   }
 }
 
-Status PartitionWriterSet::Append(int64_t p, const Row& row) {
+Status PartitionWriterSet::Append(int64_t p, const char* rec) {
   MMDB_DCHECK(p >= 0 && p < static_cast<int64_t>(writers_.size()));
   ctx_->clock->Move();
-  MMDB_RETURN_IF_ERROR(SerializeRow(schema_, row, record_buf_.data()));
-  return writers_[static_cast<size_t>(p)]->Append(record_buf_.data());
+  return writers_[static_cast<size_t>(p)]->Append(rec);
 }
 
 Status PartitionWriterSet::FinishAll() {
@@ -104,17 +101,15 @@ std::vector<PartitionWriterSet::PartitionFile> PartitionWriterSet::Release() {
   return out;
 }
 
-StatusOr<std::vector<Row>> ReadAndDeletePartition(
+StatusOr<Relation> ReadAndDeletePartition(
     ExecContext* ctx, const Schema& schema,
     const PartitionWriterSet::PartitionFile& pf) {
-  std::vector<Row> rows;
-  rows.reserve(static_cast<size_t>(pf.records));
+  Relation rows(schema);
+  rows.Reserve(pf.records);
   PagedRecordReader reader(ctx->disk, pf.file, schema.record_size(),
                            IoKind::kSequential);
   std::vector<char> buf(static_cast<size_t>(schema.record_size()));
-  while (reader.Next(buf.data())) {
-    rows.push_back(DeserializeRow(schema, buf.data()));
-  }
+  while (reader.Next(buf.data())) rows.Append(buf.data());
   ctx->disk->DeleteFile(pf.file);
   return rows;
 }

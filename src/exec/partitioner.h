@@ -31,8 +31,9 @@ class HashPartitioner {
   /// resident); the rest spreads uniformly over partitions 1..spilled.
   static HashPartitioner Hybrid(double q0, int64_t spilled, uint32_t level = 0);
 
-  /// Partition of a key (the caller charges the clock for the hash).
-  int64_t PartitionOf(const Value& key) const;
+  /// Partition of a key whose HashValue is `hash` (the caller charges the
+  /// clock for the hash).
+  int64_t PartitionOf(uint64_t hash) const;
 
   int64_t num_partitions() const { return num_partitions_; }
   double q0() const { return q0_; }
@@ -62,8 +63,8 @@ class PartitionWriterSet {
                      int64_t num_partitions, IoKind kind,
                      const std::string& name_prefix);
 
-  /// Serializes `row` into partition `p`'s buffer.
-  Status Append(int64_t p, const Row& row);
+  /// Copies the record at `rec` into partition `p`'s buffer.
+  Status Append(int64_t p, const char* rec);
 
   /// Flushes all partial buffers; after this, Release() is valid.
   Status FinishAll();
@@ -73,14 +74,12 @@ class PartitionWriterSet {
 
  private:
   ExecContext* ctx_;
-  const Schema& schema_;
   std::vector<std::unique_ptr<PagedRecordWriter>> writers_;
-  std::vector<char> record_buf_;
 };
 
 /// Reads a whole spilled partition back into memory (sequential I/O),
 /// deleting the file afterwards.
-StatusOr<std::vector<Row>> ReadAndDeletePartition(
+StatusOr<Relation> ReadAndDeletePartition(
     ExecContext* ctx, const Schema& schema,
     const PartitionWriterSet::PartitionFile& pf);
 

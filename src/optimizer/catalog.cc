@@ -21,18 +21,24 @@ Status Catalog::RegisterTable(const std::string& name,
   entry.stats.columns.resize(static_cast<size_t>(schema.num_columns()));
   for (int c = 0; c < schema.num_columns(); ++c) {
     ColumnStats& cs = entry.stats.columns[static_cast<size_t>(c)];
+    const Field f = Field::Of(schema, c);
     std::unordered_set<uint64_t> distinct;
-    for (const Row& row : relation->rows()) {
-      const Value& v = row[static_cast<size_t>(c)];
-      distinct.insert(HashValue(v));
-      if (!cs.has_min_max) {
-        cs.min_value = v;
-        cs.max_value = v;
-        cs.has_min_max = true;
+    const char* min = nullptr;
+    const char* max = nullptr;
+    for (int64_t i = 0; i < relation->num_tuples(); ++i) {
+      const char* rec = relation->record(i);
+      distinct.insert(f.Hash(rec));
+      if (min == nullptr) {
+        min = max = rec;
       } else {
-        if (CompareValues(v, cs.min_value) < 0) cs.min_value = v;
-        if (CompareValues(v, cs.max_value) > 0) cs.max_value = v;
+        if (CompareFields(f, rec, f, min) < 0) min = rec;
+        if (CompareFields(f, rec, f, max) > 0) max = rec;
       }
+    }
+    if (min != nullptr) {
+      cs.min_value = f.Read(min);
+      cs.max_value = f.Read(max);
+      cs.has_min_max = true;
     }
     cs.num_distinct = static_cast<int64_t>(distinct.size());
   }

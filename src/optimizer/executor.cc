@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
+#include <numeric>
 
 #include "cache/reuse_cache.h"
 #include "common/check.h"
@@ -25,11 +27,11 @@ struct CacheRun {
 /// plus whatever keeps its source alive — rows the node owns, a resident
 /// catalog table (nothing to hold), or a pinned reuse-cache result (`pin_`
 /// keeps an evicted entry alive). Filter narrows the view's selection and
-/// Project its column map; both hand the holder on unchanged. Row pointers
-/// into catalog tables are safe because SQL reads hold the shared database
-/// latch for the whole statement and writers take it exclusively; none
-/// outlives the statement, because ExecutePlan materializes (or
-/// aggregates) its root.
+/// Project its column map; both hand the holder on unchanged. Reading
+/// catalog tables in place is safe because SQL reads hold the shared
+/// database latch for the whole statement and writers take it
+/// exclusively; no view outlives the statement, because ExecutePlan
+/// materializes (or aggregates) its root.
 class NodeResult {
  public:
   static NodeResult Owned(Relation rel) {
@@ -47,9 +49,9 @@ class NodeResult {
     return r;
   }
 
-  // Moving an owner keeps its view valid: the rows' buffer moves with the
-  // relation, so selected row pointers still address it, and only the
-  // view's source follows the relation to its new address.
+  // Moving an owner keeps its view valid: the records' blocks move with
+  // the relation, selections are ordinals, and only the view's source
+  // follows the relation to its new address.
   NodeResult(NodeResult&& other) noexcept { *this = std::move(other); }
   NodeResult& operator=(NodeResult&& other) noexcept {
     owns_ = other.owns_;
@@ -67,7 +69,7 @@ class NodeResult {
   /// the rows its view shows, copied otherwise.
   Relation Materialize() && {
     if (owns_ && view_.identity()) return std::move(owned_);
-    return std::move(view_).Materialize();
+    return view_.Materialize();
   }
   /// The rows as a relation for the row-major join kernels: the view's
   /// source when the view is all of it, else a copy kept in `*copy`.
@@ -95,36 +97,28 @@ StatusOr<int> FindColumn(const std::vector<ColumnRef>& columns,
 }
 
 /// The one filter driver: `in` is only read, and the result is the
-/// survivors' selection in input order — pointers to `in`'s source rows;
-/// nothing is copied. Each row is charged one Comp per predicate evaluated
-/// with early exit (most selective first, §4); the loop tallies its Comps
-/// and charges them once. The predicates are bound to source columns once,
-/// before the loop; `col_indexes` are view columns.
-std::vector<const Row*> FilterRows(const RowView& in,
-                                   const std::vector<Predicate>& preds,
-                                   const std::vector<int>& col_indexes,
-                                   ExecContext* ctx) {
+/// survivors' selection in input order — ordinals of `in`'s source
+/// records; nothing is copied. The predicates are bound to source fields
+/// once (`col_indexes` are view columns) and run one at a time, each over
+/// the survivors of those before it (most selective first, §4), so each
+/// row is charged one Comp per predicate evaluated with early exit; the
+/// Comps are tallied and charged once.
+std::vector<int64_t> FilterRows(const RowView& in,
+                                const std::vector<Predicate>& preds,
+                                const std::vector<int>& col_indexes,
+                                ExecContext* ctx) {
+  const Relation& source = *in.source();
   std::vector<BoundPredicate> bound;
   bound.reserve(preds.size());
   for (size_t i = 0; i < preds.size(); ++i) {
-    bound.emplace_back(preds[i], in.source_column(col_indexes[i]));
+    bound.emplace_back(preds[i], source.schema(),
+                       in.source_column(col_indexes[i]));
   }
-  std::vector<const Row*> keep;
   int64_t comps = 0;
-  for (int64_t r = 0; r < in.size(); ++r) {
-    const Row& row = in.row(r);
-    bool pass = true;
-    for (const BoundPredicate& pred : bound) {
-      ++comps;
-      if (!pred.Matches(row)) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) keep.push_back(&row);
-  }
+  std::vector<int64_t> survivors =
+      SelectConjunction(source, in.selection(), in.size(), bound, &comps);
   ctx->clock->Comp(comps);
-  return keep;
+  return survivors;
 }
 
 StatusOr<NodeResult> Owned(StatusOr<Relation> rel) {
@@ -138,19 +132,15 @@ StatusOr<NodeResult> ExecuteRec(const PlanNode& plan, const Catalog& catalog,
 
 /// The in-memory hybrid hash join's build (DESIGN.md §15): a hash table
 /// over the materialized build side, with the single-partition hybrid's
-/// exact charges — one Hash and one Move per build tuple, rows inserted in
-/// input order. The table owns its rows, so a borrowed build is copied
-/// here (an owned one is moved).
+/// exact charges — one Hash and one Move per build tuple, records inserted
+/// in input order. The table owns its records, so a borrowed build is
+/// copied here (an owned one is moved).
 std::shared_ptr<CachedBuild> BuildTable(NodeResult build, int key,
                                         ExecContext* ctx) {
-  auto cb = std::make_shared<CachedBuild>(key, build.view().schema());
   const int64_t n = build.view().size();
   ctx->clock->Hash(n);
   ctx->clock->Move(n);
-  Relation rows = std::move(build).Materialize();
-  for (Row& row : rows.mutable_rows()) cb->table.Insert(std::move(row));
-  cb->rows = cb->table.size();
-  return cb;
+  return std::make_shared<CachedBuild>(std::move(build).Materialize(), key);
 }
 
 StatusOr<NodeResult> ExecuteJoinNode(const PlanNode& plan,
@@ -181,7 +171,7 @@ StatusOr<NodeResult> ExecuteJoinNode(const PlanNode& plan,
           ExecuteRec(pnode, catalog, ctx, indexes, trace, reuse));
       reuse->state[&plan] = 2;
       return NodeResult::Owned(exec_internal::ProbeHashTable(
-          cached->table, cached->schema, probe.view(), ppos, ctx));
+          cached->table, cached->records.schema(), probe.view(), ppos, ctx));
     }
   }
   // With the cache on, the probe child runs first so that, on a miss, the
@@ -210,8 +200,8 @@ StatusOr<NodeResult> ExecuteJoinNode(const PlanNode& plan,
     const int64_t build_tuples = build.view().size();
     std::shared_ptr<CachedBuild> cb = BuildTable(std::move(build), bpos, ctx);
     const double build_cost = ctx->clock->Seconds() - build_t0;
-    Relation out = exec_internal::ProbeHashTable(cb->table, cb->schema,
-                                                 probe.view(), ppos, ctx);
+    Relation out = exec_internal::ProbeHashTable(
+        cb->table, cb->records.schema(), probe.view(), ppos, ctx);
     if (reuse != nullptr) {
       reuse->cache->InstallBuild(reuse->fps.canonical[&bnode], bpos,
                                  reuse->fps.tables[&bnode], std::move(cb),
@@ -275,7 +265,7 @@ StatusOr<NodeResult> ExecuteNode(const PlanNode& plan, const Catalog& catalog,
         col_indexes.push_back(idx);
       }
       const int64_t rows_in = child.view().size();
-      std::vector<const Row*> survivors =
+      std::vector<int64_t> survivors =
           FilterRows(child.view(), plan.predicates, col_indexes, ctx);
       const int64_t rows_out = static_cast<int64_t>(survivors.size());
       child.mutable_view()->Select(std::move(survivors));
@@ -303,18 +293,6 @@ StatusOr<NodeResult> ExecuteNode(const PlanNode& plan, const Catalog& catalog,
     }
   }
   return Status::Internal("unknown plan node kind");
-}
-
-/// Offers a node's result to the reuse cache. The view's byte count is
-/// taken only when the cost floor has not refused it, and the view is
-/// materialized only when the size caps have not either.
-void OfferResult(CacheRun& reuse, const std::string& fp,
-                 const PlanNode& plan, const RowView& view,
-                 double cost_seconds) {
-  reuse.cache->InstallResult(
-      fp, reuse.fps.tables[&plan], cost_seconds,
-      [&view] { return ReuseCache::MinViewBytes(view); },
-      [&view] { return view.Materialize(); });
 }
 
 /// Trace-aware recursion step: with no trace this is just ExecuteNode;
@@ -354,8 +332,8 @@ StatusOr<NodeResult> ExecuteRec(const PlanNode& plan, const Catalog& catalog,
     StatusOr<NodeResult> out =
         ExecuteNode(plan, catalog, ctx, indexes, trace, reuse);
     if (out.ok()) {
-      OfferResult(*reuse, fp, plan, out->view(),
-                  ctx->clock->Seconds() - seconds_before);
+      reuse->cache->InstallResult(fp, reuse->fps.tables[&plan], out->view(),
+                                  ctx->clock->Seconds() - seconds_before);
     }
     return out;
   }
@@ -388,7 +366,10 @@ StatusOr<NodeResult> ExecuteRec(const PlanNode& plan, const Catalog& catalog,
   st.wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                    wall_after - wall_before)
                    .count();
-  if (cacheable) OfferResult(*reuse, fp, plan, out->view(), st.cost_seconds);
+  if (cacheable) {
+    reuse->cache->InstallResult(fp, reuse->fps.tables[&plan], out->view(),
+                                st.cost_seconds);
+  }
   if (reuse != nullptr) {
     auto sit = reuse->state.find(&plan);
     if (sit != reuse->state.end()) st.cache_state = sit->second;
@@ -414,7 +395,7 @@ StatusOr<Relation> ExecutePlan(const PlanNode& plan, const Catalog& catalog,
                  reuse.cache != nullptr ? &reuse : nullptr));
   // The root is the last pipeline breaker: it aggregates straight from
   // the view, or materializes (a borrowed or narrowed root is copied), so
-  // no row pointer outlives the statement's latch.
+  // no view of a table outlives the statement's latch.
   if (aggregate != nullptr) {
     return AggregateView(root.view(), *aggregate, ctx, agg_stats);
   }

@@ -1,6 +1,11 @@
 #include "optimizer/predicate.h"
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
+#include <numeric>
+#include <string_view>
+#include <type_traits>
 
 #include "common/check.h"
 
@@ -39,6 +44,84 @@ std::string Predicate::ToString() const {
 }
 
 namespace {
+
+/// BoundPredicate::Select's loop with the match test `keep(record)`.
+template <typename Keep>
+int64_t SelectWith(const Relation& source, const int64_t* in, int64_t n,
+                   int64_t* out, const Keep& keep) {
+  int64_t k = 0;
+  if (in != nullptr) {
+    for (int64_t j = 0; j < n; ++j) {
+      const int64_t ord = in[j];
+      out[k] = ord;
+      k += keep(source.record(ord));
+    }
+    return k;
+  }
+  // Every record: walk each block's records by stride.
+  const int32_t size = source.schema().record_size();
+  for (int64_t first = 0; first < n; first += Relation::kBlockRecords) {
+    const int64_t end = std::min(n, first + Relation::kBlockRecords);
+    const char* rec = source.record(first);
+    for (int64_t i = first; i < end; ++i, rec += size) {
+      out[k] = i;
+      k += keep(rec);
+    }
+  }
+  return k;
+}
+
+/// `v <op> lit` for a field value `v` of type T: INT64, DOUBLE or a CHAR
+/// as a string_view. Agrees with the three-way CompareValues; a double is
+/// spelled with < and > only, so that a NaN compares equal to everything,
+/// as CompareNative has it. kPrefix holds for strings only.
+template <CmpOp kOp, typename T>
+bool Holds(T v, T lit) {
+  if constexpr (kOp == CmpOp::kPrefix) {
+    if constexpr (std::is_same_v<T, std::string_view>) {
+      return v.substr(0, lit.size()) == lit;
+    } else {
+      return false;
+    }
+  } else if constexpr (std::is_floating_point_v<T>) {
+    if constexpr (kOp == CmpOp::kEq) return !(v < lit) & !(v > lit);
+    if constexpr (kOp == CmpOp::kNe) return (v < lit) | (v > lit);
+    if constexpr (kOp == CmpOp::kLt) return v < lit;
+    if constexpr (kOp == CmpOp::kLe) return !(v > lit);
+    if constexpr (kOp == CmpOp::kGt) return v > lit;
+    if constexpr (kOp == CmpOp::kGe) return !(v < lit);
+  } else {
+    if constexpr (kOp == CmpOp::kEq) return v == lit;
+    if constexpr (kOp == CmpOp::kNe) return v != lit;
+    if constexpr (kOp == CmpOp::kLt) return v < lit;
+    if constexpr (kOp == CmpOp::kLe) return v <= lit;
+    if constexpr (kOp == CmpOp::kGt) return v > lit;
+    if constexpr (kOp == CmpOp::kGe) return v >= lit;
+  }
+}
+
+/// Returns fn(op) with `op` a std::integral_constant for `op`.
+template <typename Fn>
+auto WithOp(CmpOp op, const Fn& fn) {
+  using C = CmpOp;
+  switch (op) {
+    case C::kEq:
+      return fn(std::integral_constant<C, C::kEq>{});
+    case C::kNe:
+      return fn(std::integral_constant<C, C::kNe>{});
+    case C::kLt:
+      return fn(std::integral_constant<C, C::kLt>{});
+    case C::kLe:
+      return fn(std::integral_constant<C, C::kLe>{});
+    case C::kGt:
+      return fn(std::integral_constant<C, C::kGt>{});
+    case C::kGe:
+      return fn(std::integral_constant<C, C::kGe>{});
+    case C::kPrefix:
+      break;
+  }
+  return fn(std::integral_constant<C, C::kPrefix>{});
+}
 
 double AsDouble(const Value& v) {
   if (std::holds_alternative<int64_t>(v)) {
@@ -89,9 +172,49 @@ double EstimateSelectivity(const Predicate& pred, const TableEntry& entry) {
   return 1.0;
 }
 
-BoundPredicate::BoundPredicate(const Predicate& pred, size_t column)
-    : column_(column), op_(pred.op), type_(TypeOf(pred.literal)) {
-  switch (type_) {
+template <typename Fn>
+auto BoundPredicate::WithTest(const Fn& fn) const {
+  const Field f = field_;
+  return WithOp(op_, [&](auto op) {
+    constexpr CmpOp kOp = decltype(op)::value;
+    switch (f.type) {
+      case ValueType::kInt64:
+        return fn([f, lit = int_](const char* rec) {
+          return Holds<kOp>(f.Int(rec), lit);
+        });
+      case ValueType::kDouble:
+        return fn([f, lit = double_](const char* rec) {
+          return Holds<kOp>(f.Double(rec), lit);
+        });
+      case ValueType::kString:
+        break;
+    }
+    return fn([f, lit = std::string_view(string_)](const char* rec) {
+      return Holds<kOp>(f.Chars(rec), lit);
+    });
+  });
+}
+
+int64_t BoundPredicate::Select(const Relation& source, const int64_t* in,
+                               int64_t n, int64_t* out) const {
+  if (never_) return 0;
+  return WithTest([&](const auto& keep) {
+    return SelectWith(source, in, n, out, keep);
+  });
+}
+
+bool BoundPredicate::Matches(const char* rec) const {
+  if (never_) return false;
+  return WithTest([rec](const auto& keep) { return keep(rec); });
+}
+
+BoundPredicate::BoundPredicate(const Predicate& pred, const Schema& schema,
+                               int column)
+    : field_(Field::Of(schema, column)),
+      op_(pred.op),
+      never_(TypeOf(pred.literal) != field_.type) {
+  if (never_) return;
+  switch (field_.type) {
     case ValueType::kInt64:
       int_ = std::get<int64_t>(pred.literal);
       break;
@@ -102,6 +225,26 @@ BoundPredicate::BoundPredicate(const Predicate& pred, size_t column)
       string_ = std::get<std::string>(pred.literal);
       break;
   }
+}
+
+std::vector<int64_t> SelectConjunction(const Relation& source,
+                                       const int64_t* sel, int64_t n,
+                                       const std::vector<BoundPredicate>& preds,
+                                       int64_t* comps) {
+  // Survivors are written in place, and a slot is touched only once a
+  // record reaches it, so this buffer is left uninitialized.
+  std::unique_ptr<int64_t[]> buf(new int64_t[static_cast<size_t>(n)]);
+  for (const BoundPredicate& pred : preds) {
+    *comps += n;
+    n = pred.Select(source, sel, n, buf.get());
+    sel = buf.get();
+  }
+  if (sel == nullptr) {
+    std::vector<int64_t> all(static_cast<size_t>(n));
+    std::iota(all.begin(), all.end(), int64_t{0});
+    return all;
+  }
+  return std::vector<int64_t>(sel, sel + n);
 }
 
 }  // namespace mmdb

@@ -2,9 +2,11 @@
 #define MMDB_OPTIMIZER_PREDICATE_H_
 
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "optimizer/catalog.h"
+#include "storage/relation.h"
 #include "storage/row.h"
 
 namespace mmdb {
@@ -32,65 +34,50 @@ struct Predicate {
 /// heuristic (0.05 fallback).
 double EstimateSelectivity(const Predicate& pred, const TableEntry& entry);
 
-/// A Predicate resolved once, before a row loop: the source column it
-/// reads, its operator and its literal as a native value. Matches(row) is
-/// `row[column] <op> literal`. A value of another type than the literal
-/// never matches, kPrefix matches strings only, and the other operators
-/// test CompareValues' three-way result.
+/// A Predicate resolved once, before a record loop: the field it reads,
+/// its operator and its literal as a native value. Matches(rec) is
+/// `field <op> literal` on the field's bytes in place, agreeing with
+/// CompareValues on the materialized field. A literal of another type than
+/// the column never matches, kPrefix matches strings only, and the other
+/// operators test the three-way comparison.
 class BoundPredicate {
  public:
-  BoundPredicate(const Predicate& pred, size_t column);
+  BoundPredicate(const Predicate& pred, const Schema& schema, int column);
 
-  size_t column() const { return column_; }
+  /// Writes to `out`, in order, the ordinals of `source`'s records that
+  /// match: of the `n` ordinals at `in`, or of records 0..n-1 when `in` is
+  /// null. Returns how many it wrote. Each candidate is written and only a
+  /// match advances the end, so the loop does not branch on the outcome;
+  /// `out` may be `in`.
+  int64_t Select(const Relation& source, const int64_t* in, int64_t n,
+                 int64_t* out) const;
 
-  bool Matches(const Row& row) const {
-    const Value& v = row[column_];
-    if (v.index() != static_cast<size_t>(type_)) return false;
-    switch (type_) {
-      case ValueType::kInt64:
-        return Test(CompareNative(*std::get_if<int64_t>(&v), int_));
-      case ValueType::kDouble:
-        return Test(CompareNative(*std::get_if<double>(&v), double_));
-      case ValueType::kString:
-        break;
-    }
-    const std::string& s = *std::get_if<std::string>(&v);
-    if (op_ == CmpOp::kPrefix) {
-      return s.size() >= string_.size() &&
-             s.compare(0, string_.size(), string_) == 0;
-    }
-    const int c = s.compare(string_);
-    return Test(c < 0 ? -1 : (c > 0 ? 1 : 0));
-  }
+  /// Whether the record at `rec` matches: the test Select runs.
+  bool Matches(const char* rec) const;
 
  private:
-  bool Test(int cmp) const {
-    switch (op_) {
-      case CmpOp::kEq:
-        return cmp == 0;
-      case CmpOp::kNe:
-        return cmp != 0;
-      case CmpOp::kLt:
-        return cmp < 0;
-      case CmpOp::kLe:
-        return cmp <= 0;
-      case CmpOp::kGt:
-        return cmp > 0;
-      case CmpOp::kGe:
-        return cmp >= 0;
-      case CmpOp::kPrefix:
-        return false;  // only a string literal prefixes, and never a number
-    }
-    return false;
-  }
+  /// Returns fn(keep), where keep(rec) is this predicate's test of the
+  /// record at `rec`, specialized for the field's type and the operator.
+  template <typename Fn>
+  auto WithTest(const Fn& fn) const;
 
-  size_t column_;
+  Field field_;
   CmpOp op_;
-  ValueType type_;
+  bool never_;  ///< the literal's type is not the column's
   int64_t int_ = 0;
   double double_ = 0;
   std::string string_;
 };
+
+/// The ordinals of `source`'s records that pass every one of `preds`, in
+/// order: of the `n` ordinals at `sel`, or of records 0..n-1 when `sel` is
+/// null. Runs one Select pass per predicate over the previous pass's
+/// survivors, so a record costs one Comp per predicate evaluated with early
+/// exit; adds those Comps to `*comps`.
+std::vector<int64_t> SelectConjunction(const Relation& source,
+                                       const int64_t* sel, int64_t n,
+                                       const std::vector<BoundPredicate>& preds,
+                                       int64_t* comps);
 
 }  // namespace mmdb
 

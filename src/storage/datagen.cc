@@ -8,18 +8,6 @@
 
 namespace mmdb {
 
-std::string_view KeyDistributionName(KeyDistribution d) {
-  switch (d) {
-    case KeyDistribution::kUniqueShuffled:
-      return "unique";
-    case KeyDistribution::kUniform:
-      return "uniform";
-    case KeyDistribution::kZipf:
-      return "zipf";
-  }
-  return "unknown";
-}
-
 Relation MakeKeyedRelation(const GenOptions& opts) {
   MMDB_CHECK(opts.num_tuples >= 0);
   MMDB_CHECK_MSG(opts.tuple_width >= 16, "tuple_width must be >= 16");

@@ -44,9 +44,6 @@ Relation MakeKeyedRelation(const GenOptions& opts);
 Relation MakeEmployeeRelation(int64_t num_tuples, int32_t tuple_width,
                               uint64_t seed);
 
-/// Pretty name for a distribution (logging).
-std::string_view KeyDistributionName(KeyDistribution d);
-
 }  // namespace mmdb
 
 #endif  // MMDB_STORAGE_DATAGEN_H_

@@ -6,87 +6,50 @@
 
 namespace mmdb {
 
+Status WriteField(const Column& col, const Value& v, char* out) {
+  if (TypeOf(v) != col.type) {
+    return Status::InvalidArgument("type mismatch in column " + col.name);
+  }
+  if (const int64_t* i = std::get_if<int64_t>(&v)) {
+    std::memcpy(out, i, sizeof(*i));
+  } else if (const double* d = std::get_if<double>(&v)) {
+    std::memcpy(out, d, sizeof(*d));
+  } else {
+    const std::string& s = std::get<std::string>(v);
+    if (static_cast<int32_t>(s.size()) > col.width) {
+      return Status::InvalidArgument("string too wide for column " + col.name);
+    }
+    std::memcpy(out, s.data(), s.size());
+    std::memset(out + s.size(), 0, static_cast<size_t>(col.width) - s.size());
+  }
+  return Status::OK();
+}
+
 Status SerializeRow(const Schema& schema, const Row& row, char* out) {
   if (static_cast<int>(row.size()) != schema.num_columns()) {
     return Status::InvalidArgument("row arity does not match schema");
   }
   for (int i = 0; i < schema.num_columns(); ++i) {
-    const Column& col = schema.column(i);
-    const Value& v = row[static_cast<size_t>(i)];
-    if (TypeOf(v) != col.type) {
-      return Status::InvalidArgument("type mismatch in column " + col.name);
-    }
-    char* dst = out + schema.offset(i);
-    switch (col.type) {
-      case ValueType::kInt64: {
-        int64_t x = std::get<int64_t>(v);
-        std::memcpy(dst, &x, sizeof(x));
-        break;
-      }
-      case ValueType::kDouble: {
-        double x = std::get<double>(v);
-        std::memcpy(dst, &x, sizeof(x));
-        break;
-      }
-      case ValueType::kString: {
-        const std::string& s = std::get<std::string>(v);
-        if (static_cast<int32_t>(s.size()) > col.width) {
-          return Status::InvalidArgument("string too wide for column " +
-                                         col.name);
-        }
-        std::memset(dst, 0, static_cast<size_t>(col.width));
-        std::memcpy(dst, s.data(), s.size());
-        break;
-      }
-    }
+    MMDB_RETURN_IF_ERROR(WriteField(schema.column(i),
+                                    row[static_cast<size_t>(i)],
+                                    out + schema.offset(i)));
   }
   return Status::OK();
+}
+
+Value Field::Read(const char* rec) const {
+  if (type == ValueType::kInt64) return Value{Int(rec)};
+  if (type == ValueType::kDouble) return Value{Double(rec)};
+  return Value{std::string(Chars(rec))};
 }
 
 Row DeserializeRow(const Schema& schema, const char* data) {
   Row row;
   row.reserve(static_cast<size_t>(schema.num_columns()));
   for (int i = 0; i < schema.num_columns(); ++i) {
-    const Column& col = schema.column(i);
-    const char* src = data + schema.offset(i);
-    switch (col.type) {
-      case ValueType::kInt64: {
-        int64_t x;
-        std::memcpy(&x, src, sizeof(x));
-        row.emplace_back(x);
-        break;
-      }
-      case ValueType::kDouble: {
-        double x;
-        std::memcpy(&x, src, sizeof(x));
-        row.emplace_back(x);
-        break;
-      }
-      case ValueType::kString: {
-        size_t len = 0;
-        while (len < static_cast<size_t>(col.width) && src[len] != '\0') ++len;
-        row.emplace_back(std::string(src, len));
-        break;
-      }
-    }
+    row.push_back(Field::Of(schema, i).Read(data));
   }
   return row;
-}
-
-int CompareRowsOn(const Row& a, const Row& b, int column) {
-  MMDB_DCHECK(column >= 0);
-  MMDB_DCHECK(static_cast<size_t>(column) < a.size());
-  MMDB_DCHECK(static_cast<size_t>(column) < b.size());
-  return CompareValues(a[static_cast<size_t>(column)],
-                       b[static_cast<size_t>(column)]);
-}
-
-Row ConcatRows(const Row& left, const Row& right) {
-  Row out;
-  out.reserve(left.size() + right.size());
-  out.insert(out.end(), left.begin(), left.end());
-  out.insert(out.end(), right.begin(), right.end());
-  return out;
 }
 
 std::string RowToString(const Row& row) {

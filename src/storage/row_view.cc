@@ -5,8 +5,8 @@
 
 namespace mmdb {
 
-void RowView::Select(std::vector<const Row*> rows) {
-  sel_ = std::move(rows);
+void RowView::Select(std::vector<int64_t> ordinals) {
+  sel_ = std::move(ordinals);
   selected_ = true;
 }
 
@@ -14,36 +14,30 @@ void RowView::Project(const std::vector<int>& columns) {
   Schema projected = schema().Select(columns);
   std::vector<int> cols;
   cols.reserve(columns.size());
-  for (int c : columns) cols.push_back(static_cast<int>(source_column(c)));
+  for (int c : columns) cols.push_back(source_column(c));
   cols_ = std::move(cols);
   schema_ = std::move(projected);
   mapped_ = true;
 }
 
-Row RowView::CopyRow(int64_t i) const {
-  const Row& src = row(i);
-  if (!mapped_) return src;
-  Row out;
-  out.reserve(cols_.size());
-  for (int c : cols_) out.push_back(src[static_cast<size_t>(c)]);
+void RowView::CopyTo(int64_t i, char* out) const {
+  const char* rec = record(i);
+  const Schema& src = source_->schema();
+  if (!mapped_) {
+    std::memcpy(out, rec, static_cast<size_t>(src.record_size()));
+    return;
+  }
+  for (int c = 0; c < schema_.num_columns(); ++c) {
+    std::memcpy(out + schema_.offset(c), rec + src.offset(cols_[size_t(c)]),
+                static_cast<size_t>(schema_.column(c).width));
+  }
+}
+
+Relation RowView::Materialize() const {
+  Relation out(schema());
+  out.Reserve(size());
+  for (int64_t i = 0; i < size(); ++i) CopyTo(i, out.AppendRecord());
   return out;
-}
-
-std::vector<Row> RowView::CopyRows() const {
-  std::vector<Row> rows;
-  rows.reserve(static_cast<size_t>(size()));
-  for (int64_t i = 0; i < size(); ++i) rows.push_back(CopyRow(i));
-  return rows;
-}
-
-Relation RowView::Materialize() const& {
-  return Relation(schema(), CopyRows());
-}
-
-Relation RowView::Materialize() && {
-  std::vector<Row> rows = CopyRows();
-  if (!mapped_) return Relation(source_->schema(), std::move(rows));
-  return Relation(std::move(schema_), std::move(rows));
 }
 
 int64_t RowView::NumPages(int64_t page_size) const {

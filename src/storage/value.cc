@@ -41,14 +41,8 @@ uint64_t HashValueSlow(const Value& v) {
   switch (TypeOf(v)) {
     case ValueType::kInt64:
       return Mix64(static_cast<uint64_t>(std::get<int64_t>(v)));
-    case ValueType::kDouble: {
-      double d = std::get<double>(v);
-      if (d == 0.0) d = 0.0;  // normalize -0.0
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(d));
-      std::memcpy(&bits, &d, sizeof(bits));
-      return Mix64(bits);
-    }
+    case ValueType::kDouble:
+      return HashDouble(std::get<double>(v));
     case ValueType::kString:
       return HashString(std::get<std::string>(v));
   }

@@ -2,6 +2,7 @@
 #define MMDB_STORAGE_VALUE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <variant>
 
@@ -33,6 +34,14 @@ inline ValueType TypeOf(const Value& v) {
 template <typename T>
 inline int CompareNative(T x, T y) {
   return x < y ? -1 : (x > y ? 1 : 0);
+}
+
+/// HashValue of a DOUBLE: its bits, with -0.0 normalized to 0.0.
+inline uint64_t HashDouble(double d) {
+  if (d == 0.0) d = 0.0;
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return Mix64(bits);
 }
 
 namespace value_internal {

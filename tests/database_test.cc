@@ -62,6 +62,48 @@ TEST_F(DatabaseTest, DdlErrors) {
             StatusCode::kInvalidArgument);  // schema
 }
 
+TEST_F(DatabaseTest, InsertRefusesCharWiderThanColumn) {
+  ASSERT_TRUE(db_.CreateIndex("dept", "dept_id",
+                              Database::IndexType::kHash).ok());
+  Sql("CREATE TABLE b (bid INT64, name CHAR(4))");
+  EXPECT_EQ(db_.ExecuteSql("INSERT INTO b VALUES (1, 'abcdefghij')")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // A multi-row statement with one row too wide changes nothing.
+  EXPECT_EQ(db_.ExecuteSql("INSERT INTO dept VALUES (9, 'ok'), "
+                           "(10, 'far too wide for twelve')")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Sql("SELECT * FROM b").relation.num_tuples(), 0);
+  EXPECT_EQ(Sql("SELECT * FROM dept").relation.num_tuples(), 5);
+  EXPECT_EQ(Sql("SELECT * FROM dept WHERE dept_id = 9").relation.num_tuples(),
+            0);
+  // The full width fits.
+  Sql("INSERT INTO b VALUES (1, 'abcd')");
+  auto r = Sql("SELECT name FROM b");
+  ASSERT_EQ(r.relation.num_tuples(), 1);
+  EXPECT_EQ(std::get<std::string>(r.relation.RowAt(0)[0]), "abcd");
+}
+
+TEST_F(DatabaseTest, UpdateRefusesCharWiderThanColumn) {
+  Sql("CREATE TABLE b (bid INT64, name CHAR(4))");
+  Sql("INSERT INTO b VALUES (1, 'ab')");
+  EXPECT_EQ(db_.ExecuteSql("UPDATE b SET name = 'zzzzzzzzzzzzzz' WHERE "
+                           "bid = 1")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  auto r = Sql("SELECT name FROM b");
+  ASSERT_EQ(r.relation.num_tuples(), 1);
+  EXPECT_EQ(std::get<std::string>(r.relation.RowAt(0)[0]), "ab");
+  Sql("UPDATE b SET name = 'wxyz' WHERE bid = 1");
+  EXPECT_EQ(std::get<std::string>(Sql("SELECT name FROM b").relation.RowAt(
+                0)[0]),
+            "wxyz");
+}
+
 TEST_F(DatabaseTest, IndexLookupAllTypes) {
   ASSERT_TRUE(db_.CreateIndex("emp", "emp_id",
                               Database::IndexType::kBTree).ok());
@@ -375,6 +417,51 @@ TEST_F(DatabaseTest, IndexScanResultsMatchFullScan) {
 // INSERT marks only the statistics stale; the first planning statement
 // rebuilds them once. What it plans with must equal a catalog built
 // fresh over the same rows.
+// An INSERT whose B+-tree insert fails on a later row keeps the rows
+// before it, so it must still retire the cached results that read the
+// table.
+TEST(DatabaseReuseTest, PartlyAppliedInsertInvalidatesCachedResults) {
+  Database::Options opts;
+  opts.buffer_pool_pages = 1;  // a leaf split needs a second frame
+  opts.reuse_cache_bytes = 1 << 20;
+  opts.reuse_min_cost_seconds = 0;
+  auto open = [](Database* db) {
+    ASSERT_TRUE(db->ExecuteSql("CREATE TABLE t (id INT64, v INT64)").ok());
+    ASSERT_TRUE(db->CreateIndex("t", "id", Database::IndexType::kBTree).ok());
+  };
+  auto row = [](int64_t id) {
+    return "(" + std::to_string(id) + ", 1)";
+  };
+  // The first row whose B+-tree insert fails.
+  int64_t fails_at = 0;
+  {
+    Database probe(opts);
+    open(&probe);
+    while (probe.ExecuteSql("INSERT INTO t VALUES " + row(fails_at)).ok()) {
+      ASSERT_LT(++fails_at, 100000);
+    }
+  }
+  ASSERT_GT(fails_at, 1);
+  Database db(opts);
+  open(&db);
+  for (int64_t id = 0; id + 1 < fails_at; ++id) {
+    ASSERT_TRUE(db.ExecuteSql("INSERT INTO t VALUES " + row(id)).ok());
+  }
+  const std::string select = "SELECT id FROM t WHERE v = 1";
+  ASSERT_TRUE(db.ExecuteSql(select).ok());
+  StatusOr<Database::SqlResult> warm = db.ExecuteSql(select);
+  ASSERT_TRUE(warm.ok());
+  ASSERT_GT(db.reuse_cache()->stats().hits, 0);  // served from the cache
+  EXPECT_EQ(warm->relation.num_tuples(), fails_at - 1);
+  // Row fails_at - 1 goes in, then row fails_at's index insert fails.
+  EXPECT_FALSE(db.ExecuteSql("INSERT INTO t VALUES " + row(fails_at - 1) +
+                             ", " + row(fails_at))
+                   .ok());
+  StatusOr<Database::SqlResult> after = db.ExecuteSql(select);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->relation.num_tuples(), fails_at);
+}
+
 TEST(SqlCatalogTest, StatisticsAfterInsertsMatchAFreshCatalog) {
   Database db;
   ASSERT_TRUE(db.ExecuteSql("CREATE TABLE t (k INT64, v INT64)").ok());

@@ -26,7 +26,7 @@ TEST(DatagenTest, PayloadIsSourceIndex) {
   opts.num_tuples = 100;
   Relation rel = MakeKeyedRelation(opts);
   for (int64_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(std::get<int64_t>(rel.rows()[size_t(i)][1]), i);
+    EXPECT_EQ(std::get<int64_t>(rel.RowAt(i)[1]), i);
   }
 }
 
@@ -76,7 +76,7 @@ TEST(DatagenTest, DeterministicAcrossCalls) {
   Relation a = MakeKeyedRelation(opts);
   Relation b = MakeKeyedRelation(opts);
   for (int64_t i = 0; i < 50; ++i) {
-    EXPECT_EQ(a.rows()[size_t(i)], b.rows()[size_t(i)]);
+    EXPECT_EQ(a.RowAt(i), b.RowAt(i));
   }
 }
 
@@ -91,7 +91,7 @@ TEST(DatagenTest, EmployeeRelationShape) {
   for (const Row& row : emp.rows()) ids.insert(std::get<int64_t>(row[0]));
   EXPECT_EQ(ids.size(), 500u);
   // Names come from the stem set.
-  const std::string& name = std::get<std::string>(emp.rows()[0][1]);
+  const std::string name = std::get<std::string>(emp.RowAt(0)[1]);
   EXPECT_FALSE(name.empty());
   EXPECT_NE(name.find('_'), std::string::npos);
 }

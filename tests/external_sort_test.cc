@@ -19,12 +19,11 @@ Relation MakeInput(int64_t n, uint64_t seed) {
 
 std::vector<int64_t> Drain(SortedStream* stream) {
   std::vector<int64_t> keys;
-  Row row;
   while (true) {
-    auto more = stream->Next(&row);
-    EXPECT_TRUE(more.ok());
-    if (!*more) break;
-    keys.push_back(std::get<int64_t>(row[0]));
+    auto rec = stream->Next();
+    EXPECT_TRUE(rec.ok());
+    if (*rec == nullptr) break;
+    keys.push_back(Field{ValueType::kInt64, 8, 0}.Int(*rec));
   }
   return keys;
 }
@@ -103,7 +102,11 @@ TEST(ExternalSortTest, SortedInputYieldsOneLongRun) {
 TEST(ExternalSortTest, ReverseSortedInputYieldsManyRuns) {
   Relation input = MakeInput(5000, 5);
   input.SortBy(0);
-  std::reverse(input.mutable_rows().begin(), input.mutable_rows().end());
+  Relation reversed(input.schema());
+  for (int64_t i = input.num_tuples() - 1; i >= 0; --i) {
+    reversed.Append(input.record(i));
+  }
+  input = std::move(reversed);
   ExecEnv env(4);
   SortStats stats;
   auto stream = SortRelation(input, 0, &env.ctx, &stats);
@@ -160,15 +163,14 @@ TEST(ExternalSortTest, StringKeySort) {
   ASSERT_TRUE(name_col.ok());
   auto stream = SortRelation(emp, *name_col, &env.ctx);
   ASSERT_TRUE(stream.ok());
-  Row row;
+  const Field name_field = Field::Of(emp.schema(), *name_col);
   std::string prev;
   int count = 0;
   while (true) {
-    auto more = (*stream)->Next(&row);
-    ASSERT_TRUE(more.ok());
-    if (!*more) break;
-    const std::string& name =
-        std::get<std::string>(row[static_cast<size_t>(*name_col)]);
+    auto rec = (*stream)->Next();
+    ASSERT_TRUE(rec.ok());
+    if (*rec == nullptr) break;
+    const std::string name(name_field.Chars(*rec));
     EXPECT_LE(prev, name);
     prev = name;
     ++count;

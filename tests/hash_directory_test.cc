@@ -94,7 +94,15 @@ Relation ReferenceAggregate(const Relation& in, const AggregateSpec& spec,
     if (CompareValues(v, group->min_v) < 0) group->min_v = v;
     if (CompareValues(v, group->max_v) > 0) group->max_v = v;
   }
-  Relation out(in.schema());  // only the rows are compared
+  // The result columns: the group-by columns, then COUNT, SUM, MIN, MAX
+  // and AVG of the one aggregated column.
+  std::vector<Column> cols = in.schema().Select(spec.group_by).columns();
+  const Column& arg = in.schema().column(spec.aggregates[0].column);
+  for (const Column& c : {Column::Int64("n"), Column::Double("s"), arg, arg,
+                          Column::Double("avg")}) {
+    cols.push_back(c);
+  }
+  Relation out{Schema(std::move(cols))};
   for (const auto& [h, bucket] : table) {
     for (const RefGroup& g : bucket) {
       Row row = g.key;
@@ -169,21 +177,29 @@ TEST(HashDirectoryTest, AggregationMatchesUnorderedMapReference) {
 TEST(HashDirectoryTest, JoinTableEmitsDuplicateKeysInInsertionOrder) {
   std::mt19937_64 rng(5);
   CostClock clock;
-  exec_internal::JoinHashTable table(0, &clock);
+  const Schema schema({Column::Int64("key"), Column::Int64("seq")});
+  Relation rows(schema);
+  exec_internal::JoinHashTable table(schema, 0);
   std::unordered_map<int64_t, std::vector<int64_t>> want;  // key -> seqs
   for (int64_t seq = 0; seq < 5000; ++seq) {
     const int64_t key = static_cast<int64_t>(rng() % 200) - 100;
-    table.Insert({Value{key}, Value{seq}});
+    rows.Add({Value{key}, Value{seq}});
+    table.Insert(rows.record(seq));
     want[key].push_back(seq);
   }
   EXPECT_EQ(table.size(), 5000);
+  const Schema probe_schema({Column::Int64("k")});
+  const Field key_field = Field::Of(probe_schema, 0);
   int64_t want_comps = 0;
   for (int64_t key = -150; key < 150; ++key) {
+    Relation probe(probe_schema);
+    probe.Add({Value{key}});
     std::vector<int64_t> got;
-    table.Probe(Value{key}, [&](const Row& row) {
+    clock.Comp(table.Match(key_field, probe.record(0), [&](const char* rec) {
+      const Row row = DeserializeRow(schema, rec);
       EXPECT_EQ(std::get<int64_t>(row[0]), key);
       got.push_back(std::get<int64_t>(row[1]));
-    });
+    }));
     auto it = want.find(key);
     if (it == want.end()) {
       EXPECT_TRUE(got.empty());

@@ -143,7 +143,7 @@ TEST(RelationTest, HeapFileRoundTrip) {
   ASSERT_TRUE(back.ok());
   ASSERT_EQ(back->num_tuples(), 50);
   for (int64_t i = 0; i < 50; ++i) {
-    EXPECT_EQ(back->rows()[size_t(i)], rel.rows()[size_t(i)]);
+    EXPECT_EQ(back->RowAt(i), rel.RowAt(i));
   }
 }
 

@@ -77,9 +77,11 @@ TEST_F(OptimizerTest, SelectivityEstimates) {
 }
 
 TEST_F(OptimizerTest, PredicateEvaluation) {
-  Row row = {int64_t{5}, std::string("jones_x"), 2.5};
-  auto matches = [&row](Predicate p, size_t column) {
-    return BoundPredicate(p, column).Matches(row);
+  Relation rel(Schema({Column::Int64("i"), Column::Char("s", 12),
+                       Column::Double("d")}));
+  rel.Add({int64_t{5}, std::string("jones_x"), 2.5});
+  auto matches = [&rel](Predicate p, int column) {
+    return BoundPredicate(p, rel.schema(), column).Matches(rel.record(0));
   };
   EXPECT_TRUE(matches({"t", "c", CmpOp::kEq, Value{int64_t{5}}}, 0));
   EXPECT_FALSE(matches({"t", "c", CmpOp::kNe, Value{int64_t{5}}}, 0));
@@ -197,10 +199,10 @@ TEST_F(OptimizerTest, ExecutePlanMatchesManualPipeline) {
 
   // Manual evaluation.
   int64_t expected = 0;
+  const std::vector<Row> customers = customers_.rows();
   for (const Row& o : orders_.rows()) {
     if (std::get<int64_t>(o[3]) < 5) continue;
-    const Row& c = customers_.rows()[static_cast<size_t>(
-        std::get<int64_t>(o[1]))];
+    const Row& c = customers[static_cast<size_t>(std::get<int64_t>(o[1]))];
     if (std::get<std::string>(c[1]) != "madison") continue;
     ++expected;  // every order has exactly one product
   }

@@ -13,10 +13,10 @@ namespace {
 TEST(HashPartitionerTest, DeterministicAndInRange) {
   HashPartitioner p(7);
   for (int64_t k = 0; k < 1000; ++k) {
-    const int64_t part = p.PartitionOf(Value{k});
+    const int64_t part = p.PartitionOf(HashValue(Value{k}));
     EXPECT_GE(part, 0);
     EXPECT_LT(part, 7);
-    EXPECT_EQ(part, p.PartitionOf(Value{k}));  // stable
+    EXPECT_EQ(part, p.PartitionOf(HashValue(Value{k})));  // stable
   }
 }
 
@@ -28,7 +28,7 @@ TEST(HashPartitionerTest, RoughlyBalanced) {
   HashPartitioner p(kParts);
   std::vector<int64_t> counts(kParts, 0);
   for (int64_t k = 0; k < kKeys; ++k) {
-    ++counts[static_cast<size_t>(p.PartitionOf(Value{k}))];
+    ++counts[static_cast<size_t>(p.PartitionOf(HashValue(Value{k})))];
   }
   for (int64_t c : counts) {
     EXPECT_NEAR(double(c), double(kKeys) / kParts,
@@ -40,7 +40,8 @@ TEST(HashPartitionerTest, LevelsGiveIndependentHashes) {
   HashPartitioner a(4, 0), b(4, 1);
   int agree = 0;
   for (int64_t k = 0; k < 4000; ++k) {
-    if (a.PartitionOf(Value{k}) == b.PartitionOf(Value{k})) ++agree;
+    const uint64_t h = HashValue(Value{k});
+    if (a.PartitionOf(h) == b.PartitionOf(h)) ++agree;
   }
   // Independent 4-way functions agree ~25% of the time, not ~100%.
   EXPECT_LT(agree, 1500);
@@ -54,7 +55,7 @@ TEST(HashPartitionerTest, HybridSplitRespectsQ0) {
   constexpr int64_t kKeys = 50'000;
   std::vector<int64_t> spilled(6, 0);
   for (int64_t k = 0; k < kKeys; ++k) {
-    int64_t part = p.PartitionOf(Value{k});
+    int64_t part = p.PartitionOf(HashValue(Value{k}));
     ASSERT_GE(part, 0);
     ASSERT_LT(part, 6);
     if (part == 0) {
@@ -71,8 +72,8 @@ TEST(HashPartitionerTest, HybridSplitRespectsQ0) {
 
 TEST(HashPartitionerTest, StringKeysPartitionConsistently) {
   HashPartitioner p(4);
-  EXPECT_EQ(p.PartitionOf(Value{std::string("abc")}),
-            p.PartitionOf(Value{std::string("abc")}));
+  EXPECT_EQ(p.PartitionOf(HashValue(Value{std::string("abc")})),
+            p.PartitionOf(HashValue(Value{std::string("abc")})));
 }
 
 TEST(HashPartitionerTest, UniformIsExactlyHybridWithZeroResidentFraction) {
@@ -84,7 +85,8 @@ TEST(HashPartitionerTest, UniformIsExactlyHybridWithZeroResidentFraction) {
     HashPartitioner uniform(parts, 3);
     HashPartitioner hybrid = HashPartitioner::Hybrid(0.0, parts - 1, 3);
     for (int64_t k = -500; k < 500; ++k) {
-      EXPECT_EQ(uniform.PartitionOf(Value{k}), hybrid.PartitionOf(Value{k}))
+      const uint64_t h = HashValue(Value{k});
+      EXPECT_EQ(uniform.PartitionOf(h), hybrid.PartitionOf(h))
           << "parts=" << parts << " key=" << k;
     }
   }
@@ -103,21 +105,21 @@ TEST(HashPartitionerTest, ExtremeAndNegativeKeysStayInRange) {
     HashPartitioner uniform(parts);
     HashPartitioner hybrid = HashPartitioner::Hybrid(0.4, parts);
     for (int64_t k : extremes) {
-      const int64_t pu = uniform.PartitionOf(Value{k});
+      const int64_t pu = uniform.PartitionOf(HashValue(Value{k}));
       EXPECT_GE(pu, 0);
       EXPECT_LT(pu, parts);
-      const int64_t ph = hybrid.PartitionOf(Value{k});
+      const int64_t ph = hybrid.PartitionOf(HashValue(Value{k}));
       EXPECT_GE(ph, 0);
       EXPECT_LT(ph, parts + 1);
     }
     for (double d : doubles) {
-      const int64_t pu = uniform.PartitionOf(Value{d});
+      const int64_t pu = uniform.PartitionOf(HashValue(Value{d}));
       EXPECT_GE(pu, 0);
       EXPECT_LT(pu, parts);
     }
     // -0.0 and 0.0 must land together (HashValue normalizes the sign).
-    EXPECT_EQ(uniform.PartitionOf(Value{-0.0}),
-              uniform.PartitionOf(Value{0.0}));
+    EXPECT_EQ(uniform.PartitionOf(HashValue(Value{-0.0})),
+              uniform.PartitionOf(HashValue(Value{0.0})));
   }
 }
 
@@ -125,10 +127,10 @@ TEST(HashPartitionerTest, SinglePartitionTakesEverything) {
   HashPartitioner p(1);
   HashPartitioner h = HashPartitioner::Hybrid(0.999, 0);
   for (int64_t k = -2000; k < 2000; k += 37) {
-    EXPECT_EQ(p.PartitionOf(Value{k}), 0);
-    EXPECT_EQ(h.PartitionOf(Value{k}), 0);
+    EXPECT_EQ(p.PartitionOf(HashValue(Value{k})), 0);
+    EXPECT_EQ(h.PartitionOf(HashValue(Value{k})), 0);
   }
-  EXPECT_EQ(p.PartitionOf(Value{std::string("anything")}), 0);
+  EXPECT_EQ(p.PartitionOf(HashValue(Value{std::string("anything")})), 0);
 }
 
 TEST(PartitionWriterSetTest, CompatiblePartitionsRoundTrip) {
@@ -144,10 +146,11 @@ TEST(PartitionWriterSetTest, CompatiblePartitionsRoundTrip) {
   PartitionWriterSet writers(&env.ctx, rel.schema(), kParts,
                              IoKind::kRandom, "part");
   std::vector<int64_t> expected(kParts, 0);
-  for (const Row& row : rel.rows()) {
-    const int64_t part = partitioner.PartitionOf(row[0]);
+  const Field key = Field::Of(rel.schema(), 0);
+  for (int64_t r = 0; r < rel.num_tuples(); ++r) {
+    const int64_t part = partitioner.PartitionOf(key.Hash(rel.record(r)));
     ++expected[static_cast<size_t>(part)];
-    ASSERT_TRUE(writers.Append(part, row).ok());
+    ASSERT_TRUE(writers.Append(part, rel.record(r)).ok());
   }
   ASSERT_TRUE(writers.FinishAll().ok());
   auto files = writers.Release();
@@ -157,10 +160,10 @@ TEST(PartitionWriterSetTest, CompatiblePartitionsRoundTrip) {
     auto rows = ReadAndDeletePartition(&env.ctx, rel.schema(),
                                        files[size_t(i)]);
     ASSERT_TRUE(rows.ok());
-    for (const Row& row : *rows) {
-      EXPECT_EQ(partitioner.PartitionOf(row[0]), i);
+    for (int64_t r = 0; r < rows->num_tuples(); ++r) {
+      EXPECT_EQ(partitioner.PartitionOf(key.Hash(rows->record(r))), i);
     }
-    total += static_cast<int64_t>(rows->size());
+    total += rows->num_tuples();
   }
   EXPECT_EQ(total, rel.num_tuples());
   EXPECT_EQ(env.disk.TotalPages(), 0);  // partitions reclaimed
@@ -178,8 +181,8 @@ TEST(PartitionWriterSetTest, AllRowsToOnePartitionLeavesOthersEmpty) {
   constexpr int64_t kParts = 8;
   PartitionWriterSet writers(&env.ctx, rel.schema(), kParts, IoKind::kRandom,
                              "skew");
-  for (const Row& row : rel.rows()) {
-    ASSERT_TRUE(writers.Append(3, row).ok());
+  for (int64_t r = 0; r < rel.num_tuples(); ++r) {
+    ASSERT_TRUE(writers.Append(3, rel.record(r)).ok());
   }
   ASSERT_TRUE(writers.FinishAll().ok());
   auto files = writers.Release();
@@ -194,7 +197,7 @@ TEST(PartitionWriterSetTest, AllRowsToOnePartitionLeavesOthersEmpty) {
   }
   auto rows = ReadAndDeletePartition(&env.ctx, rel.schema(), files[3]);
   ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(static_cast<int64_t>(rows->size()), rel.num_tuples());
+  EXPECT_EQ(rows->num_tuples(), rel.num_tuples());
   for (int64_t i = 0; i < kParts; ++i) {
     if (i != 3) env.disk.DeleteFile(files[size_t(i)].file);
   }
@@ -216,7 +219,7 @@ TEST(PartitionWriterSetTest, ZeroRowPartitionSetFinishesClean) {
     EXPECT_EQ(pf.pages, 0);
     auto rows = ReadAndDeletePartition(&env.ctx, schema, pf);
     ASSERT_TRUE(rows.ok());
-    EXPECT_TRUE(rows->empty());
+    EXPECT_EQ(rows->num_tuples(), 0);
   }
   EXPECT_EQ(env.clock.counters().moves, 0);
   EXPECT_EQ(env.clock.counters().seq_ios, 0);
@@ -231,8 +234,8 @@ TEST(PartitionWriterSetTest, ChargesMovePerTupleAndIoPerPage) {
   ExecEnv env(64);
   PartitionWriterSet writers(&env.ctx, rel.schema(), 1, IoKind::kRandom,
                              "part");
-  for (const Row& row : rel.rows()) {
-    ASSERT_TRUE(writers.Append(0, row).ok());
+  for (int64_t r = 0; r < rel.num_tuples(); ++r) {
+    ASSERT_TRUE(writers.Append(0, rel.record(r)).ok());
   }
   ASSERT_TRUE(writers.FinishAll().ok());
   EXPECT_EQ(env.clock.counters().moves, 500);

@@ -251,6 +251,55 @@ TEST_F(SqlTest, TransactionControlParsesAndDatabaseRefusesIt) {
   EXPECT_FALSE(db_.PrepareSql("COMMITTED").ok());
 }
 
+TEST_F(SqlTest, InsertRefusesTrailingText) {
+  EXPECT_EQ(db_.ExecuteSql("INSERT INTO dept VALUES (3, 'a'), (4, 'b') "
+                           "garbage here;")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Exec("SELECT * FROM dept").relation.num_tuples(), 3);
+  EXPECT_EQ(Exec("INSERT INTO dept VALUES (3, 'a');").rows_affected, 1);
+}
+
+TEST_F(SqlTest, CreateTableRefusesTrailingText) {
+  EXPECT_EQ(db_.ExecuteSql("CREATE TABLE acct (id INT64, balance DOUBLE) "
+                           "trailing junk")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(db_.GetTable("acct").status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(db_.ExecuteSql("CREATE TABLE acct (id INT64, balance DOUBLE);")
+                  .ok());
+}
+
+TEST_F(SqlTest, SelectRefusesColumnOfTableNotInFrom) {
+  // The predicate names dept, which the statement does not read: it must
+  // be refused, not dropped (which returned every emp row).
+  EXPECT_EQ(
+      db_.ExecuteSql("SELECT emp_id, salary FROM emp WHERE dept.dept_id = 3")
+          .status()
+          .code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(db_.ExecuteSql("SELECT dept.dname FROM emp").status().code(),
+            StatusCode::kInvalidArgument);
+  // A qualified column the named table does not have.
+  EXPECT_EQ(db_.ExecuteSql("SELECT emp_id FROM emp WHERE emp.bogus = 3")
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+}
+
+TEST_F(SqlTest, UpdateRefusesColumnOfTableNotUpdated) {
+  EXPECT_EQ(
+      db_.ExecuteSql("UPDATE emp SET salary = 7.0 WHERE dept.dept_id = 3")
+          .status()
+          .code(),
+      StatusCode::kInvalidArgument);
+  auto r = Exec("SELECT salary FROM emp WHERE emp_id = 3");
+  ASSERT_EQ(r.relation.num_tuples(), 1);
+  EXPECT_EQ(std::get<double>(r.relation.RowAt(0)[0]), 1030.0);
+}
+
 TEST_F(SqlTest, StarAggregateOverJoin) {
   auto r = Exec(
       "SELECT dname, COUNT(*) FROM emp, dept "

@@ -200,7 +200,7 @@ TEST(ReuseCacheAdmission, OversizedEntryRejected) {
 TEST(ReuseCacheAdmission, DensityEvictionPrefersCostPerByte) {
   ReuseCache::Options opts;
   const Relation rel = SmallRelation(10);
-  const int64_t bytes = ReuseCache::ApproxRelationBytes(rel);
+  const int64_t bytes = Relation::ReservedBytes(rel.schema(), rel.num_tuples());
   opts.budget_bytes = bytes * 2 + bytes / 2;  // room for two entries
   opts.max_entry_bytes = bytes;
   ReuseCache cache(opts);
@@ -217,6 +217,29 @@ TEST(ReuseCacheAdmission, DensityEvictionPrefersCostPerByte) {
   EXPECT_FALSE(cache.InstallResult("worst", {"r"}, rel, 1e-5));
   EXPECT_TRUE(cache.HasResult("high"));
   EXPECT_TRUE(cache.HasResult("mid"));
+}
+
+// The bytes the cache charges are the bytes its entries allocate: a
+// one-row result holds one record, not a block of them.
+TEST(ReuseCacheAdmission, ChargesTheBytesItsEntriesAllocate) {
+  ReuseCache::Options opts;
+  opts.budget_bytes = 1 << 20;
+  ReuseCache cache(opts);
+  const Relation one = SmallRelation(1);
+  const int kEntries = 500;
+  for (int i = 0; i < kEntries; ++i) {
+    ASSERT_TRUE(
+        cache.InstallResult("point" + std::to_string(i), {"r"}, one, 1.0));
+  }
+  int64_t allocated = 0;
+  for (int i = 0; i < kEntries; ++i) {
+    auto hit = cache.LookupResult("point" + std::to_string(i));
+    ASSERT_NE(hit, nullptr);
+    allocated += hit->allocated_bytes();
+  }
+  EXPECT_EQ(cache.stats().entries, kEntries);
+  EXPECT_EQ(cache.stats().bytes, allocated);
+  EXPECT_EQ(allocated, kEntries * (int64_t(sizeof(Relation)) + 8));
 }
 
 TEST(ReuseCacheInvalidation, DropsDependentsAndBumpsVersion) {
@@ -240,17 +263,24 @@ TEST(ReuseCacheInvalidation, DropsDependentsAndBumpsVersion) {
 TEST(ReuseCacheBuilds, InstallLookupAndInvalidate) {
   ReuseCache cache;
   Schema schema({{"key", ValueType::kInt64, 8}});
-  auto build = std::make_shared<CachedBuild>(0, schema);
-  for (int64_t i = 0; i < 16; ++i) build->table.Insert(Row{Value{i}});
-  build->rows = build->table.size();
+  Relation rows(schema);
+  for (int64_t i = 0; i < 16; ++i) rows.Add({Value{i}});
+  auto build = std::make_shared<CachedBuild>(std::move(rows), 0);
   ASSERT_TRUE(cache.InstallBuild("scan(r@0)", 0, {"r"}, build, 1.0));
+  // Charged the records' blocks and the table's directory and buckets.
+  EXPECT_EQ(cache.stats().bytes,
+            build->records.allocated_bytes() + build->table.allocated_bytes());
   EXPECT_TRUE(cache.HasBuild("scan(r@0)", 0));
   EXPECT_FALSE(cache.HasBuild("scan(r@0)", 1));  // key column is identity
   auto served = cache.LookupBuild("scan(r@0)", 0);
   ASSERT_NE(served, nullptr);
-  EXPECT_EQ(served->rows, 16);
+  EXPECT_EQ(served->records.num_tuples(), 16);
+  EXPECT_EQ(served->table.size(), 16);
+  Relation probe(schema);
+  probe.Add({Value{int64_t{5}}});
   int matches = 0;
-  served->table.Match(Value{int64_t{5}}, [&](const Row&) { ++matches; });
+  served->table.Match(Field::Of(schema, 0), probe.record(0),
+                      [&](const char*) { ++matches; });
   EXPECT_EQ(matches, 1);
   cache.InvalidateTable("r");
   EXPECT_FALSE(cache.HasBuild("scan(r@0)", 0));

@@ -52,9 +52,11 @@ std::multiset<std::string> Oracle(const Database& db, const Query& q) {
   std::vector<size_t> cursor(tables.size(), 0);
   while (true) {
     bool keep = true;
-    auto value_of = [&](const ColumnRef& ref) -> const Value& {
+    auto value_of = [&](const ColumnRef& ref) -> Value {
       auto [t, c] = resolve(ref);
-      return tables[size_t(t)]->rows()[cursor[size_t(t)]][size_t(c)];
+      const Relation& rel = *tables[size_t(t)];
+      return Field::Of(rel.schema(), c)
+          .Read(rel.record(static_cast<int64_t>(cursor[size_t(t)])));
     };
     for (const JoinClause& jc : q.joins) {
       if (!ValuesEqual(value_of(jc.left), value_of(jc.right))) {
@@ -64,8 +66,10 @@ std::multiset<std::string> Oracle(const Database& db, const Query& q) {
     }
     if (keep) {
       for (const Predicate& p : q.filters) {
-        Row probe = {value_of(ColumnRef{p.table, p.column})};
-        if (!BoundPredicate(p, 0).Matches(probe)) {
+        auto [t, c] = resolve(ColumnRef{p.table, p.column});
+        const Relation& rel = *tables[size_t(t)];
+        const char* rec = rel.record(static_cast<int64_t>(cursor[size_t(t)]));
+        if (!BoundPredicate(p, rel.schema(), c).Matches(rec)) {
           keep = false;
           break;
         }

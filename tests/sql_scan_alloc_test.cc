@@ -119,6 +119,16 @@ TEST(SqlScanAllocTest, OneSurvivorFilterAllocatesForSurvivorsNotTable) {
   EXPECT_LT(hundred, one + 10 * uint64_t(kRows / 1000));
 }
 
+TEST(SqlScanAllocTest, WholeTableSelectAllocatesPerBlockNotPerRow) {
+  // Tuples are fixed-width records in blocks, so copying the whole table
+  // into the result allocates per block of records, not per row.
+  Database db;
+  LoadTable(&db);
+  AllocsFor(&db, "SELECT id, bal FROM t", kRows);
+  const uint64_t whole = AllocsFor(&db, "SELECT id, bal FROM t", kRows);
+  EXPECT_LT(whole, uint64_t(kRows / 100)) << "allocations scale with rows";
+}
+
 // The pipeline-breaker cases below compare against the one-survivor
 // statement (parse, plan, metrics, morsel buffers) and allow a few blocks
 // per row they produce — far below one block per survivor, which copying

@@ -296,34 +296,31 @@ TEST_P(SqlViewDifferentialTest, FilterOverOwnedJoinOutputOutlivesMoves) {
   EXPECT_EQ(RowStrings(*groups), RowStrings(*direct));
 }
 
-// A view is offered to the reuse cache with its bytes and its rows on
-// demand: the cost floor refuses before the bytes are counted, the size
-// cap before the rows are copied, and each refusal counts once.
-TEST(SqlViewReuseOfferTest, RefusesBeforeCountingOrCopying) {
+// A view is offered to the reuse cache as it is: its bytes are exact
+// record arithmetic, the cost floor and the size cap each refuse it (and
+// count once) without installing anything, and an admitted offer holds
+// exactly the view's rows, selection and column map applied.
+TEST(SqlViewReuseOfferTest, RefusesOnExactBytesAndInstallsTheViewRows) {
   ReuseCache::Options options;
   options.min_cost_seconds = 1.0;
   options.max_entry_bytes = 1000;
   ReuseCache cache(options);
   const Relation rel = MakeKeyedRelation(GenOptions{});
-  int counted = 0;
-  int copied = 0;
-  auto bytes = [&counted](int64_t n) {
-    return [&counted, n] {
-      ++counted;
-      return n;
-    };
-  };
-  auto rows = [&copied, &rel] {
-    ++copied;
-    return rel;
-  };
-  EXPECT_FALSE(cache.InstallResult("below-floor", {"r"}, 0.5, bytes(10), rows));
-  EXPECT_EQ(counted, 0);
-  EXPECT_FALSE(
-      cache.InstallResult("oversized", {"r"}, 2.0, bytes(1001), rows));
-  EXPECT_EQ(counted, 1);
-  EXPECT_EQ(copied, 0);
+  RowView view(&rel);
+  view.Select({3, 1, 4});
+  view.Project({1});
+  const int64_t bytes = Relation::ReservedBytes(view.schema(), view.size());
+  EXPECT_EQ(bytes, int64_t(sizeof(Relation)) + 3 * 8);
+  EXPECT_EQ(bytes, view.Materialize().allocated_bytes());
+  EXPECT_FALSE(cache.InstallResult("below-floor", {"r"}, view, 0.5));
+  EXPECT_FALSE(cache.InstallResult("oversized", {"r"}, RowView(&rel), 2.0));
   EXPECT_EQ(cache.stats().rejected, 2);
+  EXPECT_EQ(cache.stats().entries, 0);
+  ASSERT_TRUE(cache.InstallResult("admitted", {"r"}, view, 2.0));
+  EXPECT_EQ(cache.stats().bytes, bytes);
+  auto hit = cache.LookupResult("admitted");
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(RowStrings(*hit), RowStrings(view.Materialize()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SqlViewDifferentialTest,
