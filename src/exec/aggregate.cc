@@ -44,33 +44,50 @@ struct AggState {
   int64_t count = 0;
   double sum = 0;
   const char* extreme = nullptr;
+};
 
-  void Update(const BoundSpec::Agg& agg, const char* rec) {
-    switch (agg.fn) {
-      case AggFn::kCount:
-        ++count;
-        return;
-      case AggFn::kAvg:
-        ++count;
-        [[fallthrough]];
-      case AggFn::kSum:
-        sum += agg.field.type == ValueType::kInt64
-                   ? double(agg.field.Int(rec))
-                   : agg.field.Double(rec);
-        return;
-      case AggFn::kMin:
-      case AggFn::kMax: {
-        if (extreme == nullptr) {
-          extreme = rec;
-          return;
-        }
-        const int c = CompareFields(agg.field, rec, agg.field, extreme);
-        if (agg.fn == AggFn::kMin ? c < 0 : c > 0) extreme = rec;
-        return;
+/// Folds the record at recs[i] into the state at states[groups[i] *
+/// stride] for i < n, in row order, as `agg` does. The function and the
+/// field's type are resolved once for the batch.
+void FoldAggregate(const BoundSpec::Agg& agg, const char* const* recs,
+                   const uint32_t* groups, int n, AggState* states,
+                   size_t stride) {
+  auto state = [&](int i) -> AggState& {
+    return states[groups[i] * stride];
+  };
+  const Field f = agg.field;
+  switch (agg.fn) {
+    case AggFn::kCount:
+      for (int i = 0; i < n; ++i) ++state(i).count;
+      return;
+    case AggFn::kSum:
+    case AggFn::kAvg: {
+      if (agg.fn == AggFn::kAvg) {
+        for (int i = 0; i < n; ++i) ++state(i).count;
       }
+      if (f.type == ValueType::kInt64) {
+        for (int i = 0; i < n; ++i) state(i).sum += double(f.Int(recs[i]));
+      } else {
+        for (int i = 0; i < n; ++i) state(i).sum += f.Double(recs[i]);
+      }
+      return;
+    }
+    case AggFn::kMin:
+    case AggFn::kMax: {
+      const int wins = agg.fn == AggFn::kMin ? -1 : 1;
+      WithFieldOps(f.type, [&](auto ops) {
+        for (int i = 0; i < n; ++i) {
+          AggState& st = state(i);
+          if (st.extreme == nullptr ||
+              ops.Compare(f, recs[i], f, st.extreme) == wins) {
+            st.extreme = recs[i];
+          }
+        }
+      });
+      return;
     }
   }
-};
+}
 
 uint64_t HashGroupKey(const char* rec, const std::vector<Field>& group) {
   uint64_t h = 0x9E3779B97F4A7C15ull;
@@ -86,45 +103,57 @@ bool GroupKeyEquals(const char* rec, const char* key,
   return true;
 }
 
-/// The groups of one aggregation, stored in first-seen order and found by
-/// group-key hash through a flat HashDirectory. A group is the first
-/// record it met (its key) and one AggState per aggregate, kept in one
-/// flat vector; the records must stay put until the groups are emitted.
-/// The groups of one hash chain in insertion order, and a lookup charges
-/// one Comp per group of its hash scanned: the per-hash bucket scan of
-/// §3.9's hash table.
+/// The groups of one aggregation in first-seen order, chained by
+/// group-key hash in a HashChains table (one entry per group). A group is
+/// the first record it met (its key) and one AggState per aggregate, kept
+/// in one flat vector; the records must stay put until the groups are
+/// emitted. A chain holds its groups in insertion order, and a lookup
+/// charges one Comp per group of its hash scanned: the per-hash bucket
+/// scan of §3.9's hash table.
 class GroupTable {
  public:
   explicit GroupTable(const BoundSpec& spec) : spec_(spec) {}
 
-  /// Folds `rec` into its group, adding the group when new. Adds the
-  /// groups scanned to `*comps`; returns whether a group was added. The
-  /// caller charges the row's Hash.
-  bool Fold(const char* rec, int64_t* comps) {
-    const uint64_t h = HashGroupKey(rec, spec_.group);
-    const uint32_t id = directory_.FindOrAdd(h);
-    if (id == heads_.size()) {
-      heads_.push_back(HashDirectory::kNone);
-      hashes_.push_back(h);
+  /// Folds the `n` <= kHashBatch records at `recs` into their groups in
+  /// row order, adding the new groups in first-seen order. Adds the groups
+  /// scanned to `*comps`; the caller charges the rows' Hashes. A batch
+  /// hashes its keys a field at a time, finds their chains in one
+  /// directory batch and tests each row against its chain's head; only a
+  /// row whose head holds another key (a new group, or a hash shared by
+  /// two keys) walks its chain.
+  void FoldBatch(const char* const* recs, int n, int64_t* comps) {
+    uint64_t hashes[kHashBatch];
+    for (int i = 0; i < n; ++i) hashes[i] = 0x9E3779B97F4A7C15ull;
+    for (const Field& f : spec_.group) {
+      WithFieldOps(f.type, [&](auto ops) {
+        for (int i = 0; i < n; ++i) {
+          hashes[i] = HashCombine(hashes[i], ops.Hash(f, recs[i]));
+        }
+      });
     }
-    uint32_t* link = &heads_[id];
-    for (; *link != HashDirectory::kNone; link = &next_[*link]) {
-      ++*comps;
-      if (GroupKeyEquals(rec, keys_[*link], spec_.group)) break;
+    uint32_t chains[kHashBatch];
+    chains_.Chains(hashes, n, chains);
+    for (int i = 0; i < n; ++i) {
+      if (chains[i] == hashes_.size()) hashes_.push_back(hashes[i]);
     }
-    const bool added = *link == HashDirectory::kNone;
-    if (added) {
-      *link = static_cast<uint32_t>(keys_.size());
-      keys_.push_back(rec);
-      next_.push_back(HashDirectory::kNone);
-      states_.resize(states_.size() + spec_.aggs.size());
+    uint32_t groups[kHashBatch];
+    uint8_t at_head[kHashBatch];
+    HeadsHolding(recs, n, chains, groups, at_head);
+    for (int i = 0; i < n; ++i) {
+      if (at_head[i]) {
+        ++*comps;
+      } else {
+        groups[i] = FindOrAddGroup(recs[i], chains[i], comps);
+      }
     }
-    AggState* states = aggs(*link);
-    for (size_t i = 0; i < spec_.aggs.size(); ++i) {
-      states[i].Update(spec_.aggs[i], rec);
+    for (size_t a = 0; a < spec_.aggs.size(); ++a) {
+      FoldAggregate(spec_.aggs[a], recs, groups, n, states_.data() + a,
+                    spec_.aggs.size());
     }
-    return added;
   }
+
+  /// Groups added.
+  int64_t size() const { return static_cast<int64_t>(keys_.size()); }
 
   /// Calls fn(key record, aggs) for every group in emission order: the
   /// order in which a std::unordered_map<uint64_t, bucket> iterates after
@@ -138,25 +167,62 @@ class GroupTable {
       order.emplace(hashes_[id], id);
     }
     for (const auto& entry : order) {
-      for (uint32_t g = heads_[entry.second]; g != HashDirectory::kNone;
-           g = next_[g]) {
+      for (uint32_t g = chains_.head(entry.second); g != HashChains::kEnd;
+           g = chains_.next(g)) {
         fn(keys_[g], aggs(g));
       }
     }
   }
 
  private:
+  /// groups[i] = the head of chains[i], and at_head[i] = whether that
+  /// group holds recs[i]'s key, a key field at a time.
+  void HeadsHolding(const char* const* recs, int n, const uint32_t* chains,
+                    uint32_t* groups, uint8_t* at_head) const {
+    if (keys_.empty()) {
+      for (int i = 0; i < n; ++i) at_head[i] = 0;
+      return;
+    }
+    const char* heads[kHashBatch];
+    for (int i = 0; i < n; ++i) {
+      const uint32_t g = chains_.head(chains[i]);
+      groups[i] = g;
+      at_head[i] = g != HashChains::kEnd;
+      // A row with no head compares with itself.
+      heads[i] = g == HashChains::kEnd ? recs[i] : keys_[at_head[i] ? g : 0];
+    }
+    for (const Field& f : spec_.group) {
+      WithFieldOps(f.type, [&](auto ops) {
+        for (int i = 0; i < n; ++i) {
+          at_head[i] &= ops.Compare(f, recs[i], f, heads[i]) == 0;
+        }
+      });
+    }
+  }
+
+  /// The group of `rec`, whose key hashes to chain `chain`, added when
+  /// new: the chain walk, one Comp per group scanned.
+  uint32_t FindOrAddGroup(const char* rec, uint32_t chain, int64_t* comps) {
+    uint32_t g = chains_.head(chain);
+    for (; g != HashChains::kEnd; g = chains_.next(g)) {
+      ++*comps;
+      if (GroupKeyEquals(rec, keys_[g], spec_.group)) return g;
+    }
+    g = chains_.Append(chain);
+    keys_.push_back(rec);
+    states_.resize(states_.size() + spec_.aggs.size());
+    return g;
+  }
+
   /// The AggStates of group `g`, one per aggregate.
   AggState* aggs(uint32_t g) {
     return states_.data() + g * spec_.aggs.size();
   }
 
   const BoundSpec& spec_;
-  HashDirectory directory_;
-  std::vector<uint32_t> heads_;     // first group, by directory id
-  std::vector<uint64_t> hashes_;    // the hash, by directory id
+  HashChains chains_;
+  std::vector<uint64_t> hashes_;    // the hash, by chain id
   std::vector<const char*> keys_;   // first record, by group
-  std::vector<uint32_t> next_;      // next group of the same hash, by group
   std::vector<AggState> states_;    // one per aggregate per group
 };
 
@@ -255,18 +321,21 @@ void EmitGroup(const char* key, const AggState* aggs, const BoundSpec& spec,
 
 /// One-pass hash aggregation of `n` records into `out`; `rec_at(i)` yields
 /// record i, in the format `spec` was bound to. Reading through the
-/// accessor lets a view aggregate its source records in place. Charges one
-/// Hash per row, one Comp per group scanned and one Move per group, all
-/// tallied and charged once.
+/// accessor lets a view aggregate its source records in place. Folds
+/// kHashBatch rows at a time. Charges one Hash per row, one Comp per group
+/// scanned and one Move per group, all tallied and charged once.
 template <typename RecAt>
 void AggregateInMemory(int64_t n, const RecAt& rec_at, const BoundSpec& spec,
                        ExecContext* ctx, Relation* out, int64_t* num_groups) {
   GroupTable table(spec);
   int64_t comps = 0;
-  int64_t groups = 0;
-  for (int64_t r = 0; r < n; ++r) {
-    if (table.Fold(rec_at(r), &comps)) ++groups;
+  const char* recs[kHashBatch];
+  for (int64_t first = 0; first < n; first += kHashBatch) {
+    const int batch = static_cast<int>(std::min<int64_t>(kHashBatch, n - first));
+    for (int i = 0; i < batch; ++i) recs[i] = rec_at(first + i);
+    table.FoldBatch(recs, batch, &comps);
   }
+  const int64_t groups = table.size();
   ctx->clock->Hash(n);
   ctx->clock->Comp(comps);
   ctx->clock->Move(groups);

@@ -1,5 +1,7 @@
 #include "exec/join.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace mmdb {
@@ -22,21 +24,6 @@ std::string_view JoinAlgorithmName(JoinAlgorithm a) {
 
 namespace exec_internal {
 
-void JoinHashTable::Insert(const char* rec) {
-  const uint32_t b = directory_.FindOrAdd(key_.Hash(rec));
-  if (b == buckets_.size()) buckets_.emplace_back();
-  buckets_[b].push_back(rec);
-  ++size_;
-}
-
-int64_t JoinHashTable::allocated_bytes() const {
-  size_t bytes = buckets_.capacity() * sizeof(buckets_[0]);
-  for (const std::vector<const char*>& bucket : buckets_) {
-    bytes += bucket.capacity() * sizeof(bucket[0]);
-  }
-  return directory_.allocated_bytes() + static_cast<int64_t>(bytes);
-}
-
 Relation ProbeHashTable(const JoinHashTable& table, const Schema& build_schema,
                         const RowView& probe, int probe_key, ExecContext* ctx) {
   Relation out(Schema::Concat(build_schema, probe.schema()));
@@ -44,12 +31,15 @@ Relation ProbeHashTable(const JoinHashTable& table, const Schema& build_schema,
       Field::Of(probe.source()->schema(), probe.source_column(probe_key));
   const int32_t build_size = build_schema.record_size();
   const int64_t n = probe.size();
+  const char* probes[kHashBatch];
   int64_t comps = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    comps += table.Match(key, probe.record(i), [&](const char* r_rec) {
+  for (int64_t first = 0; first < n; first += kHashBatch) {
+    const int batch = static_cast<int>(std::min<int64_t>(kHashBatch, n - first));
+    for (int i = 0; i < batch; ++i) probes[i] = probe.record(first + i);
+    comps += table.ProbeBatch(key, probes, batch, [&](const char* r_rec, int i) {
       char* dst = out.AppendRecord();
       std::memcpy(dst, r_rec, static_cast<size_t>(build_size));
-      probe.CopyTo(i, dst + build_size);
+      probe.CopyTo(first + i, dst + build_size);
     });
   }
   ctx->clock->Hash(n);

@@ -77,46 +77,81 @@ StatusOr<Relation> ExecuteJoin(JoinAlgorithm algorithm, const Relation& r,
 
 namespace exec_internal {
 
-/// In-memory hash table keyed on one field of fixed-width records: one
-/// bucket per distinct key hash, holding its records in insertion order,
-/// found through a flat HashDirectory. The table stores record addresses,
-/// so the records must stay put while it is used (a Relation's never
-/// move). The table charges nothing; its callers charge the paper's
-/// costs: Hash and Move on insert (the partitioning hash and the table
-/// hash are the same conceptual hash in the paper's formulas), a Hash per
-/// probe, and the key comparisons Match reports (~F per probe on average,
-/// matching the ||S||·F·comp term).
+/// In-memory hash table keyed on one field of fixed-width records: the
+/// records' addresses, chained by key hash in insertion order in one
+/// HashChains table. The table stores record addresses, so the records
+/// must stay put while it is used (a Relation's never move). The table
+/// charges nothing; its callers charge the paper's costs: Hash and Move on
+/// insert (the partitioning hash and the table hash are the same
+/// conceptual hash in the paper's formulas), a Hash per probe, and the key
+/// comparisons a probe reports (~F per probe on average, matching the
+/// ||S||·F·comp term).
 class JoinHashTable {
  public:
   JoinHashTable(const Schema& schema, int key_column)
       : key_(Field::Of(schema, key_column)) {}
 
   /// Stores the record at `rec`.
-  void Insert(const char* rec);
-
-  /// Calls `fn(record)` for every stored record whose key equals field
-  /// `key` of `probe`, in insertion order, and returns the Comps the probe
-  /// costs: one per bucket entry scanned, or one for a miss.
-  template <typename Fn>
-  int64_t Match(const Field& key, const char* probe, Fn&& fn) const {
-    const uint32_t b = directory_.Find(key.Hash(probe));
-    if (b == HashDirectory::kNone) return 1;  // the miss still compares
-    const std::vector<const char*>& bucket = buckets_[b];
-    for (const char* rec : bucket) {
-      if (CompareFields(key_, rec, key, probe) == 0) fn(rec);
-    }
-    return static_cast<int64_t>(bucket.size());
+  void Insert(const char* rec) {
+    chains_.Add(key_.Hash(rec));
+    records_.push_back(rec);
   }
 
-  int64_t size() const { return size_; }
-  /// Heap bytes of the directory and the buckets (not the records).
-  int64_t allocated_bytes() const;
+  /// Probes with the `n` <= kHashBatch records at `probes`, whose key is
+  /// field `key` (of the table key's type): calls `emit(record, i)` for
+  /// every stored record whose key equals probes[i]'s, in probe order and,
+  /// within one probe, in insertion order. Returns the Comps the probes
+  /// cost: one per chain entry scanned, or one for a miss. The key type is
+  /// resolved once per batch; the directory lookup runs on the whole
+  /// batch, and only the probes that find a chain walk one.
+  template <typename Emit>
+  int64_t ProbeBatch(const Field& key, const char* const* probes, int n,
+                     const Emit& emit) const {
+    return WithFieldOps(key_.type, [&](auto ops) {
+      uint64_t hashes[kHashBatch];
+      for (int i = 0; i < n; ++i) hashes[i] = ops.Hash(key, probes[i]);
+      uint32_t heads[kHashBatch];
+      chains_.Heads(hashes, n, heads);
+      uint32_t hits[kHashBatch];
+      int m = 0;
+      for (int i = 0; i < n; ++i) {
+        hits[m] = static_cast<uint32_t>(i);
+        m += heads[i] != HashChains::kEnd;
+      }
+      int64_t comps = n - m;  // a miss still compares once
+      for (int k = 0; k < m; ++k) {
+        const int i = static_cast<int>(hits[k]);
+        for (uint32_t e = heads[i]; e != HashChains::kEnd;
+             e = chains_.next(e)) {
+          ++comps;
+          const char* rec = records_[e];
+          if (ops.Compare(key_, rec, key, probes[i]) == 0) emit(rec, i);
+        }
+      }
+      return comps;
+    });
+  }
+
+  /// ProbeBatch with the one record at `probe`: calls `fn(record)` per
+  /// match and returns the Comps.
+  template <typename Fn>
+  int64_t Match(const Field& key, const char* probe, Fn&& fn) const {
+    return ProbeBatch(key, &probe, 1,
+                      [&fn](const char* rec, int) { fn(rec); });
+  }
+
+  int64_t size() const { return chains_.size(); }
+  /// Heap bytes of the chained table and the record addresses (not the
+  /// records).
+  int64_t allocated_bytes() const {
+    return chains_.allocated_bytes() +
+           static_cast<int64_t>(records_.capacity() * sizeof(records_[0]));
+  }
 
  private:
   Field key_;
-  HashDirectory directory_;
-  std::vector<std::vector<const char*>> buckets_;  // by directory id
-  int64_t size_ = 0;
+  HashChains chains_;
+  std::vector<const char*> records_;  // by entry
 };
 
 /// Appends the joined record r ++ s to `out`, whose schema is
@@ -131,27 +166,47 @@ inline void EmitJoined(const char* r_rec, int32_t r_size, const char* s_rec,
 
 /// The in-memory hash join of the paper's formulas: builds a table over
 /// every record of `r` on `r_key` (one Hash and one Move each), then
-/// probes it with each record `next_s()` yields until null (one Hash each,
-/// plus the probe's Comps), appending r ++ s to `out`.
+/// probes it, a batch at a time, with each record `next_s(buf)` yields
+/// until null (one Hash each, plus the probe's Comps), appending r ++ s to
+/// `out` in probe order. `next_s` returns a record that stays put, or
+/// reads the record into `buf` (s's record size) and returns `buf`.
 template <typename NextS>
-void BuildAndProbe(const Relation& r, int r_key, const Field& s_key,
-                   NextS&& next_s, ExecContext* ctx, Relation* out) {
+void BuildAndProbe(const Relation& r, int r_key, const Schema& s_schema,
+                   int s_key, NextS&& next_s, ExecContext* ctx,
+                   Relation* out) {
   JoinHashTable table(r.schema(), r_key);
   for (int64_t i = 0; i < r.num_tuples(); ++i) table.Insert(r.record(i));
   ctx->clock->Hash(r.num_tuples());
   ctx->clock->Move(r.num_tuples());
+  const Field key = Field::Of(s_schema, s_key);
   const int32_t r_size = r.schema().record_size();
-  while (const char* s_rec = next_s()) {
-    ctx->clock->Hash();
-    ctx->clock->Comp(table.Match(s_key, s_rec, [&](const char* r_rec) {
-      EmitJoined(r_rec, r_size, s_rec, out);
-    }));
+  const size_t s_size = static_cast<size_t>(s_schema.record_size());
+  std::vector<char> bufs(s_size * kHashBatch);
+  const char* probes[kHashBatch];
+  int64_t hashes = 0;
+  int64_t comps = 0;
+  for (bool more = true; more;) {
+    int n = 0;
+    while (n < kHashBatch) {
+      const char* s_rec = next_s(bufs.data() + s_size * n);
+      if (s_rec == nullptr) {
+        more = false;
+        break;
+      }
+      probes[n++] = s_rec;
+    }
+    hashes += n;
+    comps += table.ProbeBatch(key, probes, n, [&](const char* r_rec, int i) {
+      EmitJoined(r_rec, r_size, probes[i], out);
+    });
   }
+  ctx->clock->Hash(hashes);
+  ctx->clock->Comp(comps);
 }
 
 /// BuildAndProbe's `next_s` over the records of `s`.
 inline auto RecordsOf(const Relation& s) {
-  return [&s, i = int64_t{0}]() mutable {
+  return [&s, i = int64_t{0}](char*) mutable {
     return i < s.num_tuples() ? s.record(i++) : nullptr;
   };
 }

@@ -32,7 +32,8 @@ StatusOr<Relation> GraceHashJoin(const Relation& r, const Relation& s,
   // Degenerate case: R's hash table fits outright; behave exactly like the
   // in-memory simple hash (the paper's curves coincide at ratio >= 1).
   if (double(ctx->memory_pages) >= rf) {
-    BuildAndProbe(r, spec.left_column, skey, RecordsOf(s), ctx, &out);
+    BuildAndProbe(r, spec.left_column, ss, spec.right_column, RecordsOf(s),
+                  ctx, &out);
     if (stats != nullptr) {
       stats->output_tuples = out.num_tuples();
       stats->partitions = 1;
@@ -75,7 +76,6 @@ StatusOr<Relation> GraceHashJoin(const Relation& r, const Relation& s,
   auto s_parts = s_writers.Release();
 
   // Phase 2: per-partition build and probe.
-  std::vector<char> buf(static_cast<size_t>(ss.record_size()));
   for (int64_t i = 0; i < num_partitions; ++i) {
     const auto& rp = r_parts[static_cast<size_t>(i)];
     const auto& sp = s_parts[static_cast<size_t>(i)];
@@ -88,8 +88,8 @@ StatusOr<Relation> GraceHashJoin(const Relation& r, const Relation& s,
     PagedRecordReader s_reader(ctx->disk, sp.file, ss.record_size(),
                                IoKind::kSequential);
     BuildAndProbe(
-        r_rows, spec.left_column, skey,
-        [&] { return s_reader.Next(buf.data()) ? buf.data() : nullptr; }, ctx,
+        r_rows, spec.left_column, ss, spec.right_column,
+        [&](char* buf) { return s_reader.Next(buf) ? buf : nullptr; }, ctx,
         &out);
     ctx->disk->DeleteFile(sp.file);
   }

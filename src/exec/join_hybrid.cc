@@ -38,7 +38,6 @@ Status JoinSpilledPair(const Relation& r_rows, const Relation& s_rows,
   const int64_t capacity =
       std::max<int64_t>(1, ctx->TuplesInPages(rs, ctx->memory_pages));
   const Field rkey = Field::Of(rs, spec.left_column);
-  const Field skey = Field::Of(ss, spec.right_column);
   const int64_t n = r_rows.num_tuples();
   bool resolve_in_memory = n <= capacity || depth >= ctx->max_recursion_depth;
   if (!resolve_in_memory) {
@@ -57,7 +56,8 @@ Status JoinSpilledPair(const Relation& r_rows, const Relation& s_rows,
     }
   }
   if (resolve_in_memory) {
-    exec_internal::BuildAndProbe(r_rows, spec.left_column, skey,
+    exec_internal::BuildAndProbe(r_rows, spec.left_column, ss,
+                                 spec.right_column,
                                  exec_internal::RecordsOf(s_rows), ctx, out);
     return Status::OK();
   }

@@ -59,8 +59,7 @@ StatusOr<Relation> WholeTupleHashJoin(HeapFile* r_heap,
   Relation out(Schema::Concat(r_schema, s.schema()));
   // One scan of R; each whole tuple then moves into the table.
   MMDB_ASSIGN_OR_RETURN(Relation r, Relation::FromHeapFile(r_schema, r_heap));
-  exec_internal::BuildAndProbe(r, r_key_column,
-                               Field::Of(s.schema(), s_key_column),
+  exec_internal::BuildAndProbe(r, r_key_column, s.schema(), s_key_column,
                                exec_internal::RecordsOf(s), ctx, &out);
   if (stats != nullptr) stats->output_tuples = out.num_tuples();
   return out;

@@ -58,22 +58,67 @@ struct Field {
   /// The field as a Value (DeserializeRow's reading of it).
   Value Read(const char* rec) const;
   /// HashValue(Read(rec)).
-  uint64_t Hash(const char* rec) const {
-    if (type == ValueType::kString) return HashString(Chars(rec));
-    if (type == ValueType::kDouble) return HashDouble(Double(rec));
-    return Mix64(static_cast<uint64_t>(Int(rec)));
+  uint64_t Hash(const char* rec) const;
+};
+
+/// Field::Hash and CompareFields for fields of type T, resolved at compile
+/// time: a loop over many records picks one with WithFieldOps and runs no
+/// switch on the type per record.
+template <ValueType T>
+struct FieldOps {
+  /// The field's native value: int64_t, double or (for CHAR) its string.
+  static auto Get(const Field& f, const char* rec) {
+    if constexpr (T == ValueType::kInt64) {
+      return f.Int(rec);
+    } else if constexpr (T == ValueType::kDouble) {
+      return f.Double(rec);
+    } else {
+      return f.Chars(rec);
+    }
+  }
+  static uint64_t Hash(const Field& f, const char* rec) {
+    if constexpr (T == ValueType::kInt64) {
+      return Mix64(static_cast<uint64_t>(f.Int(rec)));
+    } else if constexpr (T == ValueType::kDouble) {
+      return HashDouble(f.Double(rec));
+    } else {
+      return HashString(f.Chars(rec));
+    }
+  }
+  static int Compare(const Field& fa, const char* a, const Field& fb,
+                     const char* b) {
+    if constexpr (T == ValueType::kString) {
+      const int c = fa.Chars(a).compare(fb.Chars(b));
+      return c < 0 ? -1 : (c > 0 ? 1 : 0);
+    } else {
+      return CompareNative(Get(fa, a), Get(fb, b));
+    }
   }
 };
+
+/// Returns fn(FieldOps<type>{}).
+template <typename Fn>
+decltype(auto) WithFieldOps(ValueType type, Fn&& fn) {
+  switch (type) {
+    case ValueType::kInt64:
+      return fn(FieldOps<ValueType::kInt64>{});
+    case ValueType::kDouble:
+      return fn(FieldOps<ValueType::kDouble>{});
+    case ValueType::kString:
+      break;
+  }
+  return fn(FieldOps<ValueType::kString>{});
+}
+
+inline uint64_t Field::Hash(const char* rec) const {
+  return WithFieldOps(type, [&](auto ops) { return ops.Hash(*this, rec); });
+}
 
 /// CompareValues(fa.Read(a), fb.Read(b)) for two fields of one type.
 inline int CompareFields(const Field& fa, const char* a, const Field& fb,
                          const char* b) {
-  if (fa.type == ValueType::kInt64) return CompareNative(fa.Int(a), fb.Int(b));
-  if (fa.type == ValueType::kDouble) {
-    return CompareNative(fa.Double(a), fb.Double(b));
-  }
-  const int c = fa.Chars(a).compare(fb.Chars(b));
-  return c < 0 ? -1 : (c > 0 ? 1 : 0);
+  return WithFieldOps(fa.type,
+                      [&](auto ops) { return ops.Compare(fa, a, fb, b); });
 }
 
 /// Renders "val1|val2|..." for debugging and golden tests.
