@@ -294,6 +294,14 @@ class Parser {
     return ColumnRef{owner, first};
   }
 
+  /// The declared type of the column `ref` names.
+  StatusOr<ValueType> ColumnType(const ColumnRef& ref) {
+    MMDB_ASSIGN_OR_RETURN(const TableEntry* entry, catalog_.Lookup(ref.table));
+    const Schema& schema = entry->relation->schema();
+    MMDB_ASSIGN_OR_RETURN(int col, schema.ColumnIndex(ref.column));
+    return schema.column(col).type;
+  }
+
   StatusOr<Value> ParseLiteral() {
     const Token t = lexer_.Take();
     switch (t.type) {
@@ -573,17 +581,21 @@ class Parser {
         return Status::InvalidArgument("only equi-joins are supported");
       }
       MMDB_ASSIGN_OR_RETURN(ColumnRef right, ParseColumnRef(query->tables));
+      // The join algorithms hash and compare both keys as one type.
+      MMDB_ASSIGN_OR_RETURN(const ValueType left_type, ColumnType(left));
+      MMDB_ASSIGN_OR_RETURN(const ValueType right_type, ColumnType(right));
+      if (left_type != right_type) {
+        return Status::InvalidArgument("join columns " + left.ToString() +
+                                       " and " + right.ToString() +
+                                       " differ in type");
+      }
       query->joins.push_back(JoinClause{std::move(left), std::move(right)});
       return Status::OK();
     }
     MMDB_ASSIGN_OR_RETURN(Value literal, ParseLiteral());
     // Numeric coercion against the column's declared type, so
     // `salary > 1500` works on a DOUBLE column.
-    MMDB_ASSIGN_OR_RETURN(const TableEntry* entry,
-                          catalog_.Lookup(left.table));
-    MMDB_ASSIGN_OR_RETURN(int col,
-                          entry->relation->schema().ColumnIndex(left.column));
-    const ValueType col_type = entry->relation->schema().column(col).type;
+    MMDB_ASSIGN_OR_RETURN(const ValueType col_type, ColumnType(left));
     if (col_type == ValueType::kDouble &&
         std::holds_alternative<int64_t>(literal)) {
       literal = Value{double(std::get<int64_t>(literal))};

@@ -79,6 +79,25 @@ TEST_F(SqlTest, JoinViaWhere) {
   EXPECT_EQ(r.relation.schema().num_columns(), 2);
 }
 
+TEST_F(SqlTest, JoinAcrossColumnTypesIsRefused) {
+  // An INT64 key and a DOUBLE key hash differently, so a hash join of them
+  // found no match, and sort-merge compared the DOUBLE's bits as an
+  // integer. The parser refuses such a join; a literal is still coerced.
+  Exec("CREATE TABLE a (x INT64)");
+  Exec("CREATE TABLE b (k DOUBLE, s CHAR(4))");
+  Exec("INSERT INTO a VALUES (1), (2)");
+  Exec("INSERT INTO b VALUES (1.0, 'one')");
+  for (const char* sql : {"SELECT a.x, b.s FROM a, b WHERE a.x = b.k",
+                          "SELECT a.x, b.s FROM a, b WHERE b.k = a.x",
+                          "SELECT a.x FROM a, b WHERE a.x = b.s"}) {
+    auto r = db_.ExecuteSql(sql);
+    ASSERT_FALSE(r.ok()) << sql << " returned "
+                         << r->relation.num_tuples() << " rows";
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << sql;
+  }
+  EXPECT_EQ(Exec("SELECT x FROM a WHERE x = 1.0").relation.num_tuples(), 1);
+}
+
 TEST_F(SqlTest, UnqualifiedColumnsResolveAcrossTables) {
   auto r = Exec(
       "SELECT name, dname FROM emp, dept WHERE dept = dept_id");
