@@ -170,6 +170,34 @@ TEST(SqlScanAllocTest, JoinProbeAllocatesForOutputAndBuildNotSurvivors) {
       << "allocations scale with the probe survivors";
 }
 
+// The join's build table holds its record addresses and chain links in a
+// few vectors grown by doubling: a build of kBuildKeys distinct keys makes
+// O(log n) allocations for its table, not one or more per key.
+TEST(SqlScanAllocTest, JoinBuildAllocatesPerTableNotPerKey) {
+  constexpr int64_t kBuildKeys = 10000;
+  Database db;
+  LoadTable(&db);
+  const Schema schema({Column::Int64("k"), Column::Int64("w")});
+  ASSERT_TRUE(db.CreateTable("v", schema).ok());
+  Relation rel(schema);
+  for (int64_t i = 0; i < kBuildKeys; ++i) rel.Add({Value{i}, Value{i % 7}});
+  ASSERT_TRUE(db.BulkLoad("v", std::move(rel)).ok());
+  AllocsFor(&db, "SELECT id, bal FROM t WHERE id = 7", 1);
+  const uint64_t one =
+      AllocsFor(&db, "SELECT id, bal FROM t WHERE id = 4242", 1);
+  // Every t row with id < kBuildKeys matches one v row; the build is v.
+  const std::string sql = "SELECT t.id, v.w FROM t, v WHERE t.id = v.k";
+  auto plan = db.ExecuteSql("EXPLAIN " + sql);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_NE(plan->plan_text.find("hybrid-hash"), std::string::npos)
+      << plan->plan_text;
+  AllocsFor(&db, sql, kBuildKeys);
+  const uint64_t joined = AllocsFor(&db, sql, kBuildKeys);
+  // The build copy and the output take a block per 1024 records each; the
+  // table's vectors regrow about log2(kBuildKeys) times each.
+  EXPECT_LT(joined, one + 200) << "allocations scale with the build keys";
+}
+
 TEST(SqlScanAllocTest, DistinctAllocatesForDistinctRows) {
   Database db;
   LoadTable(&db);
