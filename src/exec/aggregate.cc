@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 
 #include "common/check.h"
 #include "common/hash.h"
@@ -133,9 +132,6 @@ class GroupTable {
     }
     uint32_t chains[kHashBatch];
     chains_.Chains(hashes, n, chains);
-    for (int i = 0; i < n; ++i) {
-      if (chains[i] == hashes_.size()) hashes_.push_back(hashes[i]);
-    }
     uint32_t groups[kHashBatch];
     uint8_t at_head[kHashBatch];
     HeadsHolding(recs, n, chains, groups, at_head);
@@ -155,23 +151,10 @@ class GroupTable {
   /// Groups added.
   int64_t size() const { return static_cast<int64_t>(keys_.size()); }
 
-  /// Calls fn(key record, aggs) for every group in emission order: the
-  /// order in which a std::unordered_map<uint64_t, bucket> iterates after
-  /// meeting the hashes in first-seen order, each bucket in insertion
-  /// order. Only the distinct hashes enter the map, so emission costs a
-  /// node per group, not a lookup per row.
+  /// Calls fn(key record, aggs) for every group, in first-seen order.
   template <typename Fn>
   void ForEach(const Fn& fn) {
-    std::unordered_map<uint64_t, uint32_t> order;
-    for (uint32_t id = 0; id < hashes_.size(); ++id) {
-      order.emplace(hashes_[id], id);
-    }
-    for (const auto& entry : order) {
-      for (uint32_t g = chains_.head(entry.second); g != HashChains::kEnd;
-           g = chains_.next(g)) {
-        fn(keys_[g], aggs(g));
-      }
-    }
+    for (uint32_t g = 0; g < keys_.size(); ++g) fn(keys_[g], aggs(g));
   }
 
  private:
@@ -221,7 +204,6 @@ class GroupTable {
 
   const BoundSpec& spec_;
   HashChains chains_;
-  std::vector<uint64_t> hashes_;    // the hash, by chain id
   std::vector<const char*> keys_;   // first record, by group
   std::vector<AggState> states_;    // one per aggregate per group
 };

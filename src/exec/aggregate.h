@@ -43,7 +43,9 @@ struct AggStats {
 /// otherwise the input is hash-partitioned on the grouping attributes and
 /// each partition is aggregated independently (groups never straddle
 /// partitions because the partitioning is compatible with the grouping
-/// hash), recursing if a partition still overflows.
+/// hash), recursing if a partition still overflows. Groups are emitted in
+/// the order of their first rows: over the whole input in one pass, and
+/// partition by partition otherwise.
 StatusOr<Relation> HashAggregate(const Relation& input,
                                  const AggregateSpec& spec, ExecContext* ctx,
                                  AggStats* stats = nullptr);

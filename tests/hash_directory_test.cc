@@ -1,13 +1,13 @@
 // The chained hash table behind the aggregation and join kernels
 // (DESIGN.md §14). A HashDirectory numbers distinct hashes in first-seen
 // order, and its batch lookups agree with its one-hash lookups;
-// HashAggregate built on it emits its groups in the order, and charges the
-// Hash, Comp and Move counts, of the per-row std::unordered_map<hash,
-// bucket> table it replaced (the reference below); a JoinHashTable emits a
-// key's matches in insertion order and charges one Comp per chain entry
-// scanned, or one per miss. The batch kernels are checked at the batch
-// boundaries, across a directory regrowth inside one batch and on hashes
-// that share a home slot.
+// HashAggregate built on it charges the Hash, Comp and Move counts of the
+// per-row std::unordered_map<hash, bucket> table it replaced (the
+// reference below) and emits its groups in first-seen order; a
+// JoinHashTable emits a key's matches in insertion order and charges one
+// Comp per chain entry scanned, or one per miss. The batch kernels are
+// checked at the batch boundaries, across a directory regrowth inside one
+// batch and on hashes that share a home slot.
 
 #include <gtest/gtest.h>
 
@@ -97,10 +97,11 @@ struct RefGroup {
 
 /// One-pass aggregation as the executor did it before the directory: one
 /// std::unordered_map lookup per row, a bucket per group-key hash scanned
-/// in insertion order, groups emitted in the map's iteration order.
+/// in insertion order, groups emitted in first-seen order.
 Relation ReferenceAggregate(const Relation& in, const AggregateSpec& spec,
                             CostCounters* counters) {
   std::unordered_map<uint64_t, std::vector<RefGroup>> table;
+  std::vector<std::pair<uint64_t, size_t>> first_seen;  // (hash, index)
   for (const Row& row : in.rows()) {
     ++counters->hashes;
     uint64_t h = 0x9E3779B97F4A7C15ull;
@@ -125,6 +126,7 @@ Relation ReferenceAggregate(const Relation& in, const AggregateSpec& spec,
       ++counters->moves;
       RefGroup g;
       for (int c : spec.group_by) g.key.push_back(row[static_cast<size_t>(c)]);
+      first_seen.emplace_back(h, bucket.size());
       bucket.push_back(std::move(g));
       group = &bucket.back();
     }
@@ -149,16 +151,15 @@ Relation ReferenceAggregate(const Relation& in, const AggregateSpec& spec,
     cols.push_back(c);
   }
   Relation out{Schema(std::move(cols))};
-  for (const auto& [h, bucket] : table) {
-    for (const RefGroup& g : bucket) {
-      Row row = g.key;
-      row.emplace_back(g.count);
-      row.emplace_back(g.sum);
-      row.push_back(g.min_v);
-      row.push_back(g.max_v);
-      row.emplace_back(g.sum / double(g.count));
-      out.Add(std::move(row));
-    }
+  for (const auto& [h, index] : first_seen) {
+    const RefGroup& g = table[h][index];
+    Row row = g.key;
+    row.emplace_back(g.count);
+    row.emplace_back(g.sum);
+    row.push_back(g.min_v);
+    row.push_back(g.max_v);
+    row.emplace_back(g.sum / double(g.count));
+    out.Add(std::move(row));
   }
   return out;
 }
