@@ -23,8 +23,8 @@ namespace mmdb {
 /// `key_column` and inserted in build-input order (the order
 /// exec_internal::ProbeHashTable relies on for byte-identical emission).
 /// The embedded JoinHashTable addresses `records`; a serving probe
-/// (ProbeHashTable) charges the Comps Match reports to the statement's own
-/// clock.
+/// (ProbeHashTable) charges the Comps its probes report to the
+/// statement's own clock.
 struct CachedBuild {
   CachedBuild(Relation build, int key)
       : records(std::move(build)),

@@ -162,17 +162,12 @@ class GroupTable {
   /// group holds recs[i]'s key, a key field at a time.
   void HeadsHolding(const char* const* recs, int n, const uint32_t* chains,
                     uint32_t* groups, uint8_t* at_head) const {
-    if (keys_.empty()) {
-      for (int i = 0; i < n; ++i) at_head[i] = 0;
-      return;
-    }
     const char* heads[kHashBatch];
     for (int i = 0; i < n; ++i) {
       const uint32_t g = chains_.head(chains[i]);
       groups[i] = g;
       at_head[i] = g != HashChains::kEnd;
-      // A row with no head compares with itself.
-      heads[i] = g == HashChains::kEnd ? recs[i] : keys_[at_head[i] ? g : 0];
+      heads[i] = at_head[i] ? keys_[g] : recs[i];  // no head: compare itself
     }
     for (const Field& f : spec_.group) {
       WithFieldOps(f.type, [&](auto ops) {
@@ -313,7 +308,8 @@ void AggregateInMemory(int64_t n, const RecAt& rec_at, const BoundSpec& spec,
   int64_t comps = 0;
   const char* recs[kHashBatch];
   for (int64_t first = 0; first < n; first += kHashBatch) {
-    const int batch = static_cast<int>(std::min<int64_t>(kHashBatch, n - first));
+    const int batch =
+        static_cast<int>(std::min<int64_t>(kHashBatch, n - first));
     for (int i = 0; i < batch; ++i) recs[i] = rec_at(first + i);
     table.FoldBatch(recs, batch, &comps);
   }

@@ -34,11 +34,12 @@ Relation ProbeHashTable(const JoinHashTable& table, const Schema& build_schema,
   const char* probes[kHashBatch];
   int64_t comps = 0;
   for (int64_t first = 0; first < n; first += kHashBatch) {
-    const int batch = static_cast<int>(std::min<int64_t>(kHashBatch, n - first));
+    const int batch =
+        static_cast<int>(std::min<int64_t>(kHashBatch, n - first));
     for (int i = 0; i < batch; ++i) probes[i] = probe.record(first + i);
-    comps += table.ProbeBatch(key, probes, batch, [&](const char* r_rec, int i) {
+    comps += table.ProbeBatch(key, probes, batch, [&](const char* rec, int i) {
       char* dst = out.AppendRecord();
-      std::memcpy(dst, r_rec, static_cast<size_t>(build_size));
+      std::memcpy(dst, rec, static_cast<size_t>(build_size));
       probe.CopyTo(first + i, dst + build_size);
     });
   }

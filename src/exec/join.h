@@ -214,10 +214,10 @@ inline auto RecordsOf(const Relation& s) {
 /// The in-memory hash join's probe, shared by the plan executor's hybrid
 /// join and its CachedBuild serve (DESIGN.md §14, §15): probes a complete
 /// build `table` (records of `build_schema`) with every row of `probe`,
-/// read in place, and returns build row ++ probe row for each match in
-/// probe input order, bucket-scan order within a key. Charges the
-/// single-partition hybrid's probe side: one Hash per probe tuple, one
-/// Comp per bucket entry scanned or per miss.
+/// read in place, kHashBatch rows at a time, and returns build row ++
+/// probe row for each match in probe input order, build insertion order
+/// within a key. Charges the single-partition hybrid's probe side: one
+/// Hash per probe tuple, one Comp per chain entry scanned or per miss.
 Relation ProbeHashTable(const JoinHashTable& table, const Schema& build_schema,
                         const RowView& probe, int probe_key, ExecContext* ctx);
 

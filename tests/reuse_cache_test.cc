@@ -267,7 +267,8 @@ TEST(ReuseCacheBuilds, InstallLookupAndInvalidate) {
   for (int64_t i = 0; i < 16; ++i) rows.Add({Value{i}});
   auto build = std::make_shared<CachedBuild>(std::move(rows), 0);
   ASSERT_TRUE(cache.InstallBuild("scan(r@0)", 0, {"r"}, build, 1.0));
-  // Charged the records' blocks and the table's directory and buckets.
+  // Charged the records' blocks and the table's directory, chain links and
+  // record addresses.
   EXPECT_EQ(cache.stats().bytes,
             build->records.allocated_bytes() + build->table.allocated_bytes());
   EXPECT_TRUE(cache.HasBuild("scan(r@0)", 0));
