@@ -2,6 +2,7 @@
 #define MMDB_EXEC_JOIN_H_
 
 #include <cstring>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -181,14 +182,15 @@ void BuildAndProbe(const Relation& r, int r_key, const Schema& s_schema,
   const Field key = Field::Of(s_schema, s_key);
   const int32_t r_size = r.schema().record_size();
   const size_t s_size = static_cast<size_t>(s_schema.record_size());
-  std::vector<char> bufs(s_size * kHashBatch);
+  // One record buffer per batch row, written only by a `next_s` that reads.
+  const std::unique_ptr<char[]> bufs(new char[s_size * kHashBatch]);
   const char* probes[kHashBatch];
   int64_t hashes = 0;
   int64_t comps = 0;
   for (bool more = true; more;) {
     int n = 0;
     while (n < kHashBatch) {
-      const char* s_rec = next_s(bufs.data() + s_size * n);
+      const char* s_rec = next_s(bufs.get() + s_size * n);
       if (s_rec == nullptr) {
         more = false;
         break;
