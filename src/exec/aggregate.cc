@@ -88,10 +88,18 @@ void FoldAggregate(const BoundSpec::Agg& agg, const char* const* recs,
   }
 }
 
-uint64_t HashGroupKey(const char* rec, const std::vector<Field>& group) {
-  uint64_t h = 0x9E3779B97F4A7C15ull;
-  for (const Field& f : group) h = HashCombine(h, f.Hash(rec));
-  return h;
+/// hashes[i] = the group-key hash of recs[i] for i < n, a key field at a
+/// time with the field's type resolved once.
+void HashGroupKeys(const char* const* recs, int n,
+                   const std::vector<Field>& group, uint64_t* hashes) {
+  for (int i = 0; i < n; ++i) hashes[i] = 0x9E3779B97F4A7C15ull;
+  for (const Field& f : group) {
+    WithFieldOps(f.type, [&](auto ops) {
+      for (int i = 0; i < n; ++i) {
+        hashes[i] = HashCombine(hashes[i], ops.Hash(f, recs[i]));
+      }
+    });
+  }
 }
 
 bool GroupKeyEquals(const char* rec, const char* key,
@@ -122,14 +130,7 @@ class GroupTable {
   /// two keys) walks its chain.
   void FoldBatch(const char* const* recs, int n, int64_t* comps) {
     uint64_t hashes[kHashBatch];
-    for (int i = 0; i < n; ++i) hashes[i] = 0x9E3779B97F4A7C15ull;
-    for (const Field& f : spec_.group) {
-      WithFieldOps(f.type, [&](auto ops) {
-        for (int i = 0; i < n; ++i) {
-          hashes[i] = HashCombine(hashes[i], ops.Hash(f, recs[i]));
-        }
-      });
-    }
+    HashGroupKeys(recs, n, spec_.group, hashes);
     uint32_t chains[kHashBatch];
     chains_.Chains(hashes, n, chains);
     uint32_t groups[kHashBatch];
@@ -355,7 +356,8 @@ Status AggregateRec(const Relation& rows, Relation* owned,
     const char* rec = rows.record(i);
     ctx->clock->Hash();
     // Partition on the combined group key hash.
-    const uint64_t h = HashGroupKey(rec, spec.group);
+    uint64_t h;
+    HashGroupKeys(&rec, 1, spec.group, &h);
     const int64_t p =
         static_cast<int64_t>(Mix64(h ^ (0xABCDull * (depth + 1))) %
                              static_cast<uint64_t>(b));
