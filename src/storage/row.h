@@ -66,16 +66,6 @@ struct Field {
 /// switch on the type per record.
 template <ValueType T>
 struct FieldOps {
-  /// The field's native value: int64_t, double or (for CHAR) its string.
-  static auto Get(const Field& f, const char* rec) {
-    if constexpr (T == ValueType::kInt64) {
-      return f.Int(rec);
-    } else if constexpr (T == ValueType::kDouble) {
-      return f.Double(rec);
-    } else {
-      return f.Chars(rec);
-    }
-  }
   static uint64_t Hash(const Field& f, const char* rec) {
     if constexpr (T == ValueType::kInt64) {
       return Mix64(static_cast<uint64_t>(f.Int(rec)));
@@ -87,11 +77,13 @@ struct FieldOps {
   }
   static int Compare(const Field& fa, const char* a, const Field& fb,
                      const char* b) {
-    if constexpr (T == ValueType::kString) {
+    if constexpr (T == ValueType::kInt64) {
+      return CompareNative(fa.Int(a), fb.Int(b));
+    } else if constexpr (T == ValueType::kDouble) {
+      return CompareNative(fa.Double(a), fb.Double(b));
+    } else {
       const int c = fa.Chars(a).compare(fb.Chars(b));
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
-    } else {
-      return CompareNative(Get(fa, a), Get(fb, b));
     }
   }
 };
