@@ -174,7 +174,7 @@ class HashChains {
 
   /// Appends a new entry to the chain of hash `h`; returns its number.
   uint32_t Add(uint64_t h) {
-    uint32_t chain;
+    uint32_t chain = kEnd;
     Chains(&h, 1, &chain);
     return Append(chain);
   }

@@ -356,7 +356,7 @@ Status AggregateRec(const Relation& rows, Relation* owned,
     const char* rec = rows.record(i);
     ctx->clock->Hash();
     // Partition on the combined group key hash.
-    uint64_t h;
+    uint64_t h = 0;
     HashGroupKeys(&rec, 1, spec.group, &h);
     const int64_t p =
         static_cast<int64_t>(Mix64(h ^ (0xABCDull * (depth + 1))) %
