@@ -176,16 +176,17 @@ Status BackupManager::RestoreChain(
     }
   }
 
-  // §5/§12 winner/loser resolution over the merged window, cut at the
-  // target. Re-applying the whole window over the image is idempotent:
-  // every update a copied page already reflects is in the window (or
-  // predates it entirely), so the resolved endpoint always lands on top.
+  // The §5 resolution restart analysis runs (ResolveLog), over the merged
+  // window cut at the target. Re-applying the whole window over the image
+  // is idempotent: every update a copied page already reflects is in the
+  // window (or predates it entirely), so the resolved endpoint always lands
+  // on top.
   std::vector<LogRecord> window;
   window.reserve(merged.size());
   for (auto& [lsn, rec] : merged) window.push_back(std::move(rec));
-  MMDB_ASSIGN_OR_RETURN(auto resolved, ResolveLogWindow(window, cut));
-  for (const auto& [record_id, update] : resolved) {
-    MMDB_RETURN_IF_ERROR(dest->ApplyRecovery(record_id, update.value));
+  MMDB_ASSIGN_OR_RETURN(LogResolution resolved, ResolveLog(window, cut));
+  for (const auto& [record_id, endpoint] : resolved.records) {
+    MMDB_RETURN_IF_ERROR(dest->ApplyRecovery(record_id, endpoint.image));
   }
 
   // The stamps riding along in ApplyRecovery/InstallPage belong to the

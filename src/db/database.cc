@@ -15,6 +15,13 @@ namespace mmdb {
 
 namespace {
 
+/// The paged indexes' buffer pool replaces at random, the policy of the
+/// paper's fault model (DESIGN.md §5).
+constexpr ReplacementPolicy kBufferPolicy = ReplacementPolicy::kRandom;
+/// Stable memory of the transaction plane: the first-update table and, for
+/// WalKind::kStable, the log buffer.
+constexpr int64_t kStableMemoryBytes = 16 << 20;
+
 /// Whether the B+-tree can key a column of `type`. Its keys compare by
 /// memcmp, and only INT64 and CHAR have an order-preserving encoding.
 bool BTreeKeys(ValueType type) {
@@ -42,7 +49,7 @@ Database::Database(Options options)
     : options_(options),
       clock_(options.cost_params),
       disk_(options.page_size, &clock_, &metrics_),
-      pool_(&disk_, options.buffer_pool_pages, options.buffer_policy,
+      pool_(&disk_, options.buffer_pool_pages, kBufferPolicy,
             /*seed=*/42, &metrics_),
       catalog_(options.page_size) {
   exec_ctx_.disk = &disk_;
@@ -753,7 +760,7 @@ Status Database::ExecuteUpdateLocked(const ParsedStatement& stmt,
 Status Database::EnableTransactions(const TxnPlaneOptions& options) {
   if (txn_enabled_) return Status::FailedPrecondition("already enabled");
   txn_options_ = options;
-  stable_ = std::make_unique<StableMemory>(options.stable_memory_bytes);
+  stable_ = std::make_unique<StableMemory>(kStableMemoryBytes);
   if (options.fault_injector != nullptr) {
     disk_.set_fault_injector(options.fault_injector);
     stable_->set_fault_injector(options.fault_injector);
@@ -858,17 +865,16 @@ StatusOr<RecoveryStats> Database::Recover(RecoveryOptions options) {
     retired_recovery_ctls_.push_back(std::move(recovery_ctl_));
   }
 
-  RecoveryStats stats;
-  InstantRecoveryPlan plan;
+  // One plan, two schedules (DESIGN.md §12): blocking restores it here,
+  // instant hands it to a RecoveryController once the WAL runs.
+  MMDB_ASSIGN_OR_RETURN(
+      InstantRecoveryPlan plan,
+      AnalyzeInstantRecovery(store_.get(), wal_.get(), fut_.get(), options));
   const bool instant = options.mode == RecoveryMode::kInstant;
-  if (instant) {
-    MMDB_ASSIGN_OR_RETURN(plan, AnalyzeInstantRecovery(store_.get(),
-                                                       wal_.get(), fut_.get(),
-                                                       options));
-    stats = plan.stats;
-  } else {
-    MMDB_ASSIGN_OR_RETURN(stats, RecoverStore(store_.get(), wal_.get(),
-                                              fut_.get(), options));
+  RecoveryStats stats = plan.stats;
+  if (!instant) {
+    MMDB_ASSIGN_OR_RETURN(
+        stats, RestoreInline(store_.get(), fut_.get(), plan, options));
   }
   metrics_.Add("recovery.runs", 1);
   metrics_.Add("recovery.log_records_scanned", stats.log_records_scanned);

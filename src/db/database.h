@@ -68,7 +68,6 @@ class Database : public IndexProvider {
     bool vectorize = false;
     /// Buffer pool for the paged (B+-tree) indexes.
     int64_t buffer_pool_pages = 4096;
-    ReplacementPolicy buffer_policy = ReplacementPolicy::kRandom;
     /// Byte budget of the plan-fingerprint reuse cache (DESIGN.md §15):
     /// materialized sub-plan results and join-build hash tables served
     /// across statements. 0 (the default) disables reuse entirely.
@@ -190,7 +189,6 @@ class Database : public IndexProvider {
     int64_t num_records = 10'000;
     int32_t record_size = 72;
     std::chrono::microseconds log_write_latency{10'000};  // the 10 ms page
-    int64_t stable_memory_bytes = 16 << 20;
     bool compress_stable_log = true;
     bool start_checkpointer = false;
     /// §6 / mvcc.h: maintain per-record version chains so snapshot

@@ -547,27 +547,6 @@ StatusOr<double> BPlusTree::AvgLeafFill() {
   return double(entries) / (double(leaves) * leaf_capacity_);
 }
 
-StatusOr<double> BPlusTree::AvgInternalFill() {
-  if (root_ == kNoPage || height_ == 1) return 0.0;
-  int64_t nodes = 0, children = 0;
-  std::vector<uint32_t> stack = {root_};
-  while (!stack.empty()) {
-    uint32_t page = stack.back();
-    stack.pop_back();
-    MMDB_ASSIGN_OR_RETURN(auto ref, pool_->Fetch(file_->id(), page));
-    NodeView node = View(ref.data());
-    if (node.is_leaf()) continue;
-    ++nodes;
-    children += node.count() + 1;
-    for (int i = 0; i <= node.count(); ++i) {
-      // Only push non-leaf children to avoid flooding the pool with leaves.
-      stack.push_back(node.Child(i));
-    }
-  }
-  if (nodes == 0) return 0.0;
-  return double(children) / (double(nodes) * max_fanout_);
-}
-
 Status BPlusTree::ValidateRec(uint32_t page_no, int depth, const char* lo,
                               const char* hi, int64_t* entries,
                               int* leaf_depth) {

@@ -79,10 +79,9 @@ class BPlusTree {
   int32_t internal_fanout() const { return max_fanout_; }
   int32_t leaf_capacity() const { return leaf_capacity_; }
 
-  /// Mean fill fraction of leaf pages / internal pages (for the [YAO78]
-  /// 69%-occupancy check).
+  /// Mean fill fraction of leaf pages (for the [YAO78] 69%-occupancy
+  /// check).
   StatusOr<double> AvgLeafFill();
-  StatusOr<double> AvgInternalFill();
 
   const IndexStats& stats() const { return stats_; }
   void ResetStats() { stats_.Reset(); }

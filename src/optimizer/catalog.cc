@@ -83,11 +83,4 @@ StatusOr<int> Catalog::ResolveColumn(const std::string& table,
   return entry->relation->schema().ColumnIndex(column);
 }
 
-std::vector<std::string> Catalog::TableNames() const {
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [name, entry] : tables_) names.push_back(name);
-  return names;
-}
-
 }  // namespace mmdb

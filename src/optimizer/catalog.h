@@ -69,7 +69,6 @@ class Catalog {
                               const std::string& column) const;
 
   int64_t page_size() const { return page_size_; }
-  std::vector<std::string> TableNames() const;
 
  private:
   int64_t page_size_;

@@ -80,16 +80,6 @@ class VersionChainTable {
     return n;
   }
 
-  /// Number of records with a non-empty chain (tests / introspection).
-  int64_t CountChains() const {
-    int64_t n = 0;
-    for (int64_t r = 0; r < num_records(); ++r) {
-      std::unique_lock<std::mutex> lock(stripe(r));
-      if (slots_[static_cast<size_t>(r)].history != nullptr) ++n;
-    }
-    return n;
-  }
-
  private:
   static constexpr size_t kStripes = 64;
   std::vector<RecordVersions> slots_;

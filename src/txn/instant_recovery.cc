@@ -1,8 +1,7 @@
 #include "txn/instant_recovery.h"
 
 #include <chrono>
-#include <thread>
-#include <unordered_set>
+#include <string>
 
 #include "common/check.h"
 
@@ -43,7 +42,7 @@ RecoveryController::RecoveryController(RecoverableStore* store,
   for (int64_t i = 0; i < n; ++i) {
     restored_[static_cast<size_t>(i)].store(true, std::memory_order_relaxed);
   }
-  for (const auto& [record_id, chain] : plan_.pending) {
+  for (const auto& [record_id, endpoint] : plan_.pending) {
     restored_[static_cast<size_t>(record_id)].store(
         false, std::memory_order_relaxed);
   }
@@ -100,9 +99,8 @@ Status RecoveryController::EnsureRecovered(int64_t record_id,
 
   auto it = plan_.pending.find(record_id);
   MMDB_CHECK(it != plan_.pending.end());  // unrestored => indexed
-  InstantRecoveryPlan::Chain& chain = it->second;
-  const int64_t cost =
-      static_cast<int64_t>(chain.redo.size()) + (chain.undo >= 0 ? 1 : 0);
+  ResolvedRecord& endpoint = it->second;
+  const int64_t cost = endpoint.chain_length;
   if (!from_sweep && cost > options_.ondemand_replay_budget) {
     ondemand_budget_exceeded_.fetch_add(1, std::memory_order_relaxed);
     counters_.Add(kOndemandBudgetExceeded);
@@ -110,27 +108,11 @@ Status RecoveryController::EnsureRecovered(int64_t record_id,
   }
 
   const auto t0 = std::chrono::steady_clock::now();
-  // Realize the per-record log-segment read in real time (see
-  // RecoveryOptions::replay_latency) — the same cost the blocking apply
-  // loop pays, just deferred to whoever restores the record.
-  if (options_.replay_latency.count() > 0) {
-    std::this_thread::sleep_for(options_.replay_latency);
-  }
-  for (int32_t idx : chain.redo) {
-    const LogRecord& rec = plan_.log[static_cast<size_t>(idx)];
-    MMDB_RETURN_IF_ERROR(
-        store_->ApplyRecovery(record_id, rec.new_value, rec.lsn));
-  }
-  if (chain.undo >= 0) {
-    const LogRecord& rec = plan_.log[static_cast<size_t>(chain.undo)];
-    MMDB_RETURN_IF_ERROR(
-        store_->ApplyRecovery(record_id, rec.old_value, rec.lsn));
-  }
-  // Retire the chain: the index shrinks as recovery proceeds, so a long
-  // serving-while-sweeping window does not hold the whole log's values
-  // twice.
-  chain.redo = {};
-  chain.undo = -1;
+  // The same restore the blocking schedule runs inline, deferred to
+  // whoever reaches the record first.
+  MMDB_RETURN_IF_ERROR(RestoreRecord(store_, record_id, endpoint, options_));
+  // Retire the image: the index shrinks as recovery proceeds.
+  endpoint.image = std::string();
   restored.store(true, std::memory_order_release);
   shard.unlock();
 
@@ -195,32 +177,9 @@ void RecoveryController::SweepLoop() {
 }
 
 Status RecoveryController::FinishSweep() {
-  // Persist the recovered image so a crash after this point skips replay
-  // entirely on the next restart: every dirty page (replay writes and any
-  // foreground traffic so far) plus every quarantined page (heal the bad
-  // sectors even when untouched). CheckpointPage enforces the WAL rule for
-  // pages foreground traffic updated and resets first-update entries with
-  // the reset-before-copy discipline, so nothing a concurrent writer does
-  // during this loop can lose redo.
-  std::unordered_set<int64_t> to_checkpoint(plan_.quarantined_pages.begin(),
-                                            plan_.quarantined_pages.end());
-  // Healed quarantined pages no longer match any earlier backup of the
-  // same page (they were zero-filled and rebuilt from the log), so raise
-  // their page LSN to the log's end: an incremental backup taken after
-  // this restart must copy them even when no replay chain touched them.
-  if (!plan_.log.empty()) {
-    const Lsn heal_lsn = plan_.log.back().lsn;
-    for (int64_t page : plan_.quarantined_pages) {
-      store_->StampPageLsn(page, heal_lsn);
-    }
-  }
-  for (int64_t page : store_->DirtyPages()) to_checkpoint.insert(page);
-  for (int64_t page : to_checkpoint) {
-    if (stop_.load(std::memory_order_acquire)) {
-      return Status::FailedPrecondition("recovery sweep stopped");
-    }
-    MMDB_RETURN_IF_ERROR(store_->CheckpointPage(page, fut_, wal_));
-  }
+  // The end-of-recovery step blocking recovery runs inline. Foreground
+  // traffic runs beside it, so the checkpoints enforce the WAL rule.
+  MMDB_RETURN_IF_ERROR(FinishRecovery(store_, fut_, wal_, plan_, &stop_));
   complete_.store(true, std::memory_order_release);
   counters_.Set(kComplete, 1);
   store_->ClearAccessGuard(this);

@@ -14,23 +14,25 @@
 
 namespace mmdb {
 
-/// Drives instant recovery's serving-while-sweeping window (DESIGN.md §12).
-/// Constructed with the analysis phase's log index, it installs itself as
-/// the store's RecordAccessGuard so any access to a not-yet-restored record
-/// replays that record's chain on demand (bounded by the replay budget —
-/// over budget the access is refused with kRecovering and no side effects),
-/// while a background sweep thread restores the remaining records in log
-/// order. When the index drains the controller checkpoints the recovered
-/// image (dirty + quarantined pages), detaches the guard, and fires
-/// `on_complete` — at which point the database is in exactly the state
-/// blocking recovery would have produced.
+/// Drives instant recovery's serving-while-sweeping window (DESIGN.md §12):
+/// the instant schedule of a restart plan that blocking recovery restores
+/// inline (RestoreInline). Constructed with the analysis phase's plan, it
+/// installs itself as the store's RecordAccessGuard so any access to a
+/// not-yet-restored record restores it on demand (bounded by the replay
+/// budget, charged the record's chain length — over budget the access is
+/// refused with kRecovering and no side effects), while a background sweep
+/// thread restores the remaining records in log order. When the plan drains
+/// the controller runs the shared end-of-recovery step (FinishRecovery),
+/// detaches the guard, and fires `on_complete` — at which point the store
+/// image and first-update table are those blocking recovery produces.
 ///
-/// Crash safety: the sweep never touches the first-update table and its
-/// replay writes carry no LSN, so a crash anywhere inside the window leaves
-/// snapshot + log + table exactly as the first analysis found them — the
-/// next restart re-enters analysis and rebuilds the same index (new traffic
-/// adds ordinary logged updates on top, which analysis handles like any
-/// other committed work).
+/// Crash safety: restores never enter the first-update table and never
+/// reach the disk before the end step, whose checkpoints reset an entry
+/// only for a page they then write. A crash anywhere inside the window
+/// leaves snapshot + log + table as the first analysis found them, or with
+/// some pages already written out — the next restart re-enters analysis and
+/// rebuilds a plan (new traffic adds ordinary logged updates on top, which
+/// analysis handles like any other committed work).
 ///
 /// Counts recovery.ondemand.*, recovery.sweep.* and recovery.instant.* into
 /// the registry passed at construction (a private one when null).
@@ -80,12 +82,12 @@ class RecoveryController : public RecordAccessGuard {
  private:
   static constexpr int kShards = 64;
 
-  /// Replays `record_id`'s chain if it is still pending. Foreground
+  /// Restores `record_id` if it is still pending. Foreground
   /// (`from_sweep` false) enforces the replay budget; the sweep never
   /// gives up.
   Status EnsureRecovered(int64_t record_id, bool from_sweep);
   void SweepLoop();
-  /// Final checkpoint + guard detach once the index is drained.
+  /// FinishRecovery + guard detach once the plan is drained.
   Status FinishSweep();
 
   RecoverableStore* store_;
@@ -98,9 +100,9 @@ class RecoveryController : public RecordAccessGuard {
   /// restored_[id]: true once the record needs no replay. Records absent
   /// from the index start true (the snapshot already held their state).
   std::unique_ptr<std::atomic<bool>[]> restored_;
-  /// Serialises replay per record (hashed); pending_ itself is structurally
-  /// immutable after analysis, so concurrent find() + mutation of DISTINCT
-  /// chains is safe.
+  /// Serialises restores per record (hashed); plan_.pending itself is
+  /// structurally immutable after analysis, so concurrent find() + mutation
+  /// of DISTINCT endpoints is safe.
   std::mutex shards_[kShards];
 
   std::atomic<int64_t> remaining_{0};

@@ -25,22 +25,6 @@ bool ReadPod(const char* data, int64_t size, int64_t* pos, T* out) {
 
 }  // namespace
 
-std::string_view LogRecordTypeName(LogRecordType t) {
-  switch (t) {
-    case LogRecordType::kBegin:
-      return "BEGIN";
-    case LogRecordType::kUpdate:
-      return "UPDATE";
-    case LogRecordType::kCommit:
-      return "COMMIT";
-    case LogRecordType::kAbort:
-      return "ABORT";
-    case LogRecordType::kCheckpoint:
-      return "CHECKPOINT";
-  }
-  return "UNKNOWN";
-}
-
 int64_t LogRecord::SerializedSize() const {
   // magic(4) crc(4) type(1) txn(8) lsn(8) record_id(8) old_len(4) new_len(4)
   return 4 + 4 + 1 + 8 + 8 + 8 + 4 + 4 +

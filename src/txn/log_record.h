@@ -34,8 +34,6 @@ enum class LogRecordType : uint8_t {
   kCheckpoint = 5,
 };
 
-std::string_view LogRecordTypeName(LogRecordType t);
-
 /// Counters produced by ParseAll: how much of the scanned byte stream was
 /// usable. Recovery surfaces these through RecoveryStats.
 struct LogParseStats {

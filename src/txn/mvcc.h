@@ -109,7 +109,6 @@ class MvccManager {
   uint64_t GcHorizon() const;
 
   uint64_t current_ts() const;
-  int64_t num_chains() const { return chains_.CountChains(); }
   int64_t num_versions() const { return chains_.CountNodes(); }
   MetricsRegistry* metrics() const { return counters_.registry(); }
 

@@ -92,14 +92,23 @@ void FirstUpdateTable::Clear() {
   *ChecksumCell() = 0;
 }
 
-bool FirstUpdateTable::Verify() const {
-  std::unique_lock<std::mutex> lock(mu_);
+uint64_t FirstUpdateTable::SlotsChecksum() const {
   const Lsn* slots = Slots();
   uint64_t expected = 0;
   for (int64_t i = 0; i < num_pages_; ++i) {
     expected ^= Token(i, slots[i]);
   }
-  return expected == *ChecksumCell();
+  return expected;
+}
+
+bool FirstUpdateTable::Verify() const {
+  std::unique_lock<std::mutex> lock(mu_);
+  return SlotsChecksum() == *ChecksumCell();
+}
+
+void FirstUpdateTable::RebuildChecksum() {
+  std::unique_lock<std::mutex> lock(mu_);
+  *ChecksumCell() = SlotsChecksum();
 }
 
 RecoverableStore::RecoverableStore(SimulatedDisk* disk, int64_t num_records,

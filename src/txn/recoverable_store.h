@@ -56,10 +56,16 @@ class FirstUpdateTable {
   bool Verify() const;
 
   /// Resets every slot to clean and recomputes the checksum from scratch.
-  /// Recovery calls this after a full-log replay (degraded mode): the
-  /// incremental checksum cannot be repaired by per-slot updates once the
-  /// region was corrupted.
+  /// Backup restore and replica promotion call this once they have
+  /// checkpointed the image they installed: no entry of the store's
+  /// earlier life still applies.
   void Clear();
+
+  /// Recomputes the checksum from the slots as they stand. Recovery calls
+  /// this once it has checkpointed every page with an entry after finding
+  /// the table corrupt: the incremental checksum cannot be repaired by
+  /// per-slot updates once the region was corrupted. Writers may run.
+  void RebuildChecksum();
 
   int64_t num_pages() const { return num_pages_; }
 
@@ -70,6 +76,8 @@ class FirstUpdateTable {
   const uint64_t* ChecksumCell() const;
   /// Contribution of (page, lsn) to the XOR checksum; 0 for clean slots.
   static uint64_t Token(int64_t page, Lsn lsn);
+  /// The checksum the slots should carry. Caller holds mu_.
+  uint64_t SlotsChecksum() const;
   /// Sets the slot and maintains the checksum. Caller holds mu_.
   void SetSlot(int64_t page, Lsn lsn);
 
@@ -83,7 +91,7 @@ class FirstUpdateTable {
 /// (DESIGN.md §12). Installed by the RecoveryController after the analysis
 /// phase; detached once the sweep has drained. The guard runs BEFORE the
 /// store's mutex is taken, so it may itself call back into the store (via
-/// ApplyRecovery) to replay the record's log chain on demand.
+/// ApplyRecovery) to restore the record on demand.
 class RecordAccessGuard {
  public:
   virtual ~RecordAccessGuard() = default;

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <set>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "common/check.h"
 
@@ -13,280 +15,67 @@ namespace mmdb {
 
 namespace {
 
-/// Per-record resolution shared by blocking recovery and instant analysis.
-/// With value (physical) logging the final state of a record is fully
-/// determined by its update timeline:
-///   * the NEW value of its latest winner update, unless
-///   * a loser updated it after that winner — then the OLD value of the
-///     EARLIEST such loser update (the committed image the loser
-///     overwrote; locks guarantee no winner interleaved).
-/// This rule is idempotent across crash epochs: a loser from a previous
-/// epoch (which the log never seals) is automatically superseded by any
-/// later winner on the same record instead of being re-undone over it.
-struct RecordState {
-  const LogRecord* winner = nullptr;       // latest winner update
-  const LogRecord* loser_after = nullptr;  // earliest loser after it
-  /// Indices (into the log vector) of every winner update, LSN order —
-  /// the record's committed redo chain for the instant-recovery index.
-  std::vector<int32_t> winner_chain;
-  int32_t loser_index = -1;
-};
+double SecondsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration_cast<std::chrono::duration<double>>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
-/// Everything both recovery flavours extract from one pass over the log
-/// and the snapshot load.
-struct AnalysisResult {
-  std::vector<LogRecord> log;
-  std::unordered_map<int64_t, RecordState> final_state;
-  std::unordered_set<int64_t> quarantined;
-  std::vector<int64_t> quarantined_pages;
-  bool fut_trusted = false;
-  RecoveryStats stats;
-};
+}  // namespace
 
-/// Phases 1+2(+3a): snapshot load, log merge, winner classification and
-/// per-record resolution. `keep_chains` additionally records each record's
-/// full committed chain (instant recovery replays chains; blocking
-/// recovery only needs the resolved endpoint).
-StatusOr<AnalysisResult> AnalyzeLog(RecoverableStore* store, Wal* wal,
-                                    FirstUpdateTable* fut,
-                                    const RecoveryOptions& options,
-                                    bool keep_chains) {
-  AnalysisResult out;
-  RecoveryStats& stats = out.stats;
-
-  // 1. Snapshot reload. Pages that stay unreadable or fail their CRC are
-  // quarantined (zero-filled); their contents are rebuilt from the log
-  // below, so they must not take the first-update fast path.
-  const RecoverableStore::Stats store_before = store->stats();
-  MMDB_RETURN_IF_ERROR(store->LoadSnapshot(&out.quarantined_pages));
-  stats.snapshot_pages_read =
-      store->stats().snapshot_pages_read - store_before.snapshot_pages_read;
-  stats.snapshot_pages_quarantined =
-      static_cast<int64_t>(out.quarantined_pages.size());
-  out.quarantined.insert(out.quarantined_pages.begin(),
-                         out.quarantined_pages.end());
-
-  // 2. Merge fragments, classify transactions. Checksum-failed records are
-  // dropped by the parser (counted, never applied); a torn tail past the
-  // last valid record is expected after a crash mid-flush.
-  Wal::LogReadStats log_read;
-  out.log = wal->ReadAllForRecovery(&log_read);
-  stats.log_records_total = static_cast<int64_t>(out.log.size());
-  stats.corrupt_records_skipped = log_read.corrupt_records_skipped;
-  stats.torn_tail_bytes = log_read.torn_tail_bytes;
-  stats.unreadable_log_pages = log_read.unreadable_pages;
-
+StatusOr<LogResolution> ResolveLog(const std::vector<LogRecord>& log,
+                                   Lsn cut_lsn) {
+  LogResolution out;
   std::unordered_set<TxnId> winners;
   std::unordered_set<TxnId> seen;
-  for (const LogRecord& rec : out.log) {
+  for (const LogRecord& rec : log) {
+    if (rec.lsn >= cut_lsn) break;  // the log is LSN-sorted
     seen.insert(rec.txn_id);
-    if (rec.txn_id >= kSqlStmtTxnBase) {
-      stats.max_sql_stmt_txn_id =
-          std::max(stats.max_sql_stmt_txn_id, rec.txn_id);
-    } else {
-      stats.max_txn_id = std::max(stats.max_txn_id, rec.txn_id);
-    }
     if (rec.type == LogRecordType::kCommit ||
         rec.type == LogRecordType::kAbort) {
       winners.insert(rec.txn_id);
     }
   }
-  stats.winners = static_cast<int64_t>(winners.size());
-  stats.losers = static_cast<int64_t>(seen.size()) - stats.winners;
+  out.winners = static_cast<int64_t>(winners.size());
+  out.losers = static_cast<int64_t>(seen.size()) - out.winners;
 
-  // 3a. Redo winners from the first-update boundary — but only if the
-  // table survives its checksum check. A bit-flipped first-update LSN
-  // could silently skip redo, so on mismatch the table is abandoned and
-  // the whole log replayed (degraded mode: slow but safe).
-  out.fut_trusted =
-      options.use_first_update_table && fut != nullptr && fut->Verify();
-  if (options.use_first_update_table && fut != nullptr && !out.fut_trusted) {
-    stats.degraded_mode = true;
-  }
-  if (!out.quarantined.empty()) stats.degraded_mode = true;
-  Lsn start = 0;
-  if (out.fut_trusted) {
-    const Lsn min_lsn = fut->MinLsn();
-    start = min_lsn == kInvalidLsn
-                ? std::numeric_limits<Lsn>::max()  // everything checkpointed
-                : min_lsn;
-    // Quarantined pages lost their snapshot image: every surviving update
-    // to them must replay, so the scan cannot start past the log head.
-    if (!out.quarantined.empty()) start = 0;
-  }
-  stats.start_lsn = start;
-
-  int64_t scanned_bytes = 0;
-  for (int32_t i = 0; i < static_cast<int32_t>(out.log.size()); ++i) {
-    const LogRecord& rec = out.log[static_cast<size_t>(i)];
-    if (rec.lsn >= start) {
-      ++stats.log_records_scanned;
-      scanned_bytes += rec.SerializedSize();
-    }
+  struct Timeline {
+    const LogRecord* winner = nullptr;       // latest winner update
+    const LogRecord* loser_after = nullptr;  // earliest loser after it
+    int64_t winner_updates = 0;
+  };
+  std::unordered_map<int64_t, Timeline> timelines;
+  for (const LogRecord& rec : log) {
+    if (rec.lsn >= cut_lsn) break;
     if (rec.type != LogRecordType::kUpdate) continue;
-    RecordState& state = out.final_state[rec.record_id];
+    Timeline& t = timelines[rec.record_id];
     if (winners.count(rec.txn_id)) {
-      state.winner = &rec;  // later winner supersedes
-      state.loser_after = nullptr;
-      state.loser_index = -1;
-      if (keep_chains) state.winner_chain.push_back(i);
-    } else if (state.loser_after == nullptr) {
+      t.winner = &rec;  // later winner supersedes
+      t.loser_after = nullptr;
+      ++t.winner_updates;
+    } else if (t.loser_after == nullptr) {
       if (rec.old_value.empty() && !rec.new_value.empty()) {
         // A compressed record can only belong to a committed txn;
         // in-flight stable areas always retain their undo images.
         return Status::Internal("loser update lacks undo image");
       }
-      state.loser_after = &rec;  // first in-flight overwrite after winner
-      state.loser_index = i;
+      t.loser_after = &rec;  // first in-flight overwrite after winner
     }
   }
-  // Price the log scan as sequential 4K-page reads at the paper's 10 ms.
-  stats.simulated_log_read_seconds =
-      double((scanned_bytes + 4095) / 4096) * 0.010;
-  // Transient I/O retried so far (snapshot load + log read); the caller
-  // adds retries from its own apply/checkpoint phase.
-  stats.retries = log_read.retries +
-                  (store->stats().io_retries - store_before.io_retries);
-  return out;
-}
-
-/// True when `state`'s resolved redo may be skipped: the record's latest
-/// committed update predates its page's first un-checkpointed update, so
-/// the snapshot already holds it (and the page was not quarantined).
-bool SkipByFirstUpdate(const AnalysisResult& analysis,
-                       const RecordState& state, int64_t page,
-                       FirstUpdateTable* fut) {
-  if (!analysis.fut_trusted || analysis.quarantined.count(page)) return false;
-  const Lsn page_first = fut->Get(page);
-  return page_first == kInvalidLsn || state.winner->lsn < page_first;
-}
-
-}  // namespace
-
-StatusOr<RecoveryStats> RecoverStore(RecoverableStore* store, Wal* wal,
-                                     FirstUpdateTable* fut,
-                                     RecoveryOptions options) {
-  const auto t0 = std::chrono::steady_clock::now();
-  MMDB_ASSIGN_OR_RETURN(
-      AnalysisResult analysis,
-      AnalyzeLog(store, wal, fut, options, /*keep_chains=*/false));
-  RecoveryStats stats = analysis.stats;
-  const int64_t io_retries_before_apply = store->stats().io_retries;
-
-  // 3b/4. Apply each record's resolved endpoint: undo beats redo, redo is
-  // page-precise against the first-update table.
-  for (const auto& [record_id, state] : analysis.final_state) {
-    if (state.loser_after != nullptr) {
-      if (options.replay_latency.count() > 0) {
-        std::this_thread::sleep_for(options.replay_latency);
-      }
-      MMDB_RETURN_IF_ERROR(store->ApplyRecovery(
-          record_id, state.loser_after->old_value, state.loser_after->lsn));
-      ++stats.undo_applied;
-    } else if (state.winner != nullptr) {
-      const int64_t page = store->PageOf(record_id);
-      if (SkipByFirstUpdate(analysis, state, page, fut)) {
-        // Page-precise skip: updates older than the page's first-update
-        // entry are guaranteed to be in the snapshot already. Quarantined
-        // pages were zero-filled, so nothing is "already there" for them.
-        continue;
-      }
-      if (options.replay_latency.count() > 0) {
-        std::this_thread::sleep_for(options.replay_latency);
-      }
-      MMDB_RETURN_IF_ERROR(store->ApplyRecovery(
-          record_id, state.winner->new_value, state.winner->lsn));
-      ++stats.redo_applied;
-    }
-  }
-
-  // Quarantined pages were rebuilt (or zero-filled) from the log rather
-  // than loaded from the snapshot. Stamp them with the log's end LSN so an
-  // incremental backup taken after this restart still treats them as
-  // changed — their content no longer matches any earlier backup of the
-  // same page.
-  if (!analysis.quarantined.empty() && !analysis.log.empty()) {
-    const Lsn heal_lsn = analysis.log.back().lsn;
-    for (int64_t page : analysis.quarantined) {
-      store->StampPageLsn(page, heal_lsn);
-    }
-  }
-
-  // End-of-recovery checkpoint: persist the recovered image so a second
-  // crash before the next sweep cannot lose redone work, then clear any
-  // remaining (now meaningless) first-update entries. Quarantined pages are
-  // rewritten even when no redo touched them — the successful full write
-  // heals the bad sector (remap) and restores a valid checksum, so the next
-  // load will not re-quarantine them.
-  std::unordered_set<int64_t> to_checkpoint(analysis.quarantined.begin(),
-                                            analysis.quarantined.end());
-  for (int64_t page : store->DirtyPages()) to_checkpoint.insert(page);
-  for (int64_t page : to_checkpoint) {
-    MMDB_RETURN_IF_ERROR(store->CheckpointPage(page, fut, nullptr));
-  }
-  if (fut != nullptr) {
-    if (analysis.fut_trusted) {
-      for (int64_t p = 0; p < fut->num_pages(); ++p) fut->ResetPage(p);
+  out.records.reserve(timelines.size());
+  for (const auto& [record_id, t] : timelines) {
+    ResolvedRecord r;
+    if (t.loser_after != nullptr) {
+      r.image = t.loser_after->old_value;
+      r.lsn = t.loser_after->lsn;
+      r.undo = true;
+      r.chain_length = 1;
     } else {
-      // A corrupted table cannot be repaired incrementally — rebuild it.
-      fut->Clear();
+      r.image = t.winner->new_value;
+      r.lsn = t.winner->lsn;
+      r.chain_length = t.winner_updates;
     }
-  }
-
-  stats.retries += store->stats().io_retries - io_retries_before_apply;
-
-  const auto t1 = std::chrono::steady_clock::now();
-  stats.wall_seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0)
-          .count();
-  return stats;
-}
-
-StatusOr<std::unordered_map<int64_t, ResolvedUpdate>> ResolveLogWindow(
-    const std::vector<LogRecord>& log, Lsn cut_lsn) {
-  // The same §5 rule AnalyzeLog applies at restart, over an arbitrary
-  // window and with the winner set truncated at `cut_lsn`: a transaction
-  // whose commit/abort record lies at or beyond the cut never happened as
-  // far as the restored image is concerned, so its updates roll back to
-  // their old values.
-  std::unordered_set<TxnId> winners;
-  for (const LogRecord& rec : log) {
-    if (rec.lsn >= cut_lsn) break;  // log is LSN-sorted
-    if (rec.type == LogRecordType::kCommit ||
-        rec.type == LogRecordType::kAbort) {
-      winners.insert(rec.txn_id);
-    }
-  }
-  struct State {
-    const LogRecord* winner = nullptr;
-    const LogRecord* loser_after = nullptr;
-  };
-  std::unordered_map<int64_t, State> by_record;
-  for (const LogRecord& rec : log) {
-    if (rec.lsn >= cut_lsn) break;
-    if (rec.type != LogRecordType::kUpdate) continue;
-    State& state = by_record[rec.record_id];
-    if (winners.count(rec.txn_id)) {
-      state.winner = &rec;
-      state.loser_after = nullptr;
-    } else if (state.loser_after == nullptr) {
-      if (rec.old_value.empty() && !rec.new_value.empty()) {
-        return Status::Internal("loser update lacks undo image");
-      }
-      state.loser_after = &rec;
-    }
-  }
-  std::unordered_map<int64_t, ResolvedUpdate> out;
-  out.reserve(by_record.size());
-  for (const auto& [record_id, state] : by_record) {
-    if (state.loser_after != nullptr) {
-      out.emplace(record_id,
-                  ResolvedUpdate{state.loser_after->old_value,
-                                 state.loser_after->lsn});
-    } else if (state.winner != nullptr) {
-      out.emplace(record_id, ResolvedUpdate{state.winner->new_value,
-                                            state.winner->lsn});
-    }
+    out.records.emplace(record_id, std::move(r));
   }
   return out;
 }
@@ -296,60 +85,183 @@ StatusOr<InstantRecoveryPlan> AnalyzeInstantRecovery(RecoverableStore* store,
                                                      FirstUpdateTable* fut,
                                                      RecoveryOptions options) {
   const auto t0 = std::chrono::steady_clock::now();
-  MMDB_ASSIGN_OR_RETURN(
-      AnalysisResult analysis,
-      AnalyzeLog(store, wal, fut, options, /*keep_chains=*/true));
-
   InstantRecoveryPlan plan;
-  plan.stats = analysis.stats;
-  plan.quarantined_pages = std::move(analysis.quarantined_pages);
+  RecoveryStats& stats = plan.stats;
 
-  // Build the log index: one chain per record with outstanding work. A
-  // record whose resolved redo the first-update table proves is already in
-  // the snapshot gets NO chain — it is restored the moment the snapshot
-  // loads, exactly as in blocking recovery.
-  struct OrderKey {
-    Lsn first_lsn;
-    int64_t record_id;
-  };
-  std::vector<OrderKey> order;
-  for (auto& [record_id, state] : analysis.final_state) {
-    InstantRecoveryPlan::Chain chain;
-    if (state.loser_after != nullptr) {
-      // The loser's old_value IS the committed image (it embeds every
-      // winner before it, and locks guarantee no winner after it), so the
-      // redo chain is redundant: one undo write restores the record.
-      chain.undo = state.loser_index;
-    } else if (state.winner != nullptr) {
-      const int64_t page = store->PageOf(record_id);
-      if (SkipByFirstUpdate(analysis, state, page, fut)) continue;
-      chain.redo = std::move(state.winner_chain);
-    } else {
-      continue;  // only loser updates BEFORE a winner — nothing pending
-    }
-    const Lsn first_lsn =
-        !chain.redo.empty()
-            ? analysis.log[static_cast<size_t>(chain.redo.front())].lsn
-            : analysis.log[static_cast<size_t>(chain.undo)].lsn;
-    order.push_back(OrderKey{first_lsn, record_id});
-    plan.pending.emplace(record_id, std::move(chain));
+  // 1. Snapshot reload. Pages that stay unreadable or fail their CRC are
+  // quarantined (zero-filled); their contents are rebuilt from the log
+  // below, so they must not take the first-update fast path.
+  const RecoverableStore::Stats store_before = store->stats();
+  MMDB_RETURN_IF_ERROR(store->LoadSnapshot(&plan.quarantined_pages));
+  stats.snapshot_pages_read =
+      store->stats().snapshot_pages_read - store_before.snapshot_pages_read;
+  stats.snapshot_pages_quarantined =
+      static_cast<int64_t>(plan.quarantined_pages.size());
+  const std::unordered_set<int64_t> quarantined(
+      plan.quarantined_pages.begin(), plan.quarantined_pages.end());
+
+  // 2. Merge fragments and resolve every record. Checksum-failed records
+  // are dropped by the parser (counted, never applied); a torn tail past
+  // the last valid record is expected after a crash mid-flush.
+  Wal::LogReadStats log_read;
+  const std::vector<LogRecord> log = wal->ReadAllForRecovery(&log_read);
+  stats.log_records_total = static_cast<int64_t>(log.size());
+  stats.corrupt_records_skipped = log_read.corrupt_records_skipped;
+  stats.torn_tail_bytes = log_read.torn_tail_bytes;
+  stats.unreadable_log_pages = log_read.unreadable_pages;
+  MMDB_ASSIGN_OR_RETURN(LogResolution resolution, ResolveLog(log));
+  stats.winners = resolution.winners;
+  stats.losers = resolution.losers;
+
+  // 3. Start from the first-update boundary — but only if the table
+  // survives its checksum check. A bit-flipped first-update LSN could
+  // silently skip redo, so on mismatch the table is abandoned and the
+  // whole log replayed (degraded mode: slow but safe).
+  plan.fut_corrupt = fut != nullptr && !fut->Verify();
+  const bool fut_trusted =
+      options.use_first_update_table && fut != nullptr && !plan.fut_corrupt;
+  if (options.use_first_update_table && plan.fut_corrupt) {
+    stats.degraded_mode = true;
   }
-  std::sort(order.begin(), order.end(), [](const OrderKey& a,
-                                           const OrderKey& b) {
-    return a.first_lsn != b.first_lsn ? a.first_lsn < b.first_lsn
-                                      : a.record_id < b.record_id;
-  });
-  plan.sweep_order.reserve(order.size());
-  for (const OrderKey& k : order) plan.sweep_order.push_back(k.record_id);
-  plan.log = std::move(analysis.log);
-  plan.stats.pending_records = static_cast<int64_t>(plan.pending.size());
+  if (!quarantined.empty()) stats.degraded_mode = true;
+  Lsn start = 0;
+  if (fut_trusted) {
+    const Lsn min_lsn = fut->MinLsn();
+    start = min_lsn == kInvalidLsn
+                ? std::numeric_limits<Lsn>::max()  // everything checkpointed
+                : min_lsn;
+    // Quarantined pages lost their snapshot image: every surviving update
+    // to them must replay, so the scan cannot start past the log head.
+    if (!quarantined.empty()) start = 0;
+  }
+  stats.start_lsn = start;
 
-  const auto t1 = std::chrono::steady_clock::now();
-  plan.stats.analysis_seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0)
-          .count();
-  plan.stats.wall_seconds = plan.stats.analysis_seconds;
+  int64_t scanned_bytes = 0;
+  for (const LogRecord& rec : log) {
+    if (rec.txn_id >= kSqlStmtTxnBase) {
+      stats.max_sql_stmt_txn_id =
+          std::max(stats.max_sql_stmt_txn_id, rec.txn_id);
+    } else {
+      stats.max_txn_id = std::max(stats.max_txn_id, rec.txn_id);
+    }
+    if (rec.lsn >= start) {
+      ++stats.log_records_scanned;
+      scanned_bytes += rec.SerializedSize();
+    }
+  }
+  // Price the log scan as sequential 4K-page reads at the paper's 10 ms.
+  stats.simulated_log_read_seconds =
+      double((scanned_bytes + 4095) / 4096) * 0.010;
+  // Transient I/O retried so far (snapshot load + log read); the restore
+  // adds retries from its own apply/checkpoint phase.
+  stats.retries = log_read.retries +
+                  (store->stats().io_retries - store_before.io_retries);
+
+  // The plan: every resolved record except a redo the first-update table
+  // proves is already in the snapshot (its endpoint predates its page's
+  // first un-checkpointed update). A quarantined page was zero-filled, so
+  // nothing is "already there" for it; an undo always restores.
+  std::vector<std::pair<Lsn, int64_t>> order;
+  for (auto& [record_id, endpoint] : resolution.records) {
+    const int64_t page = store->PageOf(record_id);
+    if (!endpoint.undo && fut_trusted && !quarantined.count(page)) {
+      const Lsn page_first = fut->Get(page);
+      if (page_first == kInvalidLsn || endpoint.lsn < page_first) continue;
+    }
+    order.emplace_back(endpoint.lsn, record_id);
+    plan.pending.emplace(record_id, std::move(endpoint));
+  }
+  std::sort(order.begin(), order.end());
+  plan.sweep_order.reserve(order.size());
+  for (const auto& [lsn, record_id] : order) {
+    plan.sweep_order.push_back(record_id);
+  }
+  if (!log.empty()) plan.end_lsn = log.back().lsn;
+  stats.pending_records = static_cast<int64_t>(plan.pending.size());
+  stats.analysis_seconds = SecondsSince(t0);
+  stats.wall_seconds = stats.analysis_seconds;
   return plan;
+}
+
+Status RestoreRecord(RecoverableStore* store, int64_t record_id,
+                     const ResolvedRecord& endpoint,
+                     const RecoveryOptions& options) {
+  if (options.replay_latency.count() > 0) {
+    std::this_thread::sleep_for(options.replay_latency);
+  }
+  return store->ApplyRecovery(record_id, endpoint.image, endpoint.lsn);
+}
+
+Status FinishRecovery(RecoverableStore* store, FirstUpdateTable* fut,
+                      Wal* wal, const InstantRecoveryPlan& plan,
+                      const std::atomic<bool>* stop) {
+  // Quarantined pages were rebuilt (or zero-filled) from the log rather
+  // than loaded from the snapshot. Stamp them with the log's end LSN so an
+  // incremental backup taken after this restart still treats them as
+  // changed — their content no longer matches any earlier backup of the
+  // same page.
+  for (int64_t page : plan.quarantined_pages) {
+    store->StampPageLsn(page, plan.end_lsn);
+  }
+
+  // Persist the recovered image so a crash after this point skips replay:
+  //   * every dirty page (restores, and any foreground traffic so far);
+  //   * every quarantined page, even when untouched — the full write heals
+  //     the bad sector (remap) and restores a valid checksum;
+  //   * every page still holding a first-update entry, such as one whose
+  //     update never reached the durable log.
+  // CheckpointPage resets the page's entry before it copies the page, so a
+  // writer racing this loop re-enters the table and loses no redo.
+  std::set<int64_t> to_checkpoint(plan.quarantined_pages.begin(),
+                                  plan.quarantined_pages.end());
+  for (int64_t page : store->DirtyPages()) to_checkpoint.insert(page);
+  if (fut != nullptr) {
+    for (int64_t page = 0; page < fut->num_pages(); ++page) {
+      if (fut->Get(page) != kInvalidLsn) to_checkpoint.insert(page);
+    }
+  }
+  for (int64_t page : to_checkpoint) {
+    if (stop != nullptr && stop->load(std::memory_order_acquire)) {
+      return Status::FailedPrecondition("recovery sweep stopped");
+    }
+    MMDB_RETURN_IF_ERROR(store->CheckpointPage(page, fut, wal));
+  }
+  // Every slot is now clean or holds a post-restart writer's entry, but a
+  // table that failed its checksum still carries the flip in its
+  // incremental XOR: recompute it from the slots.
+  if (plan.fut_corrupt) fut->RebuildChecksum();
+  return Status::OK();
+}
+
+StatusOr<RecoveryStats> RestoreInline(RecoverableStore* store,
+                                      FirstUpdateTable* fut,
+                                      const InstantRecoveryPlan& plan,
+                                      const RecoveryOptions& options) {
+  const auto t0 = std::chrono::steady_clock::now();
+  RecoveryStats stats = plan.stats;
+  const int64_t io_retries_before = store->stats().io_retries;
+  for (int64_t record_id : plan.sweep_order) {
+    const ResolvedRecord& endpoint = plan.pending.at(record_id);
+    MMDB_RETURN_IF_ERROR(RestoreRecord(store, record_id, endpoint, options));
+    ++(endpoint.undo ? stats.undo_applied : stats.redo_applied);
+  }
+  // No traffic has run, and every restored value came from the durable
+  // log: the WAL rule holds without a fence.
+  MMDB_RETURN_IF_ERROR(FinishRecovery(store, fut, /*wal=*/nullptr, plan));
+  stats.retries += store->stats().io_retries - io_retries_before;
+  // The restart waited for all of it; the instant-only fields stay zero.
+  stats.wall_seconds = plan.stats.analysis_seconds + SecondsSince(t0);
+  stats.analysis_seconds = 0;
+  stats.pending_records = 0;
+  return stats;
+}
+
+StatusOr<RecoveryStats> RecoverStore(RecoverableStore* store, Wal* wal,
+                                     FirstUpdateTable* fut,
+                                     RecoveryOptions options) {
+  MMDB_ASSIGN_OR_RETURN(const InstantRecoveryPlan plan,
+                        AnalyzeInstantRecovery(store, wal, fut, options));
+  return RestoreInline(store, fut, plan, options);
 }
 
 }  // namespace mmdb

@@ -1,6 +1,7 @@
 #ifndef MMDB_TXN_RECOVERY_H_
 #define MMDB_TXN_RECOVERY_H_
 
+#include <atomic>
 #include <chrono>
 #include <limits>
 #include <string>
@@ -106,85 +107,114 @@ struct RecoveryStats {
   int64_t sweep_replayed = 0;     ///< log records applied by the sweep
 };
 
-/// Restart recovery for the §5 store:
-///   1. reload the disk snapshot ("first reloading the snapshot on disk");
-///   2. merge the log fragments and classify transactions — those with a
-///      COMMIT or ABORT record are winners (aborts logged compensation
-///      updates, so replaying them is correct); the rest were in flight;
-///   3. REDO winners' updates in LSN order, starting from the first-update
-///      table's oldest entry (page-precise: an update older than its
-///      page's entry is already in the snapshot);
-///   4. UNDO in-flight transactions' updates in reverse LSN order from
-///      their old values (their locks were held at crash, so no committed
-///      work is clobbered).
-StatusOr<RecoveryStats> RecoverStore(RecoverableStore* store, Wal* wal,
-                                     FirstUpdateTable* fut,
-                                     RecoveryOptions options = {});
+/// One record's endpoint under §5's rule (ResolveLog). With value
+/// (physical) logging a record's final image is fixed by one update:
+///   * the NEW value of its latest winner update, unless
+///   * a loser updated it after that winner — then the OLD value of the
+///     EARLIEST such loser update (the committed image the loser
+///     overwrote; locks guarantee no winner interleaved).
+/// The rule is idempotent across crash epochs: a loser from an earlier
+/// epoch (which the log never seals) is superseded by any later winner on
+/// the same record instead of being re-undone over it.
+struct ResolvedRecord {
+  std::string image;      ///< the bytes the record must hold
+  Lsn lsn = kInvalidLsn;  ///< the endpoint update's LSN
+  bool undo = false;      ///< the endpoint is a loser's update
+  /// Log records a replay of the record's history would apply: each of its
+  /// winner updates, or 1 for an undo (the loser's old value already holds
+  /// every earlier winner). Instant recovery charges it against the
+  /// on-demand budget and counts it as replayed.
+  int64_t chain_length = 0;
+};
 
-/// The log index built by instant recovery's analysis phase (DESIGN.md
-/// §12): for every record with outstanding redo/undo work, the ordered
-/// offsets (indices into `log`) of the committed update records to replay,
-/// plus — when the record's last pre-crash writer was still in flight —
-/// the in-flight update whose OLD value must win. The RecoveryController
-/// consumes one chain per record (on demand or from the sweep) and retires
-/// it.
+struct LogResolution {
+  std::unordered_map<int64_t, ResolvedRecord> records;  ///< updated records
+  /// Transactions with a COMMIT or ABORT record. An abort logged its
+  /// compensation updates first, so replaying it is correct.
+  int64_t winners = 0;
+  int64_t losers = 0;  ///< every other transaction: in flight at the cut
+};
+
+/// §5's winner/loser classification and per-record resolution over an
+/// LSN-sorted log, truncated at `cut_lsn` (exclusive): a transaction whose
+/// commit/abort record lies at or past the cut is a loser. Restart analysis
+/// resolves the whole log; backup restore cuts at its chain's end fence, or
+/// just past a point-in-time target's commit record.
+StatusOr<LogResolution> ResolveLog(
+    const std::vector<LogRecord>& log,
+    Lsn cut_lsn = std::numeric_limits<Lsn>::max());
+
+/// Restart analysis's output (DESIGN.md §12), restored on one of two
+/// schedules: inline before the store opens (RestoreInline, kBlocking) or
+/// behind the store's access guard while it serves (RecoveryController,
+/// kInstant). Restoring a record is one write of its resolved endpoint,
+/// which leaves the same image and page LSN as replaying its whole chain.
 struct InstantRecoveryPlan {
-  struct Chain {
-    /// Committed (winner) updates of this record, in LSN order. Replayed
-    /// front to back; the last one carries the record's final redo image.
-    std::vector<int32_t> redo;
-    /// Index of the earliest in-flight (loser) update after the last
-    /// winner, or -1. When set, its old_value is applied LAST — the
-    /// committed image the loser overwrote.
-    int32_t undo = -1;
-  };
-
-  /// The merged, durable log retained for replay. Chains index into it.
-  std::vector<LogRecord> log;
-  /// record id -> outstanding replay work. Records absent from this map
+  /// record id -> endpoint still to restore. Records absent from this map
   /// were fully restored by the snapshot load.
-  std::unordered_map<int64_t, Chain> pending;
-  /// Records of `pending` ordered by first-chain-entry LSN — the sweep's
-  /// restoration order ("restore in log order").
+  std::unordered_map<int64_t, ResolvedRecord> pending;
+  /// Records of `pending` in endpoint-LSN order: the restore order of both
+  /// schedules ("restore in log order").
   std::vector<int64_t> sweep_order;
-  /// Snapshot pages that were zero-filled at load; the final checkpoint
-  /// rewrites them even when untouched, healing the bad sectors.
+  /// Snapshot pages that were zero-filled at load; the end-of-recovery
+  /// step rewrites them even when untouched, healing the bad sectors.
   std::vector<int64_t> quarantined_pages;
+  /// LSN of the merged log's last record (kInvalidLsn for an empty log).
+  Lsn end_lsn = kInvalidLsn;
+  /// The first-update table failed its checksum at analysis; the
+  /// end-of-recovery step rebuilds it.
+  bool fut_corrupt = false;
   /// Analysis-phase stats (wall_seconds == analysis_seconds). winners,
   /// losers, id maxima and damage counters are final; redo/undo/ondemand/
-  /// sweep counters accumulate in the controller afterwards.
+  /// sweep counters accumulate while the plan is restored.
   RecoveryStats stats;
 };
 
-/// One record's resolved endpoint from a log window (ResolveLogWindow).
-struct ResolvedUpdate {
-  std::string value;  ///< the bytes the record must hold
-  Lsn lsn;            ///< the update record the value came from
-};
-
-/// §5's winner/loser resolution over an arbitrary LSN-sorted log slice,
-/// truncated at `cut_lsn` (exclusive): transactions whose commit/abort
-/// record lies at or past the cut are losers, so their updates resolve to
-/// the old value of the earliest post-winner loser update. Backup restore
-/// applies the result over the copied page image (full-window re-apply is
-/// idempotent: the image never holds state newer than the window's latest
-/// winner); point-in-time restore picks `cut_lsn` just past the target
-/// commit record.
-StatusOr<std::unordered_map<int64_t, ResolvedUpdate>> ResolveLogWindow(
-    const std::vector<LogRecord>& log, Lsn cut_lsn);
-
-/// Instant recovery's ANALYSIS phase: snapshot load + one scan of the
-/// merged log, producing the per-record log index. Blocks only for the
-/// scan — no redo is applied; the caller hands the plan to a
-/// RecoveryController (txn/instant_recovery.h) and opens for traffic.
-/// Quarantined snapshot pages and an untrusted first-update table compose
-/// exactly as in RecoverStore: the index is then built from the full log
-/// with no skip fast path (degraded_mode), which rebuilds quarantined
-/// pages record by record.
+/// Restart ANALYSIS, shared by both schedules:
+///   1. reload the disk snapshot ("first reloading the snapshot on disk");
+///   2. merge the log fragments and resolve every record (ResolveLog);
+///   3. start the scan at the first-update table's oldest entry and drop
+///      each record whose endpoint predates its page's entry (page-precise:
+///      the snapshot already holds it).
+/// Applies no redo. A quarantined snapshot page or an untrusted
+/// first-update table drops the fast path (degraded_mode): every record is
+/// then planned from the full log, which rebuilds quarantined pages.
 StatusOr<InstantRecoveryPlan> AnalyzeInstantRecovery(RecoverableStore* store,
                                                      Wal* wal,
                                                      FirstUpdateTable* fut,
                                                      RecoveryOptions options);
+
+/// Restores one record of a plan: sleeps options.replay_latency (the
+/// modelled log-segment read), then writes the endpoint's image with
+/// ApplyRecovery.
+Status RestoreRecord(RecoverableStore* store, int64_t record_id,
+                     const ResolvedRecord& endpoint,
+                     const RecoveryOptions& options);
+
+/// The end-of-recovery step, once every record of `plan` is restored.
+/// Stamps healed quarantined pages with the log's end LSN, checkpoints
+/// every page that is dirty, quarantined or holds a first-update entry,
+/// and rebuilds the table's checksum when analysis found it corrupt. Both
+/// schedules leave the same snapshot and a verified table, empty when no
+/// traffic ran. `wal` (null when no traffic ran yet) enforces the WAL rule;
+/// a set `*stop` abandons the step with FailedPrecondition.
+Status FinishRecovery(RecoverableStore* store, FirstUpdateTable* fut,
+                      Wal* wal, const InstantRecoveryPlan& plan,
+                      const std::atomic<bool>* stop = nullptr);
+
+/// The blocking schedule (§5): restores every record of `plan` in
+/// sweep order, then runs FinishRecovery. Reports redo_applied and
+/// undo_applied per record, and analysis plus restore under wall_seconds.
+StatusOr<RecoveryStats> RestoreInline(RecoverableStore* store,
+                                      FirstUpdateTable* fut,
+                                      const InstantRecoveryPlan& plan,
+                                      const RecoveryOptions& options);
+
+/// Blocking restart recovery for the §5 store: AnalyzeInstantRecovery,
+/// then RestoreInline.
+StatusOr<RecoveryStats> RecoverStore(RecoverableStore* store, Wal* wal,
+                                     FirstUpdateTable* fut,
+                                     RecoveryOptions options = {});
 
 }  // namespace mmdb
 

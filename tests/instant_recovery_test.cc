@@ -93,6 +93,13 @@ TEST(InstantRecoveryTest, FinalStateMatchesBlockingRecoveryByteForByte) {
 
   // Byte-identical store images.
   EXPECT_EQ(AllRecords(&blocking_db), AllRecords(&instant_db));
+  // The same first-update table: verified, and empty with no traffic since.
+  FirstUpdateTable* blocking_fut = blocking_db.first_update_table();
+  FirstUpdateTable* instant_fut = instant_db.first_update_table();
+  EXPECT_TRUE(blocking_fut->Verify());
+  EXPECT_TRUE(instant_fut->Verify());
+  EXPECT_EQ(blocking_fut->MinLsn(), kInvalidLsn);
+  EXPECT_EQ(instant_fut->MinLsn(), kInvalidLsn);
 
   // Identical id re-seeding on both planes: analysis saw the same log.
   EXPECT_EQ(blocking_stats->max_txn_id, instant_stats->max_txn_id);

@@ -475,6 +475,9 @@ TEST_P(NestedCrashFuzzTest, SecondCrashInsideRecoveryWindowIsIdempotent) {
     const RecoveryStats drained = ctl.stats();
     EXPECT_EQ(drained.ondemand_records + drained.sweep_records,
               drained.pending_records);
+    // No traffic ran since the restart: the table is verified and empty.
+    EXPECT_TRUE(fut.Verify());
+    EXPECT_EQ(fut.MinLsn(), kInvalidLsn);
     for (int64_t a = 0; a < kAccounts; ++a) {
       std::string v;
       ASSERT_TRUE(store.ReadRecord(a, &v).ok());
@@ -494,6 +497,8 @@ TEST_P(NestedCrashFuzzTest, SecondCrashInsideRecoveryWindowIsIdempotent) {
   store.SimulateCrash();
   auto blocking = RecoverStore(&store, &wal, &fut);
   ASSERT_TRUE(blocking.ok()) << blocking.status().ToString();
+  EXPECT_TRUE(fut.Verify());
+  EXPECT_EQ(fut.MinLsn(), kInvalidLsn);
   wal.Start();
   for (int64_t a = 0; a < kAccounts; ++a) {
     std::string v;

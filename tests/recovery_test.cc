@@ -7,6 +7,7 @@
 #include "common/check.h"
 
 #include "txn/checkpoint.h"
+#include "txn/instant_recovery.h"
 #include "txn/transaction_manager.h"
 
 namespace mmdb {
@@ -300,6 +301,45 @@ TEST_F(RecoveryTest, CorruptFirstUpdateTableFallsBackToFullScan) {
   Crash();
   EXPECT_FALSE(Recover().degraded_mode);
   EXPECT_EQ(ReadRecord(8), Val("post"));
+}
+
+TEST_F(RecoveryTest, InstantRecoveryRepairsCorruptFirstUpdateTable) {
+  // The same damage as above, recovered on the instant schedule: once the
+  // sweep drains, the table must be as trustworthy as blocking leaves it.
+  for (int i = 0; i < 30; ++i) {
+    CommitValue(i % kRecords, "v" + std::to_string(i));
+  }
+  Checkpointer cp(&store_, &fut_, wal_.get());
+  ASSERT_TRUE(cp.CheckpointOnce().ok());
+  CommitValue(7, "fresh");
+  std::vector<char>* region = stable_.Region("first_update_table");
+  ASSERT_NE(region, nullptr);
+  (*region)[8] ^= 0x04;
+  Crash();
+  RecoveryOptions opts;
+  opts.mode = RecoveryMode::kInstant;
+  auto plan = AnalyzeInstantRecovery(&store_, wal_.get(), &fut_, opts);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_TRUE(plan->stats.degraded_mode);
+  wal_->Start();
+  NewTxnManager(plan->stats.max_txn_id + 1);
+  {
+    RecoveryController ctl(&store_, &fut_, wal_.get(), std::move(*plan),
+                           opts);
+    ctl.Start();
+    ASSERT_TRUE(ctl.WaitComplete().ok());
+  }
+  EXPECT_TRUE(fut_.Verify());
+  EXPECT_EQ(fut_.MinLsn(), kInvalidLsn);
+  EXPECT_EQ(ReadRecord(7), Val("fresh"));
+  // The next crash epoch is back on the fast path.
+  CommitValue(8, "post");
+  Crash();
+  const RecoveryStats again = Recover();
+  EXPECT_FALSE(again.degraded_mode);
+  EXPECT_LT(again.log_records_scanned, again.log_records_total);
+  EXPECT_EQ(ReadRecord(8), Val("post"));
+  EXPECT_EQ(ReadRecord(29 % kRecords), Val("v29"));
 }
 
 TEST_F(RecoveryTest, QuarantinedSnapshotPageIsRebuiltFromLog) {
