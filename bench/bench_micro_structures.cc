@@ -1,8 +1,9 @@
 // Google-benchmark microbenchmarks for the substrates: index operations
 // (AVL vs B+-tree vs hash — the CPU side of §2's Y factor), hash
-// partitioning, replacement-selection run formation, record codecs, and
-// the executor's two hash kernels (the join probe and the GROUP BY fold)
-// over 30k selected rows. Build in Release for meaningful numbers.
+// partitioning, replacement-selection run formation, record codecs, the
+// executor's two hash kernels (the join probe and the GROUP BY fold) over
+// 30k selected rows, and the block pipeline that feeds them from a filter
+// over 100k records. Build in Release for meaningful numbers.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +15,9 @@
 #include "index/avl_tree.h"
 #include "index/btree.h"
 #include "index/hash_index.h"
+#include "optimizer/catalog.h"
+#include "optimizer/executor.h"
+#include "optimizer/plan.h"
 #include "storage/datagen.h"
 #include "storage/row_view.h"
 
@@ -156,6 +160,7 @@ BENCHMARK(BM_RowSerialize);
 // ---- The executor's hash kernels -------------------------------------------
 
 constexpr int64_t kKernelRows = 30'000;
+constexpr int64_t kKernelAccounts = 100'000;
 
 /// An acct-shaped relation (id, bid, owner, bal) of 100k rows with bid in
 /// [0, 1000) and owner a permutation of the ids, plus the view of the
@@ -165,11 +170,10 @@ struct KernelInput {
   KernelInput() : accounts(Schema({Column::Int64("id"), Column::Int64("bid"),
                                    Column::Int64("owner"),
                                    Column::Double("bal")})) {
-    constexpr int64_t kAccounts = 100'000;
-    const std::vector<int64_t> owners = ShuffledKeys(kAccounts, 7);
+    const std::vector<int64_t> owners = ShuffledKeys(kKernelAccounts, 7);
     Random rng(9);
     std::vector<int64_t> selected;
-    for (int64_t i = 0; i < kAccounts; ++i) {
+    for (int64_t i = 0; i < kKernelAccounts; ++i) {
       const int64_t owner = owners[size_t(i)];
       accounts.Add({Value{i}, Value{int64_t(rng.Uniform(1000))}, Value{owner},
                     Value{double(rng.Uniform(100'000)) / 4}});
@@ -183,12 +187,13 @@ struct KernelInput {
   RowView view;
 };
 
-/// Reports the time per selected row as the counter per_row (printed in
-/// ns, e.g. "12.3ns"; seconds in the JSON output).
-void SetTimePerRow(benchmark::State& state) {
+/// Reports the time per row — per selected row unless `rows` says
+/// otherwise — as the counter per_row (printed in ns, e.g. "12.3ns";
+/// seconds in the JSON output).
+void SetTimePerRow(benchmark::State& state, int64_t rows = kKernelRows) {
   state.counters["per_row"] = benchmark::Counter(
-      double(kKernelRows), benchmark::Counter::kIsIterationInvariantRate |
-                               benchmark::Counter::kInvert);
+      double(rows), benchmark::Counter::kIsIterationInvariantRate |
+                        benchmark::Counter::kInvert);
 }
 
 /// ProbeHashTable on bid against a build of distinct bids; the argument is
@@ -207,8 +212,10 @@ void BM_JoinProbe(benchmark::State& state) {
   }
   for (auto _ : state) {
     ExecEnv env;
-    Relation out = exec_internal::ProbeHashTable(table, build_schema,
-                                                 input.view, 1, &env.ctx);
+    ViewBlocks probe(input.view);
+    int64_t probe_rows = 0;
+    Relation out = exec_internal::ProbeHashTable(
+        table, build_schema, &probe, 1, &env.ctx, &probe_rows);
     benchmark::DoNotOptimize(out.num_tuples());
   }
   SetTimePerRow(state);
@@ -240,6 +247,92 @@ void BM_GroupFold(benchmark::State& state) {
   SetTimePerRow(state);
 }
 BENCHMARK(BM_GroupFold)->Arg(100)->Arg(10'000);
+
+// ---- The block pipeline ----------------------------------------------------
+
+/// Scan(acct) with the kernel input's columns.
+std::unique_ptr<PlanNode> AcctScan() {
+  auto scan = std::make_unique<PlanNode>();
+  scan->kind = PlanNode::Kind::kScan;
+  scan->table = "acct";
+  for (const char* c : {"id", "bid", "owner", "bal"}) {
+    scan->output_columns.push_back({"acct", c});
+  }
+  return scan;
+}
+
+/// Filter(acct.owner < kKernelRows) over Scan(acct): 30% of the records.
+std::unique_ptr<PlanNode> OwnerFilter() {
+  auto filter = std::make_unique<PlanNode>();
+  filter->kind = PlanNode::Kind::kFilter;
+  filter->predicates = {
+      {"acct", "owner", CmpOp::kLt, Value{int64_t{kKernelRows}}}};
+  filter->child_left = AcctScan();
+  filter->output_columns = filter->child_left->output_columns;
+  return filter;
+}
+
+/// The executor's filter into GROUP BY: the filter above over all 100k
+/// records, its survivors folded block by block into SUM(bal) grouped on
+/// bid (1000 groups). per_row is per input record.
+void BM_FilterFold(benchmark::State& state) {
+  static const KernelInput input;
+  Catalog catalog;
+  if (!catalog.RegisterTable("acct", &input.accounts).ok()) {
+    state.SkipWithError("RegisterTable failed");
+    return;
+  }
+  const std::unique_ptr<PlanNode> plan = OwnerFilter();
+  AggregateSpec spec;
+  spec.group_by = {1};
+  spec.aggregates = {{AggFn::kSum, 3, "s"}};
+  for (auto _ : state) {
+    ExecEnv env(1 << 20);  // one pass
+    auto out = ExecutePlan(*plan, catalog, &env.ctx, nullptr, nullptr, &spec);
+    benchmark::DoNotOptimize(out->num_tuples());
+  }
+  SetTimePerRow(state, kKernelAccounts);
+}
+BENCHMARK(BM_FilterFold);
+
+/// The executor's filter into the in-memory hash join's probe: the filter
+/// above over all 100k records, its survivors probing, block by block, a
+/// build of distinct bids on bid; the argument is the percentage of
+/// survivors that find a match, as in BM_JoinProbe. per_row is per input
+/// record.
+void BM_FilterProbe(benchmark::State& state) {
+  static const KernelInput input;
+  Relation branch(Schema({Column::Int64("bid"), Column::Int64("region")}));
+  for (int64_t b = 0; b < 10 * state.range(0); ++b) {
+    branch.Add({Value{b}, Value{b % 7}});
+  }
+  Catalog catalog;
+  if (!catalog.RegisterTable("acct", &input.accounts).ok() ||
+      !catalog.RegisterTable("branch", &branch).ok()) {
+    state.SkipWithError("RegisterTable failed");
+    return;
+  }
+  PlanNode join;
+  join.kind = PlanNode::Kind::kJoin;
+  join.algorithm = JoinAlgorithm::kHybridHash;
+  join.join = {{"branch", "bid"}, {"acct", "bid"}};
+  join.child_left = std::make_unique<PlanNode>();
+  join.child_left->kind = PlanNode::Kind::kScan;
+  join.child_left->table = "branch";
+  join.child_left->output_columns = {{"branch", "bid"}, {"branch", "region"}};
+  join.child_right = OwnerFilter();
+  join.output_columns = join.child_left->output_columns;
+  for (const ColumnRef& c : join.child_right->output_columns) {
+    join.output_columns.push_back(c);
+  }
+  for (auto _ : state) {
+    ExecEnv env;
+    auto out = ExecutePlan(join, catalog, &env.ctx);
+    benchmark::DoNotOptimize(out->num_tuples());
+  }
+  SetTimePerRow(state, kKernelAccounts);
+}
+BENCHMARK(BM_FilterProbe)->Arg(100)->Arg(10);
 
 }  // namespace
 }  // namespace mmdb

@@ -20,8 +20,8 @@ inline constexpr int kHashBatch = 512;
 /// are mixed), grown by doubling to keep the load at most one quarter
 /// below 32 KB of slots and at most one half from there, so that most
 /// lookups end at the home slot. The batch lookups test every home slot
-/// without a branch and probe on only for the hashes whose home slot holds
-/// another one.
+/// without a branch, then the next slot of each hash whose home slot holds
+/// another one, and probe on only for the hashes both hold others for.
 class HashDirectory {
  public:
   static constexpr uint32_t kNone = UINT32_MAX;
@@ -59,7 +59,9 @@ class HashDirectory {
       for (int i = 0; i < n; ++i) ids[i] = kNone;
       return;
     }
-    // An empty home slot holds kNone, the answer for an absent hash.
+    // An empty home slot holds kNone, the answer for an absent hash. The
+    // hashes whose home slot holds another one try the next slot the same
+    // way, and only those that find a third hash there probe on.
     uint32_t rest[kHashBatch];
     int m = 0;
     for (int i = 0; i < n; ++i) {
@@ -68,7 +70,15 @@ class HashDirectory {
       rest[m] = static_cast<uint32_t>(i);
       m += (s.hash != h[i]) & (s.id != kNone);
     }
-    for (int k = 0; k < m; ++k) ids[rest[k]] = Find(h[rest[k]]);
+    int far = 0;
+    for (int k = 0; k < m; ++k) {
+      const uint32_t i = rest[k];
+      const Slot& s = slots_[(h[i] + 1) & mask_];
+      ids[i] = s.id;
+      rest[far] = i;
+      far += (s.hash != h[i]) & (s.id != kNone);
+    }
+    for (int k = 0; k < far; ++k) ids[rest[k]] = Find(h[rest[k]]);
   }
 
   /// ids[i] = FindOrAdd(h[i]) for i < n <= kHashBatch, in order: the new
@@ -85,6 +95,16 @@ class HashDirectory {
         rest[m] = static_cast<uint32_t>(i);
         m += (s.hash != h[i]) | (s.id == kNone);
       }
+      // A hash not at its home slot may be at the next one (FindBatch).
+      int far = 0;
+      for (int k = 0; k < m; ++k) {
+        const uint32_t i = rest[k];
+        const Slot& s = slots_[(h[i] + 1) & mask_];
+        ids[i] = s.id;
+        rest[far] = i;
+        far += (s.hash != h[i]) | (s.id == kNone);
+      }
+      m = far;
     }
     // Ids already handed out stay put when FindOrAdd regrows the slots.
     for (int k = 0; k < m; ++k) ids[rest[k]] = FindOrAdd(h[rest[k]]);

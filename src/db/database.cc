@@ -711,13 +711,14 @@ Status Database::ExecuteUpdateLocked(const ParsedStatement& stmt,
     }
     metrics_.Add("sql.update.index_fast_path", 1);
   } else {
+    // The block pipeline's loop (DESIGN.md §14): each block's survivors
+    // are written while the block is still in cache.
     int64_t comps = 0;
-    for (int64_t ord :
-         SelectConjunction(table.relation, nullptr,
-                           table.relation.num_tuples(), filters, &comps)) {
-      apply(ord);
-      ++matched;
-    }
+    SelectBlocks(table.relation, nullptr, table.relation.num_tuples(),
+                 filters, &comps, [&](const int64_t* ords, int64_t k) {
+                   for (int64_t i = 0; i < k; ++i) apply(ords[i]);
+                   matched += k;
+                 });
     local_clock.Comp(comps);
   }
   disk_.MergeClock(local_clock);

@@ -88,13 +88,27 @@ void FoldAggregate(const BoundSpec::Agg& agg, const char* const* recs,
   }
 }
 
+/// The seed every group-key hash starts from.
+constexpr uint64_t kGroupSeed = 0x9E3779B97F4A7C15ull;
+
 /// hashes[i] = the group-key hash of recs[i] for i < n, a key field at a
-/// time with the field's type resolved once.
+/// time with the field's type resolved once: HashCombine of the seed and
+/// each key field's hash in turn.
 void HashGroupKeys(const char* const* recs, int n,
                    const std::vector<Field>& group, uint64_t* hashes) {
-  for (int i = 0; i < n; ++i) hashes[i] = 0x9E3779B97F4A7C15ull;
-  for (const Field& f : group) {
+  if (group.empty()) {
+    for (int i = 0; i < n; ++i) hashes[i] = kGroupSeed;
+    return;
+  }
+  for (size_t k = 0; k < group.size(); ++k) {
+    const Field f = group[k];
     WithFieldOps(f.type, [&](auto ops) {
+      if (k == 0) {
+        for (int i = 0; i < n; ++i) {
+          hashes[i] = HashCombine(kGroupSeed, ops.Hash(f, recs[i]));
+        }
+        return;
+      }
       for (int i = 0; i < n; ++i) {
         hashes[i] = HashCombine(hashes[i], ops.Hash(f, recs[i]));
       }
@@ -117,9 +131,18 @@ bool GroupKeyEquals(const char* rec, const char* key,
 /// emitted. A chain holds its groups in insertion order, and a lookup
 /// charges one Comp per group of its hash scanned: the per-hash bucket
 /// scan of §3.9's hash table.
+///
+/// Grouped on one INT64 column, the key hash is HashCombine of a fixed
+/// seed and Mix64 of the key, and both are bijections, so distinct keys
+/// have distinct hashes and a chain holds exactly one group: a row's
+/// group is its chain's one group, found with the one Comp the scan
+/// charges, or a new group when the chain is empty.
 class GroupTable {
  public:
-  explicit GroupTable(const BoundSpec& spec) : spec_(spec) {}
+  explicit GroupTable(const BoundSpec& spec)
+      : spec_(spec),
+        one_key_per_chain_(spec.group.size() == 1 &&
+                           spec.group[0].type == ValueType::kInt64) {}
 
   /// Folds the `n` <= kHashBatch records at `recs` into their groups in
   /// row order, adding the new groups in first-seen order. Adds the groups
@@ -134,13 +157,27 @@ class GroupTable {
     uint32_t chains[kHashBatch];
     chains_.Chains(hashes, n, chains);
     uint32_t groups[kHashBatch];
-    uint8_t at_head[kHashBatch];
-    HeadsHolding(recs, n, chains, groups, at_head);
-    for (int i = 0; i < n; ++i) {
-      if (at_head[i]) {
-        ++*comps;
-      } else {
-        groups[i] = FindOrAddGroup(recs[i], chains[i], comps);
+    if (one_key_per_chain_) {
+      // A chain's one group is numbered as the chain is: both number the
+      // keys in first-seen order. A row whose chain already has its group
+      // scans that one group.
+      for (int i = 0; i < n; ++i) {
+        groups[i] = chains[i];
+        if (chains[i] < keys_.size()) {
+          ++*comps;
+        } else {
+          AddGroup(recs[i], chains[i]);
+        }
+      }
+    } else {
+      uint8_t at_head[kHashBatch];
+      HeadsHolding(recs, n, chains, groups, at_head);
+      for (int i = 0; i < n; ++i) {
+        if (at_head[i]) {
+          ++*comps;
+        } else {
+          groups[i] = FindOrAddGroup(recs[i], chains[i], comps);
+        }
       }
     }
     for (size_t a = 0; a < spec_.aggs.size(); ++a) {
@@ -187,7 +224,12 @@ class GroupTable {
       ++*comps;
       if (GroupKeyEquals(rec, keys_[g], spec_.group)) return g;
     }
-    g = chains_.Append(chain);
+    return AddGroup(rec, chain);
+  }
+
+  /// A new group keyed by `rec`, appended to chain `chain`.
+  uint32_t AddGroup(const char* rec, uint32_t chain) {
+    const uint32_t g = chains_.Append(chain);
     keys_.push_back(rec);
     states_.resize(states_.size() + spec_.aggs.size());
     return g;
@@ -199,6 +241,7 @@ class GroupTable {
   }
 
   const BoundSpec& spec_;
+  const bool one_key_per_chain_;
   HashChains chains_;
   std::vector<const char*> keys_;   // first record, by group
   std::vector<AggState> states_;    // one per aggregate per group
@@ -297,23 +340,28 @@ void EmitGroup(const char* key, const AggState* aggs, const BoundSpec& spec,
   }
 }
 
-/// One-pass hash aggregation of `n` records into `out`; `rec_at(i)` yields
-/// record i, in the format `spec` was bound to. Reading through the
-/// accessor lets a view aggregate its source records in place. Folds
+/// One-pass hash aggregation of the rows `in` yields into `out`, in the
+/// format `spec` was bound to, read in place a block at a time and folded
 /// kHashBatch rows at a time. Charges one Hash per row, one Comp per group
-/// scanned and one Move per group, all tallied and charged once.
-template <typename RecAt>
-void AggregateInMemory(int64_t n, const RecAt& rec_at, const BoundSpec& spec,
-                       ExecContext* ctx, Relation* out, int64_t* num_groups) {
+/// scanned and one Move per group, all tallied and charged once the rows
+/// are read: a filter that `in` runs as it is read charges its own Comps
+/// before, and only these charges are added to `st->cost_seconds`. Adds
+/// the groups to `st->groups`; returns the number of rows.
+int64_t AggregateInMemory(BlockSource* in, const BoundSpec& spec,
+                          ExecContext* ctx, Relation* out, AggStats* st) {
   GroupTable table(spec);
   int64_t comps = 0;
-  const char* recs[kHashBatch];
-  for (int64_t first = 0; first < n; first += kHashBatch) {
-    const int batch =
-        static_cast<int>(std::min<int64_t>(kHashBatch, n - first));
-    for (int i = 0; i < batch; ++i) recs[i] = rec_at(first + i);
-    table.FoldBatch(recs, batch, &comps);
-  }
+  const Relation& source = *in->columns().source();
+  const int64_t n = in->Drive([&](const int64_t* ords, int64_t k) {
+    const char* recs[kHashBatch];
+    for (int64_t first = 0; first < k; first += kHashBatch) {
+      const int batch =
+          static_cast<int>(std::min<int64_t>(kHashBatch, k - first));
+      for (int i = 0; i < batch; ++i) recs[i] = source.record(ords[first + i]);
+      table.FoldBatch(recs, batch, &comps);
+    }
+  });
+  const double seconds_before = ctx->clock->Seconds();
   const int64_t groups = table.size();
   ctx->clock->Hash(n);
   ctx->clock->Comp(comps);
@@ -322,7 +370,9 @@ void AggregateInMemory(int64_t n, const RecAt& rec_at, const BoundSpec& spec,
   table.ForEach([&](const char* key, const AggState* aggs) {
     EmitGroup(key, aggs, spec, out);
   });
-  *num_groups += groups;
+  st->groups += groups;
+  st->cost_seconds += ctx->clock->Seconds() - seconds_before;
+  return n;
 }
 
 /// The serial aggregation at recursion `depth`. `rows` is only read: at
@@ -338,17 +388,15 @@ Status AggregateRec(const Relation& rows, Relation* owned,
       std::max<int64_t>(1, ctx->TuplesInPages(in_schema, ctx->memory_pages));
   const int64_t n = rows.num_tuples();
   if (n <= capacity || depth >= 4) {
-    int64_t groups = 0;
-    AggregateInMemory(
-        n, [&rows](int64_t i) { return rows.record(i); }, spec, ctx, out,
-        &groups);
-    if (stats != nullptr) stats->groups += groups;
+    const RowView view(&rows);
+    ViewBlocks source(view);
+    AggregateInMemory(&source, spec, ctx, out, stats);
     return Status::OK();
   }
   // Partition on the grouping hash; groups cannot straddle partitions.
   const int64_t b = std::max<int64_t>(
       2, std::min<int64_t>(ctx->memory_pages, (n + capacity - 1) / capacity));
-  if (stats != nullptr && depth == 0) stats->partitions = b;
+  if (depth == 0) stats->partitions = b;
   PartitionWriterSet writers(ctx, in_schema, b,
                              b <= 1 ? IoKind::kSequential : IoKind::kRandom,
                              "agg_part");
@@ -379,11 +427,9 @@ Status AggregateRec(const Relation& rows, Relation* owned,
 }
 
 /// Publishes one top-level aggregation's exec.agg.* counters (AggregateRec
-/// recurses on overflow partitions internally, so only the entries count)
-/// and fills in its own cost-clock delta.
+/// recurses on overflow partitions internally, so only the entries count).
 void FinishAggregateRun(ExecContext* ctx, int64_t input_tuples,
-                        double seconds_before, AggStats* st) {
-  st->cost_seconds = ctx->clock->Seconds() - seconds_before;
+                        const AggStats* st) {
   if (ctx->metrics == nullptr) return;
   MetricsRegistry* m = ctx->metrics;
   m->Add("exec.agg.runs", 1);
@@ -405,32 +451,45 @@ StatusOr<Relation> HashAggregate(const Relation& input,
 StatusOr<Relation> AggregateView(const RowView& input,
                                  const AggregateSpec& spec, ExecContext* ctx,
                                  AggStats* stats) {
-  MMDB_RETURN_IF_ERROR(ValidateAggregateSpec(input.schema(), spec));
-  const int64_t capacity = std::max<int64_t>(
-      1, ctx->TuplesInPages(input.schema(), ctx->memory_pages));
-  const bool one_pass = input.size() <= capacity;
-  Relation out(AggregateOutputSchema(input.schema(), spec));
+  ViewBlocks source(input);
+  return AggregateRows(&source, spec, ctx, stats);
+}
+
+StatusOr<Relation> AggregateRows(BlockSource* input, const AggregateSpec& spec,
+                                 ExecContext* ctx, AggStats* stats) {
+  const Schema& schema = input->columns().schema();
+  MMDB_RETURN_IF_ERROR(ValidateAggregateSpec(schema, spec));
+  const int64_t capacity =
+      std::max<int64_t>(1, ctx->TuplesInPages(schema, ctx->memory_pages));
+  // Rows that may not fit one pass are collected and counted first: the
+  // pipeline breaks here.
+  const bool one_pass = input->max_rows() <= capacity ||
+                        input->Collect().size() <= capacity;
+  Relation out(AggregateOutputSchema(schema, spec));
   AggStats local;
   AggStats* st = stats != nullptr ? stats : &local;
   *st = AggStats{};
   st->one_pass = one_pass;
-  const double seconds_before = ctx->clock->Seconds();
+  int64_t rows = 0;
   if (one_pass) {
-    // Grouped in place, reading the view's source records.
-    AggregateInMemory(
-        input.size(), [&input](int64_t i) { return input.record(i); },
-        BoundSpec(input, spec), ctx, &out, &st->groups);
+    // Grouped in place, reading the source records as the rows arrive.
+    rows = AggregateInMemory(input, BoundSpec(input->columns(), spec), ctx,
+                             &out, st);
   } else {
     // A partitioned run reads whole records: the view's source when the
     // view is all of it, else a copy.
+    const RowView& view = input->Collect();
+    rows = view.size();
+    const double seconds_before = ctx->clock->Seconds();
     Relation copy;
-    if (!input.identity()) copy = input.Materialize();
-    const Relation& rows = input.identity() ? *input.source() : copy;
-    MMDB_RETURN_IF_ERROR(AggregateRec(rows, nullptr,
-                                      BoundSpec(RowView(&rows), spec), ctx, 0,
+    if (!view.identity()) copy = view.Materialize();
+    const Relation& whole = view.identity() ? *view.source() : copy;
+    MMDB_RETURN_IF_ERROR(AggregateRec(whole, nullptr,
+                                      BoundSpec(RowView(&whole), spec), ctx, 0,
                                       &out, st));
+    st->cost_seconds = ctx->clock->Seconds() - seconds_before;
   }
-  FinishAggregateRun(ctx, input.size(), seconds_before, st);
+  FinishAggregateRun(ctx, rows, st);
   return out;
 }
 

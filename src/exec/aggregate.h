@@ -50,16 +50,24 @@ StatusOr<Relation> HashAggregate(const Relation& input,
                                  const AggregateSpec& spec, ExecContext* ctx,
                                  AggStats* stats = nullptr);
 
-/// HashAggregate over rows read in place (DESIGN.md §14) — the one
-/// aggregation entry: HashAggregate is this over a whole relation, and the
-/// executor's terminal pipeline breaker calls it on the root view. An
-/// input that fits one pass is grouped straight from the view's source
-/// rows; a partitioned run reads a materialized copy unless the view is
-/// its whole source. Charges, metrics, result bytes and
-/// emission order are HashAggregate's on the materialized view.
+/// HashAggregate over rows read in place (DESIGN.md §14): AggregateRows
+/// over the view. Charges, metrics, result bytes and emission order are
+/// HashAggregate's on the materialized view.
 StatusOr<Relation> AggregateView(const RowView& input,
                                  const AggregateSpec& spec, ExecContext* ctx,
                                  AggStats* stats = nullptr);
+
+/// The one aggregation entry: HashAggregate and AggregateView are this
+/// over a relation or a view, and the executor's root GROUP BY over its
+/// block pipeline. When `input` holds at most one pass of rows
+/// (max_rows()), they are folded as they arrive, a block at a time,
+/// straight from their source records. Otherwise `input` is collected and
+/// counted first (a pipeline breaker) and, if it still overflows, a
+/// partitioned run reads a materialized copy unless the view is its whole
+/// source. `stats->cost_seconds` counts the aggregation's own charges, not
+/// those of a filter `input` runs as it is read.
+StatusOr<Relation> AggregateRows(BlockSource* input, const AggregateSpec& spec,
+                                 ExecContext* ctx, AggStats* stats = nullptr);
 
 /// §3.9: projection with duplicate elimination — grouping identical
 /// projected tuples via the same machinery.

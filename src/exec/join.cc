@@ -25,26 +25,34 @@ std::string_view JoinAlgorithmName(JoinAlgorithm a) {
 namespace exec_internal {
 
 Relation ProbeHashTable(const JoinHashTable& table, const Schema& build_schema,
-                        const RowView& probe, int probe_key, ExecContext* ctx) {
-  Relation out(Schema::Concat(build_schema, probe.schema()));
+                        BlockSource* probe, int probe_key, ExecContext* ctx,
+                        int64_t* probe_rows) {
+  const RowView& columns = probe->columns();
+  Relation out(Schema::Concat(build_schema, columns.schema()));
+  const Relation& source = *columns.source();
   const Field key =
-      Field::Of(probe.source()->schema(), probe.source_column(probe_key));
+      Field::Of(source.schema(), columns.source_column(probe_key));
   const int32_t build_size = build_schema.record_size();
-  const int64_t n = probe.size();
-  const char* probes[kHashBatch];
   int64_t comps = 0;
-  for (int64_t first = 0; first < n; first += kHashBatch) {
-    const int batch =
-        static_cast<int>(std::min<int64_t>(kHashBatch, n - first));
-    for (int i = 0; i < batch; ++i) probes[i] = probe.record(first + i);
-    comps += table.ProbeBatch(key, probes, batch, [&](const char* rec, int i) {
-      char* dst = out.AppendRecord();
-      std::memcpy(dst, rec, static_cast<size_t>(build_size));
-      probe.CopyTo(first + i, dst + build_size);
-    });
-  }
+  const int64_t n = probe->Drive([&](const int64_t* ords, int64_t k) {
+    const char* probes[kHashBatch];
+    for (int64_t first = 0; first < k; first += kHashBatch) {
+      const int batch =
+          static_cast<int>(std::min<int64_t>(kHashBatch, k - first));
+      for (int i = 0; i < batch; ++i) {
+        probes[i] = source.record(ords[first + i]);
+      }
+      comps +=
+          table.ProbeBatch(key, probes, batch, [&](const char* rec, int i) {
+            char* dst = out.AppendRecord();
+            std::memcpy(dst, rec, static_cast<size_t>(build_size));
+            columns.CopyRecord(probes[i], dst + build_size);
+          });
+    }
+  });
   ctx->clock->Hash(n);
   ctx->clock->Comp(comps);
+  *probe_rows = n;
   return out;
 }
 

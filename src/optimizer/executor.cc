@@ -26,13 +26,23 @@ struct CacheRun {
 /// One plan node's output inside ExecutePlan (DESIGN.md §14): a RowView
 /// plus whatever keeps its source alive — rows the node owns, a resident
 /// catalog table (nothing to hold), or a pinned reuse-cache result (`pin_`
-/// keeps an evicted entry alive). Filter narrows the view's selection and
+/// keeps an evicted entry alive) — and, after a Filter, the conjunction
+/// still to run over the view's rows. Filter narrows the view's rows and
 /// Project its column map; both hand the holder on unchanged. Reading
 /// catalog tables in place is safe because SQL reads hold the shared
 /// database latch for the whole statement and writers take it
 /// exclusively; no view outlives the statement, because ExecutePlan
 /// materializes (or aggregates) its root.
-class NodeResult {
+///
+/// The block pipeline: a Filter does not run where it stands. Its result
+/// is a block source (BlockSource) whose consumer — the in-memory join's
+/// probe, the root's GROUP BY fold or the root's materialize — drives it,
+/// so the filter reads each block of records and the consumer reads the
+/// block's survivors while they are still in cache. Every other consumer
+/// is a pipeline breaker and collects the survivors first (Collect): a
+/// join's build side, a spilling join, a partitioned aggregate, and each
+/// node the reuse cache may install.
+class NodeResult final : public BlockSource {
  public:
   static NodeResult Owned(Relation rel) {
     NodeResult r;
@@ -58,34 +68,149 @@ class NodeResult {
     owned_ = std::move(other.owned_);
     pin_ = std::move(other.pin_);
     view_ = std::move(other.view_);
+    filter_ = std::move(other.filter_);
+    drained_ = other.drained_;
     if (owns_) view_.set_source(&owned_);
     return *this;
   }
 
-  const RowView& view() const { return view_; }
+  /// Leaves the conjunction `preds` (bound to the view's source records,
+  /// most selective first) to run when the rows are read.
+  void FilterLater(std::vector<BoundPredicate> preds, ExecContext* ctx) {
+    MMDB_CHECK(filter_ == nullptr);
+    filter_ = std::make_unique<PendingFilter>();
+    filter_->preds = std::move(preds);
+    filter_->ctx = ctx;
+  }
+  bool pending() const { return filter_ != nullptr; }
+  /// Adds the pending filter's figures to `st` too when it runs: `st` is a
+  /// traced node whose window closed before its consumer read the rows.
+  void CreditTo(PlanNodeRunStats* st) { filter_->credit.push_back(st); }
+
+  const RowView& columns() const override { return view_; }
+  int64_t max_rows() const override { return view_.size(); }
+  int64_t Drive(const BlockSink& sink) override {
+    MMDB_CHECK(!drained_);
+    if (filter_ == nullptr) {
+      view_.ForEachBlock(sink);
+      return view_.size();
+    }
+    drained_ = true;  // the survivors are handed on, not kept
+    return RunFilter(sink);
+  }
+  const RowView& Collect() override {
+    MMDB_CHECK(!drained_);
+    if (filter_ != nullptr) {
+      std::vector<int64_t> survivors;
+      RunFilter([&survivors](const int64_t* ords, int64_t k) {
+        survivors.insert(survivors.end(), ords, ords + k);
+      });
+      // Sized exactly: the selection lives until the statement ends, and
+      // with the reuse cache on every filter collects, so a regrown
+      // vector's slack would stay resident beside the other sessions'.
+      survivors.shrink_to_fit();
+      view_.Select(std::move(survivors));
+    }
+    return view_;
+  }
+
+  /// The rows as a view: a pending filter must be collected first.
+  const RowView& view() const {
+    MMDB_CHECK(filter_ == nullptr && !drained_);
+    return view_;
+  }
+  /// The view, to change its column map (Project); a pending filter reads
+  /// source columns, so it is left as it is.
   RowView* mutable_view() { return &view_; }
 
   /// The rows as an owned relation: moved out when the node owns exactly
   /// the rows its view shows, copied otherwise.
   Relation Materialize() && {
-    if (owns_ && view_.identity()) return std::move(owned_);
-    return view_.Materialize();
+    if (owns_ && filter_ == nullptr && view_.identity()) {
+      return std::move(owned_);
+    }
+    return CopyRows();
   }
   /// The rows as a relation for the row-major join kernels: the view's
   /// source when the view is all of it, else a copy kept in `*copy`.
-  const Relation& Rows(Relation* copy) const {
-    if (view_.identity()) return *view_.source();
-    *copy = view_.Materialize();
+  const Relation& Rows(Relation* copy) {
+    if (filter_ == nullptr && view_.identity()) return *view_.source();
+    *copy = CopyRows();
     return *copy;
   }
 
  private:
+  /// A Filter's conjunction over the view's rows, not yet run.
+  struct PendingFilter {
+    std::vector<BoundPredicate> preds;
+    ExecContext* ctx = nullptr;
+    /// Traced nodes whose figures include this filter's work.
+    std::vector<PlanNodeRunStats*> credit;
+  };
+
   NodeResult() = default;
+
+  /// Every row, copied into a new relation of the view's schema, as a
+  /// pending filter hands them on.
+  Relation CopyRows() {
+    if (filter_ == nullptr) return view_.Materialize();
+    Relation out(view_.schema());
+    const Relation& source = *view_.source();
+    Drive([&](const int64_t* ords, int64_t k) {
+      for (int64_t i = 0; i < k; ++i) {
+        view_.CopyRecord(source.record(ords[i]), out.AppendRecord());
+      }
+    });
+    return out;
+  }
+
+  /// Runs the pending filter over the view's rows a block at a time
+  /// (SelectBlocks), handing each block's survivors to `sink`, and returns
+  /// how many survived. Charges the Comps once, counts exec.filter.rows_*,
+  /// and adds the filter's rows, Comps, cost and wall time to the credited
+  /// nodes: the wall time is that of the filter stage only, taken around
+  /// each block's selection, so the consumer's work stays its own.
+  int64_t RunFilter(const BlockSink& sink) {
+    using Clock = std::chrono::steady_clock;
+    const std::unique_ptr<PendingFilter> filter = std::move(filter_);
+    ExecContext* ctx = filter->ctx;
+    const bool timed = !filter->credit.empty();
+    int64_t comps = 0;
+    int64_t rows = 0;
+    Clock::duration filter_wall{};
+    Clock::time_point mark = timed ? Clock::now() : Clock::time_point();
+    SelectBlocks(*view_.source(), view_.selection(), view_.size(),
+                 filter->preds, &comps, [&](const int64_t* ords, int64_t k) {
+                   if (timed) filter_wall += Clock::now() - mark;
+                   rows += k;
+                   sink(ords, k);
+                   if (timed) mark = Clock::now();
+                 });
+    if (timed) filter_wall += Clock::now() - mark;
+    const double seconds_before = ctx->clock->Seconds();
+    ctx->clock->Comp(comps);
+    const double cost = ctx->clock->Seconds() - seconds_before;
+    if (ctx->metrics != nullptr) {
+      ctx->metrics->Add("exec.filter.rows_in", view_.size());
+      ctx->metrics->Add("exec.filter.rows_out", rows);
+    }
+    for (PlanNodeRunStats* st : filter->credit) {
+      st->rows_out = rows;
+      st->comparisons += comps;
+      st->cost_seconds += cost;
+      st->wall_ns +=
+          std::chrono::duration_cast<std::chrono::nanoseconds>(filter_wall)
+              .count();
+    }
+    return rows;
+  }
 
   bool owns_ = false;
   Relation owned_;
   std::shared_ptr<const Relation> pin_;
   RowView view_;
+  std::unique_ptr<PendingFilter> filter_;
+  bool drained_ = false;  ///< a Drive handed the filtered rows on
 };
 
 StatusOr<int> FindColumn(const std::vector<ColumnRef>& columns,
@@ -94,31 +219,6 @@ StatusOr<int> FindColumn(const std::vector<ColumnRef>& columns,
     if (columns[i] == ref) return static_cast<int>(i);
   }
   return Status::NotFound("column " + ref.ToString() + " not in plan output");
-}
-
-/// The one filter driver: `in` is only read, and the result is the
-/// survivors' selection in input order — ordinals of `in`'s source
-/// records; nothing is copied. The predicates are bound to source fields
-/// once (`col_indexes` are view columns) and run one at a time, each over
-/// the survivors of those before it (most selective first, §4), so each
-/// row is charged one Comp per predicate evaluated with early exit; the
-/// Comps are tallied and charged once.
-std::vector<int64_t> FilterRows(const RowView& in,
-                                const std::vector<Predicate>& preds,
-                                const std::vector<int>& col_indexes,
-                                ExecContext* ctx) {
-  const Relation& source = *in.source();
-  std::vector<BoundPredicate> bound;
-  bound.reserve(preds.size());
-  for (size_t i = 0; i < preds.size(); ++i) {
-    bound.emplace_back(preds[i], source.schema(),
-                       in.source_column(col_indexes[i]));
-  }
-  int64_t comps = 0;
-  std::vector<int64_t> survivors =
-      SelectConjunction(source, in.selection(), in.size(), bound, &comps);
-  ctx->clock->Comp(comps);
-  return survivors;
 }
 
 StatusOr<NodeResult> Owned(StatusOr<Relation> rel) {
@@ -170,8 +270,10 @@ StatusOr<NodeResult> ExecuteJoinNode(const PlanNode& plan,
           NodeResult probe,
           ExecuteRec(pnode, catalog, ctx, indexes, trace, reuse));
       reuse->state[&plan] = 2;
+      int64_t probe_rows = 0;
       return NodeResult::Owned(exec_internal::ProbeHashTable(
-          cached->table, cached->records.schema(), probe.view(), ppos, ctx));
+          cached->table, cached->records.schema(), &probe, ppos, ctx,
+          &probe_rows));
     }
   }
   // With the cache on, the probe child runs first so that, on a miss, the
@@ -191,17 +293,24 @@ StatusOr<NodeResult> ExecuteJoinNode(const PlanNode& plan,
   const bool second_is_build = probe_first || plan.build_is_right;
   NodeResult& build = second_is_build ? second : first;
   NodeResult& probe = second_is_build ? first : second;
+  // The build side breaks the pipeline: its rows are counted for the split
+  // and copied into the table.
+  if (build.pending()) {
+    build = NodeResult::Owned(std::move(build).Materialize());
+  }
   const HybridSplit split = SolveHybridSplit(
       std::max<int64_t>(1, build.view().NumPages(ctx->page_size())),
       ctx->memory_pages, ctx->fudge);
   if (hybrid && split.q >= 1.0) {
-    // The in-memory hybrid: build the table once, probe the probe view in
-    // place; a cache miss then offers the table for admission.
+    // The in-memory hybrid: build the table once, then probe it with the
+    // probe side's rows in place, a block at a time as a pending filter
+    // hands them on; a cache miss then offers the table for admission.
     const int64_t build_tuples = build.view().size();
     std::shared_ptr<CachedBuild> cb = BuildTable(std::move(build), bpos, ctx);
     const double build_cost = ctx->clock->Seconds() - build_t0;
+    int64_t probe_rows = 0;
     Relation out = exec_internal::ProbeHashTable(
-        cb->table, cb->records.schema(), probe.view(), ppos, ctx);
+        cb->table, cb->records.schema(), &probe, ppos, ctx, &probe_rows);
     if (reuse != nullptr) {
       reuse->cache->InstallBuild(reuse->fps.canonical[&bnode], bpos,
                                  reuse->fps.tables[&bnode], std::move(cb),
@@ -209,7 +318,7 @@ StatusOr<NodeResult> ExecuteJoinNode(const PlanNode& plan,
     } else {
       JoinRunStats st;
       st.output_tuples = out.num_tuples();
-      exec_internal::PublishJoinRun(ctx, build_tuples, probe.view().size(), st);
+      exec_internal::PublishJoinRun(ctx, build_tuples, probe_rows, st);
     }
     return NodeResult::Owned(std::move(out));
   }
@@ -247,32 +356,28 @@ StatusOr<NodeResult> ExecuteNode(const PlanNode& plan, const Catalog& catalog,
           int idx, entry->relation->schema().ColumnIndex(
                        plan.predicates[0].column));
       NodeResult table = NodeResult::Borrow(entry->relation);
-      table.mutable_view()->Select(
-          FilterRows(table.view(), {plan.predicates[0]}, {idx}, ctx));
+      std::vector<BoundPredicate> bound;
+      bound.emplace_back(plan.predicates[0], entry->relation->schema(), idx);
+      table.FilterLater(std::move(bound), ctx);
       return table;
     }
     case PlanNode::Kind::kFilter: {
       MMDB_ASSIGN_OR_RETURN(
           NodeResult child,
           ExecuteRec(*plan.child_left, catalog, ctx, indexes, trace, reuse));
-      // Resolve each predicate once.
-      std::vector<int> col_indexes;
-      col_indexes.reserve(plan.predicates.size());
+      // A filter over a pending one (never planned) reads its rows
+      // collected.
+      const RowView& in = child.Collect();
+      // Bind each predicate to its source field once.
+      std::vector<BoundPredicate> bound;
+      bound.reserve(plan.predicates.size());
       for (const Predicate& p : plan.predicates) {
         MMDB_ASSIGN_OR_RETURN(
             int idx, FindColumn(plan.child_left->output_columns,
                                 ColumnRef{p.table, p.column}));
-        col_indexes.push_back(idx);
+        bound.emplace_back(p, in.source()->schema(), in.source_column(idx));
       }
-      const int64_t rows_in = child.view().size();
-      std::vector<int64_t> survivors =
-          FilterRows(child.view(), plan.predicates, col_indexes, ctx);
-      const int64_t rows_out = static_cast<int64_t>(survivors.size());
-      child.mutable_view()->Select(std::move(survivors));
-      if (ctx->metrics != nullptr) {
-        ctx->metrics->Add("exec.filter.rows_in", rows_in);
-        ctx->metrics->Add("exec.filter.rows_out", rows_out);
-      }
+      child.FilterLater(std::move(bound), ctx);
       return child;
     }
     case PlanNode::Kind::kJoin:
@@ -332,6 +437,8 @@ StatusOr<NodeResult> ExecuteRec(const PlanNode& plan, const Catalog& catalog,
     StatusOr<NodeResult> out =
         ExecuteNode(plan, catalog, ctx, indexes, trace, reuse);
     if (out.ok()) {
+      // The cache sees the node's rows: a pending filter runs in its window.
+      out->Collect();
       reuse->cache->InstallResult(fp, reuse->fps.tables[&plan], out->view(),
                                   ctx->clock->Seconds() - seconds_before);
     }
@@ -348,11 +455,14 @@ StatusOr<NodeResult> ExecuteRec(const PlanNode& plan, const Catalog& catalog,
   StatusOr<NodeResult> out =
       ExecuteNode(plan, catalog, ctx, indexes, trace, reuse);
   if (!out.ok()) return out;
+  if (cacheable) out->Collect();
   const auto wall_after = std::chrono::steady_clock::now();
   const CostCounters after = ctx->clock->counters();
   const SimulatedDisk::Stats disk_after = ctx->disk->stats();
   PlanNodeRunStats& st = trace->nodes[&plan];
-  st.rows_out = out->view().size();
+  // A pending filter's figures are added when its consumer runs it.
+  if (out->pending()) out->CreditTo(&st);
+  st.rows_out = out->pending() ? 0 : out->view().size();
   st.comparisons = after.comparisons - before.comparisons;
   st.hashes = after.hashes - before.hashes;
   st.page_reads = disk_after.reads - disk_before.reads;
@@ -393,11 +503,12 @@ StatusOr<Relation> ExecutePlan(const PlanNode& plan, const Catalog& catalog,
       NodeResult root,
       ExecuteRec(plan, catalog, ctx, indexes, trace,
                  reuse.cache != nullptr ? &reuse : nullptr));
-  // The root is the last pipeline breaker: it aggregates straight from
-  // the view, or materializes (a borrowed or narrowed root is copied), so
-  // no view of a table outlives the statement's latch.
+  // The root is the last pipeline breaker: it aggregates or materializes
+  // the rows (a borrowed or narrowed root is copied), a block at a time as
+  // a pending filter hands them on, so no view of a table outlives the
+  // statement's latch.
   if (aggregate != nullptr) {
-    return AggregateView(root.view(), *aggregate, ctx, agg_stats);
+    return AggregateRows(&root, *aggregate, ctx, agg_stats);
   }
   return std::move(root).Materialize();
 }

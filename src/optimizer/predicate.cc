@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
 #include <numeric>
 #include <string_view>
 #include <type_traits>
@@ -47,8 +46,8 @@ namespace {
 
 /// BoundPredicate::Select's loop with the match test `keep(record)`.
 template <typename Keep>
-int64_t SelectWith(const Relation& source, const int64_t* in, int64_t n,
-                   int64_t* out, const Keep& keep) {
+int64_t SelectWith(const Relation& source, const int64_t* in, int64_t first,
+                   int64_t n, int64_t* out, const Keep& keep) {
   int64_t k = 0;
   if (in != nullptr) {
     for (int64_t j = 0; j < n; ++j) {
@@ -58,15 +57,18 @@ int64_t SelectWith(const Relation& source, const int64_t* in, int64_t n,
     }
     return k;
   }
-  // Every record: walk each block's records by stride.
+  // A range of records: walk each block's records by stride.
   const int32_t size = source.schema().record_size();
-  for (int64_t first = 0; first < n; first += Relation::kBlockRecords) {
-    const int64_t end = std::min(n, first + Relation::kBlockRecords);
-    const char* rec = source.record(first);
-    for (int64_t i = first; i < end; ++i, rec += size) {
+  const int64_t last = first + n;
+  for (int64_t begin = first; begin < last;) {
+    const int64_t end = std::min(
+        last, (begin | (Relation::kBlockRecords - 1)) + 1);  // block end
+    const char* rec = source.record(begin);
+    for (int64_t i = begin; i < end; ++i, rec += size) {
       out[k] = i;
       k += keep(rec);
     }
+    begin = end;
   }
   return k;
 }
@@ -196,10 +198,10 @@ auto BoundPredicate::WithTest(const Fn& fn) const {
 }
 
 int64_t BoundPredicate::Select(const Relation& source, const int64_t* in,
-                               int64_t n, int64_t* out) const {
+                               int64_t first, int64_t n, int64_t* out) const {
   if (never_) return 0;
   return WithTest([&](const auto& keep) {
-    return SelectWith(source, in, n, out, keep);
+    return SelectWith(source, in, first, n, out, keep);
   });
 }
 
@@ -227,24 +229,23 @@ BoundPredicate::BoundPredicate(const Predicate& pred, const Schema& schema,
   }
 }
 
-std::vector<int64_t> SelectConjunction(const Relation& source,
-                                       const int64_t* sel, int64_t n,
-                                       const std::vector<BoundPredicate>& preds,
-                                       int64_t* comps) {
-  // Survivors are written in place, and a slot is touched only once a
-  // record reaches it, so this buffer is left uninitialized.
-  std::unique_ptr<int64_t[]> buf(new int64_t[static_cast<size_t>(n)]);
+int64_t SelectBlock(const Relation& source, const int64_t* in, int64_t first,
+                    int64_t n, const std::vector<BoundPredicate>& preds,
+                    int64_t* out, int64_t* comps) {
+  if (preds.empty()) {
+    if (in != nullptr) {
+      std::copy(in, in + n, out);
+    } else {
+      std::iota(out, out + n, first);
+    }
+    return n;
+  }
   for (const BoundPredicate& pred : preds) {
     *comps += n;
-    n = pred.Select(source, sel, n, buf.get());
-    sel = buf.get();
+    n = pred.Select(source, in, first, n, out);
+    in = out;
   }
-  if (sel == nullptr) {
-    std::vector<int64_t> all(static_cast<size_t>(n));
-    std::iota(all.begin(), all.end(), int64_t{0});
-    return all;
-  }
-  return std::vector<int64_t>(sel, sel + n);
+  return n;
 }
 
 }  // namespace mmdb

@@ -1,6 +1,7 @@
 #ifndef MMDB_OPTIMIZER_PREDICATE_H_
 #define MMDB_OPTIMIZER_PREDICATE_H_
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -45,12 +46,12 @@ class BoundPredicate {
   BoundPredicate(const Predicate& pred, const Schema& schema, int column);
 
   /// Writes to `out`, in order, the ordinals of `source`'s records that
-  /// match: of the `n` ordinals at `in`, or of records 0..n-1 when `in` is
-  /// null. Returns how many it wrote. Each candidate is written and only a
-  /// match advances the end, so the loop does not branch on the outcome;
-  /// `out` may be `in`.
-  int64_t Select(const Relation& source, const int64_t* in, int64_t n,
-                 int64_t* out) const;
+  /// match: of the `n` ordinals at `in`, or of records first..first+n-1
+  /// when `in` is null. Returns how many it wrote. Each candidate is
+  /// written and only a match advances the end, so the loop does not
+  /// branch on the outcome; `out` may be `in`.
+  int64_t Select(const Relation& source, const int64_t* in, int64_t first,
+                 int64_t n, int64_t* out) const;
 
   /// Whether the record at `rec` matches: the test Select runs.
   bool Matches(const char* rec) const;
@@ -69,15 +70,35 @@ class BoundPredicate {
   std::string string_;
 };
 
-/// The ordinals of `source`'s records that pass every one of `preds`, in
-/// order: of the `n` ordinals at `sel`, or of records 0..n-1 when `sel` is
-/// null. Runs one Select pass per predicate over the previous pass's
-/// survivors, so a record costs one Comp per predicate evaluated with early
-/// exit; adds those Comps to `*comps`.
-std::vector<int64_t> SelectConjunction(const Relation& source,
-                                       const int64_t* sel, int64_t n,
-                                       const std::vector<BoundPredicate>& preds,
-                                       int64_t* comps);
+/// The conjunction `preds` over one block of rows: writes to `out`, in
+/// order, the ordinals of the rows that pass every predicate — of the `n`
+/// ordinals at `in`, or of records first..first+n-1 when `in` is null —
+/// and returns how many. Each predicate reads only the survivors of those
+/// before it, so a row costs one Comp per predicate evaluated with early
+/// exit; adds those Comps to `*comps`. With no predicate every row passes.
+/// `out` has room for `n` and may be `in`.
+int64_t SelectBlock(const Relation& source, const int64_t* in, int64_t first,
+                    int64_t n, const std::vector<BoundPredicate>& preds,
+                    int64_t* out, int64_t* comps);
+
+/// The block pipeline's source (DESIGN.md §14): runs `preds` over `n` rows
+/// of `source` — the ordinals at `sel`, or records 0..n-1 when `sel` is
+/// null — a block of Relation::kBlockRecords rows at a time (SelectBlock),
+/// and hands each block's survivors to `sink(ordinals, k)`, in order,
+/// while their records are still in cache. A block with no survivor is
+/// not handed on. Adds the Comps to `*comps`.
+template <typename Sink>
+void SelectBlocks(const Relation& source, const int64_t* sel, int64_t n,
+                  const std::vector<BoundPredicate>& preds, int64_t* comps,
+                  const Sink& sink) {
+  int64_t survivors[Relation::kBlockRecords];
+  for (int64_t first = 0; first < n; first += Relation::kBlockRecords) {
+    const int64_t k = SelectBlock(
+        source, sel != nullptr ? sel + first : nullptr, first,
+        std::min(Relation::kBlockRecords, n - first), preds, survivors, comps);
+    if (k > 0) sink(static_cast<const int64_t*>(survivors), k);
+  }
+}
 
 }  // namespace mmdb
 

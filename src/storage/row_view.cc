@@ -20,8 +20,7 @@ void RowView::Project(const std::vector<int>& columns) {
   mapped_ = true;
 }
 
-void RowView::CopyTo(int64_t i, char* out) const {
-  const char* rec = record(i);
+void RowView::CopyRecord(const char* rec, char* out) const {
   const Schema& src = source_->schema();
   if (!mapped_) {
     std::memcpy(out, rec, static_cast<size_t>(src.record_size()));

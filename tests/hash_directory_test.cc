@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <unordered_map>
@@ -315,6 +316,48 @@ TEST(HashDirectoryTest, AggregationRegrowsTheDirectoryInsideABatch) {
   ExpectAggregateMatchesReference(in, {0}, "regrowth");
 }
 
+TEST(HashDirectoryTest, OneInt64KeyFoldMatchesReference) {
+  // Grouped on one INT64 column, a row's group is its chain's one group:
+  // the key hash is HashCombine of a fixed seed and Mix64, both
+  // bijections, so a chain holds one group. The keys here stress that
+  // shortcut: keys whose group hashes share their low 16 bits (one home
+  // slot at every directory size up to 65536 slots), negative keys and
+  // INT64's extremes, first seen and then met again across several
+  // batches.
+  auto group_hash = [](int64_t k) {
+    return HashCombine(0x9E3779B97F4A7C15ull,
+                       Mix64(static_cast<uint64_t>(k)));
+  };
+  std::vector<int64_t> keys;
+  const uint64_t home = group_hash(0) & 0xFFFF;
+  for (int64_t k = 0; keys.size() < 40; ++k) {
+    if ((group_hash(k) & 0xFFFF) == home) keys.push_back(k);
+  }
+  const size_t shared = keys.size();
+  for (size_t i = 0; i < shared; i += 4) keys.push_back(-keys[i]);
+  for (const int64_t k :
+       {int64_t{-1}, int64_t{-1000}, std::numeric_limits<int64_t>::min(),
+        std::numeric_limits<int64_t>::min() + 1,
+        std::numeric_limits<int64_t>::max(),
+        std::numeric_limits<int64_t>::max() - 1}) {
+    keys.push_back(k);
+  }
+  Relation in(Schema({Column::Int64("a"), Column::Char("b", 6),
+                      Column::Double("c"), Column::Int64("v")}));
+  for (int64_t i = 0; i < 3 * kHashBatch + 11; ++i) {
+    const int64_t key = keys[size_t(i * 7) % keys.size()];
+    in.Add({Value{key}, Value{std::string("x")}, Value{0.5},
+            Value{(i * 31) % 97 - 40}});
+  }
+  ExpectAggregateMatchesReference(in, {0}, "one INT64 key");
+  // Every key once, in the order above: each row is a new group.
+  Relation once(in.schema());
+  for (const int64_t key : keys) {
+    once.Add({Value{key}, Value{std::string("y")}, Value{1.5}, Value{key % 9}});
+  }
+  ExpectAggregateMatchesReference(once, {0}, "one INT64 key, all new");
+}
+
 TEST(HashDirectoryTest, DoubleSumAddsInRowOrder) {
   // Terms whose sum depends on the order they are added in, spread over
   // several batches and interleaved across groups.
@@ -381,11 +424,15 @@ void ExpectProbeMatchesReference(const Relation& build, const Relation& probe,
     table.Insert(build.record(i));
   }
   ExecEnv env;
+  const RowView view(&probe);
+  ViewBlocks source(view);
+  int64_t probe_rows = 0;
   const Relation got = exec_internal::ProbeHashTable(
-      table, build.schema(), RowView(&probe), 0, &env.ctx);
+      table, build.schema(), &source, 0, &env.ctx, &probe_rows);
   EXPECT_EQ(RowStrings(got), RowStrings(want)) << what;
   EXPECT_EQ(env.clock.counters().comparisons, want_comps) << what;
   EXPECT_EQ(env.clock.counters().hashes, probe.num_tuples()) << what;
+  EXPECT_EQ(probe_rows, probe.num_tuples()) << what;
 }
 
 Relation KeyedRows(const std::vector<int64_t>& keys) {

@@ -4,7 +4,10 @@
 // number of blocks — not one (or more) per table row, which a per-scan
 // table copy costs. GROUP BY, DISTINCT and the in-memory hash join read
 // those references in place too, so they allocate for what they produce
-// (groups, distinct rows, join output and build), not per survivor.
+// (groups, distinct rows, join output and build), not per survivor. And
+// the filter hands its survivors to them a block at a time, so they
+// allocate no bytes per input row either: no selection of the table's
+// size, no copy of the survivors' ordinals.
 
 #include <gtest/gtest.h>
 
@@ -15,33 +18,39 @@
 
 #include "db/database.h"
 
-// Counts every operator new in this binary; the test reads deltas around
-// one statement. GCC assumes the replaced operator new pairs with the
-// replaced delete and warns about the malloc/free mix inside them; the
-// pairing here is correct.
+// Counts every operator new in this binary, and the bytes it asks for;
+// the test reads deltas around one statement. GCC assumes the replaced
+// operator new pairs with the replaced delete and warns about the
+// malloc/free mix inside them; the pairing here is correct.
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 namespace {
 std::atomic<uint64_t> g_allocs{0};
+std::atomic<uint64_t> g_bytes{0};
+
+void Count(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
+}
 }  // namespace
 
 void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  Count(n);
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  Count(n);
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
 // The nothrow forms (std::stable_sort's temporary buffer) must come from
 // malloc too, or a sanitizer's own operator new would meet free() below.
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  Count(n);
   return std::malloc(n);
 }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  Count(n);
   return std::malloc(n);
 }
 void operator delete(void* p) noexcept { std::free(p); }
@@ -87,16 +96,25 @@ void LoadBuildTable(Database* db) {
 constexpr int64_t kSurvivors = 30000;
 constexpr int64_t kGroups = 1000;
 
-/// Allocations made by one SQL statement, which must return `want_rows`.
-uint64_t AllocsFor(Database* db, const std::string& sql, int64_t want_rows) {
-  const uint64_t before = g_allocs.load();
+/// Allocations (or, reading g_bytes, bytes allocated) made by one SQL
+/// statement, which must return `want_rows`.
+uint64_t AllocsFor(Database* db, const std::string& sql, int64_t want_rows,
+                   const std::atomic<uint64_t>& counter = g_allocs) {
+  const uint64_t before = counter.load();
   auto result = db->ExecuteSql(sql);
-  const uint64_t allocs = g_allocs.load() - before;
+  const uint64_t allocs = counter.load() - before;
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   if (result.ok()) {
     EXPECT_EQ(result->relation.num_tuples(), want_rows);
   }
   return allocs;
+}
+
+/// Bytes allocated by one SQL statement, which must return `want_rows`;
+/// run once before, so that first-use allocations are not counted.
+uint64_t BytesFor(Database* db, const std::string& sql, int64_t want_rows) {
+  AllocsFor(db, sql, want_rows, g_bytes);
+  return AllocsFor(db, sql, want_rows, g_bytes);
 }
 
 TEST(SqlScanAllocTest, OneSurvivorFilterAllocatesForSurvivorsNotTable) {
@@ -210,6 +228,73 @@ TEST(SqlScanAllocTest, DistinctAllocatesForDistinctRows) {
   const uint64_t distinct = AllocsFor(&db, sql, kGroups);
   EXPECT_LT(distinct, one + 8 * uint64_t(kGroups))
       << "allocations scale with the survivors";
+}
+
+// Byte accounting: a filtered GROUP BY or join over t allocates what the
+// same statement allocates over a small table holding only the rows that
+// make its output (the same groups or matches, in the same order): its
+// output, its build or group table, parse and plan. Anything beyond that
+// is per input row; 64 KB is less than one byte per row of t, and less
+// than a selection of t's survivors (8 bytes each).
+
+constexpr uint64_t kPerRowSlack = 64 << 10;
+
+/// Creates `name` with t's schema and the rows of t for which `keep(id)`
+/// holds, in t's order.
+template <typename Keep>
+void LoadSubset(Database* db, const std::string& name, const Keep& keep) {
+  const Schema schema({Column::Int64("id"), Column::Int64("grp"),
+                       Column::Double("bal")});
+  ASSERT_TRUE(db->CreateTable(name, schema).ok());
+  Relation rel(schema);
+  for (int64_t i = 0; i < kRows; ++i) {
+    if (keep(i)) rel.Add({Value{i}, Value{i % 1000}, Value{double(i)}});
+  }
+  ASSERT_TRUE(db->BulkLoad(name, std::move(rel)).ok());
+}
+
+TEST(SqlScanAllocTest, FilteredGroupByAllocatesNoBytesPerInputRow) {
+  Database db;
+  LoadTable(&db);
+  // s holds t's first kGroups rows: one per group, in t's first-seen
+  // order, all with id < kSurvivors.
+  LoadSubset(&db, "s", [](int64_t i) { return i < kGroups; });
+  auto sql = [](const std::string& table) {
+    return "SELECT grp, SUM(bal) FROM " + table + " WHERE id < " +
+           std::to_string(kSurvivors) + " GROUP BY grp";
+  };
+  const uint64_t small = BytesFor(&db, sql("s"), kGroups);
+  const uint64_t big = BytesFor(&db, sql("t"), kGroups);
+  EXPECT_LT(big, small + kPerRowSlack)
+      << "bytes scale with the input: " << big << " against " << small
+      << " over " << kGroups << " rows";
+}
+
+TEST(SqlScanAllocTest, FilteredJoinAllocatesNoBytesPerInputRow) {
+  Database db;
+  LoadTable(&db);
+  LoadBuildTable(&db);
+  // s holds exactly the rows of t that the join matches, in t's order.
+  LoadSubset(&db, "s", [](int64_t i) {
+    return i < kSurvivors && i % 1000 < kBuildRows;
+  });
+  auto sql = [](const std::string& table) {
+    return "SELECT " + table + ".id, u.w FROM " + table + ", u WHERE " +
+           table + ".grp = u.k AND " + table + ".id < " +
+           std::to_string(kSurvivors);
+  };
+  for (const char* table : {"s", "t"}) {
+    auto plan = db.ExecuteSql("EXPLAIN " + sql(table));
+    ASSERT_TRUE(plan.ok());
+    ASSERT_NE(plan->plan_text.find("hybrid-hash"), std::string::npos)
+        << plan->plan_text;
+  }
+  const int64_t output = kSurvivors * kBuildRows / 1000;
+  const uint64_t small = BytesFor(&db, sql("s"), output);
+  const uint64_t big = BytesFor(&db, sql("t"), output);
+  EXPECT_LT(big, small + kPerRowSlack)
+      << "bytes scale with the input: " << big << " against " << small
+      << " over " << output << " rows";
 }
 
 // A write statement is applied from the parsed statement itself: a copy
