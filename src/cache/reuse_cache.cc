@@ -42,7 +42,8 @@ ReuseCache::ReuseCache(Options options, MetricsRegistry* metrics)
       counters_(metrics, "cache.reuse",
                 {{kHits, "hits"}, {kMisses, "misses"},
                  {kBuildHits, "build_hits"}, {kInstalls, "installs"},
-                 {kRejected, "rejected"}, {kEvictions, "evictions"},
+                 {kRejected, "rejected"}, {kBypassed, "bypassed"},
+                 {kEvictions, "evictions"},
                  {kInvalidations, "invalidations"},
                  {kInvalidatedEntries, "invalidated_entries"},
                  {kBytes, "bytes"}, {kEntries, "entries"}}) {}
@@ -51,6 +52,10 @@ void ReuseCache::SetEnvTag(std::string tag) { env_tag_ = std::move(tag); }
 
 uint64_t ReuseCache::TableVersion(const std::string& table) const {
   std::lock_guard<std::mutex> lock(mu_);
+  return VersionLocked(table);
+}
+
+uint64_t ReuseCache::VersionLocked(const std::string& table) const {
   auto it = versions_.find(table);
   return it == versions_.end() ? 0 : it->second;
 }
@@ -134,7 +139,36 @@ std::string ReuseCache::CanonJoin(JoinAlgorithm algorithm,
   return out;
 }
 
-void ReuseCache::FingerprintPlan(const PlanNode& root, Fingerprints* out) const {
+void ReuseCache::FingerprintPlan(const PlanNode& root,
+                                 Fingerprints* out) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  FingerprintLocked(root, out);
+}
+
+void ReuseCache::FingerprintRun(const PlanNode& root, Fingerprints* out) {
+  std::lock_guard<std::mutex> lock(mu_);
+  FingerprintLocked(root, out);
+  // The root reads every table of the plan, each once.
+  std::set<std::string> written;
+  for (const std::string& table : out->tables[&root]) {
+    const uint64_t version = VersionLocked(table);
+    auto [it, first_read] = read_versions_.try_emplace(table, version);
+    if (!first_read && it->second != version) written.insert(table);
+    it->second = version;
+  }
+  if (written.empty()) return;
+  for (const auto& [node, tables] : out->tables) {
+    for (const std::string& table : tables) {
+      if (written.count(table) != 0) {
+        out->declined.insert(node);
+        break;
+      }
+    }
+  }
+}
+
+void ReuseCache::FingerprintLocked(const PlanNode& root,
+                                   Fingerprints* out) const {
   // Recursion writes canonical + table deps for every node.
   std::function<void(const PlanNode&)> walk = [&](const PlanNode& node) {
     std::string canon;
@@ -142,13 +176,13 @@ void ReuseCache::FingerprintPlan(const PlanNode& root, Fingerprints* out) const 
     switch (node.kind) {
       case PlanNode::Kind::kScan: {
         canon = "scan(" + node.table + "@" +
-                std::to_string(TableVersion(node.table)) + ")";
+                std::to_string(VersionLocked(node.table)) + ")";
         tables.push_back(node.table);
         break;
       }
       case PlanNode::Kind::kIndexScan: {
         canon = "ix(" + node.table + "@" +
-                std::to_string(TableVersion(node.table)) + ",";
+                std::to_string(VersionLocked(node.table)) + ",";
         canon += IndexTag(node.index_kind);
         canon += ",";
         if (!node.predicates.empty()) {
@@ -380,6 +414,7 @@ ReuseCache::Stats ReuseCache::stats() const {
   s.build_hits = counters_.Get(kBuildHits);
   s.installs = counters_.Get(kInstalls);
   s.rejected = counters_.Get(kRejected);
+  s.bypassed = counters_.Get(kBypassed);
   s.evictions = counters_.Get(kEvictions);
   s.invalidations = counters_.Get(kInvalidations);
   s.invalidated_entries = counters_.Get(kInvalidatedEntries);
@@ -395,7 +430,7 @@ std::string ReuseCache::DebugString() const {
       buf, sizeof(buf),
       "reuse cache: %lld entries, %lld bytes (budget %lld)\n"
       "  hits=%lld (build=%lld) misses=%lld hit_rate=%.1f%%\n"
-      "  installs=%lld rejected=%lld evictions=%lld\n"
+      "  installs=%lld rejected=%lld bypassed=%lld evictions=%lld\n"
       "  invalidations=%lld (entries dropped=%lld)",
       static_cast<long long>(s.entries), static_cast<long long>(s.bytes),
       static_cast<long long>(options_.budget_bytes),
@@ -405,7 +440,7 @@ std::string ReuseCache::DebugString() const {
                                   double(s.hits + s.misses)
                             : 0.0,
       static_cast<long long>(s.installs), static_cast<long long>(s.rejected),
-      static_cast<long long>(s.evictions),
+      static_cast<long long>(s.bypassed), static_cast<long long>(s.evictions),
       static_cast<long long>(s.invalidations),
       static_cast<long long>(s.invalidated_entries));
   return buf;

@@ -50,10 +50,17 @@ struct CachedBuild {
 /// once: a lookup after a write simply misses, and the stale entry is
 /// dropped eagerly by InvalidateTable.
 ///
-/// Admission is cost-based: an entry is admitted only when the cost the
-/// optimizer/executor measured for producing it clears a floor, it fits
-/// the per-entry cap, and — after evicting every entry with a worse
-/// benefit density (cost per byte) — the bounded byte budget still holds.
+/// Admission is decided twice. Before a statement runs, FingerprintRun
+/// declines every plan node that reads a table written since the last
+/// statement that read it: rows over a table that is being written are
+/// likely retired before anyone reads them again, so a declined node runs
+/// as if the cache were off and its rows are never collected or copied.
+/// The cache keeps, for this, the version each table had at its last read.
+/// After an admitted node runs, its entry is admitted only when the cost
+/// the executor measured for producing it clears a floor, it fits the
+/// per-entry cap, and — after evicting every entry with a worse benefit
+/// density (cost per byte) — the bounded byte budget still holds. Lookups
+/// do not depend on the first decision: a declined node is still served.
 ///
 /// Thread safety: every method is safe to call concurrently; one mutex
 /// guards the maps, and entries are handed out as shared_ptr<const ...> so
@@ -81,6 +88,7 @@ class ReuseCache {
     int64_t build_hits = 0;   ///< subset of hits: materialized builds
     int64_t installs = 0;     ///< entries admitted
     int64_t rejected = 0;     ///< admission refusals (cost floor / size)
+    int64_t bypassed = 0;     ///< nodes declined before they ran
     int64_t evictions = 0;    ///< entries dropped for space
     int64_t invalidations = 0;         ///< InvalidateTable calls
     int64_t invalidated_entries = 0;   ///< entries dropped by invalidation
@@ -116,12 +124,26 @@ class ReuseCache {
   struct Fingerprints {
     std::map<const PlanNode*, std::string> canonical;
     std::map<const PlanNode*, std::vector<std::string>> tables;
+    /// Nodes FingerprintRun declined: each reads a table written since the
+    /// last statement that read it, so the cache takes nothing from them.
+    std::set<const PlanNode*> declined;
+    bool admitted(const PlanNode* node) const {
+      return declined.count(node) == 0;
+    }
     uint64_t Hash(const PlanNode* node) const {
       auto it = canonical.find(node);
       return it == canonical.end() ? 0 : HashString(it->second);
     }
   };
   void FingerprintPlan(const PlanNode& root, Fingerprints* out) const;
+  /// FingerprintPlan for a plan about to run, in one locked step with its
+  /// admission: a node is declined when a table it reads has a version
+  /// other than the one it had at the last statement that read it (a table
+  /// never read counts as unwritten). Then records this statement's read
+  /// of every table the plan reads.
+  void FingerprintRun(const PlanNode& root, Fingerprints* out);
+  /// Counts one node declined by FingerprintRun that ran uncached.
+  void CountBypassed() { counters_.Add(kBypassed); }
 
   /// Canonical rendering of one literal (type-tagged, exact — doubles via
   /// %.17g, strings length-prefixed so no two values collide).
@@ -182,6 +204,8 @@ class ReuseCache {
     uint64_t tick = 0;  ///< last touch, for eviction tie-breaks
   };
 
+  uint64_t VersionLocked(const std::string& table) const;
+  void FingerprintLocked(const PlanNode& root, Fingerprints* out) const;
   /// The refusals that need no look at the resident entries: cache off,
   /// below the cost floor, or over a size cap. Counts a rejection.
   bool RefusedLocked(int64_t bytes, double cost_seconds);
@@ -196,12 +220,14 @@ class ReuseCache {
   /// table name -> keys of entries whose fingerprints read it.
   std::map<std::string, std::set<std::string>> by_table_;
   std::map<std::string, uint64_t> versions_;
+  /// table name -> its version when a statement last read it.
+  std::map<std::string, uint64_t> read_versions_;
   uint64_t tick_ = 0;
   int64_t bytes_ = 0;
 
-  enum Counter { kHits, kMisses, kBuildHits, kInstalls, kRejected, kEvictions,
-                 kInvalidations, kInvalidatedEntries, kBytes, kEntries,
-                 kNumCounters };
+  enum Counter { kHits, kMisses, kBuildHits, kInstalls, kRejected, kBypassed,
+                 kEvictions, kInvalidations, kInvalidatedEntries, kBytes,
+                 kEntries, kNumCounters };
   MetricCounters<kNumCounters> counters_;
 };
 

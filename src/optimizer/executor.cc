@@ -15,12 +15,13 @@ namespace mmdb {
 
 namespace {
 
-/// Per-run reuse-cache state: the plan's fingerprints (computed once up
-/// front) and each node's cache outcome, copied into the trace at the end.
+/// Per-run reuse-cache state: the plan's fingerprints and admission
+/// (computed once up front) and each node's cache outcome, copied into the
+/// trace at the end.
 struct CacheRun {
   ReuseCache* cache = nullptr;
   ReuseCache::Fingerprints fps;
-  std::map<const PlanNode*, int> state;
+  std::map<const PlanNode*, CacheState> state;
 };
 
 /// One plan node's output inside ExecutePlan (DESIGN.md §14): a RowView
@@ -41,7 +42,8 @@ struct CacheRun {
 /// block's survivors while they are still in cache. Every other consumer
 /// is a pipeline breaker and collects the survivors first (Collect): a
 /// join's build side, a spilling join, a partitioned aggregate, and each
-/// node the reuse cache may install.
+/// node the reuse cache admitted before the statement ran (a declined
+/// node pipelines as if the cache were off).
 class NodeResult final : public BlockSource {
  public:
   static NodeResult Owned(Relation rel) {
@@ -105,9 +107,9 @@ class NodeResult final : public BlockSource {
       RunFilter([&survivors](const int64_t* ords, int64_t k) {
         survivors.insert(survivors.end(), ords, ords + k);
       });
-      // Sized exactly: the selection lives until the statement ends, and
-      // with the reuse cache on every filter collects, so a regrown
-      // vector's slack would stay resident beside the other sessions'.
+      // Sized exactly: the selection lives until the statement ends, so a
+      // regrown vector's slack would stay resident beside the other
+      // sessions'.
       survivors.shrink_to_fit();
       view_.Select(std::move(survivors));
     }
@@ -243,6 +245,20 @@ std::shared_ptr<CachedBuild> BuildTable(NodeResult build, int key,
   return std::make_shared<CachedBuild>(std::move(build).Materialize(), key);
 }
 
+/// Probes `build`'s table with the probe side's rows in place, a block at
+/// a time as a pending filter hands them on, and publishes the join's run;
+/// `build_tuples` is 0 when the table was served from the reuse cache.
+Relation ProbeBuild(const CachedBuild& build, int64_t build_tuples,
+                    NodeResult* probe, int probe_key, ExecContext* ctx) {
+  int64_t probe_rows = 0;
+  Relation out = exec_internal::ProbeHashTable(
+      build.table, build.records.schema(), probe, probe_key, ctx, &probe_rows);
+  JoinRunStats st;
+  st.output_tuples = out.num_tuples();
+  exec_internal::PublishJoinRun(ctx, build_tuples, probe_rows, st);
+  return out;
+}
+
 StatusOr<NodeResult> ExecuteJoinNode(const PlanNode& plan,
                                      const Catalog& catalog, ExecContext* ctx,
                                      IndexProvider* indexes,
@@ -259,9 +275,10 @@ StatusOr<NodeResult> ExecuteJoinNode(const PlanNode& plan,
   // CachedBuild hook (DESIGN.md §15): for an in-memory hybrid hash join,
   // the build-side hash table is a pure function of the build subtree's
   // fingerprint and the key column — serve it from the reuse cache and
-  // skip the entire build subtree, or install it after a miss. Only the
-  // q >= 1 (no spill) case is cached: a spilling build changes emission
-  // order, and its table never fully materializes.
+  // skip the entire build subtree, or install it after a miss when the
+  // build subtree was admitted. Only the q >= 1 (no spill) case is cached:
+  // a spilling build changes emission order, and its table never fully
+  // materializes.
   if (reuse != nullptr && hybrid) {
     const std::string& bfp = reuse->fps.canonical[&bnode];
     if (std::shared_ptr<const CachedBuild> cached =
@@ -269,11 +286,8 @@ StatusOr<NodeResult> ExecuteJoinNode(const PlanNode& plan,
       MMDB_ASSIGN_OR_RETURN(
           NodeResult probe,
           ExecuteRec(pnode, catalog, ctx, indexes, trace, reuse));
-      reuse->state[&plan] = 2;
-      int64_t probe_rows = 0;
-      return NodeResult::Owned(exec_internal::ProbeHashTable(
-          cached->table, cached->records.schema(), &probe, ppos, ctx,
-          &probe_rows));
+      reuse->state[&plan] = CacheState::kBuildHit;
+      return NodeResult::Owned(ProbeBuild(*cached, 0, &probe, ppos, ctx));
     }
   }
   // With the cache on, the probe child runs first so that, on a miss, the
@@ -302,23 +316,16 @@ StatusOr<NodeResult> ExecuteJoinNode(const PlanNode& plan,
       std::max<int64_t>(1, build.view().NumPages(ctx->page_size())),
       ctx->memory_pages, ctx->fudge);
   if (hybrid && split.q >= 1.0) {
-    // The in-memory hybrid: build the table once, then probe it with the
-    // probe side's rows in place, a block at a time as a pending filter
-    // hands them on; a cache miss then offers the table for admission.
+    // The in-memory hybrid: build the table once and probe it; an admitted
+    // build subtree then offers the table to the reuse cache.
     const int64_t build_tuples = build.view().size();
     std::shared_ptr<CachedBuild> cb = BuildTable(std::move(build), bpos, ctx);
     const double build_cost = ctx->clock->Seconds() - build_t0;
-    int64_t probe_rows = 0;
-    Relation out = exec_internal::ProbeHashTable(
-        cb->table, cb->records.schema(), &probe, ppos, ctx, &probe_rows);
-    if (reuse != nullptr) {
+    Relation out = ProbeBuild(*cb, build_tuples, &probe, ppos, ctx);
+    if (reuse != nullptr && reuse->fps.admitted(&bnode)) {
       reuse->cache->InstallBuild(reuse->fps.canonical[&bnode], bpos,
                                  reuse->fps.tables[&bnode], std::move(cb),
                                  build_cost);
-    } else {
-      JoinRunStats st;
-      st.output_tuples = out.num_tuples();
-      exec_internal::PublishJoinRun(ctx, build_tuples, probe_rows, st);
     }
     return NodeResult::Owned(std::move(out));
   }
@@ -410,29 +417,34 @@ StatusOr<NodeResult> ExecuteRec(const PlanNode& plan, const Catalog& catalog,
   // Result-cache hook (DESIGN.md §15): any node but a bare table scan may
   // be served wholesale from a materialized result. A hit is served as a
   // pinned borrow of the cached relation, charged one Move per tuple (the
-  // only work the warm plan does), and skips the entire subtree; a miss
-  // executes normally, and the node's inclusive cost-clock window becomes
-  // the admission cost.
+  // only work the warm plan does), and skips the entire subtree. On a miss
+  // an admitted node collects its rows, and its inclusive cost-clock
+  // window becomes the admission cost; a declined node runs as if the
+  // cache were off.
   const bool cacheable =
       reuse != nullptr && plan.kind != PlanNode::Kind::kScan;
+  bool install = false;
   std::string fp;
   if (cacheable) {
     fp = reuse->fps.canonical[&plan];
     if (std::shared_ptr<const Relation> hit = reuse->cache->LookupResult(fp)) {
       ctx->clock->Move(hit->num_tuples());
-      reuse->state[&plan] = 1;
+      reuse->state[&plan] = CacheState::kHit;
       if (trace != nullptr) {
         PlanNodeRunStats& st = trace->nodes[&plan];
         st.rows_out = hit->num_tuples();
-        st.cache_state = 1;
+        st.cache_state = CacheState::kHit;
       }
       const Relation* rel = hit.get();
       return NodeResult::Borrow(rel, std::move(hit));
     }
-    reuse->state[&plan] = 3;  // a build serve below may upgrade this to 2
+    install = reuse->fps.admitted(&plan);
+    if (!install) reuse->cache->CountBypassed();
+    // A build serve below may upgrade either to kBuildHit.
+    reuse->state[&plan] = install ? CacheState::kMiss : CacheState::kBypass;
   }
   if (trace == nullptr) {
-    if (!cacheable) return ExecuteNode(plan, catalog, ctx, indexes, trace, reuse);
+    if (!install) return ExecuteNode(plan, catalog, ctx, indexes, trace, reuse);
     const double seconds_before = ctx->clock->Seconds();
     StatusOr<NodeResult> out =
         ExecuteNode(plan, catalog, ctx, indexes, trace, reuse);
@@ -455,7 +467,7 @@ StatusOr<NodeResult> ExecuteRec(const PlanNode& plan, const Catalog& catalog,
   StatusOr<NodeResult> out =
       ExecuteNode(plan, catalog, ctx, indexes, trace, reuse);
   if (!out.ok()) return out;
-  if (cacheable) out->Collect();
+  if (install) out->Collect();
   const auto wall_after = std::chrono::steady_clock::now();
   const CostCounters after = ctx->clock->counters();
   const SimulatedDisk::Stats disk_after = ctx->disk->stats();
@@ -476,7 +488,7 @@ StatusOr<NodeResult> ExecuteRec(const PlanNode& plan, const Catalog& catalog,
   st.wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                    wall_after - wall_before)
                    .count();
-  if (cacheable) {
+  if (install) {
     reuse->cache->InstallResult(fp, reuse->fps.tables[&plan], out->view(),
                                 st.cost_seconds);
   }
@@ -497,7 +509,7 @@ StatusOr<Relation> ExecutePlan(const PlanNode& plan, const Catalog& catalog,
   CacheRun reuse;
   if (ctx->reuse_cache != nullptr) {
     reuse.cache = ctx->reuse_cache;
-    reuse.cache->FingerprintPlan(plan, &reuse.fps);
+    reuse.cache->FingerprintRun(plan, &reuse.fps);
   }
   MMDB_ASSIGN_OR_RETURN(
       NodeResult root,
@@ -535,10 +547,11 @@ std::string RenderAnalyzedPlan(const PlanNode& plan,
         }
         const char* cache_tag = "";
         switch (s.cache_state) {
-          case 1: cache_tag = " cache=hit"; break;
-          case 2: cache_tag = " cache=hit(build)"; break;
-          case 3: cache_tag = " cache=miss"; break;
-          default: break;
+          case CacheState::kNone: break;
+          case CacheState::kHit: cache_tag = " cache=hit"; break;
+          case CacheState::kBuildHit: cache_tag = " cache=hit(build)"; break;
+          case CacheState::kMiss: cache_tag = " cache=miss"; break;
+          case CacheState::kBypass: cache_tag = " cache=bypass"; break;
         }
         char buf[352];
         std::snprintf(

@@ -26,6 +26,16 @@ class IndexProvider {
                                             ExecContext* ctx) = 0;
 };
 
+/// A plan node's reuse-cache outcome (DESIGN.md §15), rendered by EXPLAIN
+/// ANALYZE as the tag after each name.
+enum class CacheState {
+  kNone,      ///< cache off, or a bare scan: no tag
+  kHit,       ///< result served from the cache, subtree skipped: cache=hit
+  kBuildHit,  ///< join probed a cached build table: cache=hit(build)
+  kMiss,      ///< missed, ran, and offered its rows: cache=miss
+  kBypass,    ///< missed and ran declined, offering nothing: cache=bypass
+};
+
 /// What one plan node actually did during an EXPLAIN ANALYZE run. Every
 /// figure is *inclusive* of the node's children (execution is depth-first,
 /// so a node's window contains its subtree); the renderer derives self
@@ -40,11 +50,7 @@ struct PlanNodeRunStats {
   int64_t spill_bytes = 0;       ///< "exec.spill.bytes" delta
   double cost_seconds = 0;       ///< simulated cost-clock delta
   int64_t wall_ns = 0;           ///< real elapsed time (inclusive)
-  /// Reuse-cache outcome for this node (DESIGN.md §15): 0 = cache off /
-  /// not cacheable, 1 = result served from cache (subtree skipped), 2 =
-  /// join probe ran against a cached build hash table, 3 = looked up and
-  /// missed. Rendered by EXPLAIN ANALYZE as cache=hit / hit(build) / miss.
-  int cache_state = 0;
+  CacheState cache_state = CacheState::kNone;
 };
 
 /// Per-node statistics keyed by plan node, filled by ExecutePlan when the

@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <optional>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -460,6 +462,140 @@ TEST(DatabaseReuseTest, PartlyAppliedInsertInvalidatesCachedResults) {
   StatusOr<Database::SqlResult> after = db.ExecuteSql(select);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->relation.num_tuples(), fails_at);
+}
+
+/// Loads fact(id, grp, bal), with grp = id % 10 and bal = id, and
+/// dim(grp, name) with one row per grp.
+void LoadFactAndDim(Database* db) {
+  ASSERT_TRUE(
+      db->ExecuteSql("CREATE TABLE fact (id INT64, grp INT64, bal DOUBLE)")
+          .ok());
+  ASSERT_TRUE(db->ExecuteSql("CREATE TABLE dim (grp INT64, name CHAR(8))")
+                  .ok());
+  Relation fact((*db->GetTable("fact"))->schema());
+  for (int64_t i = 0; i < 2000; ++i) {
+    fact.Add({Value{i}, Value{i % 10}, Value{double(i)}});
+  }
+  ASSERT_TRUE(db->BulkLoad("fact", std::move(fact)).ok());
+  Relation dim((*db->GetTable("dim"))->schema());
+  for (int64_t g = 0; g < 10; ++g) {
+    dim.Add({Value{g}, Value{"g" + std::to_string(g)}});
+  }
+  ASSERT_TRUE(db->BulkLoad("dim", std::move(dim)).ok());
+}
+
+std::string FactDimJoin(int64_t min_bal) {
+  return "SELECT id, name FROM fact, dim WHERE fact.grp = dim.grp AND "
+         "bal >= " + std::to_string(min_bal) + ".0";
+}
+
+// The in-memory hybrid join publishes its exec.join.* figures whether the
+// reuse cache builds its table, serves it or is off. A build served from
+// the cache counts no build tuples.
+TEST(DatabaseReuseTest, JoinCountersMatchWithTheCacheOnAndOff) {
+  Database::Options cached_opts;
+  cached_opts.reuse_cache_bytes = 8 << 20;
+  cached_opts.reuse_min_cost_seconds = 0;
+  cached_opts.reuse_plan_discounts = false;  // the same plans as uncached
+  Database cached(cached_opts);
+  Database plain;
+  for (Database* db : {&cached, &plain}) {
+    LoadFactAndDim(db);
+    // The second join's probe filter differs, so it misses the first's
+    // results and serves the first's build of dim.
+    for (int64_t min_bal : {100, 1500}) {
+      auto result = db->ExecuteSql(FactDimJoin(min_bal));
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+    }
+  }
+  ASSERT_EQ(cached.reuse_cache()->stats().build_hits, 1);
+  for (const char* name : {"exec.join.runs", "exec.join.probe_tuples",
+                           "exec.join.output_tuples"}) {
+    EXPECT_GT(plain.metrics()->Get(name), 0) << name;
+    EXPECT_EQ(cached.metrics()->Get(name), plain.metrics()->Get(name))
+        << name;
+  }
+  EXPECT_EQ(plain.metrics()->Get("exec.join.build_tuples"), 20);
+  EXPECT_EQ(cached.metrics()->Get("exec.join.build_tuples"), 10);
+}
+
+// htap_mixed in miniature: fact is UPDATEd between reads and dim is never
+// written. Nodes over fact are declined before they run, so nothing new is
+// installed over it, neither a result nor a build of fact, while the join
+// keeps serving its build of dim; one read with no write before it is
+// admitted again.
+TEST(DatabaseReuseTest, WrittenTablesBypassTheCacheAndUnwrittenBuildsServe) {
+  Database::Options opts;
+  opts.reuse_cache_bytes = 8 << 20;
+  opts.reuse_min_cost_seconds = 0;
+  // Plans priced without the cache's discounts keep their build sides.
+  opts.reuse_plan_discounts = false;
+  Database db(opts);
+  Database plain;
+  LoadFactAndDim(&db);
+  LoadFactAndDim(&plain);
+  ReuseCache* cache = db.reuse_cache();
+  auto select = [&](const std::string& sql) {
+    auto got = db.ExecuteSql("EXPLAIN ANALYZE " + sql);
+    auto want = plain.ExecuteSql(sql);
+    EXPECT_TRUE(got.ok() && want.ok()) << sql;
+    if (!got.ok() || !want.ok()) return std::string();
+    EXPECT_EQ(got->relation.num_tuples(), want->relation.num_tuples());
+    std::multiset<std::string> a, b;
+    for (const Row& row : got->relation.rows()) a.insert(RowToString(row));
+    for (const Row& row : want->relation.rows()) b.insert(RowToString(row));
+    EXPECT_EQ(a, b) << sql;
+    return got->plan_text;
+  };
+  auto update = [&](int64_t id) {
+    for (Database* d : {&db, &plain}) {
+      ASSERT_TRUE(d->ExecuteSql("UPDATE fact SET bal = -1.0 WHERE id = " +
+                                std::to_string(id))
+                      .ok());
+    }
+  };
+  const std::string q = FactDimJoin(100);
+  // Five rows of fact: the join builds on fact, not dim.
+  const std::string q_fact_build =
+      "SELECT id, name FROM fact, dim WHERE fact.grp = dim.grp AND id < 5";
+  std::string plan = select(q_fact_build);
+  ASSERT_NE(plan.find("Join"), std::string::npos) << plan;
+  // The first read of either table is admitted: dim's build and the
+  // results over fact are installed.
+  plan = select(q);
+  EXPECT_NE(plan.find("cache=miss"), std::string::npos) << plan;
+  EXPECT_EQ(plan.find("cache=bypass"), std::string::npos) << plan;
+  const ReuseCache::Stats first = cache->stats();
+  ASSERT_GT(first.installs, 1);
+  EXPECT_EQ(first.bypassed, 0);
+
+  ReuseCache::Stats last = first;
+  for (int64_t id = 200; id < 203; ++id) {
+    update(id);
+    plan = select(q_fact_build);
+    EXPECT_NE(plan.find("cache=bypass"), std::string::npos) << plan;
+    EXPECT_EQ(plan.find("cache=hit(build)"), std::string::npos) << plan;
+    EXPECT_EQ(cache->stats().installs, first.installs);
+    update(id + 100);
+    plan = select(q);
+    EXPECT_NE(plan.find("cache=bypass"), std::string::npos) << plan;
+    EXPECT_NE(plan.find("cache=hit(build)"), std::string::npos) << plan;
+    EXPECT_EQ(plan.find("cache=miss"), std::string::npos) << plan;
+    const ReuseCache::Stats now = cache->stats();
+    EXPECT_EQ(now.installs, first.installs);
+    EXPECT_EQ(now.build_hits, last.build_hits + 1);
+    EXPECT_GT(now.bypassed, last.bypassed);
+    last = now;
+  }
+
+  // A read with no write before it is admitted again, and the next serves
+  // what it installed.
+  plan = select(q);
+  EXPECT_EQ(plan.find("cache=bypass"), std::string::npos) << plan;
+  EXPECT_GT(cache->stats().installs, first.installs);
+  EXPECT_EQ(cache->stats().bypassed, last.bypassed);
+  plan = select(q);
+  EXPECT_NE(plan.find("cache=hit"), std::string::npos) << plan;
 }
 
 TEST(SqlCatalogTest, StatisticsAfterInsertsMatchAFreshCatalog) {

@@ -461,14 +461,16 @@ void RunSurfaceScenario(Database* db) {
 
 TEST(MetricsTest, RegistryNamesCoverParent) {
   // Every counter name MetricsJson() printed for RunSurfaceScenario while a
-  // snapshot still copied the txn plane in; none may be lost or renamed.
+  // snapshot still copied the txn plane in, and the names added since; none
+  // may be lost or renamed.
   static const char* const kNames[] = {
       "backup.backups_taken", "backup.incremental_backups",
       "backup.last_end_lsn", "backup.log_records_captured",
       "backup.pages_copied", "backup.pages_skipped", "buffer_pool.evictions",
       "buffer_pool.faults", "buffer_pool.fetches", "buffer_pool.hits",
       "buffer_pool.io_retries", "buffer_pool.writebacks",
-      "cache.reuse.build_hits", "cache.reuse.bytes", "cache.reuse.entries",
+      "cache.reuse.build_hits", "cache.reuse.bypassed", "cache.reuse.bytes",
+      "cache.reuse.entries",
       "cache.reuse.evictions", "cache.reuse.hits", "cache.reuse.installs",
       "cache.reuse.invalidations", "cache.reuse.misses",
       "cache.reuse.rejected", "checkpoint.pages_written", "checkpoint.sweeps",

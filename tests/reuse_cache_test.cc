@@ -242,6 +242,45 @@ TEST(ReuseCacheAdmission, ChargesTheBytesItsEntriesAllocate) {
   EXPECT_EQ(allocated, kEntries * (int64_t(sizeof(Relation)) + 8));
 }
 
+// Admission before a run: a node is declined when a table it reads was
+// written since the last statement that read it.
+TEST(ReuseCacheAdmission, DeclinesNodesOverATableWrittenSinceItsLastRead) {
+  ReuseCache cache;
+  const JoinClause fd{{"f", "key"}, {"d", "key"}};
+  auto plan = Join(Filter(Scan("f", "f"), "f", "payload", CmpOp::kLt,
+                          Value{int64_t{10}}),
+                   Scan("d", "d"), fd, /*build_is_right=*/true);
+  const PlanNode* filter = plan->child_left.get();
+  const PlanNode* fact = filter->child_left.get();
+  const PlanNode* dim = plan->child_right.get();
+  auto run = [&cache, &plan] {
+    ReuseCache::Fingerprints fps;
+    cache.FingerprintRun(*plan, &fps);
+    return fps;
+  };
+  // Writes before a table's first read do not count: it was never read.
+  cache.InvalidateTable("f");
+  cache.InvalidateTable("d");
+  EXPECT_TRUE(run().declined.empty());
+  // A write and then a read: every node over f is declined, d's is not.
+  cache.InvalidateTable("f");
+  const ReuseCache::Fingerprints after_write = run();
+  EXPECT_FALSE(after_write.admitted(plan.get()));
+  EXPECT_FALSE(after_write.admitted(filter));
+  EXPECT_FALSE(after_write.admitted(fact));
+  EXPECT_TRUE(after_write.admitted(dim));
+  // A second read with no write in between admits again.
+  EXPECT_TRUE(run().declined.empty());
+  // The optimizer's costing fingerprint is not a read: the write still
+  // declines the next run.
+  cache.InvalidateTable("f");
+  ReuseCache::Fingerprints costing;
+  cache.FingerprintPlan(*plan, &costing);
+  EXPECT_TRUE(costing.declined.empty());
+  EXPECT_FALSE(run().admitted(filter));
+  EXPECT_TRUE(run().admitted(filter));
+}
+
 TEST(ReuseCacheInvalidation, DropsDependentsAndBumpsVersion) {
   ReuseCache cache;
   const Relation rel = SmallRelation(4);
@@ -301,6 +340,7 @@ TEST(ReuseCacheStats, HitMissAccountingAndDebugString) {
   EXPECT_GT(s.bytes, 0);
   const std::string dump = cache.DebugString();
   EXPECT_NE(dump.find("hits=1"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("bypassed=0"), std::string::npos) << dump;
   EXPECT_NE(dump.find("reuse cache"), std::string::npos) << dump;
 }
 
