@@ -31,10 +31,13 @@ bool BTreeKeys(ValueType type) {
 /// The widest B+-tree key BuildIndex makes (CHAR keys are cut to 32 bytes).
 constexpr int32_t kMaxBTreeKeyWidth = 32;
 
-/// Writes `key` as the B+-tree's `width` key bytes to `out`.
+/// Writes `key` as the B+-tree's `width` key bytes to `out`. An INT64 key
+/// is 8 bytes: big-endian with the sign bit flipped, so memcmp order is
+/// numeric order over every INT64, negative keys included.
 Status EncodeBTreeKey(const Value& key, int32_t width, char* out) {
   if (const int64_t* i = std::get_if<int64_t>(&key)) {
-    BPlusTree::EncodeInt64Key(*i, out, width);
+    const uint64_t u = static_cast<uint64_t>(*i) ^ (uint64_t{1} << 63);
+    for (int b = 0; b < 8; ++b) out[b] = static_cast<char>(u >> (56 - 8 * b));
   } else if (const std::string* s = std::get_if<std::string>(&key)) {
     BPlusTree::EncodeStringKey(*s, out, width);
   } else {
@@ -199,12 +202,24 @@ Status Database::BuildIndex(TableHolder* table, const std::string& table_name,
       return Status::Internal("kAuto must be resolved by caller");
   }
   const Field key = Field::Of(table->relation.schema(), col);
-  for (int64_t i = 0; i < table->relation.num_tuples(); ++i) {
-    MMDB_RETURN_IF_ERROR(
-        AddToIndex(&index, key.Read(table->relation.record(i)), i));
+  Status status = Status::OK();
+  for (int64_t i = 0; i < table->relation.num_tuples() && status.ok(); ++i) {
+    status = AddToIndex(&index, key.Read(table->relation.record(i)), i);
+  }
+  if (!status.ok()) {
+    DropFrames(index);
+    return status;
   }
   table->indexes[column] = std::move(index);
   return Status::OK();
+}
+
+void Database::DropFrames(const IndexHolder& index) {
+  if (index.btree_file == nullptr) return;
+  // Only a pinned frame fails the drop, and under the exclusive latch no
+  // statement holds one.
+  const Status s = pool_.DropFile(index.btree_file->id());
+  MMDB_CHECK_MSG(s.ok(), s.ToString().c_str());
 }
 
 Status Database::AddToIndex(IndexHolder* index, const Value& key,
@@ -722,9 +737,14 @@ Status Database::ExecuteUpdateLocked(const ParsedStatement& stmt,
     local_clock.Comp(comps);
   }
   disk_.MergeClock(local_clock);
-  // Rebuild any index whose key column was assigned: the §2 structures
-  // have no delete path, and an UPDATE touching an indexed key is rare
-  // enough that a rebuild is the simplest correct maintenance.
+  // Rebuild every index whose key column was assigned. The index
+  // structures have no delete, since the dialect has no DELETE; moving one
+  // row's entry would need a delete matching (key, ordinal) in all three,
+  // and an UPDATE of an indexed key is rare enough that a whole rebuild is
+  // the one maintenance path. The old index goes first, frames and all: its
+  // PageFile deletes its disk file, and a dirty frame evicted later would
+  // be written to a file that no longer exists. A rebuild that fails
+  // leaves its column unindexed, never stale.
   std::vector<std::pair<std::string, IndexType>> rebuilds;
   for (const auto& entry : table.indexes) {
     for (const Set& set : sets) {
@@ -734,14 +754,17 @@ Status Database::ExecuteUpdateLocked(const ParsedStatement& stmt,
       }
     }
   }
-  for (const std::pair<std::string, IndexType>& rebuild : rebuilds) {
-    table.indexes.erase(rebuild.first);
-    MMDB_RETURN_IF_ERROR(
-        BuildIndex(&table, stmt.table_name, rebuild.first, rebuild.second));
+  Status status = Status::OK();
+  for (const auto& [column, type] : rebuilds) {
+    auto idx_it = table.indexes.find(column);
+    DropFrames(idx_it->second);
+    table.indexes.erase(idx_it);
+    const Status s = BuildIndex(&table, stmt.table_name, column, type);
+    if (status.ok()) status = s;
   }
-  // UPDATE changes no schema, cardinality or index set, so the catalog
-  // stays valid; only an index rebuild must be re-registered. Column
-  // value statistics go stale until the next invalidation — the standard
+  // UPDATE changes no schema or cardinality, so the catalog stays valid
+  // unless an index was rebuilt or lost, failed or not. Column value
+  // statistics go stale until the next invalidation — the standard
   // stale-statistics trade every optimizer makes (a per-update stats
   // rescan would serialize the whole session mix behind catalog_mu_).
   if (!rebuilds.empty()) InvalidateCatalog();
@@ -755,7 +778,7 @@ Status Database::ExecuteUpdateLocked(const ParsedStatement& stmt,
   metrics_.Add("sql.update.statements", 1);
   metrics_.Add("sql.update.rows", matched);
   *rows_affected = matched;
-  return Status::OK();
+  return status;
 }
 
 Status Database::EnableTransactions(const TxnPlaneOptions& options) {

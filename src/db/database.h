@@ -300,8 +300,14 @@ class Database : public IndexProvider {
   /// Which index type CreateIndex(kAuto) picks right now.
   StatusOr<IndexType> PickIndexType(const std::string& table,
                                     const std::string& column) const;
+  /// Builds `column`'s index from every record of `table`. On failure the
+  /// table keeps no index on `column`.
   Status BuildIndex(TableHolder* table, const std::string& table_name,
                     const std::string& column, IndexType type);
+  /// Drops a B+-tree index's frames from the buffer pool, unwritten (no-op
+  /// for the other kinds). Call before its PageFile, which deletes the disk
+  /// file, goes. The caller holds latch_ exclusively.
+  void DropFrames(const IndexHolder& index);
   /// Adds `key` to `index` under `ordinal`: the one write path into every
   /// index type, shared by InsertRecords and BuildIndex.
   static Status AddToIndex(IndexHolder* index, const Value& key,

@@ -12,65 +12,18 @@ void AvlTree::ConfigurePaging(int64_t total_pages, int64_t memory_pages,
   MMDB_CHECK(total_pages >= 0 && memory_pages >= 0);
   total_pages_ = total_pages;
   memory_pages_ = memory_pages;
-  subtree_paging_ = false;
-  node_page_.clear();
   fault_rng_ = Random(seed);
   resident_.clear();
   resident_pos_.clear();
-}
-
-int64_t AvlTree::ConfigureSubtreePaging(int32_t nodes_per_page,
-                                        int64_t memory_pages, uint64_t seed) {
-  MMDB_CHECK(nodes_per_page >= 1 && memory_pages >= 0);
-  node_page_.assign(nodes_.size(), -1);
-  int64_t next_page = 0;
-  // Greedy top-down clustering: each page takes a breadth-first connected
-  // region of up to nodes_per_page nodes; children that do not fit become
-  // the roots of fresh pages.
-  std::vector<int32_t> page_roots;
-  if (root_ >= 0) page_roots.push_back(root_);
-  while (!page_roots.empty()) {
-    const int32_t subtree_root = page_roots.back();
-    page_roots.pop_back();
-    const int64_t page = next_page++;
-    std::vector<int32_t> frontier = {subtree_root};
-    int32_t filled = 0;
-    size_t head = 0;
-    while (head < frontier.size()) {
-      const int32_t n = frontier[head++];
-      if (filled < nodes_per_page) {
-        node_page_[static_cast<size_t>(n)] = page;
-        ++filled;
-        const Node& node = nodes_[static_cast<size_t>(n)];
-        if (node.left >= 0) frontier.push_back(node.left);
-        if (node.right >= 0) frontier.push_back(node.right);
-      } else {
-        page_roots.push_back(n);  // starts its own page
-      }
-    }
-  }
-  subtree_paging_ = true;
-  total_pages_ = next_page;
-  memory_pages_ = memory_pages;
-  fault_rng_ = Random(seed);
-  resident_.clear();
-  resident_pos_.clear();
-  return next_page;
 }
 
 void AvlTree::Visit(int32_t n) {
   ++stats_.node_visits;
   if (total_pages_ <= 0) return;
-  // Either the clustered page of this node, or the paper's default: scatter
-  // node `n` onto one of the S pages, no clustering. Nodes created after
-  // clustering (stale assignment) fall back to scatter.
-  const bool clustered = subtree_paging_ &&
-                         static_cast<size_t>(n) < node_page_.size() &&
-                         node_page_[static_cast<size_t>(n)] >= 0;
-  const int64_t page =
-      clustered ? node_page_[static_cast<size_t>(n)]
-                : static_cast<int64_t>(Mix64(static_cast<uint64_t>(n)) %
-                                       static_cast<uint64_t>(total_pages_));
+  // The paper's default: node `n` is scattered onto one of the S pages,
+  // with no clustering.
+  const int64_t page = static_cast<int64_t>(
+      Mix64(static_cast<uint64_t>(n)) % static_cast<uint64_t>(total_pages_));
   if (resident_pos_.count(page)) return;  // hit
   ++stats_.page_faults;
   if (memory_pages_ <= 0) return;  // nothing ever stays resident
@@ -89,16 +42,8 @@ void AvlTree::Visit(int32_t n) {
 }
 
 int32_t AvlTree::NewNode(const Value& key, int64_t payload) {
-  int32_t idx;
-  if (!free_list_.empty()) {
-    idx = free_list_.back();
-    free_list_.pop_back();
-    nodes_[static_cast<size_t>(idx)] = Node{key, payload, -1, -1, 1};
-  } else {
-    idx = static_cast<int32_t>(nodes_.size());
-    nodes_.push_back(Node{key, payload, -1, -1, 1});
-  }
-  return idx;
+  nodes_.push_back(Node{key, payload, -1, -1, 1});
+  return static_cast<int32_t>(nodes_.size()) - 1;
 }
 
 void AvlTree::UpdateHeight(int32_t n) {
@@ -181,54 +126,6 @@ StatusOr<int64_t> AvlTree::Find(const Value& key) {
     n = cmp < 0 ? node.left : node.right;
   }
   return Status::NotFound("key not in AVL tree");
-}
-
-int32_t AvlTree::PopMin(int32_t n, int32_t* min_out) {
-  Node& node = nodes_[static_cast<size_t>(n)];
-  if (node.left < 0) {
-    *min_out = n;
-    return node.right;
-  }
-  Visit(n);
-  node.left = PopMin(node.left, min_out);
-  return Rebalance(n);
-}
-
-int32_t AvlTree::DeleteRec(int32_t n, const Value& key, bool* found) {
-  if (n < 0) return -1;
-  Visit(n);
-  ++stats_.comparisons;
-  Node& node = nodes_[static_cast<size_t>(n)];
-  const int cmp = CompareValues(key, node.key);
-  if (cmp < 0) {
-    node.left = DeleteRec(node.left, key, found);
-  } else if (cmp > 0) {
-    node.right = DeleteRec(node.right, key, found);
-  } else {
-    *found = true;
-    if (node.left < 0 || node.right < 0) {
-      int32_t child = node.left >= 0 ? node.left : node.right;
-      free_list_.push_back(n);
-      return child;  // may be -1
-    }
-    // Two children: replace with in-order successor.
-    int32_t succ = -1;
-    int32_t new_right = PopMin(node.right, &succ);
-    Node& s = nodes_[static_cast<size_t>(succ)];
-    s.left = node.left;
-    s.right = new_right;
-    free_list_.push_back(n);
-    return Rebalance(succ);
-  }
-  return Rebalance(n);
-}
-
-Status AvlTree::Delete(const Value& key) {
-  bool found = false;
-  root_ = DeleteRec(root_, key, &found);
-  if (!found) return Status::NotFound("key not in AVL tree");
-  --size_;
-  return Status::OK();
 }
 
 void AvlTree::ScanFrom(const Value& low,

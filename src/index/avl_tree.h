@@ -40,26 +40,12 @@ class AvlTree {
   void ConfigurePaging(int64_t total_pages, int64_t memory_pages,
                        uint64_t seed = 7);
 
-  /// The footnoted alternative ([CESA82]/[MUNT70]): cluster connected
-  /// subtrees of up to `nodes_per_page` nodes onto shared pages, so a
-  /// root-to-leaf walk crosses ~log2(n)/log2(nodes_per_page) pages instead
-  /// of ~log2(n). The assignment is computed for the CURRENT shape; later
-  /// rotations invalidate it (re-call to recluster) — which is exactly the
-  /// maintenance burden the paper's footnote alludes to. Returns the number
-  /// of pages the clustering produced (S).
-  int64_t ConfigureSubtreePaging(int32_t nodes_per_page, int64_t memory_pages,
-                                 uint64_t seed = 7);
-
   /// Inserts a key/payload pair. Duplicate keys are allowed (they chain
   /// into the right subtree and are all found by range scans).
   void Insert(const Value& key, int64_t payload);
 
   /// Returns the payload of (some) tuple with exactly `key`.
   StatusOr<int64_t> Find(const Value& key);
-
-  /// Removes one entry matching `key` (the topmost), rebalancing on the way
-  /// out. Returns NotFound if absent.
-  Status Delete(const Value& key);
 
   /// In-order visit of the `limit` smallest entries with key >= `low`
   /// (limit < 0 = unbounded). This is the paper's sequential-access case:
@@ -101,8 +87,6 @@ class AvlTree {
   int32_t RotateRight(int32_t n);
   int32_t Rebalance(int32_t n);
   int32_t InsertRec(int32_t n, int32_t new_node);
-  int32_t DeleteRec(int32_t n, const Value& key, bool* found);
-  int32_t PopMin(int32_t n, int32_t* min_out);
   Status ValidateRec(int32_t n, const Value* lo, const Value* hi,
                      int* height_out) const;
 
@@ -112,15 +96,12 @@ class AvlTree {
   int32_t NewNode(const Value& key, int64_t payload);
 
   std::deque<Node> nodes_;
-  std::vector<int32_t> free_list_;
   int32_t root_ = -1;
   int64_t size_ = 0;
 
   // Fault simulation state (§2 model).
   int64_t total_pages_ = 0;
   int64_t memory_pages_ = 0;
-  bool subtree_paging_ = false;
-  std::vector<int64_t> node_page_;  // subtree clustering: node -> page
   Random fault_rng_{7};
   std::vector<int64_t> resident_;                   // pages in memory
   std::unordered_map<int64_t, size_t> resident_pos_;  // page -> index

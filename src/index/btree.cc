@@ -285,119 +285,6 @@ Status BPlusTree::Insert(const char* key, const char* payload) {
   return Status::OK();
 }
 
-Status BPlusTree::BulkLoad(
-    const std::function<bool(char* key, char* payload)>& next,
-    double fill_factor) {
-  if (root_ != kNoPage) {
-    return Status::FailedPrecondition("BulkLoad requires an empty tree");
-  }
-  if (fill_factor <= 0.0 || fill_factor > 1.0) {
-    return Status::InvalidArgument("fill_factor must be in (0, 1]");
-  }
-  const int leaf_target = std::max(
-      1, static_cast<int>(double(leaf_capacity_) * fill_factor));
-  const int fanout_target = std::max(
-      2, static_cast<int>(double(max_fanout_) * fill_factor));
-  const size_t kw = static_cast<size_t>(key_width_);
-
-  // ---- Leaf level: pack left to right, chaining as we go.
-  struct LevelEntry {
-    std::vector<char> min_key;
-    uint32_t page;
-  };
-  std::vector<LevelEntry> level;
-  std::vector<char> key(kw);
-  std::vector<char> payload(static_cast<size_t>(
-      payload_width_ > 0 ? payload_width_ : 1));
-  std::vector<char> prev_key(kw);
-  bool have_prev = false;
-  uint32_t prev_leaf = kNoPage;
-
-  bool more = next(key.data(), payload.data());
-  while (more) {
-    MMDB_ASSIGN_OR_RETURN(auto ref, pool_->New(file_->id()));
-    NodeView leaf = View(ref.data());
-    leaf.set_is_leaf(true);
-    leaf.set_next_leaf(kNoPage);
-    int n = 0;
-    while (more && n < leaf_target) {
-      if (have_prev && std::memcmp(prev_key.data(), key.data(), kw) > 0) {
-        return Status::InvalidArgument("bulk-load input is not sorted");
-      }
-      std::memcpy(leaf.LeafEntry(n), key.data(), kw);
-      if (payload_width_ > 0) {
-        std::memcpy(leaf.LeafEntry(n) + key_width_, payload.data(),
-                    static_cast<size_t>(payload_width_));
-      }
-      prev_key = key;
-      have_prev = true;
-      ++n;
-      ++size_;
-      more = next(key.data(), payload.data());
-    }
-    leaf.set_count(static_cast<uint16_t>(n));
-    ref.MarkDirty();
-    const uint32_t page = static_cast<uint32_t>(ref.page_no());
-    if (prev_leaf != kNoPage) {
-      MMDB_ASSIGN_OR_RETURN(auto prev_ref,
-                            pool_->Fetch(file_->id(), prev_leaf));
-      View(prev_ref.data()).set_next_leaf(page);
-      prev_ref.MarkDirty();
-    }
-    prev_leaf = page;
-    LevelEntry entry;
-    entry.min_key.assign(leaf.LeafEntry(0), leaf.LeafEntry(0) + key_width_);
-    entry.page = page;
-    level.push_back(std::move(entry));
-  }
-  if (level.empty()) return Status::OK();  // empty input: stay empty
-
-  // ---- Internal levels, bottom-up.
-  height_ = 1;
-  while (level.size() > 1) {
-    std::vector<LevelEntry> parent_level;
-    size_t i = 0;
-    while (i < level.size()) {
-      const size_t remaining = level.size() - i;
-      size_t take = std::min<size_t>(static_cast<size_t>(fanout_target),
-                                     remaining);
-      // Never leave a single orphan child for the final node: an internal
-      // node needs at least one key (two children). Absorb the orphan if
-      // the node has capacity, otherwise shrink this node by one.
-      if (remaining - take == 1) {
-        if (take + 1 <= static_cast<size_t>(max_fanout_)) {
-          ++take;
-        } else {
-          --take;
-        }
-      }
-      if (take < 2) take = std::min<size_t>(2, remaining);
-      MMDB_ASSIGN_OR_RETURN(auto ref, pool_->New(file_->id()));
-      NodeView node = View(ref.data());
-      node.set_is_leaf(false);
-      node.set_next_leaf(kNoPage);
-      for (size_t c = 0; c < take; ++c) {
-        node.SetChild(static_cast<int>(c), level[i + c].page);
-        if (c > 0) {
-          std::memcpy(node.InternalKey(static_cast<int>(c - 1)),
-                      level[i + c].min_key.data(), kw);
-        }
-      }
-      node.set_count(static_cast<uint16_t>(take - 1));
-      ref.MarkDirty();
-      LevelEntry entry;
-      entry.min_key = level[i].min_key;
-      entry.page = static_cast<uint32_t>(ref.page_no());
-      parent_level.push_back(std::move(entry));
-      i += take;
-    }
-    level = std::move(parent_level);
-    ++height_;
-  }
-  root_ = level.front().page;
-  return Status::OK();
-}
-
 Status BPlusTree::Find(const char* key, char* payload_out) {
   if (root_ == kNoPage) return Status::NotFound("empty tree");
   uint32_t page = root_;
@@ -423,58 +310,6 @@ Status BPlusTree::Find(const char* key, char* payload_out) {
     ++stats_.comparisons;
     return Status::NotFound("key not in B+-tree");
   }
-}
-
-Status BPlusTree::Delete(const char* key) {
-  if (root_ == kNoPage) return Status::NotFound("empty tree");
-  // Descend to the LEFTMOST leaf that can contain `key` (lower-bound
-  // descent), then walk the chain: duplicates may span several leaves.
-  uint32_t page = root_;
-  while (true) {
-    MMDB_ASSIGN_OR_RETURN(auto ref, pool_->Fetch(file_->id(), page));
-    ++stats_.node_visits;
-    NodeView node = View(ref.data());
-    if (!node.is_leaf()) {
-      // lower_bound over separators: equal keys may live in the left child.
-      int lo = 0, hi = node.count();
-      while (lo < hi) {
-        int mid = (lo + hi) / 2;
-        if (Compare(node.InternalKey(mid), key) < 0) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      page = node.Child(lo);
-      continue;
-    }
-    break;
-  }
-  // Walk the leaf chain until found or passed.
-  while (page != kNoPage) {
-    MMDB_ASSIGN_OR_RETURN(auto ref, pool_->Fetch(file_->id(), page));
-    ++stats_.node_visits;
-    NodeView node = View(ref.data());
-    const int n = node.count();
-    const int pos = LowerBoundLeaf(node, key);
-    if (pos < n) {
-      if (std::memcmp(node.LeafEntry(pos), key,
-                      static_cast<size_t>(key_width_)) == 0) {
-        ++stats_.comparisons;
-        const int32_t esz = leaf_entry_size();
-        std::memmove(node.LeafEntry(pos), node.LeafEntry(pos + 1),
-                     static_cast<size_t>(n - pos - 1) * esz);
-        node.set_count(static_cast<uint16_t>(n - 1));
-        ref.MarkDirty();
-        --size_;
-        return Status::OK();
-      }
-      ++stats_.comparisons;
-      return Status::NotFound("key not in B+-tree");
-    }
-    page = node.next_leaf();
-  }
-  return Status::NotFound("key not in B+-tree");
 }
 
 Status BPlusTree::ScanFrom(

@@ -33,9 +33,8 @@ struct BTreeOptions {
 /// steady-state occupancy under random insertion converges to ~69%
 /// ([YAO78]) — both are checked by tests/benches.
 ///
-/// Concurrency: single-threaded (the paper's setting). Deletion removes
-/// entries from leaves without merging underflowed nodes (PostgreSQL-style
-/// lazy approach); the evaluated workloads never shrink relations.
+/// Concurrency: single-threaded (the paper's setting). The tree only grows:
+/// the paper never deletes from it and the SQL dialect has no DELETE.
 class BPlusTree {
  public:
   /// Creates an empty tree whose nodes live in `file` and are accessed via
@@ -49,21 +48,9 @@ class BPlusTree {
   /// returned by range scans. `payload` may be nullptr iff payload_width==0.
   Status Insert(const char* key, const char* payload);
 
-  /// Bulk-loads an EMPTY tree from entries in non-decreasing key order,
-  /// packing leaves and internal nodes to `fill_factor` (0 < ff <= 1).
-  /// `next` writes the next entry into (key, payload) and returns false at
-  /// end of input. A packed (ff = 1.0) load occupies ~69% of the pages a
-  /// random-insert build does ([YAO78]'s occupancy, seen from the other
-  /// side); lower factors leave insertion headroom.
-  Status BulkLoad(const std::function<bool(char* key, char* payload)>& next,
-                  double fill_factor = 1.0);
-
   /// Point lookup: copies the payload of some entry with exactly `key` into
   /// `payload_out` (which may be nullptr if payload_width == 0).
   Status Find(const char* key, char* payload_out);
-
-  /// Removes one entry with exactly `key`. NotFound if absent.
-  Status Delete(const char* key);
 
   /// Visits entries in key order starting at the first key >= `key`,
   /// following the leaf chain; stops after `limit` entries (limit < 0 =

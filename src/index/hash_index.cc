@@ -29,18 +29,9 @@ void HashIndex::MaybeGrow() {
 void HashIndex::Insert(const Value& key, int64_t payload) {
   MaybeGrow();
   ++stats_.node_visits;
-  int32_t idx;
-  if (!free_list_.empty()) {
-    idx = free_list_.back();
-    free_list_.pop_back();
-    arena_[static_cast<size_t>(idx)] = Entry{key, payload, -1};
-  } else {
-    idx = static_cast<int32_t>(arena_.size());
-    arena_.push_back(Entry{key, payload, -1});
-  }
-  size_t b = BucketOf(key);
-  arena_[static_cast<size_t>(idx)].next = buckets_[b];
-  buckets_[b] = idx;
+  const size_t b = BucketOf(key);
+  arena_.push_back(Entry{key, payload, buckets_[b]});
+  buckets_[b] = static_cast<int32_t>(arena_.size()) - 1;
   ++size_;
 }
 
@@ -64,24 +55,6 @@ void HashIndex::FindAll(const Value& key,
     if (ValuesEqual(entry.key, key)) fn(entry.payload);
     e = entry.next;
   }
-}
-
-Status HashIndex::Delete(const Value& key) {
-  size_t b = BucketOf(key);
-  int32_t* link = &buckets_[b];
-  while (*link >= 0) {
-    ++stats_.comparisons;
-    Entry& entry = arena_[static_cast<size_t>(*link)];
-    if (ValuesEqual(entry.key, key)) {
-      int32_t victim = *link;
-      *link = entry.next;
-      free_list_.push_back(victim);
-      --size_;
-      return Status::OK();
-    }
-    link = &entry.next;
-  }
-  return Status::NotFound("key not in hash index");
 }
 
 }  // namespace mmdb

@@ -32,9 +32,6 @@ class HashIndex {
   /// Invokes `fn` for every payload whose key equals `key`.
   void FindAll(const Value& key, const std::function<void(int64_t)>& fn);
 
-  /// Removes one entry with `key`. NotFound if absent.
-  Status Delete(const Value& key);
-
   int64_t size() const { return size_; }
   int64_t num_buckets() const { return static_cast<int64_t>(buckets_.size()); }
 
@@ -57,7 +54,6 @@ class HashIndex {
   double max_load_factor_;
   std::vector<int32_t> buckets_;  // head arena index or -1
   std::vector<Entry> arena_;
-  std::vector<int32_t> free_list_;
   int64_t size_ = 0;
   IndexStats stats_;
 };

@@ -66,8 +66,9 @@ void SimulatedDisk::Charge(File* f, int64_t page_no, IoKind kind) {
   f->last_page_accessed = page_no;
 }
 
-Status SimulatedDisk::WritePageLocked(FileId id, int64_t page_no,
-                                      const void* data, IoKind kind) {
+Status SimulatedDisk::WritePage(FileId id, int64_t page_no, const void* data,
+                                IoKind kind) {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(id);
   if (it == files_.end()) return Status::NotFound("no such file");
   if (page_no < 0) return Status::InvalidArgument("negative page number");
@@ -100,12 +101,6 @@ Status SimulatedDisk::WritePageLocked(FileId id, int64_t page_no,
   return Status::OK();
 }
 
-Status SimulatedDisk::WritePage(FileId id, int64_t page_no, const void* data,
-                                IoKind kind) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return WritePageLocked(id, page_no, data, kind);
-}
-
 Status SimulatedDisk::ReadPage(FileId id, int64_t page_no, void* out,
                                IoKind kind) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -131,16 +126,6 @@ Status SimulatedDisk::ReadPage(FileId id, int64_t page_no, void* out,
   counters_.Add(kReads);
   Charge(&f, page_no, kind);
   return Status::OK();
-}
-
-StatusOr<int64_t> SimulatedDisk::AppendPage(FileId id, const void* data,
-                                            IoKind kind) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = files_.find(id);
-  if (it == files_.end()) return Status::NotFound("no such file");
-  int64_t page_no = static_cast<int64_t>(it->second.pages.size());
-  MMDB_RETURN_IF_ERROR(WritePageLocked(id, page_no, data, kind));
-  return page_no;
 }
 
 StatusOr<int64_t> SimulatedDisk::AllocatePage(FileId id) {

@@ -81,9 +81,6 @@ class SimulatedDisk {
   /// Reads `page_size` bytes from `page_no` into `out`.
   Status ReadPage(FileId id, int64_t page_no, void* out, IoKind kind);
 
-  /// Appends a page at the end of the file; returns its page number.
-  StatusOr<int64_t> AppendPage(FileId id, const void* data, IoKind kind);
-
   /// Extends the file by one zero page WITHOUT charging an I/O: pure space
   /// allocation. The buffer pool uses this for NewPage — the actual transfer
   /// is billed when the dirty frame is eventually written back.
@@ -114,8 +111,6 @@ class SimulatedDisk {
   };
 
   void Charge(File* f, int64_t page_no, IoKind kind);
-  Status WritePageLocked(FileId id, int64_t page_no, const void* data,
-                         IoKind kind);
 
   int64_t page_size_;
   CostClock* clock_;

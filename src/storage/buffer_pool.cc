@@ -269,6 +269,13 @@ Status BufferPool::EvictFile(SimulatedDisk::FileId file) {
   return Status::OK();
 }
 
+Status BufferPool::DropFile(SimulatedDisk::FileId file) {
+  for (Frame& f : frames_) {
+    if (f.valid && f.file == file) f.dirty = false;
+  }
+  return EvictFile(file);
+}
+
 bool BufferPool::Contains(SimulatedDisk::FileId file, int64_t page_no) const {
   return page_table_.count(PageKey{file, page_no}) != 0;
 }

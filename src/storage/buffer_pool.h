@@ -87,6 +87,11 @@ class BufferPool {
   /// Writes back and drops every frame of `file`.
   Status EvictFile(SimulatedDisk::FileId file);
 
+  /// Drops every frame of `file` without writing it back: for a file about
+  /// to be deleted, whose dirty frames would otherwise be written to a file
+  /// that no longer exists when evicted. Fails only on a pinned frame.
+  Status DropFile(SimulatedDisk::FileId file);
+
   /// True if (file, page_no) is currently resident — for tests.
   bool Contains(SimulatedDisk::FileId file, int64_t page_no) const;
 

@@ -56,19 +56,6 @@ Status HeapFile::Get(RecordId rid, char* out) {
   return Status::OK();
 }
 
-Status HeapFile::Update(RecordId rid, const char* record) {
-  MMDB_ASSIGN_OR_RETURN(auto ref,
-                        pool_->Fetch(file_->id(), rid.page_no, IoKind::kRandom));
-  Page page(ref.data(), file_->page_size(), record_size_);
-  if (rid.slot < 0 || rid.slot >= page.record_count()) {
-    return Status::OutOfRange("bad slot");
-  }
-  std::memcpy(page.MutableRecord(rid.slot), record,
-              static_cast<size_t>(record_size_));
-  ref.MarkDirty();
-  return Status::OK();
-}
-
 Status HeapFile::Scan(const std::function<void(RecordId, const char*)>& fn) {
   for (int64_t p = 0; p < file_->num_pages(); ++p) {
     MMDB_ASSIGN_OR_RETURN(auto ref,

@@ -24,9 +24,9 @@ struct RecordId {
 };
 
 /// A paged file of fixed-size records accessed through the buffer pool —
-/// the disk-resident representation of a relation. Records are append-only
-/// in place (updates overwrite slots; no deletes — the paper's workloads
-/// never shrink relations).
+/// the disk-resident representation of a relation. Records are
+/// append-only: the paper's workloads never update or shrink a relation on
+/// disk.
 class HeapFile {
  public:
   /// `record_size` must fit a page (see Page::Capacity).
@@ -44,9 +44,6 @@ class HeapFile {
   /// Copies the record at `rid` into `out` (record_size bytes). The fetch
   /// is charged as a random I/O on a fault.
   Status Get(RecordId rid, char* out);
-
-  /// Overwrites the record at `rid`.
-  Status Update(RecordId rid, const char* record);
 
   /// Full sequential scan; `fn` sees each record's bytes and its RecordId.
   /// Page fetches are charged as sequential I/O on faults.

@@ -64,10 +64,6 @@ class Page {
     MMDB_DCHECK(i >= 0 && i < record_count());
     return RecordPtr(i);
   }
-  char* MutableRecord(int32_t i) {
-    MMDB_DCHECK(i >= 0 && i < record_count());
-    return RecordPtr(i);
-  }
 
   char* raw() { return data_; }
   const char* raw() const { return data_; }

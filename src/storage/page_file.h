@@ -37,9 +37,6 @@ class PageFile {
   Status Write(int64_t page_no, const void* data, IoKind kind) {
     return disk_->WritePage(id_, page_no, data, kind);
   }
-  StatusOr<int64_t> Append(const void* data, IoKind kind) {
-    return disk_->AppendPage(id_, data, kind);
-  }
   StatusOr<int64_t> Allocate() { return disk_->AllocatePage(id_); }
 
  private:

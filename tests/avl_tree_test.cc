@@ -41,20 +41,6 @@ TEST(AvlTreeTest, SequentialInsertStaysBalanced) {
   EXPECT_LE(tree.height(), static_cast<int>(1.4405 * std::log2(kN + 2)) + 1);
 }
 
-TEST(AvlTreeTest, DeleteRebalancesAndRemoves) {
-  AvlTree tree;
-  for (int64_t i = 0; i < 200; ++i) tree.Insert(Value{i}, i);
-  for (int64_t i = 0; i < 200; i += 2) {
-    ASSERT_TRUE(tree.Delete(Value{i}).ok()) << i;
-  }
-  ASSERT_TRUE(tree.ValidateInvariants().ok());
-  EXPECT_EQ(tree.size(), 100);
-  for (int64_t i = 0; i < 200; ++i) {
-    EXPECT_EQ(tree.Find(Value{i}).ok(), i % 2 == 1) << i;
-  }
-  EXPECT_EQ(tree.Delete(Value{int64_t{0}}).code(), StatusCode::kNotFound);
-}
-
 TEST(AvlTreeTest, DuplicatesAllFoundByScan) {
   AvlTree tree;
   for (int i = 0; i < 5; ++i) tree.Insert(Value{int64_t{7}}, 100 + i);
@@ -140,52 +126,6 @@ TEST(AvlTreeTest, FaultSimulationMatchesPaperModel) {
   EXPECT_GE(avg_faults, model * 0.3);
 }
 
-TEST(AvlTreeTest, SubtreePagingReducesFaultsLikeFanout) {
-  // The footnoted paged-binary-tree layout: clustering subtrees onto pages
-  // turns ~log2(n) page touches per lookup into ~log_c(n) where c is the
-  // per-page fanout — approaching B+-tree behaviour.
-  AvlTree scattered, clustered;
-  constexpr int64_t kN = 8192;
-  Random rng(3);
-  std::vector<int64_t> keys(kN);
-  for (int64_t i = 0; i < kN; ++i) keys[size_t(i)] = i;
-  rng.Shuffle(&keys);
-  for (int64_t k : keys) {
-    scattered.Insert(Value{k}, k);
-    clustered.Insert(Value{k}, k);
-  }
-  constexpr int32_t kNodesPerPage = 31;  // ~5 levels per page
-  // A couple of resident frames so that consecutive same-page node visits
-  // hit — that intra-path locality is precisely what clustering buys.
-  const int64_t pages = clustered.ConfigureSubtreePaging(kNodesPerPage,
-                                                         /*memory=*/2);
-  EXPECT_GE(pages, kN / kNodesPerPage);
-  scattered.ConfigurePaging(pages, /*memory=*/2);
-
-  for (int i = 0; i < 1000; ++i) {
-    const Value key{keys[rng.Uniform(kN)]};
-    ASSERT_TRUE(scattered.Find(key).ok());
-    ASSERT_TRUE(clustered.Find(key).ok());
-  }
-  // Scattered: ~log2(n) distinct pages per lookup. Clustered:
-  // ~log2(n)/log2(nodes_per_page) + 1 — a B+-tree-like page count.
-  EXPECT_LT(clustered.stats().page_faults * 2,
-            scattered.stats().page_faults);
-}
-
-TEST(AvlTreeTest, SubtreePagingCoversEveryNodeExactlyOnce) {
-  AvlTree tree;
-  for (int64_t i = 0; i < 1000; ++i) tree.Insert(Value{i}, i);
-  const int64_t pages = tree.ConfigureSubtreePaging(10, 0);
-  // 1000 nodes at <=10 per page: at least 100 pages, and every lookup
-  // still succeeds (assignment covers the whole tree).
-  EXPECT_GE(pages, 100);
-  for (int64_t i = 0; i < 1000; i += 37) {
-    EXPECT_TRUE(tree.Find(Value{i}).ok());
-  }
-  ASSERT_TRUE(tree.ValidateInvariants().ok());
-}
-
 // Two 8-byte fields, so the struct has no padding: gtest names each case
 // by a byte dump of its parameter, and padding bytes would be whatever
 // the stack held, changing the name from build to build.
@@ -197,8 +137,8 @@ struct RandomOpsParam {
 class AvlRandomOpsTest : public ::testing::TestWithParam<RandomOpsParam> {};
 
 TEST_P(AvlRandomOpsTest, InvariantsHoldUnderRandomWorkload) {
-  // Property test: after every batch of random inserts/deletes, the tree
-  // matches a reference multiset and its structural invariants.
+  // Property test: under random inserts and lookups, every lookup agrees
+  // with a reference multiset and the tree keeps its structural invariants.
   const RandomOpsParam param = GetParam();
   Random rng(param.seed);
   AvlTree tree;
@@ -209,10 +149,11 @@ TEST_P(AvlRandomOpsTest, InvariantsHoldUnderRandomWorkload) {
       tree.Insert(Value{key}, key);
       reference.insert(key);
     } else {
-      const bool present = reference.count(key) > 0;
-      const Status s = tree.Delete(Value{key});
-      EXPECT_EQ(s.ok(), present);
-      if (present) reference.erase(reference.find(key));
+      const StatusOr<int64_t> found = tree.Find(Value{key});
+      ASSERT_EQ(found.ok(), reference.count(key) > 0) << "op " << op;
+      if (found.ok()) {
+        EXPECT_EQ(*found, key);
+      }
     }
     if (op % 64 == 0) {
       ASSERT_TRUE(tree.ValidateInvariants().ok()) << "op " << op;

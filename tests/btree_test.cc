@@ -133,36 +133,6 @@ TEST_F(BTreeTest, DuplicatesAreAllScannable) {
   EXPECT_EQ(count, 40);
 }
 
-TEST_F(BTreeTest, DeleteRemovesAcrossLeaves) {
-  for (int64_t i = 0; i < 500; ++i) ASSERT_TRUE(Insert(i, i).ok());
-  for (int64_t i = 0; i < 500; i += 3) {
-    ASSERT_TRUE(tree_.Delete([&] {
-      static char key[8];
-      BPlusTree::EncodeInt64Key(i, key, 8);
-      return key;
-    }()).ok())
-        << i;
-  }
-  ASSERT_TRUE(tree_.ValidateInvariants().ok());
-  for (int64_t i = 0; i < 500; ++i) {
-    EXPECT_EQ(Find(i).ok(), i % 3 != 0) << i;
-  }
-  char key[8];
-  Key(0, key);
-  EXPECT_EQ(tree_.Delete(key).code(), StatusCode::kNotFound);
-}
-
-TEST_F(BTreeTest, DeleteOneDuplicateLeavesOthers) {
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(Insert(5, i).ok());
-  char key[8];
-  Key(5, key);
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(tree_.Delete(key).ok()) << i;
-    EXPECT_EQ(tree_.size(), 9 - i);
-  }
-  EXPECT_EQ(tree_.Delete(key).code(), StatusCode::kNotFound);
-}
-
 TEST_F(BTreeTest, GeometryMatchesPaperModel) {
   // Internal fanout ~ P/(K+4); leaf capacity ~ (P-8)/(K+V).
   EXPECT_EQ(tree_.internal_fanout(), (kPageSize - 8 + 8) / (8 + 4));
@@ -251,156 +221,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(BTreeParam{4, 0, 500}, BTreeParam{8, 8, 2000},
                       BTreeParam{16, 32, 1000}, BTreeParam{8, 100, 800},
                       BTreeParam{32, 8, 1500}));
-
-
-struct BulkLoadParam {
-  int64_t n;
-  double fill;
-};
-
-class BTreeBulkLoadTest : public ::testing::TestWithParam<BulkLoadParam> {};
-
-TEST_P(BTreeBulkLoadTest, SortedBuildIsValidAndPacked) {
-  const BulkLoadParam p = GetParam();
-  SimulatedDisk disk(512);
-  BufferPool pool(&disk, 256);
-  PageFile file(&disk, "bulk");
-  BPlusTree tree(&pool, &file, BTreeOptions{8, 8});
-  int64_t i = 0;
-  ASSERT_TRUE(tree
-                  .BulkLoad(
-                      [&](char* key, char* payload) {
-                        if (i >= p.n) return false;
-                        BPlusTree::EncodeInt64Key(i * 2, key, 8);
-                        std::memcpy(payload, &i, sizeof(i));
-                        ++i;
-                        return true;
-                      },
-                      p.fill)
-                  .ok());
-  ASSERT_TRUE(tree.ValidateInvariants().ok());
-  EXPECT_EQ(tree.size(), p.n);
-  // Fill factor honored on leaves (the last leaf may be partial, so only
-  // check when many leaves exist).
-  if (p.n >= 1000) {
-    auto fill = tree.AvgLeafFill();
-    ASSERT_TRUE(fill.ok());
-    EXPECT_NEAR(*fill, p.fill, 0.08);
-  }
-  // Lookups for present and absent keys.
-  char key[8], payload[8];
-  for (int64_t k = 0; k < p.n; k += std::max<int64_t>(1, p.n / 97)) {
-    BPlusTree::EncodeInt64Key(k * 2, key, 8);
-    ASSERT_TRUE(tree.Find(key, payload).ok()) << k;
-    int64_t got;
-    std::memcpy(&got, payload, sizeof(got));
-    EXPECT_EQ(got, k);
-    BPlusTree::EncodeInt64Key(k * 2 + 1, key, 8);
-    EXPECT_FALSE(tree.Find(key, payload).ok());
-  }
-  // The leaf chain scans everything in order.
-  BPlusTree::EncodeInt64Key(0, key, 8);
-  int64_t count = 0;
-  ASSERT_TRUE(tree.ScanFrom(key,
-                            [&](const char*, const char*) {
-                              ++count;
-                              return true;
-                            })
-                  .ok());
-  EXPECT_EQ(count, p.n);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, BTreeBulkLoadTest,
-    ::testing::Values(BulkLoadParam{1, 1.0}, BulkLoadParam{31, 1.0},
-                      BulkLoadParam{5000, 1.0}, BulkLoadParam{5000, 0.7},
-                      BulkLoadParam{20000, 0.9}),
-    [](const auto& info) {
-      return "N" + std::to_string(info.param.n) + "_F" +
-             std::to_string(int(info.param.fill * 100));
-    });
-
-TEST(BTreeBulkLoadTest, InsertsAfterBulkLoadStillWork) {
-  SimulatedDisk disk(512);
-  BufferPool pool(&disk, 256);
-  PageFile file(&disk, "bulk");
-  BPlusTree tree(&pool, &file, BTreeOptions{8, 8});
-  int64_t i = 0;
-  ASSERT_TRUE(tree
-                  .BulkLoad([&](char* key, char* payload) {
-                    if (i >= 2000) return false;
-                    BPlusTree::EncodeInt64Key(i * 2, key, 8);
-                    std::memcpy(payload, &i, sizeof(i));
-                    ++i;
-                    return true;
-                  })
-                  .ok());
-  // Packed leaves split immediately on insert; the tree must stay valid.
-  char key[8], payload[8] = {};
-  for (int64_t k = 1; k < 4000; k += 2) {
-    BPlusTree::EncodeInt64Key(k, key, 8);
-    ASSERT_TRUE(tree.Insert(key, payload).ok()) << k;
-  }
-  ASSERT_TRUE(tree.ValidateInvariants().ok());
-  EXPECT_EQ(tree.size(), 4000);
-}
-
-TEST(BTreeBulkLoadTest, RejectsUnsortedAndNonEmpty) {
-  SimulatedDisk disk(512);
-  BufferPool pool(&disk, 64);
-  PageFile file(&disk, "bulk");
-  BPlusTree tree(&pool, &file, BTreeOptions{8, 0});
-  int step = 0;
-  EXPECT_EQ(tree
-                .BulkLoad([&](char* key, char*) {
-                  // 5, 3: out of order.
-                  BPlusTree::EncodeInt64Key(step == 0 ? 5 : 3, key, 8);
-                  return step++ < 2;
-                })
-                .code(),
-            StatusCode::kInvalidArgument);
-  PageFile file2(&disk, "bulk2");
-  BPlusTree tree2(&pool, &file2, BTreeOptions{8, 0});
-  char key[8];
-  BPlusTree::EncodeInt64Key(1, key, 8);
-  ASSERT_TRUE(tree2.Insert(key, nullptr).ok());
-  EXPECT_EQ(tree2.BulkLoad([](char*, char*) { return false; }).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(tree2.BulkLoad([](char*, char*) { return false; }, 1.5).code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST(BTreeBulkLoadTest, PackedBuildUsesFewerPagesThanRandomInserts) {
-  // [YAO78] from the other side: random insertion converges to ~69% leaf
-  // occupancy, so a packed bulk load needs ~0.69x the pages.
-  constexpr int64_t kN = 20000;
-  SimulatedDisk disk(512);
-  BufferPool pool(&disk, 1 << 12);
-  PageFile packed_file(&disk, "packed");
-  BPlusTree packed(&pool, &packed_file, BTreeOptions{8, 8});
-  int64_t i = 0;
-  ASSERT_TRUE(packed
-                  .BulkLoad([&](char* key, char* payload) {
-                    if (i >= kN) return false;
-                    BPlusTree::EncodeInt64Key(i, key, 8);
-                    std::memcpy(payload, &i, sizeof(i));
-                    ++i;
-                    return true;
-                  })
-                  .ok());
-  PageFile random_file(&disk, "random");
-  BPlusTree randomly(&pool, &random_file, BTreeOptions{8, 8});
-  Random rng(5);
-  std::vector<int64_t> keys(kN);
-  for (int64_t k = 0; k < kN; ++k) keys[size_t(k)] = k;
-  rng.Shuffle(&keys);
-  char key[8], payload[8] = {};
-  for (int64_t k : keys) {
-    BPlusTree::EncodeInt64Key(k, key, 8);
-    ASSERT_TRUE(randomly.Insert(key, payload).ok());
-  }
-  EXPECT_LT(double(packed.num_pages()), 0.78 * double(randomly.num_pages()));
-}
 
 }  // namespace
 }  // namespace mmdb

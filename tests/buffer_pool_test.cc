@@ -104,6 +104,29 @@ TEST_P(BufferPoolTest, EvictFileDropsEverything) {
   ASSERT_TRUE(disk_.ReadPage(file_, 2, buf, IoKind::kSequential).ok());
 }
 
+// A file about to be deleted leaves the pool unwritten, so no later
+// eviction writes to a file that no longer exists.
+TEST_P(BufferPoolTest, DropFileDiscardsDirtyFramesUnwritten) {
+  for (int i = 0; i < 3; ++i) {
+    auto ref = pool_.New(file_);
+    ASSERT_TRUE(ref.ok());
+    std::memset(ref->data(), 'd', 64);
+    ref->MarkDirty();
+  }
+  pool_.ResetStats();
+  ASSERT_TRUE(pool_.DropFile(file_).ok());
+  EXPECT_EQ(pool_.stats().writebacks, 0);
+  for (int i = 0; i < 3; ++i) EXPECT_FALSE(pool_.Contains(file_, i));
+  disk_.DeleteFile(file_);
+  // The freed frames serve another file without touching the deleted one.
+  const SimulatedDisk::FileId other = disk_.CreateFile("u");
+  for (int i = 0; i < 8; ++i) {
+    auto ref = pool_.New(other);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    ref->MarkDirty();
+  }
+}
+
 TEST_P(BufferPoolTest, MovedPageRefReleasesOnce) {
   auto ref = pool_.New(file_);
   ASSERT_TRUE(ref.ok());

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "sim/fault_injector.h"
 #include "storage/datagen.h"
 
 namespace mmdb {
@@ -261,6 +263,97 @@ TEST_F(DatabaseTest, AutoIndexOnDoubleColumnPicksAvl) {
   ASSERT_TRUE(found.ok()) << found.status().ToString();
   ASSERT_EQ(found->relation.num_tuples(), 1);
   EXPECT_EQ(std::get<int64_t>(found->relation.rows()[0][0]), 5000);
+}
+
+/// t(k INT64, v INT64) with rows (i, i % 100) for i < 5000, and a B+-tree
+/// on k whose pages outnumber the pool's `pool_pages` frames.
+std::unique_ptr<Database> OpenBTreeTable(int64_t pool_pages) {
+  Database::Options opts;
+  opts.buffer_pool_pages = pool_pages;
+  auto db = std::make_unique<Database>(opts);
+  MMDB_CHECK(db->ExecuteSql("CREATE TABLE t (k INT64, v INT64)").ok());
+  Relation rows((*db->GetTable("t"))->schema());
+  for (int64_t i = 0; i < 5000; ++i) rows.Add({i, i % 100});
+  MMDB_CHECK(db->BulkLoad("t", std::move(rows)).ok());
+  MMDB_CHECK(db->CreateIndex("t", "k", Database::IndexType::kBTree).ok());
+  return db;
+}
+
+/// The number of rows `SELECT v FROM t WHERE k = <key>` returns, checking
+/// that the plan shows `path`.
+int64_t CountKey(Database* db, int64_t key, const std::string& path) {
+  auto found = db->ExecuteSql("SELECT v FROM t WHERE k = " +
+                              std::to_string(key));
+  EXPECT_TRUE(found.ok()) << found.status().ToString();
+  if (!found.ok()) return -1;
+  EXPECT_NE(found->plan_text.find(path), std::string::npos)
+      << found->plan_text;
+  return found->relation.num_tuples();
+}
+
+// An UPDATE that assigns an indexed key rebuilds the index. The old
+// B+-tree's disk file goes with it, so its dirty frames must leave the
+// pool first: the rebuild's evictions must not write to a deleted file
+// ("no such file").
+TEST(SqlKeyUpdateTest, BTreeRebuildWithASmallPoolKeepsTheIndexSound) {
+  std::unique_ptr<Database> db = OpenBTreeTable(8);
+  auto update = db->ExecuteSql("UPDATE t SET k = 100000 WHERE v = 0");
+  ASSERT_TRUE(update.ok()) << update.status().ToString();
+  EXPECT_EQ(update->rows_affected, 50);
+  EXPECT_EQ(CountKey(db.get(), 100000, "IndexScan[btree]"), 50);
+  EXPECT_EQ(CountKey(db.get(), 100, "IndexScan[btree]"), 0);  // moved away
+  EXPECT_EQ(CountKey(db.get(), 101, "IndexScan[btree]"), 1);
+}
+
+// A rebuild that fails leaves the column unindexed, and the catalog must
+// say so even though the UPDATE returns an error; otherwise every later
+// lookup on k fails with "no index on t.k".
+TEST(SqlKeyUpdateTest, FailedRebuildLeavesTheColumnUnindexedNotStale) {
+  std::unique_ptr<Database> db = OpenBTreeTable(8);
+  FaultInjectorOptions every_transfer_fails;
+  every_transfer_fails.transient_error_rate = 1.0;
+  FaultInjector injector(every_transfer_fails);
+  db->disk()->set_fault_injector(&injector);
+  // The rows are written before the rebuild's evictions fail.
+  EXPECT_FALSE(db->ExecuteSql("UPDATE t SET k = 100000 WHERE v = 0").ok());
+  db->disk()->set_fault_injector(nullptr);
+  EXPECT_EQ(db->catalog().FindIndex("t", "k"), nullptr);
+  EXPECT_EQ(CountKey(db.get(), 100000, "Scan(t)"), 50);
+  EXPECT_EQ(CountKey(db.get(), 100, "Scan(t)"), 0);
+  ASSERT_TRUE(db->CreateIndex("t", "k", Database::IndexType::kBTree).ok());
+  EXPECT_EQ(CountKey(db.get(), 100000, "IndexScan[btree]"), 50);
+}
+
+// A negative INT64 key must not abort the process in the B+-tree's key
+// encoding, on INSERT or on lookup. Every index kind must find it.
+TEST(SqlKeyUpdateTest, NegativeKeysFindTheirRowsUnderEveryIndexKind) {
+  const std::pair<const char*, Database::IndexType> kinds[] = {
+      {"IndexScan[btree]", Database::IndexType::kBTree},
+      {"IndexScan[avl]", Database::IndexType::kAvl},
+      {"IndexScan[hash]", Database::IndexType::kHash}};
+  for (const auto& [path, kind] : kinds) {
+    SCOPED_TRACE(path);
+    Database db;
+    ASSERT_TRUE(db.ExecuteSql("CREATE TABLE t (k INT64, v INT64)").ok());
+    ASSERT_TRUE(db.CreateIndex("t", "k", kind).ok());
+    ASSERT_TRUE(db.ExecuteSql("INSERT INTO t VALUES (-5, 1), (3, 2), "
+                              "(-9223372036854775807, 3), (0, 4), (-1, 5)")
+                    .ok());
+    for (const auto& [key, v] : {std::pair<int64_t, int64_t>{-5, 1},
+                                 {3, 2},
+                                 {-9223372036854775807, 3},
+                                 {0, 4},
+                                 {-1, 5}}) {
+      auto found = db.ExecuteSql("SELECT v FROM t WHERE k = " +
+                                 std::to_string(key));
+      ASSERT_TRUE(found.ok()) << found.status().ToString();
+      EXPECT_NE(found->plan_text.find(path), std::string::npos)
+          << found->plan_text;
+      ASSERT_EQ(found->relation.num_tuples(), 1) << key;
+      EXPECT_EQ(std::get<int64_t>(found->relation.rows()[0][0]), v);
+    }
+    EXPECT_EQ(CountKey(&db, -4, path), 0);
+  }
 }
 
 TEST_F(DatabaseTest, QueryJoinFilterProject) {

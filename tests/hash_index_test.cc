@@ -16,10 +16,7 @@ TEST(HashIndexTest, InsertFindDelete) {
   EXPECT_EQ(*index.Find(Value{int64_t{1}}), 10);
   EXPECT_EQ(index.Find(Value{int64_t{3}}).status().code(),
             StatusCode::kNotFound);
-  ASSERT_TRUE(index.Delete(Value{int64_t{1}}).ok());
-  EXPECT_FALSE(index.Find(Value{int64_t{1}}).ok());
-  EXPECT_EQ(index.size(), 1);
-  EXPECT_EQ(index.Delete(Value{int64_t{1}}).code(), StatusCode::kNotFound);
+  EXPECT_EQ(index.size(), 2);
 }
 
 TEST(HashIndexTest, GrowsThroughResizes) {
@@ -51,16 +48,6 @@ TEST(HashIndexTest, FindAllReturnsEveryDuplicate) {
   EXPECT_EQ(*payloads.begin(), 100);
 }
 
-TEST(HashIndexTest, DeleteRemovesOneDuplicateAtATime) {
-  HashIndex index;
-  for (int i = 0; i < 3; ++i) index.Insert(Value{int64_t{9}}, i);
-  ASSERT_TRUE(index.Delete(Value{int64_t{9}}).ok());
-  EXPECT_EQ(index.size(), 2);
-  int count = 0;
-  index.FindAll(Value{int64_t{9}}, [&](int64_t) { ++count; });
-  EXPECT_EQ(count, 2);
-}
-
 TEST(HashIndexTest, ProbeCostStaysConstantish) {
   // The whole point of hashing (§4): ~O(1) comparisons per probe
   // regardless of size (cf. log n for trees).
@@ -87,9 +74,11 @@ TEST(HashIndexTest, MatchesReferenceUnderRandomOps) {
       index.Insert(Value{key}, key);
       reference.insert(key);
     } else {
-      const bool present = reference.count(key) > 0;
-      EXPECT_EQ(index.Delete(Value{key}).ok(), present);
-      if (present) reference.erase(reference.find(key));
+      const StatusOr<int64_t> found = index.Find(Value{key});
+      ASSERT_EQ(found.ok(), reference.count(key) > 0) << "op " << op;
+      if (found.ok()) {
+        EXPECT_EQ(*found, key);
+      }
     }
   }
   EXPECT_EQ(index.size(), static_cast<int64_t>(reference.size()));

@@ -38,16 +38,6 @@ TEST(PageTest, FullPageRejectsAppend) {
   EXPECT_EQ(page.Append(rec).code(), StatusCode::kResourceExhausted);
 }
 
-TEST(PageTest, MutableRecordWritesInPlace) {
-  std::vector<char> buf(64);
-  Page page(buf.data(), 64, 8);
-  page.Init();
-  char rec[8] = {1};
-  ASSERT_TRUE(page.Append(rec).ok());
-  page.MutableRecord(0)[0] = 9;
-  EXPECT_EQ(page.Record(0)[0], 9);
-}
-
 TEST(PageTest, SurvivesRawCopy) {
   // Pages are plain bytes: copying the buffer copies the page.
   std::vector<char> buf(64);

@@ -2,10 +2,13 @@
 // random conjunctive queries, rendered to SQL and executed through the
 // parser, optimizer and executor, must agree exactly with a brute-force
 // cross-product oracle over the same Query struct, with no index and with
-// each index kind on every column.
+// each index kind on every column. Between queries, random UPDATEs assign
+// indexed columns, so every index is rebuilt under the queries.
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -29,11 +32,13 @@ std::multiset<std::string> Canonical(const Relation& rel) {
   return out;
 }
 
-/// Brute-force evaluation of a Query over the database tables.
-std::multiset<std::string> Oracle(const Database& db, const Query& q) {
+/// Brute-force evaluation of a Query over the oracle's own copy of the
+/// tables.
+std::multiset<std::string> Oracle(const std::map<std::string, Relation>& data,
+                                  const Query& q) {
   std::vector<const Relation*> tables;
   for (const std::string& name : q.tables) {
-    tables.push_back(*db.GetTable(name));
+    tables.push_back(&data.at(name));
   }
   // Column resolution: (table ordinal, column index) per ColumnRef.
   auto resolve = [&](const ColumnRef& ref) -> std::pair<int, int> {
@@ -100,6 +105,16 @@ std::string LiteralToSql(const Value& v) {
   return ValueToString(v);
 }
 
+/// Renders a restriction as a SQL conjunct.
+std::string PredicateToSql(const Predicate& p) {
+  const std::string column = p.table + "." + p.column;
+  if (p.op == CmpOp::kPrefix) {
+    return column + " LIKE '" + std::get<std::string>(p.literal) + "%'";
+  }
+  return column + " " + std::string(CmpOpName(p.op)) + " " +
+         LiteralToSql(p.literal);
+}
+
 /// Renders the Query back to its SQL text.
 std::string ToSql(const Query& q) {
   std::string sql = "SELECT ";
@@ -116,16 +131,7 @@ std::string ToSql(const Query& q) {
   for (const JoinClause& jc : q.joins) {
     conjuncts.push_back(jc.left.ToString() + " = " + jc.right.ToString());
   }
-  for (const Predicate& p : q.filters) {
-    if (p.op == CmpOp::kPrefix) {
-      conjuncts.push_back(p.table + "." + p.column + " LIKE '" +
-                          std::get<std::string>(p.literal) + "%'");
-    } else {
-      conjuncts.push_back(p.table + "." + p.column + " " +
-                          std::string(CmpOpName(p.op)) + " " +
-                          LiteralToSql(p.literal));
-    }
-  }
+  for (const Predicate& p : q.filters) conjuncts.push_back(PredicateToSql(p));
   for (size_t i = 0; i < conjuncts.size(); ++i) {
     sql += i == 0 ? " WHERE " : " AND ";
     sql += conjuncts[i];
@@ -164,14 +170,20 @@ TEST_P(SqlFuzzTest, EngineParserAndOracleAgree) {
   }
 
   // --- The same data behind each access path: no index at all, then a
-  // hash, an AVL or a B+-tree index on every column that kind can key.
+  // hash, an AVL or a B+-tree index on every column that kind can key. The
+  // oracle keeps its own copy of the data.
   const std::pair<const char*, std::optional<Database::IndexType>> paths[] = {
       {"no index", std::nullopt},
       {"hash", Database::IndexType::kHash},
       {"avl", Database::IndexType::kAvl},
       {"btree", Database::IndexType::kBTree}};
+  std::map<std::string, Relation> oracle_data;
+  for (int t = 0; t < 3; ++t) oracle_data.emplace(names[t], data[size_t(t)]);
   Database::Options dbopts;
   dbopts.memory_pages = 8;  // force spilling joins now and then
+  // Fewer frames than the B+-trees have pages, so a key UPDATE's rebuild
+  // evicts while the replaced trees' frames may still be in the pool.
+  dbopts.buffer_pool_pages = 4;
   std::vector<std::unique_ptr<Database>> dbs;
   for (const auto& [path, kind] : paths) {
     dbs.push_back(std::make_unique<Database>(dbopts));
@@ -190,7 +202,81 @@ TEST_P(SqlFuzzTest, EngineParserAndOracleAgree) {
     }
   }
 
+  // An INT64 literal in [-12, 30): negative keys reach the B+-tree's key
+  // encoding through UPDATEs and lookups.
+  auto int_literal = [&] {
+    return Value{static_cast<int64_t>(rng.Uniform(42)) - 12};
+  };
+  // A CHAR literal for `col`: a stem behind a long shared head if wide.
+  auto char_literal = [&](const Column& col) {
+    const std::string head = col.width > 32 ? wide_head() : "";
+    return Value{head + stems[rng.Uniform(5)]};
+  };
+  // A random restriction on column `c` of table `t`.
+  auto random_filter = [&](int t, int c) {
+    const Column& col = schemas[size_t(t)].column(c);
+    Predicate p;
+    p.table = names[t];
+    p.column = col.name;
+    switch (col.type) {
+      case ValueType::kInt64:
+        p.op = static_cast<CmpOp>(rng.Uniform(6));  // kEq..kGe
+        p.literal = int_literal();
+        break;
+      case ValueType::kDouble:
+        p.op = rng.Bernoulli(0.5) ? CmpOp::kLt : CmpOp::kGe;
+        p.literal = Value{double(rng.Uniform(100)) / 4.0};
+        break;
+      case ValueType::kString:
+        if (rng.Bernoulli(0.5)) {
+          p.op = CmpOp::kEq;
+          p.literal = char_literal(col);
+        } else {
+          const std::string head = col.width > 32 ? wide_head() : "";
+          p.op = CmpOp::kPrefix;
+          p.literal = Value{head + "abcde"[rng.Uniform(5)]};
+        }
+        break;
+    }
+    return p;
+  };
+
   for (int iteration = 0; iteration < param.queries; ++iteration) {
+    // --- Now and then, one random UPDATE that assigns an indexed column
+    // (every column but the DOUBLE one is indexed on every index path),
+    // applied to every database and to the oracle's copy.
+    if (rng.Bernoulli(0.3)) {
+      const int t = int(rng.Uniform(3));
+      const int set_c = std::array<int, 4>{0, 1, 3, 4}[rng.Uniform(4)];
+      const Column& set_col = schemas[size_t(t)].column(set_c);
+      const Value value = set_col.type == ValueType::kInt64
+                              ? int_literal()
+                              : char_literal(set_col);
+      const Predicate where = random_filter(t, int(rng.Uniform(5)));
+      const std::string sql = "UPDATE " + std::string(names[t]) + " SET " +
+                              set_col.name + " = " + LiteralToSql(value) +
+                              " WHERE " + PredicateToSql(where);
+      Relation& rel = oracle_data.at(names[t]);
+      const BoundPredicate bound(where, rel.schema(),
+                                 *rel.schema().ColumnIndex(where.column));
+      int64_t matched = 0;
+      for (int64_t i = 0; i < rel.num_tuples(); ++i) {
+        char* rec = rel.mutable_record(i);
+        if (!bound.Matches(rec)) continue;
+        ASSERT_TRUE(WriteField(set_col, value,
+                               rec + rel.schema().offset(set_c))
+                        .ok());
+        ++matched;
+      }
+      for (size_t d = 0; d < dbs.size(); ++d) {
+        auto updated = dbs[d]->ExecuteSql(sql);
+        ASSERT_TRUE(updated.ok())
+            << sql << " (" << paths[d].first
+            << ") -> " << updated.status().ToString();
+        EXPECT_EQ(updated->rows_affected, matched) << sql;
+      }
+    }
+
     // --- Random query over 1-3 tables.
     Query q;
     const int num_tables = 1 + int(rng.Uniform(3));
@@ -204,33 +290,7 @@ TEST_P(SqlFuzzTest, EngineParserAndOracleAgree) {
     const int num_filters = int(rng.Uniform(3));
     for (int f = 0; f < num_filters; ++f) {
       const int t = int(rng.Uniform(uint64_t(num_tables)));
-      const int c = int(rng.Uniform(5));
-      const Column& col = schemas[size_t(t)].column(c);
-      Predicate p;
-      p.table = names[t];
-      p.column = col.name;
-      switch (col.type) {
-        case ValueType::kInt64:
-          p.op = static_cast<CmpOp>(rng.Uniform(6));  // kEq..kGe
-          p.literal = Value{static_cast<int64_t>(rng.Uniform(30))};
-          break;
-        case ValueType::kDouble:
-          p.op = rng.Bernoulli(0.5) ? CmpOp::kLt : CmpOp::kGe;
-          p.literal = Value{double(rng.Uniform(100)) / 4.0};
-          break;
-        case ValueType::kString: {
-          const std::string head = col.width > 32 ? wide_head() : "";
-          if (rng.Bernoulli(0.5)) {
-            p.op = CmpOp::kEq;
-            p.literal = Value{head + stems[rng.Uniform(5)]};
-          } else {
-            p.op = CmpOp::kPrefix;
-            p.literal = Value{head + "abcde"[rng.Uniform(5)]};
-          }
-          break;
-        }
-      }
-      q.filters.push_back(std::move(p));
+      q.filters.push_back(random_filter(t, int(rng.Uniform(5))));
     }
     // 1-3 random select columns.
     const int num_select = 1 + int(rng.Uniform(3));
@@ -243,7 +303,7 @@ TEST_P(SqlFuzzTest, EngineParserAndOracleAgree) {
 
     // Every access path must return the oracle's multiset, so they all
     // agree with one another too.
-    const std::multiset<std::string> expected = Oracle(*dbs[0], q);
+    const std::multiset<std::string> expected = Oracle(oracle_data, q);
     const std::string sql = ToSql(q);
     for (size_t d = 0; d < dbs.size(); ++d) {
       auto via_sql = dbs[d]->ExecuteSql(sql);
@@ -276,6 +336,10 @@ TEST(SqlCrashCorpusTest, AdversarialStatementsNeverCrash) {
       "SELECT k FROM t WHERE d = .",
       "SELECT k FROM t WHERE d = 1.",
       "INSERT INTO t VALUES (1..2)",
+      // A negative key aborted in the B+-tree's key encoding.
+      "INSERT INTO t VALUES (-5, 1.0)",
+      "SELECT k FROM t WHERE k = -5",
+      "UPDATE t SET k = -9223372036854775807 WHERE k = -5",
       // General malformed shapes around literals and punctuation.
       "SELECT",
       "SELECT * FROM",
@@ -299,6 +363,7 @@ TEST(SqlCrashCorpusTest, AdversarialStatementsNeverCrash) {
   ASSERT_TRUE(
       db.CreateTable("t", Schema({Column::Int64("k"), Column::Double("d")}))
           .ok());
+  ASSERT_TRUE(db.CreateIndex("t", "k", Database::IndexType::kBTree).ok());
   ASSERT_TRUE(db.ExecuteSql("INSERT INTO t VALUES (1, 2.5)").ok());
   for (const char* sql : corpus) {
     auto result = db.ExecuteSql(sql);  // must not crash
