@@ -104,21 +104,31 @@ Status Database::InsertRecords(const std::string& name, const Relation& rows) {
   if (!(rows.schema() == table.relation.schema())) {
     return Status::InvalidArgument("schema mismatch in insert into " + name);
   }
-  const int64_t before = table.relation.num_tuples();
   Status status = Status::OK();
   for (int64_t i = 0; i < rows.num_tuples() && status.ok(); ++i) {
     const char* rec = rows.record(i);
     const int64_t ordinal = table.relation.num_tuples();
-    for (auto& entry : table.indexes) {
-      const Field key = Field::Of(rows.schema(), entry.second.column);
-      status = AddToIndex(&entry.second, key.Read(rec), ordinal);
-      if (!status.ok()) break;
+    table.relation.Append(rec);
+    // An index whose insert fails is dropped, frames and all, as a failed
+    // rebuild's is: with no index delete it cannot be made whole, and a
+    // column left unindexed is answered by a scan, never wrongly. The
+    // row still goes into the table's other indexes.
+    for (auto entry = table.indexes.begin(); entry != table.indexes.end();) {
+      const Field key = Field::Of(rows.schema(), entry->second.column);
+      const Status s = AddToIndex(&entry->second, key.Read(rec), ordinal);
+      if (s.ok()) {
+        ++entry;
+        continue;
+      }
+      DropFrames(entry->second);
+      entry = table.indexes.erase(entry);
+      InvalidateCatalog();
+      if (status.ok()) status = s;
     }
-    if (status.ok()) table.relation.Append(rec);
   }
-  // Records appended before a failing index insert stay in the table, so
+  // The rows appended up to a failing index insert stay in the table, so
   // even a failed insert may have changed it.
-  if (table.relation.num_tuples() > before) {
+  if (rows.num_tuples() > 0) {
     MarkStatisticsStale();
     if (reuse_cache_ != nullptr) reuse_cache_->InvalidateTable(name);
   }
@@ -260,43 +270,6 @@ Status Database::CreateIndex(const std::string& table_name,
   return Status::OK();
 }
 
-Status Database::IndexRangeScanLocked(
-    const TableHolder& table, IndexHolder& index, const Value& low,
-    const std::function<bool(int64_t)>& fn) {
-  Status status = Status::OK();
-  // An index payload names a record of the table.
-  auto visit = [&](int64_t ordinal) {
-    if (ordinal < 0 || ordinal >= table.relation.num_tuples()) {
-      status = Status::Internal("index payload out of range");
-      return false;
-    }
-    return fn(ordinal);
-  };
-  switch (index.type) {
-    case IndexType::kAvl:
-      index.avl->ScanFrom(
-          low, [&](const Value&, int64_t ordinal) { return visit(ordinal); });
-      return status;
-    case IndexType::kBTree: {
-      char kbuf[kMaxBTreeKeyWidth];
-      MMDB_RETURN_IF_ERROR(EncodeBTreeKey(low, index.key_width, kbuf));
-      MMDB_RETURN_IF_ERROR(index.btree->ScanFrom(
-          kbuf, [&](const char*, const char* payload) {
-            int64_t ordinal;
-            std::memcpy(&ordinal, payload, sizeof(ordinal));
-            return visit(ordinal);
-          }));
-      return status;
-    }
-    case IndexType::kHash:
-      return Status::FailedPrecondition(
-          "hash indexes do not support ordered scans");
-    case IndexType::kAuto:
-      break;
-  }
-  return Status::Internal("unresolved index type");
-}
-
 const Catalog& Database::catalog() {
   RefreshCatalog(/*statistics=*/true);
   return catalog_;
@@ -342,9 +315,8 @@ void Database::RefreshCatalog(bool statistics) {
   }
 }
 
-StatusOr<Relation> Database::IndexLookupAll(const std::string& table_name,
-                                            const Predicate& pred,
-                                            ExecContext* ctx) {
+StatusOr<std::vector<int64_t>> Database::IndexOrdinals(
+    const std::string& table_name, const Predicate& pred, CostClock* clock) {
   auto it = tables_.find(table_name);
   if (it == tables_.end()) return Status::NotFound("table " + table_name);
   auto idx_it = it->second.indexes.find(pred.column);
@@ -352,88 +324,88 @@ StatusOr<Relation> Database::IndexLookupAll(const std::string& table_name,
     return Status::NotFound("no index on " + table_name + "." + pred.column);
   }
   IndexHolder& index = idx_it->second;
-  const TableHolder& table = it->second;
+  const Relation& records = it->second.relation;
+  const bool prefix = pred.op == CmpOp::kPrefix;
+  if (!prefix && pred.op != CmpOp::kEq) {
+    return Status::InvalidArgument("an index serves = and LIKE only");
+  }
+  if (prefix && index.type == IndexType::kHash) {
+    return Status::FailedPrecondition("hash index cannot serve a prefix");
+  }
   // Concurrent statements serialize on the index latch (the structures
   // mutate their operation counters on lookup) but charge their own clock.
   std::lock_guard<std::mutex> index_latch(*index.latch);
-  CostClock* clock =
-      ctx != nullptr && ctx->clock != nullptr ? ctx->clock : &clock_;
-  Relation out(table.relation.schema());
-  out.Reserve(1);  // most lookups find one row
-  auto emit = [&](int64_t ordinal) -> Status {
-    if (ordinal < 0 || ordinal >= table.relation.num_tuples()) {
-      return Status::Internal("index payload out of range");
-    }
-    out.Append(table.relation.record(ordinal));
-    return Status::OK();
+  if (clock == nullptr) clock = &clock_;
+  std::vector<int64_t> out;
+  Status status = Status::OK();
+  // An index payload names a record of the table.
+  auto in_table = [&](int64_t ordinal) {
+    if (ordinal >= 0 && ordinal < records.num_tuples()) return true;
+    status = Status::Internal("index payload out of range");
+    return false;
   };
 
-  if (pred.op == CmpOp::kEq) {
-    switch (index.type) {
-      case IndexType::kHash: {
-        const int64_t comps_before = index.hash->stats().comparisons;
-        Status status = Status::OK();
-        clock->Hash();
-        index.hash->FindAll(pred.literal, [&](int64_t ordinal) {
-          if (status.ok()) status = emit(ordinal);
-        });
-        clock->Comp(index.hash->stats().comparisons - comps_before);
-        return status.ok() ? StatusOr<Relation>(std::move(out))
-                           : StatusOr<Relation>(status);
-      }
-      case IndexType::kAvl: {
-        const int64_t comps_before = index.avl->stats().comparisons;
-        Status status = Status::OK();
-        index.avl->ScanFrom(pred.literal, [&](const Value& k, int64_t ord) {
-          if (!ValuesEqual(k, pred.literal)) return false;
-          if (status.ok()) status = emit(ord);
-          return status.ok();
-        });
-        clock->Comp(index.avl->stats().comparisons - comps_before);
-        return status.ok() ? StatusOr<Relation>(std::move(out))
-                           : StatusOr<Relation>(status);
-      }
-      case IndexType::kBTree:
-        break;  // handled below via the shared ordered-scan path
-      case IndexType::kAuto:
-        return Status::Internal("unresolved index type");
-    }
-  }
-  // Ordered scans: B+-tree equality, and AVL/B+-tree prefix queries.
-  const bool prefix = pred.op == CmpOp::kPrefix;
-  if (!prefix && pred.op != CmpOp::kEq) {
-    return Status::InvalidArgument("IndexLookupAll serves = and LIKE only");
-  }
   if (index.type == IndexType::kHash) {
-    return Status::FailedPrecondition("hash index cannot serve a prefix");
-  }
-  // Whether `key` qualifies when both it and the literal are cut to their
-  // first `width` bytes. The B+-tree keys a CHAR column by its first
-  // key_width bytes, so its scan runs while that prefix qualifies, and each
-  // row's full value decides whether it is emitted.
-  auto qualifies = [&](const Value& key, size_t width) {
-    if (TypeOf(key) != ValueType::kString) {
-      return !prefix && ValuesEqual(key, pred.literal);
+    const int64_t comps_before = index.hash->stats().comparisons;
+    clock->Hash();
+    index.hash->FindAll(pred.literal, [&](int64_t ordinal) {
+      if (status.ok() && in_table(ordinal)) out.push_back(ordinal);
+    });
+    clock->Comp(index.hash->stats().comparisons - comps_before);
+  } else if (index.type == IndexType::kAvl && !prefix) {
+    const int64_t comps_before = index.avl->stats().comparisons;
+    index.avl->ScanFrom(pred.literal, [&](const Value& key, int64_t ordinal) {
+      if (!ValuesEqual(key, pred.literal) || !in_table(ordinal)) return false;
+      out.push_back(ordinal);
+      return true;
+    });
+    clock->Comp(index.avl->stats().comparisons - comps_before);
+  } else {
+    // Ordered scans: B+-tree equality, and AVL/B+-tree prefix queries, one
+    // Comp per record visited. Whether `key` qualifies when both it and
+    // the literal are cut to their first `width` bytes: the B+-tree keys a
+    // CHAR column by its first key_width bytes, so its scan runs while
+    // that prefix qualifies, and each row's full value decides whether it
+    // is selected.
+    auto qualifies = [&](const Value& key, size_t width) {
+      if (TypeOf(key) != ValueType::kString) {
+        return !prefix && ValuesEqual(key, pred.literal);
+      }
+      const std::string_view s =
+          std::string_view(std::get<std::string>(key)).substr(0, width);
+      const std::string_view p = std::string_view(
+          std::get<std::string>(pred.literal)).substr(0, width);
+      return prefix ? s.substr(0, p.size()) == p : s == p;
+    };
+    const size_t scan_width = index.type == IndexType::kBTree
+                                  ? size_t(index.key_width)
+                                  : std::string_view::npos;
+    const Field key_field = Field::Of(records.schema(), index.column);
+    auto visit = [&](int64_t ordinal) {
+      if (!in_table(ordinal)) return false;
+      clock->Comp();
+      const Value key = key_field.Read(records.record(ordinal));
+      if (!qualifies(key, scan_width)) return false;  // past range
+      if (qualifies(key, std::string_view::npos)) out.push_back(ordinal);
+      return true;
+    };
+    if (index.type == IndexType::kAvl) {
+      index.avl->ScanFrom(pred.literal, [&](const Value&, int64_t ordinal) {
+        return visit(ordinal);
+      });
+    } else {
+      char kbuf[kMaxBTreeKeyWidth];
+      MMDB_RETURN_IF_ERROR(
+          EncodeBTreeKey(pred.literal, index.key_width, kbuf));
+      MMDB_RETURN_IF_ERROR(index.btree->ScanFrom(
+          kbuf, [&](const char*, const char* payload) {
+            int64_t ordinal;
+            std::memcpy(&ordinal, payload, sizeof(ordinal));
+            return visit(ordinal);
+          }));
     }
-    const std::string_view s =
-        std::string_view(std::get<std::string>(key)).substr(0, width);
-    const std::string_view p =
-        std::string_view(std::get<std::string>(pred.literal)).substr(0, width);
-    return prefix ? s.substr(0, p.size()) == p : s == p;
-  };
-  const size_t scan_width = index.type == IndexType::kBTree
-                                ? size_t(index.key_width)
-                                : std::string_view::npos;
-  const Field key_field = Field::Of(table.relation.schema(), index.column);
-  MMDB_RETURN_IF_ERROR(IndexRangeScanLocked(
-      table, index, pred.literal, [&](int64_t ordinal) {
-        clock->Comp();
-        const char* rec = table.relation.record(ordinal);
-        const Value key = key_field.Read(rec);
-        if (!qualifies(key, scan_width)) return false;  // past range
-        if (qualifies(key, std::string_view::npos)) out.Append(rec);
-        return true;
-      }));
+  }
+  if (!status.ok()) return status;
   return out;
 }
 
@@ -671,35 +643,25 @@ Status Database::ExecuteUpdateLocked(const ParsedStatement& stmt,
     filters.emplace_back(p, schema, idx);
   }
   // Point-update fast path (DESIGN.md §11): a single equality predicate on
-  // an indexed column resolves its target ordinals through the index
-  // instead of scanning the table, shrinking the exclusive-latch section
-  // that the server's row-granularity point writers serialize on.
+  // a hash- or AVL-indexed column resolves its target ordinals through the
+  // index instead of scanning the table, shrinking the exclusive-latch
+  // section that the server's row-granularity point writers serialize on.
+  // The probe is not charged to the cost clock; each candidate's re-check
+  // below is.
   std::vector<int64_t> ordinals;
   bool fast_path = false;
   if (stmt.query.filters.size() == 1 &&
       stmt.query.filters[0].op == CmpOp::kEq) {
     const Predicate& pred = stmt.query.filters[0];
     auto idx_it = table.indexes.find(pred.column);
-    if (idx_it != table.indexes.end()) {
-      IndexHolder& index = idx_it->second;
-      if (TypeOf(pred.literal) == schema.column(index.column).type &&
-          (index.type == IndexType::kHash || index.type == IndexType::kAvl)) {
-        std::lock_guard<std::mutex> index_latch(*index.latch);
-        if (index.type == IndexType::kHash) {
-          index.hash->FindAll(pred.literal,
-                              [&](int64_t ord) { ordinals.push_back(ord); });
-        } else {
-          index.avl->ScanFrom(pred.literal,
-                              [&](const Value& key, int64_t ord) {
-                                if (!ValuesEqual(key, pred.literal)) {
-                                  return false;
-                                }
-                                ordinals.push_back(ord);
-                                return true;
-                              });
-        }
-        fast_path = true;
-      }
+    if (idx_it != table.indexes.end() &&
+        TypeOf(pred.literal) == schema.column(idx_it->second.column).type &&
+        (idx_it->second.type == IndexType::kHash ||
+         idx_it->second.type == IndexType::kAvl)) {
+      CostClock unbilled(options_.cost_params);
+      MMDB_ASSIGN_OR_RETURN(ordinals,
+                            IndexOrdinals(stmt.table_name, pred, &unbilled));
+      fast_path = true;
     }
   }
   // Charge a local clock and merge through the disk (whose mutex already
@@ -716,7 +678,6 @@ Status Database::ExecuteUpdateLocked(const ParsedStatement& stmt,
   int64_t matched = 0;
   if (fast_path) {
     for (int64_t ord : ordinals) {
-      if (ord < 0 || ord >= table.relation.num_tuples()) continue;
       local_clock.Comp();
       // Re-verify against the live record: one comparison buys immunity to
       // any future index-staleness bug on this write path.

@@ -104,14 +104,19 @@ class Database : public IndexProvider {
   Status CreateIndex(const std::string& table, const std::string& column,
                      IndexType type);
 
-  /// IndexProvider: all rows satisfying an equality / prefix restriction,
-  /// served from the column's index (used by IndexScan plan nodes). CPU
-  /// work is charged to `ctx->clock` when given (the executing statement's
-  /// private clock), else to the database clock; the index structure is
+  /// IndexProvider, and the one read path into every index: the ordinals
+  /// of the table's records satisfying `pred`, in index order. Hash
+  /// equality, AVL equality and prefix, B+-tree equality and prefix;
+  /// every payload is checked against the table's size (kInternal if one
+  /// is out of range). IndexScan nodes and UPDATE's point fast path call
+  /// it. Charges `clock` when given (the executing statement's private
+  /// clock), else the database clock: a hash lookup one Hash and the
+  /// bucket's comparisons, an AVL equality lookup the tree's comparisons,
+  /// an ordered scan one Comp per record visited. The index structure is
   /// guarded by a per-index latch so concurrent statements may share it.
-  StatusOr<Relation> IndexLookupAll(const std::string& table,
-                                    const Predicate& pred,
-                                    ExecContext* ctx = nullptr) override;
+  StatusOr<std::vector<int64_t>> IndexOrdinals(
+      const std::string& table, const Predicate& pred,
+      CostClock* clock = nullptr) override;
 
   // ---- SQL front end (db/query_parser.h) --------------------------------
   struct SqlResult {
@@ -171,7 +176,10 @@ class Database : public IndexProvider {
   /// must be the table's FIRST column — so every fast-path writer on the
   /// table keys its row locks off the same column, making distinct
   /// literals imply disjoint row sets — and no SET clause may reassign it
-  /// (a row must not migrate between row-lock ids mid-transaction).
+  /// (a row must not migrate between row-lock ids mid-transaction). The
+  /// server reads the same rule from the parse
+  /// (ParsedStatement::keyed_by_first_column); this form remains for
+  /// sql_e2e's lock replay, which holds no parse.
   bool RowLockEligible(const std::string& table,
                        const std::string& where_column,
                        const std::vector<std::string>& set_columns) const;
@@ -295,7 +303,8 @@ class Database : public IndexProvider {
   Status CreateTableLocked(const std::string& name, Schema schema);
   /// Appends every record of `rows`, whose schema must be the table's, and
   /// maintains the table's indexes: the body of SQL INSERT and of
-  /// BulkLoad.
+  /// BulkLoad. A row whose index insert fails stays in the table, that
+  /// index is dropped, and the rows after it are not inserted.
   Status InsertRecords(const std::string& name, const Relation& rows);
   /// Which index type CreateIndex(kAuto) picks right now.
   StatusOr<IndexType> PickIndexType(const std::string& table,
@@ -341,13 +350,6 @@ class Database : public IndexProvider {
                                     PlanRunTrace* trace,
                                     const AggregateSpec* aggregate,
                                     AggStats* agg_stats);
-  /// IndexLookupAll's ordered scan (AVL / B+-tree) of the records whose
-  /// key is >= low, in key order until `fn(ordinal)` returns false; caller
-  /// holds the index latch.
-  Status IndexRangeScanLocked(const TableHolder& table, IndexHolder& index,
-                              const Value& low,
-                              const std::function<bool(int64_t)>& fn);
-
   /// Builds a fresh lock table, version chains (when versioning is on) and
   /// transaction manager that numbers transactions from `first_txn_id`.
   void ResetTxnManager(TxnId first_txn_id);

@@ -669,6 +669,14 @@ class Parser {
       }
     }
     MMDB_RETURN_IF_ERROR(ExpectEnd());
+    const std::string& key = schema.column(0).name;
+    stmt.keyed_by_first_column =
+        stmt.query.filters.size() == 1 &&
+        stmt.query.filters[0].column == key &&
+        std::none_of(stmt.set_clauses.begin(), stmt.set_clauses.end(),
+                     [&key](const ParsedStatement::SetClause& set) {
+                       return set.column == key;
+                     });
     return stmt;
   }
 

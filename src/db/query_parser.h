@@ -71,6 +71,12 @@ struct ParsedStatement {
     Value value;
   };
   std::vector<SetClause> set_clauses;
+  /// kUpdate: its one WHERE restriction is on the table's first column,
+  /// and no SET clause assigns that column. The parse's half of the
+  /// server's row-lock rule (DESIGN.md §11): every row-locking writer on a
+  /// table keys its row locks off the same column, and no row changes its
+  /// row-lock id mid-transaction.
+  bool keyed_by_first_column = false;
 };
 
 /// Parses one statement. Column references are resolved against `catalog`

@@ -352,17 +352,22 @@ StatusOr<NodeResult> ExecuteNode(const PlanNode& plan, const Catalog& catalog,
     }
     case PlanNode::Kind::kIndexScan: {
       MMDB_CHECK(!plan.predicates.empty());
-      if (indexes != nullptr) {
-        return Owned(
-            indexes->IndexLookupAll(plan.table, plan.predicates[0], ctx));
-      }
-      // No provider (plan executed standalone): degrade to scan + filter.
       MMDB_ASSIGN_OR_RETURN(const TableEntry* entry,
                             catalog.Lookup(plan.table));
+      NodeResult table = NodeResult::Borrow(entry->relation);
+      if (indexes != nullptr) {
+        // The index's matches, read in place like a Filter's survivors.
+        MMDB_ASSIGN_OR_RETURN(
+            std::vector<int64_t> ordinals,
+            indexes->IndexOrdinals(plan.table, plan.predicates[0],
+                                   ctx->clock));
+        table.mutable_view()->Select(std::move(ordinals));
+        return table;
+      }
+      // No provider (plan executed standalone): degrade to scan + filter.
       MMDB_ASSIGN_OR_RETURN(
           int idx, entry->relation->schema().ColumnIndex(
                        plan.predicates[0].column));
-      NodeResult table = NodeResult::Borrow(entry->relation);
       std::vector<BoundPredicate> bound;
       bound.emplace_back(plan.predicates[0], entry->relation->schema(), idx);
       table.FilterLater(std::move(bound), ctx);

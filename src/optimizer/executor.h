@@ -3,6 +3,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "exec/aggregate.h"
 #include "exec/exec_context.h"
@@ -11,19 +12,20 @@
 
 namespace mmdb {
 
-/// Serves IndexScan plan nodes: returns every row of `table` satisfying
-/// `pred` (an equality or prefix restriction on an indexed column).
-/// Implemented by Database over its AVL / B+-tree / hash indexes; plans
-/// executed without a provider fall back to scan + filter.
+/// Serves IndexScan plan nodes: the ordinals of the records of `table`
+/// (the catalog's resident relation) that satisfy `pred`, an equality or
+/// prefix restriction on an indexed column, in the index's order. The
+/// executor reads those records in place. Implemented by Database over its
+/// AVL / B+-tree / hash indexes; plans executed without a provider fall
+/// back to scan + filter.
 class IndexProvider {
  public:
   virtual ~IndexProvider() = default;
-  /// `ctx` is the executing statement's context: implementations charge
-  /// CPU work to ctx->clock (falling back to their own clock when null) so
-  /// concurrently executing statements never share an unsynchronized clock.
-  virtual StatusOr<Relation> IndexLookupAll(const std::string& table,
-                                            const Predicate& pred,
-                                            ExecContext* ctx) = 0;
+  /// Implementations charge the lookup's CPU work to `clock`, the
+  /// executing statement's (their own when null), so concurrently
+  /// executing statements never share an unsynchronized clock.
+  virtual StatusOr<std::vector<int64_t>> IndexOrdinals(
+      const std::string& table, const Predicate& pred, CostClock* clock) = 0;
 };
 
 /// A plan node's reuse-cache outcome (DESIGN.md §15), rendered by EXPLAIN

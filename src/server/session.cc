@@ -11,9 +11,7 @@
 namespace mmdb {
 
 Session::Session(Server* server, int64_t id, SessionOptions options)
-    : server_(server), id_(id), options_(options) {
-  trace_plans_.store(options.trace_plans, std::memory_order_relaxed);
-}
+    : server_(server), id_(id), options_(options) {}
 
 Status Session::ReserveInflightSlot(int max_inflight) {
   std::lock_guard<std::mutex> lock(inflight_mu_);
@@ -274,22 +272,16 @@ Status Session::LockTablesLocked(const ParsedStatement& stmt) {
     return status;
   };
   // Row-granularity fast path (DESIGN.md §11): an UPDATE whose one filter
-  // is `key = <INT64 literal>` takes intention-exclusive on the table plus
-  // X on the key's row-lock id, so point writers on distinct keys stop
-  // serializing on a table X lock. Fixed acquisition order (table, then
-  // row) keeps single statements deadlock-free among themselves.
-  if (stmt.kind == ParsedStatement::Kind::kUpdate &&
-      server_->options().row_locks && stmt.query.filters.size() == 1 &&
+  // is `key = <INT64 literal>`, on the table's first column, which it
+  // leaves unassigned (the parse's keyed_by_first_column), takes
+  // intention-exclusive on the table plus X on the key's row-lock id, so
+  // point writers on distinct keys stop serializing on a table X lock.
+  // Fixed acquisition order (table, then row) keeps single statements
+  // deadlock-free among themselves.
+  if (stmt.keyed_by_first_column && server_->options().row_locks &&
       stmt.query.filters[0].op == CmpOp::kEq) {
-    const Predicate& filter = stmt.query.filters[0];
-    const int64_t* key = std::get_if<int64_t>(&filter.literal);
-    std::vector<std::string> set_columns;
-    for (const ParsedStatement::SetClause& set : stmt.set_clauses) {
-      set_columns.push_back(set.column);
-    }
-    if (key != nullptr &&
-        server_->database()->RowLockEligible(stmt.table_name, filter.column,
-                                             set_columns)) {
+    const int64_t* key = std::get_if<int64_t>(&stmt.query.filters[0].literal);
+    if (key != nullptr) {
       MMDB_RETURN_IF_ERROR(acquire(Server::TableLockId(stmt.table_name),
                                    LockMode::kIntentionExclusive));
       MMDB_RETURN_IF_ERROR(

@@ -35,9 +35,6 @@ enum class IsolationLevel {
 
 struct SessionOptions {
   IsolationLevel isolation = IsolationLevel::kSerializable;
-  /// When set, SELECT statements run as EXPLAIN ANALYZE: the result is
-  /// still computed, and plan_text carries per-node actual run statistics.
-  bool trace_plans = false;
   /// Refuse every write (SQL CREATE/INSERT/UPDATE and record-plane
   /// UpdateRecord) with kFailedPrecondition. A server fronting a
   /// log-shipping replica forces this on (Server::Options::read_only):
@@ -64,7 +61,9 @@ class Session {
   int64_t id() const { return id_; }
   const SessionOptions& options() const { return options_; }
 
-  /// Flips EXPLAIN ANALYZE tracing for subsequent SELECTs.
+  /// Flips EXPLAIN ANALYZE tracing for subsequent SELECTs: when on, a
+  /// SELECT's result is still computed, and plan_text carries per-node
+  /// actual run statistics.
   void set_trace_plans(bool on) {
     trace_plans_.store(on, std::memory_order_relaxed);
   }
